@@ -1,7 +1,8 @@
 """Command-line interface: compute, vankampen, verify.
 
-Exit codes: 0 on success, 2 for unparseable input or unknown fixture
-ids, 3 for numerical tracking failures.
+Exit codes: 0 on success, 1 when `verify` ran and a check failed, 2 for
+unparseable input, unknown fixture ids or an unreadable targets file,
+3 for numerical tracking failures.
 """
 
 from __future__ import annotations
@@ -188,8 +189,13 @@ def cmd_vankampen(args) -> int:
 def cmd_verify(args) -> int:
     targets = None
     if args.targets:
-        with open(args.targets, "r", encoding="utf-8") as fh:
-            targets = load_targets(fh.read())
+        try:
+            with open(args.targets, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            print("error: cannot read targets file: %s" % e, file=sys.stderr)
+            return EXIT_PARSE
+        targets = load_targets(text)
     if args.fixture == "all":
         todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     else:

@@ -7,15 +7,25 @@ the battery are reported Consistent; a single mismatch proves the
 groups differ and is reported Inconsistent.
 
 Generators that occur exactly once in some relator are eliminated
-first (their image is forced), which keeps the brute-force enumeration
-over the remaining generators small for every presentation produced in
-this package.
+first (their image is forced), and each generator left in no relator
+contributes a factor |G|.  The rest are bound one at a time by
+backtracking: the assignments that survive so far are extended by every
+image of the next generator, and each relator is tested, dropping the
+rows that fail it, as soon as its highest generator is bound.  The image
+of the first generator ranges only over conjugacy-class representatives,
+each row weighted by its class size; conjugating a homomorphism by g
+maps those with x1 -> c one-to-one onto those with x1 -> g c g^-1, so the
+weighted sum is exact.  Rows are extended in batches of a fixed size,
+depth first, so the working set stays bounded whatever the rank.
+Each group's tables are built on first use and kept with the group.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,8 +89,31 @@ class FiniteGroupTable:
     def inverse(self, a: int) -> int:
         return self.table[a].index(self.identity)
 
-    def array(self) -> np.ndarray:
-        return np.array(self.table, dtype=np.int64)
+    @cached_property
+    def _search(self) -> _SearchTables:
+        """Arrays for count_homomorphisms, built on first use."""
+        n = self.order
+        table = np.array(self.table, dtype=np.min_scalar_type(n - 1))
+        inv = np.argmax(table == self.identity, axis=1).astype(table.dtype)
+        elems = np.arange(n)
+        # conj[g, a] = g^-1 a g; the least conjugate names the class of a
+        conj = table[table[inv[:, None], elems], elems[:, None]]
+        reps, sizes = np.unique(conj.min(axis=0), return_counts=True)
+        return _SearchTables(
+            table, table[:, inv], inv, self.identity,
+            reps.astype(table.dtype), sizes.astype(np.int64),
+        )
+
+
+class _SearchTables(NamedTuple):
+    """A group's table in the smallest dtype that holds its elements."""
+
+    table: np.ndarray  # table[a, b] = a*b
+    div: np.ndarray  # div[a, b] = a*b^-1
+    inv: np.ndarray
+    identity: int
+    reps: np.ndarray  # one element per conjugacy class
+    sizes: np.ndarray  # the size of each class, int64
 
 
 def _from_permutations(perms: list[tuple[int, ...]]) -> FiniteGroupTable:
@@ -227,44 +260,75 @@ def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into `group`."""
     relators = [r.letters for r in p.relators if r.letters]
     rank, relators = _eliminate(p.rank, relators)
-    n = group.order
-    if rank == 0:
-        # With no generators left every surviving relator is empty.
-        return 1
-    if not relators:
-        return n**rank
-    table = group.array()
-    inv = np.array([group.inverse(a) for a in range(n)], dtype=np.int64)
+    used = sorted({abs(a) for r in relators for a in r})
+    # A generator in no relator may go anywhere: a factor |G| each.
+    free = group.order ** (rank - len(used))
+    if not used:
+        return free
+    level = {g: k for k, g in enumerate(used)}
+    due: list[list[list[tuple[int, bool]]]] = [[] for _ in used]
+    for r in relators:
+        word = [(level[abs(a)], a > 0) for a in r]
+        k = max(g for g, _ in word)
+        # A relator holds iff its rotations do; end it with its last x_k.
+        cut = max(i for i, (g, _) in enumerate(word) if g == k) + 1
+        due[k].append(word[cut:] + word[:cut])
+    return free * _backtrack(group._search, due)
 
-    # Enumerate assignments for up to 4 generators at once; loop over
-    # the leading generators beyond that.
-    bulk = min(rank, 4)
-    outer = rank - bulk
-    grids = np.meshgrid(*([np.arange(n)] * bulk), indexing="ij")
-    flat = [g.ravel() for g in grids]
-    total = 0
-    e = group.identity
 
-    def eval_all(assign: list[np.ndarray]) -> np.ndarray:
-        ok = np.ones(assign[0].shape, dtype=bool)
-        for r in relators:
-            acc = np.full(assign[0].shape, e, dtype=np.int64)
-            for a in r:
-                img = assign[abs(a) - 1]
-                if a < 0:
-                    img = inv[img]
-                acc = table[acc, img]
-            ok &= acc == e
-        return ok
+# Partial assignments extended per batch: bounds the working set of each
+# search level, whatever the rank.
+_CHUNK = 1 << 16
 
-    if outer == 0:
-        return int(eval_all(flat).sum())
-    from itertools import product
 
-    for head in product(range(n), repeat=outer):
-        assign = [np.full(flat[0].shape, h, dtype=np.int64) for h in head] + flat
-        total += int(eval_all(assign).sum())
-    return total
+def _backtrack(s: _SearchTables, due: list[list[list[tuple[int, bool]]]]) -> int:
+    """Weighted count of the assignments that satisfy every relator.
+
+    due[k] holds the relators whose highest generator is bound at level
+    k, as (level, positive) letters.  Level 0 ranges over conjugacy-class
+    representatives weighted by class size; each later level over the
+    whole group.
+    """
+    elems = np.arange(len(s.inv), dtype=s.inv.dtype)
+    ones = np.ones(len(elems), dtype=np.int64)
+    last = len(due) - 1
+    step = max(1, _CHUNK // len(elems))
+
+    def extend(cols: list[np.ndarray], weight: np.ndarray, k: int) -> int:
+        vals, vw = (s.reps, s.sizes) if k == 0 else (elems, ones)
+        # ok[row, j]: the relators due at level k hold with x_k -> vals[j]
+        ok = np.ones((len(weight), len(vals)), dtype=bool)
+        for word in due[k]:
+            # Runs of earlier letters are multiplied per row, shape (rows, 1),
+            # and folded into the full product only before each x_k letter.
+            acc = run = None
+            for g, positive in word:
+                if g == k:
+                    if run is not None:
+                        acc = run if acc is None else s.table[acc, run]
+                        run = None
+                    acc = _times(s, acc, vals[None, :], positive)
+                else:
+                    run = _times(s, run, cols[g][:, None], positive)
+            ok &= acc == s.identity
+        if k == last:
+            return int(weight @ (ok @ vw))
+        row, col = np.nonzero(ok)
+        cols = [c[row] for c in cols] + [vals[col]]
+        weight = weight[row] * vw[col]
+        return sum(
+            extend([c[i:i + step] for c in cols], weight[i:i + step], k + 1)
+            for i in range(0, len(weight), step)
+        )
+
+    return extend([], np.ones(1, dtype=np.int64), 0)
+
+
+def _times(s: _SearchTables, acc: np.ndarray | None, img: np.ndarray, positive: bool) -> np.ndarray:
+    """acc * img, or acc * img^-1; a missing acc stands for the identity."""
+    if acc is None:
+        return img if positive else s.inv[img]
+    return (s.table if positive else s.div)[acc, img]
 
 
 @dataclass(frozen=True)
@@ -316,14 +380,25 @@ def dump_targets(targets: Sequence[tuple[str, FiniteGroupTable]]) -> str:
 
 
 def load_targets(text: str) -> list[tuple[str, FiniteGroupTable]]:
+    """Parse what dump_targets writes; blank lines separate the blocks."""
     out = []
-    for block in text.strip().split("\n\n"):
-        lines = [ln.strip() for ln in block.strip().splitlines() if ln.strip()]
+    for block in re.split(r"\n\s*\n", text.strip()):
+        lines = [ln.strip() for ln in block.splitlines() if ln.strip()]
         if len(lines) < 4 or not lines[0].startswith("group "):
             raise GroupTableError("malformed target block: %r" % block[:40])
         name = lines[0].split(None, 1)[1]
-        order = int(lines[1].split()[1])
-        identity = int(lines[2].split()[1])
-        rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[3:])
-        out.append((name, FiniteGroupTable(order, identity, rows)))
+        try:
+            order = _header(lines[1], "order")
+            identity = _header(lines[2], "identity")
+            rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[3:])
+            out.append((name, FiniteGroupTable(order, identity, rows)))
+        except (ValueError, GroupTableError) as e:
+            raise GroupTableError("group %s: %s" % (name, e)) from None
     return out
+
+
+def _header(line: str, key: str) -> int:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key:
+        raise ValueError("expected '%s N', got %r" % (key, line))
+    return int(parts[1])

@@ -133,3 +133,23 @@ def test_verify_is_deterministic(capsys):
     first = _run(capsys, "verify", "two-tangent-conics")
     second = _run(capsys, "verify", "two-tangent-conics")
     assert first == second
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="missing"),
+    pytest.param("group X\norder two\nidentity 0\n0\n", id="malformed"),
+    pytest.param(b"\xff\xfe", id="not-utf8"),
+])
+def test_verify_bad_targets_file_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "targets.txt"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    elif content is not None:
+        path.write_bytes(content)
+    code, out, err = _run(
+        capsys, "verify", "two-tangent-conics", "--targets", str(path)
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""

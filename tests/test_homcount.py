@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from braidmono import (
@@ -13,6 +16,8 @@ from braidmono import (
     dihedral_group,
     dump_targets,
     equivalence_evidence,
+    fixture_by_id,
+    induced_presentation,
     load_targets,
     quaternion_group,
     symmetric_group,
@@ -85,7 +90,7 @@ def test_pinned_generator_eliminates():
     assert count_homomorphisms(p, symmetric_group(3)) == 6
 
 
-def test_wide_presentations_use_product_fallback():
+def test_free_rank_five_count():
     assert count_homomorphisms(_p(5), cyclic_group(2)) == 32
 
 
@@ -112,3 +117,88 @@ def test_dump_load_round_trip():
 def test_load_rejects_malformed_blocks():
     with pytest.raises(GroupTableError):
         load_targets("group X\norder 2\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    pytest.param("group X\norder\nidentity 0\n0\n", "X", id="order-missing"),
+    pytest.param("group X\norder two\nidentity 0\n0\n", "X", id="order-not-integer"),
+    pytest.param("group X\norder 1\nidentity\n0\n", "X", id="identity-missing"),
+    pytest.param("group X\norder 1\nunit 0\n0\n", "X", id="identity-misnamed"),
+    pytest.param("group X\norder 1\nidentity 0\nzero\n", "X", id="row-not-integer"),
+    pytest.param("group X\norder 2\nidentity 0\n0 1\n1\n", "X", id="row-short"),
+    pytest.param(
+        "group C1\norder 1\nidentity 0\n0\n\ngroup Y\nsize 1\nidentity 0\n0\n",
+        "Y", id="second-block",
+    ),
+])
+def test_load_names_the_malformed_block(text, where):
+    with pytest.raises(GroupTableError, match="group %s" % where):
+        load_targets(text)
+
+
+def test_load_accepts_any_run_of_blank_lines():
+    text = dump_targets(default_targets()[:3])
+    back = load_targets(text.replace("\n\n", "\n\n\n  \n\n"))
+    assert [n for n, _ in back] == ["C2", "C3", "C4"]
+    assert [g.table for _, g in back] == [g.table for _, g in default_targets()[:3]]
+
+
+def _brute_force(p, g):
+    """Reference count: try every assignment of the generators."""
+
+    def value(letters, images):
+        acc = g.identity
+        for a in letters:
+            x = images[abs(a) - 1]
+            acc = g.table[acc][x if a > 0 else g.inverse(x)]
+        return acc
+
+    return sum(
+        all(value(r.letters, images) == g.identity for r in p.relators)
+        for images in itertools.product(range(g.order), repeat=p.rank)
+    )
+
+
+# The reference tries |G|^rank assignments; groups past this are left out.
+_BRUTE_FORCE_LIMIT = 8000
+
+
+def _random_presentation(rng):
+    rank = rng.randint(1, 5)
+    return _p(rank, *(
+        tuple(rng.choice((-1, 1)) * rng.randint(1, rank) for _ in range(rng.randint(1, 10)))
+        for _ in range(rng.randint(0, 4))
+    ))
+
+
+@pytest.mark.parametrize("p", [
+    # relators in x1 alone, one of them beside a relator in x1, x2
+    pytest.param(_p(2, (1, 1, 1, 1, 1, 1), (2, 1, 2, -1, -2, -1)), id="x1-only"),
+    pytest.param(_p(1, (1, 1, -1, 1, 1)), id="x1-only-rank-1"),
+    # x2 occurs in no relator and sits between bound generators
+    pytest.param(_p(3, (1, 3, -1, -3), (1, 1, 3, 3)), id="unused-generator"),
+    # x2 occurs once in the first relator, so it is eliminated
+    pytest.param(_p(3, (1, 2, 3, 1), (2, 2, 3, -2, -1)), id="eliminated-generator"),
+    pytest.param(
+        _p(5, (1, 2, -1, -2), (2, 3, 2, -3, -2, -3), (3, 4, -3, -4), (4, 4, 5, 5),
+           (5, 1, 5, -1, -5, -1)),
+        id="rank-5",
+    ),
+    pytest.param(_p(5, (5, 1, -5, -1, 5, 1), (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)), id="rank-5-long"),
+] + [
+    pytest.param(_random_presentation(random.Random(seed)), id="random-%d" % seed)
+    for seed in range(40)
+])
+def test_counts_match_brute_force(p):
+    for _, g in default_targets():
+        if g.order ** p.rank <= _BRUTE_FORCE_LIMIT:
+            assert count_homomorphisms(p, g) == _brute_force(p, g), p
+
+
+@pytest.mark.parametrize("fixture_id, count", [
+    ("triple-tangency-vertical-line", 16344),
+    ("n-tangency-4", 141528),
+])
+def test_pinned_s4_counts_of_model_braids(fixture_id, count):
+    braid = fixture_by_id(fixture_id).model_program.braid()
+    assert count_homomorphisms(induced_presentation(braid), symmetric_group(4)) == count
