@@ -17,7 +17,6 @@ identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,8 +32,8 @@ from .presentations import (
     kill_generator,
 )
 from .tracker import LoopSpec, lefschetz_braid, local_braid_monodromy
-from .vankampen import braid_images, induced_presentation
-from .words import BraidWord, FreeWord, braid_equal
+from .vankampen import induced_presentation, raw_relators
+from .words import FreeWord, braid_equal
 
 __all__ = [
     "Fixture",
@@ -44,8 +43,6 @@ __all__ = [
     "fixture_by_id",
     "n_tangency_fixture",
     "verify_fixture",
-    "fixture_text",
-    "fixture_from_text",
 ]
 
 F = Fraction
@@ -462,15 +459,6 @@ class VerificationReport:
         return out
 
 
-def _raw_relators(braid: BraidWord) -> list[FreeWord]:
-    """One relator per strand, trivial ones kept (for claim indexing)."""
-    n = braid.strands
-    return [
-        FreeWord.generator(n, j).inverse() * img
-        for j, img in enumerate(braid_images(braid), start=1)
-    ]
-
-
 def verify_fixture(
     f: Fixture,
     *,
@@ -520,7 +508,7 @@ def verify_fixture(
     checks.append(CheckResult(
         "model-vs-expected", rep.consistent, "hom counts %s" % rep.verdict))
 
-    raws = _raw_relators(model_braid)
+    raws = raw_relators(model_braid)
     for k in f.redundancy_claims:
         rest = [r for j, r in enumerate(raws, start=1) if j != k and r.letters]
         verdict = is_consequence(rest, raws[k - 1])
@@ -551,72 +539,3 @@ def verify_fixture(
                 "half squared %s the full loop" % ("equals" if ok else "differs from")))
 
     return VerificationReport(f.fixture_id, tuple(checks))
-
-
-def _complex_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def fixture_text(f: Fixture) -> str:
-    """Structured text export: line-delimited key=value records."""
-    lines = [
-        "id=%s" % f.fixture_id,
-        "equation=%s" % f.equation,
-        "shear=%s" % f.shear,
-        "complex-level=%d" % f.complex_level,
-        "points=%s" % json.dumps([_complex_json(z) for z in f.model_program.points]),
-        "model-moves=%s" % json.dumps(f.model_program.records()),
-        "lefschetz-points=%s"
-        % json.dumps([_complex_json(z) for z in f.lefschetz_program.points]),
-        "lefschetz-moves=%s" % json.dumps(f.lefschetz_program.records()),
-        "lefschetz-doubling=%s" % ("true" if f.lefschetz_doubling else "false"),
-        "expected-rank=%d" % f.expected_relations.rank,
-        "expected-relators=%s"
-        % json.dumps([list(r.letters) for r in f.expected_relations.relators]),
-        "redundancy-claims=%s" % json.dumps(list(f.redundancy_claims)),
-        "deletion-checks=%s" % json.dumps([
-            [gen, p.rank, [list(r.letters) for r in p.relators]]
-            for gen, p in f.deletion_checks
-        ]),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def fixture_from_text(text: str) -> Fixture:
-    kv: dict[str, str] = {}
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("malformed fixture line %r" % line)
-        k, v = line.split("=", 1)
-        kv[k] = v
-    try:
-        points = tuple(complex(a, b) for a, b in json.loads(kv["points"]))
-        lpoints = tuple(complex(a, b) for a, b in json.loads(kv["lefschetz-points"]))
-        rank = int(kv["expected-rank"])
-        expected = Presentation(rank, tuple(
-            FreeWord(rank, tuple(ls)) for ls in json.loads(kv["expected-relators"])
-        ))
-        deletions = tuple(
-            (gen, Presentation(r, tuple(FreeWord(r, tuple(ls)) for ls in rels)))
-            for gen, r, rels in json.loads(kv["deletion-checks"])
-        )
-        return Fixture(
-            fixture_id=kv["id"],
-            equation=kv["equation"],
-            shear=Fraction(kv["shear"]),
-            complex_level=int(kv["complex-level"]),
-            model_program=MotionProgram.from_records(
-                points, json.loads(kv["model-moves"])),
-            lefschetz_program=MotionProgram.from_records(
-                lpoints, json.loads(kv["lefschetz-moves"])),
-            lefschetz_doubling=kv["lefschetz-doubling"] == "true",
-            expected_relations=expected,
-            redundancy_claims=tuple(json.loads(kv["redundancy-claims"])),
-            deletion_checks=deletions,
-        )
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
-        raise ParseError("malformed fixture text: %s" % e) from None

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import fixture_by_id, fixtures, n_tangency_fixture, verify_fixture
-from .curves import parse_curve
+from .curves import CurveSpec, parse_curve
 from .errors import (
     BraidMonoError,
     CriticalFiberError,
@@ -22,11 +22,11 @@ from .errors import (
     TrackingFailureError,
 )
 from .homcount import load_targets
+from .motion import Motion, motion_to_braid
 from .presentations import simplify
-from .tracker import LoopSpec, lefschetz_braid, local_braid_monodromy, track_loop
+from .tracker import LoopSpec, track_loop
 from .vankampen import braid_images, induced_presentation
 from .words import BraidWord, braid_permutation, exponent_sum
-from .motion import motion_to_braid
 
 __all__ = ["main"]
 
@@ -54,7 +54,7 @@ def _parse_complex(text: str) -> complex:
     )
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ParseError("cannot parse complex number %r" % text)
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+    re_part = _parse_rational(m.group("re")) if m.group("re") else Fraction(0)
     im_txt = m.group("im")
     if im_txt:
         body = im_txt[:-1]
@@ -63,7 +63,7 @@ def _parse_complex(text: str) -> complex:
         elif body == "-":
             im_part = Fraction(-1)
         else:
-            im_part = Fraction(body)
+            im_part = _parse_rational(body)
     else:
         im_part = Fraction(0)
     return complex(float(re_part), float(im_part))
@@ -127,22 +127,19 @@ def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
                    help="initial number of sample steps along the arc")
 
 
-def _tracked_braid(args) -> BraidWord:
+def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
+    """The curve named by the tracking flags and its fiber motion along the loop."""
     curve = parse_curve(args.curve, _parse_rational(args.shear))
-    loop = LoopSpec(_parse_complex(args.center), _parse_rational(args.radius))
-    if args.arc == "half":
-        return lefschetz_braid(curve, loop, initial_divisions=args.steps)
-    return local_braid_monodromy(curve, loop, initial_divisions=args.steps)
+    loop_arc = "negative-half" if args.arc == "half" else "full"
+    loop = LoopSpec(_parse_complex(args.center), _parse_rational(args.radius), loop_arc)
+    return curve, track_loop(curve, loop, initial_divisions=args.steps)
 
 
 def cmd_compute(args) -> int:
     if not args.curve:
         print("compute needs --curve", file=sys.stderr)
         return EXIT_PARSE
-    curve = parse_curve(args.curve, _parse_rational(args.shear))
-    loop_arc = "negative-half" if args.arc == "half" else "full"
-    loop = LoopSpec(_parse_complex(args.center), _parse_rational(args.radius), loop_arc)
-    motion = track_loop(curve, loop, initial_divisions=args.steps)
+    curve, motion = _tracked_motion(args)
     braid = motion_to_braid(motion)
     _emit([
         ("curve", str(curve)),
@@ -159,7 +156,7 @@ def cmd_vankampen(args) -> int:
     if args.braid is not None:
         braid = _parse_braid(args.braid, args.strands)
     elif args.curve:
-        braid = _tracked_braid(args)
+        braid = motion_to_braid(_tracked_motion(args)[1])
     else:
         print("vankampen needs --braid or --curve", file=sys.stderr)
         return EXIT_PARSE

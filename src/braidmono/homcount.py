@@ -30,8 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GroupTableError
-from .presentations import Presentation, _solve_for, _substitute
-from .words import FreeWord
+from .presentations import Presentation, eliminate_generators
 
 __all__ = [
     "FiniteGroupTable",
@@ -223,43 +222,10 @@ def default_targets() -> list[tuple[str, FiniteGroupTable]]:
     ]
 
 
-def _eliminate(rank: int, relators: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
-    """Remove generators forced by a relator containing them exactly once."""
-    while True:
-        pick = None
-        for k, r in enumerate(relators):
-            for g in range(1, rank + 1):
-                expr = _solve_for(r, g)
-                if expr is not None:
-                    pick = (k, g, expr)
-                    break
-            if pick:
-                break
-        if not pick:
-            return rank, relators
-        k, g, expr = pick
-        out = []
-        for j, r in enumerate(relators):
-            if j == k:
-                continue
-            out.append(_shift(_substitute(r, g, expr), g))
-        relators = [r for r in out if r]
-        rank -= 1
-
-
-def _shift(letters: tuple[int, ...], gone: int) -> tuple[int, ...]:
-    def remap(a: int) -> int:
-        v = abs(a)
-        v2 = v - 1 if v > gone else v
-        return v2 if a > 0 else -v2
-
-    return tuple(remap(a) for a in letters)
-
-
 def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into `group`."""
     relators = [r.letters for r in p.relators if r.letters]
-    rank, relators = _eliminate(p.rank, relators)
+    rank, relators = eliminate_generators(p.rank, relators)
     used = sorted({abs(a) for r in relators for a in r})
     # A generator in no relator may go anywhere: a factor |G| each.
     free = group.order ** (rank - len(used))

@@ -17,9 +17,8 @@ rightmost points into a complex-conjugate configuration and back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import DegenerateMotionError, GeometryError, TieError
@@ -27,6 +26,7 @@ from .words import BraidWord, Permutation
 
 __all__ = [
     "EPS",
+    "strand_key",
     "Motion",
     "MotionProgram",
     "RotateBlock",
@@ -49,7 +49,8 @@ _LAMBDA_TOL = 1e-9
 _MATCH_TOL = 1e-7
 
 
-def _key(z: complex) -> float:
+def strand_key(z: complex) -> float:
+    """Sheared real projection that orders the strands of a fiber."""
     return z.real + EPS * z.imag
 
 
@@ -129,14 +130,14 @@ class Motion:
 
     def matching_permutation(self) -> Permutation:
         """Slot-to-slot matching: where the strand starting in slot i ends."""
-        start_order = sorted(range(self.strands), key=lambda k: _key(self.paths[k][0]))
-        end_order = sorted(range(self.strands), key=lambda k: _key(self.paths[k][-1]))
+        start_order = sorted(range(self.strands), key=lambda k: strand_key(self.paths[k][0]))
+        end_order = sorted(range(self.strands), key=lambda k: strand_key(self.paths[k][-1]))
         end_slot = {k: j + 1 for j, k in enumerate(end_order)}
         return Permutation(tuple(end_slot[k] for k in start_order))
 
 
 def _initial_order(cols: Sequence[complex]) -> list[int]:
-    keys = [_key(z) for z in cols]
+    keys = [strand_key(z) for z in cols]
     order = sorted(range(len(cols)), key=lambda k: keys[k])
     tol = _KEY_TOL * _scale(cols)
     for a, b in zip(order, order[1:]):
@@ -164,8 +165,8 @@ def motion_to_braid(m: Motion) -> BraidWord:
     for j in range(len(m.times) - 1):
         col0 = [p[j] for p in m.paths]
         col1 = [p[j + 1] for p in m.paths]
-        k0 = [_key(z) for z in col0]
-        k1 = [_key(z) for z in col1]
+        k0 = [strand_key(z) for z in col0]
+        k1 = [strand_key(z) for z in col1]
         tol = _KEY_TOL * max(_scale(col0), _scale(col1))
 
         events: list[tuple[float, int, int]] = []
@@ -245,7 +246,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
                         raise TieError(
                             "cannot layer simultaneous crossing at step %d" % j
                         )
-                target = sorted(grp, key=lambda s: _key(at(s, probe)))
+                target = sorted(grp, key=lambda s: strand_key(at(s, probe)))
                 want = {s: lo + i for i, s in enumerate(target)}
                 # Bubble toward the target order; each adjacent swap is a
                 # letter, signed by which strand lies in front (smaller Im).
@@ -262,7 +263,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
                             pos[sa], pos[sb] = p + 1, p
                             changed = True
 
-    final = sorted(range(n), key=lambda k: _key(m.paths[k][-1]))
+    final = sorted(range(n), key=lambda k: strand_key(m.paths[k][-1]))
     if final != order:
         raise TieError("strand order bookkeeping lost sync with the final fiber")
     return BraidWord(n, tuple(letters))
@@ -410,7 +411,7 @@ def complex_level_frame(
         raise GeometryError("only levels 0 and 2 are supported")
     if n < 2:
         raise GeometryError("need at least two points to frame")
-    idx = sorted(range(n), key=lambda k: _key(pts[k]))
+    idx = sorted(range(n), key=lambda k: strand_key(pts[k]))
     ia, ib = idx[-2], idx[-1]
     a, b = pts[ia], pts[ib]
     if abs(a.imag) > 0 or abs(b.imag) > 0:
@@ -481,43 +482,12 @@ def compose_motions(a: Motion, b: Motion) -> Motion:
     return Motion(tuple(times), tuple(tuple(p) for p in paths), bound)
 
 
-def _frac_pair(q: Fraction) -> list[int]:
-    q = Fraction(q)
-    return [q.numerator, q.denominator]
-
-
-def _complex_pair(z) -> list[list[int]]:
-    if isinstance(z, complex):
-        re = Fraction(z.real).limit_denominator(10**9)
-        im = Fraction(z.imag).limit_denominator(10**9)
-    else:
-        re, im = Fraction(z), Fraction(0)
-    return [_frac_pair(re), _frac_pair(im)]
-
-
-def _read_frac(pair) -> Fraction:
-    return Fraction(pair[0], pair[1])
-
-
-def _read_complex(pair) -> complex:
-    return complex(float(_read_frac(pair[0])), float(_read_frac(pair[1])))
-
-
 @dataclass(frozen=True)
 class RotateBlock:
     points: tuple
     center: object
     angle: Fraction
     steps: int | None = None
-
-    def record(self) -> dict:
-        return {
-            "kind": "rotate-block",
-            "points": [_complex_pair(z) for z in self.points],
-            "center": _complex_pair(self.center),
-            "angle": _frac_pair(self.angle),
-            "steps": self.steps,
-        }
 
 
 @dataclass(frozen=True)
@@ -528,16 +498,6 @@ class Encircle:
     steps: int | None = None
     center: object | None = None
 
-    def record(self) -> dict:
-        return {
-            "kind": "encircle",
-            "movers": [_complex_pair(z) for z in self.movers],
-            "around": [_complex_pair(z) for z in self.around],
-            "turns": _frac_pair(self.turns),
-            "steps": self.steps,
-            "center": None if self.center is None else _complex_pair(self.center),
-        }
-
 
 @dataclass(frozen=True)
 class FrameIn:
@@ -547,27 +507,10 @@ class FrameIn:
     pair_re: object | None = None
     pair_height: object | None = None
 
-    def record(self) -> dict:
-        return {
-            "kind": "frame-in",
-            "slots": [_complex_pair(z) for z in self.slots],
-            "level": self.level,
-            "steps": self.steps,
-            "pair_re": None if self.pair_re is None else _frac_pair(Fraction(self.pair_re)),
-            "pair_height": None
-            if self.pair_height is None
-            else _frac_pair(Fraction(self.pair_height)),
-        }
-
 
 @dataclass(frozen=True)
 class FrameOut:
     frame: FrameIn
-
-    def record(self) -> dict:
-        rec = self.frame.record()
-        rec["kind"] = "frame-out"
-        return rec
 
 
 Move = RotateBlock | Encircle | FrameIn | FrameOut
@@ -657,42 +600,3 @@ class MotionProgram:
             )
             return post
         raise GeometryError("unknown move kind %r" % (mv,))
-
-    def records(self) -> list[dict]:
-        return [mv.record() for mv in self.moves]
-
-    @classmethod
-    def from_records(cls, points: Sequence, records: Sequence[dict]) -> "MotionProgram":
-        moves: list[Move] = []
-        for rec in records:
-            kind = rec["kind"]
-            if kind == "rotate-block":
-                moves.append(RotateBlock(
-                    tuple(_read_complex(p) for p in rec["points"]),
-                    _read_complex(rec["center"]),
-                    _read_frac(rec["angle"]),
-                    rec.get("steps"),
-                ))
-            elif kind == "encircle":
-                center = rec.get("center")
-                moves.append(Encircle(
-                    tuple(_read_complex(p) for p in rec["movers"]),
-                    tuple(_read_complex(p) for p in rec["around"]),
-                    _read_frac(rec["turns"]),
-                    rec.get("steps"),
-                    None if center is None else _read_complex(center),
-                ))
-            elif kind in ("frame-in", "frame-out"):
-                frame = FrameIn(
-                    tuple(_read_complex(p) for p in rec["slots"]),
-                    rec["level"],
-                    rec.get("steps"),
-                    None if rec.get("pair_re") is None else _read_frac(rec["pair_re"]),
-                    None
-                    if rec.get("pair_height") is None
-                    else _read_frac(rec["pair_height"]),
-                )
-                moves.append(frame if kind == "frame-in" else FrameOut(frame))
-            else:
-                raise GeometryError("unknown move kind %r" % (kind,))
-        return cls(tuple(points), tuple(moves))

@@ -17,10 +17,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
-from .words import FreeWord, free_reduce
+from .words import FreeWord, reduce_onto, substitute
 
 __all__ = [
     "Presentation",
@@ -29,6 +29,7 @@ __all__ = [
     "canonical_relator",
     "simplify",
     "is_consequence",
+    "eliminate_generators",
     "kill_generator",
 ]
 
@@ -134,13 +135,13 @@ def is_consequence(
     answer is a genuine derivation; Unknown only means the budget ran
     out.
     """
-    target = _cyclic_reduce(free_reduce(word).letters)
+    target = _cyclic_reduce(word.letters)
     if not target:
         return Verdict.DERIVABLE
     by_first: dict[int, list[tuple[int, ...]]] = {}
     seen_m = set()
     for r in relators:
-        core = _cyclic_reduce(free_reduce(r).letters)
+        core = _cyclic_reduce(r.letters)
         if not core:
             continue
         for rot in _rotations(core) + _rotations(_invert(core)):
@@ -174,7 +175,7 @@ def is_consequence(
             rot_state = state[end + 1 :] + state[: end + 1]
             a = rot_state[-1]
             for m in by_first.get(-a, ()):
-                nxt = norm(_reduce_concat(rot_state, m))
+                nxt = norm(reduce_onto(list(rot_state), m))
                 if not nxt:
                     return Verdict.DERIVABLE
                 if len(nxt) > max_len or nxt in seen:
@@ -185,16 +186,6 @@ def is_consequence(
     return Verdict.UNKNOWN
 
 
-def _reduce_concat(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(a)
-    for x in b:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SimplifyResult:
     presentation: Presentation
@@ -202,40 +193,20 @@ class SimplifyResult:
     truncated: bool
 
 
-def _substitute(
-    letters: tuple[int, ...], gen: int, image: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Replace every occurrence of +-gen by image / its inverse."""
-    out: list[int] = []
-    inv = _invert(image)
-    for a in letters:
-        if a == gen:
-            seq: Iterable[int] = image
-        elif a == -gen:
-            seq = inv
-        else:
-            seq = (a,)
-        for x in seq:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
-
-
-def _solve_for(letters: tuple[int, ...], gen: int) -> tuple[int, ...] | None:
-    """If gen occurs exactly once in the relator, express gen as a word
-    in the remaining generators."""
+def _solve_for(
+    letters: tuple[int, ...], gen: int
+) -> dict[int, tuple[int, ...]] | None:
+    """If gen occurs exactly once in the relator, the substitution that
+    writes gen and its inverse as words in the remaining generators."""
     hits = [k for k, a in enumerate(letters) if abs(a) == gen]
     if len(hits) != 1:
         return None
     k = hits[0]
     u, s, v = letters[:k], letters[k], letters[k + 1 :]
-    # u g v = 1  =>  g = u^-1 v^-1 ; for g^-1 invert the result.
-    expr = _reduce_concat(_invert(u), _invert(v))
-    if s < 0:
-        expr = _invert(expr)
-    return expr
+    # u g v = 1  =>  g = (v u)^-1 ; u g^-1 v = 1  =>  g = v u.
+    vu = tuple(reduce_onto(list(v), u))
+    expr = vu if s < 0 else _invert(vu)
+    return {gen: expr, -gen: _invert(expr)}
 
 
 def simplify(
@@ -310,12 +281,12 @@ def simplify(
             ),
         )
         for _, g, k in donors:
-            expr = _solve_for(rels[k], g)
+            rule = _solve_for(rels[k], g)
             for j, s in enumerate(rels):
                 if j == k:
                     continue
                 cand = canonical_relator(
-                    FreeWord(p.rank, _substitute(s, g, expr))
+                    FreeWord(p.rank, substitute(s, rule))
                 ).letters
                 if cand and len(cand) < len(s) and cand not in rels:
                     moves.append(
@@ -338,7 +309,7 @@ def simplify(
                     continue
                 for m in _rotations(r) + _rotations(_invert(r)):
                     cand = canonical_relator(
-                        FreeWord(p.rank, _reduce_concat(s, m))
+                        FreeWord(p.rank, reduce_onto(list(s), m))
                     ).letters
                     if cand and len(cand) < len(s) and cand not in rels:
                         moves.append(
@@ -360,21 +331,57 @@ def simplify(
     return SimplifyResult(out, tuple(moves), truncated)
 
 
+def _delete_generator(letters: Sequence[int], gen: int) -> list[int]:
+    """Drop the letters x_gen^{+-1} and renumber x_k as x_{k-1} for k > gen."""
+    out = []
+    for a in letters:
+        g = abs(a)
+        if g != gen:
+            g = g - 1 if g > gen else g
+            out.append(g if a > 0 else -g)
+    return out
+
+
+def eliminate_generators(
+    rank: int, relators: list[tuple[int, ...]]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Tietze-eliminate the generators that relators pin down.
+
+    While some relator contains a generator exactly once, solve that
+    relator for the generator, substitute the solution into the other
+    relators, and drop the relator and the generator.  Returns the new
+    rank and the nontrivial relators that remain.
+    """
+    while True:
+        pick = None
+        for k, r in enumerate(relators):
+            for g in range(1, rank + 1):
+                rule = _solve_for(r, g)
+                if rule is not None:
+                    pick = (k, g, rule)
+                    break
+            if pick:
+                break
+        if not pick:
+            return rank, relators
+        k, g, rule = pick
+        out = []
+        for j, r in enumerate(relators):
+            if j == k:
+                continue
+            out.append(tuple(_delete_generator(substitute(r, rule), g)))
+        relators = [r for r in out if r]
+        rank -= 1
+
+
 def kill_generator(p: Presentation, gen: int) -> Presentation:
     """Set generator `gen` to the identity and renumber the rest."""
     if not 1 <= gen <= p.rank:
         raise DimensionMismatchError("no generator x%d in rank %d" % (gen, p.rank))
     new_rank = p.rank - 1
-
-    def remap(a: int) -> int:
-        g = abs(a)
-        ng = g - 1 if g > gen else g
-        return ng if a > 0 else -ng
-
     rels = []
     for r in p.relators:
-        kept = tuple(remap(a) for a in r.letters if abs(a) != gen)
-        w = FreeWord(new_rank, kept)
+        w = FreeWord(new_rank, _delete_generator(r.letters, gen))
         if w.letters:
             rels.append(w)
     return Presentation(new_rank, tuple(rels))

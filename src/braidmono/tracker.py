@@ -30,7 +30,7 @@ from .errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from .motion import Motion
+from .motion import Motion, motion_to_braid, strand_key
 from .words import BraidWord
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-12
 _SEPARATION_TOL = 1e-9
-_IM_SHEAR = 1e-3
 _MIN_STEP_FRACTION = 2.0**-40
 
 
@@ -129,11 +128,8 @@ def _min_separation(roots: np.ndarray) -> float:
     return float(diffs.min())
 
 
-def _sort_key(z: complex) -> float:
-    return z.real + _IM_SHEAR * z.imag
-
 def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
-    """Fiber over x0, sorted by real part (imaginary part as tiebreaker).
+    """Fiber over x0, sorted by strand_key as motion_to_braid numbers slots.
 
     Raises CriticalFiberError when two roots are too close to separate.
     """
@@ -143,7 +139,7 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
         raise CriticalFiberError(
             "fiber over x=%s has nearly coincident roots (separation %.3e)" % (x0, sep)
         )
-    return sorted((complex(z) for z in roots), key=_sort_key)
+    return sorted((complex(z) for z in roots), key=strand_key)
 
 
 def _match(prev: np.ndarray, new: np.ndarray, max_move: float) -> list[int] | None:
@@ -254,8 +250,6 @@ def local_braid_monodromy(
     curve: CurveSpec, loop: LoopSpec, *, initial_divisions: int = 256
 ) -> BraidWord:
     """Braid of the fiber motion around a full loop."""
-    from .motion import motion_to_braid
-
     if loop.arc != "full":
         raise GeometryError("local_braid_monodromy needs a full loop")
     return motion_to_braid(track_loop(curve, loop, initial_divisions=initial_divisions))
@@ -265,7 +259,5 @@ def lefschetz_braid(
     curve: CurveSpec, loop: LoopSpec, *, initial_divisions: int = 256
 ) -> BraidWord:
     """Braid of the fiber motion along the lower half of the loop."""
-    from .motion import motion_to_braid
-
     half = LoopSpec(loop.center, loop.radius, "negative-half")
     return motion_to_braid(track_loop(curve, half, initial_divisions=initial_divisions))

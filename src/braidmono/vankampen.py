@@ -14,17 +14,12 @@ from .errors import DimensionMismatchError
 from .presentations import Presentation
 from .words import BraidWord, FreeWord, GBase, artin_action
 
-__all__ = ["standard_gbase", "braid_images", "induced_presentation"]
-
-
-def standard_gbase(n: int) -> GBase:
-    """Geometric base of n loops, one around each fiber point, in order."""
-    return GBase.standard(n)
+__all__ = ["braid_images", "raw_relators", "induced_presentation"]
 
 
 def braid_images(b: BraidWord, gbase: GBase | None = None) -> list[FreeWord]:
     """Images of the base loops under the braid action, in generator order."""
-    base = gbase if gbase is not None else standard_gbase(b.strands)
+    base = gbase if gbase is not None else GBase.standard(b.strands)
     if len(base.loops) != b.strands:
         raise DimensionMismatchError(
             "base has %d loops but braid has %d strands"
@@ -33,17 +28,23 @@ def braid_images(b: BraidWord, gbase: GBase | None = None) -> list[FreeWord]:
     return [artin_action(b, w) for w in base.loops]
 
 
-def induced_presentation(b: BraidWord, gbase: GBase | None = None) -> Presentation:
-    """Presentation with relators x_j^-1 * (action of the braid on x_j).
+def raw_relators(b: BraidWord, gbase: GBase | None = None) -> list[FreeWord]:
+    """The relators x_j^-1 * (action of the braid on x_j), j = 1..n.
 
-    Trivial relators (generators fixed by the action) are dropped;
-    generators are never dropped.
+    Trivial relators (generators fixed by the action) are kept, so the
+    relator of x_j sits at index j - 1.
     """
     n = b.strands
-    images = braid_images(b, gbase)
-    relators = []
-    for j, img in enumerate(images, start=1):
-        rel = FreeWord.generator(n, j).inverse() * img
-        if rel.letters:
-            relators.append(rel)
-    return Presentation(n, tuple(relators))
+    return [
+        FreeWord.generator(n, j).inverse() * img
+        for j, img in enumerate(braid_images(b, gbase), start=1)
+    ]
+
+
+def induced_presentation(b: BraidWord, gbase: GBase | None = None) -> Presentation:
+    """Presentation with the nontrivial raw relators.
+
+    Generators are never dropped, even those the action fixes.
+    """
+    rels = tuple(r for r in raw_relators(b, gbase) if r.letters)
+    return Presentation(b.strands, rels)

@@ -24,7 +24,7 @@ by every braid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
 
@@ -33,7 +33,8 @@ __all__ = [
     "BraidWord",
     "Permutation",
     "GBase",
-    "free_reduce",
+    "reduce_onto",
+    "substitute",
     "artin_action",
     "braid_equal",
     "braid_permutation",
@@ -41,14 +42,26 @@ __all__ = [
 ]
 
 
-def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
+def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:
+    """Append letters to the freely reduced word `out` and return it.
+
+    Each letter cancels against the end of `out` when it is its inverse,
+    so `out` stays freely reduced.  This is the package's only free
+    reduction: products, substitutions and the Artin action all use it.
+    """
     for a in letters:
         if out and out[-1] == -a:
             out.pop()
         else:
             out.append(a)
-    return tuple(out)
+    return out
+
+
+def substitute(
+    letters: Iterable[int], images: Mapping[int, Sequence[int]]
+) -> tuple[int, ...]:
+    """Freely reduced word with each letter a replaced by images.get(a, (a,))."""
+    return tuple(reduce_onto([], [b for a in letters for b in images.get(a, (a,))]))
 
 
 @dataclass(frozen=True)
@@ -71,7 +84,7 @@ class FreeWord:
                 raise MalformedWordError(
                     "letter %r out of range for rank %d" % (a, self.rank)
                 )
-        object.__setattr__(self, "letters", _reduced(letters))
+        object.__setattr__(self, "letters", tuple(reduce_onto([], letters)))
 
     @classmethod
     def identity(cls, rank: int) -> "FreeWord":
@@ -235,41 +248,15 @@ class GBase:
         return cls(rank, tuple(FreeWord.generator(rank, k) for k in range(1, rank + 1)))
 
 
-def free_reduce(w: FreeWord) -> FreeWord:
-    """Freely reduced representative of w (a no-op: words stay reduced)."""
-    return w
-
-
-# Substitution table for one positive braid letter s_i, keyed by the
-# free letter's offset from i.  Inverse letters use the mirror table.
+# Substitution tables for one braid letter s_i (positive) or s_i^-1;
+# letters other than x_i^{+-1}, x_{i+1}^{+-1} are fixed.
 def _apply_letter(letters: Sequence[int], i: int, positive: bool) -> tuple[int, ...]:
-    out: list[int] = []
-
-    def push(a: int) -> None:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-
-    for a in letters:
-        k = abs(a)
-        if positive:
-            if k == i:
-                rep = (i + 1,) if a > 0 else (-(i + 1),)
-            elif k == i + 1:
-                rep = (i + 1, i, -(i + 1)) if a > 0 else (i + 1, -i, -(i + 1))
-            else:
-                rep = (a,)
-        else:
-            if k == i + 1:
-                rep = (i,) if a > 0 else (-i,)
-            elif k == i:
-                rep = (-i, i + 1, i) if a > 0 else (-i, -(i + 1), i)
-            else:
-                rep = (a,)
-        for b in rep:
-            push(b)
-    return tuple(out)
+    j = i + 1
+    if positive:
+        images = {i: (j,), -i: (-j,), j: (j, i, -j), -j: (j, -i, -j)}
+    else:
+        images = {j: (i,), -j: (-i,), i: (-i, j, i), -i: (-i, -j, i)}
+    return substitute(letters, images)
 
 
 def artin_action(b: BraidWord, w: FreeWord) -> FreeWord:

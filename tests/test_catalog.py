@@ -7,8 +7,6 @@ from braidmono import (
     braid_permutation,
     exponent_sum,
     fixture_by_id,
-    fixture_from_text,
-    fixture_text,
     fixtures,
     n_tangency_fixture,
     verify_fixture,
@@ -113,15 +111,6 @@ def test_exponent_sums_tracked_equals_model(tracked_braid):
         tracked = tracked_braid(f.fixture_id)
         model = f.model_program.braid()
         assert exponent_sum(tracked) == exponent_sum(model), f.fixture_id
-
-
-def test_fixture_text_round_trip():
-    for fid in ("two-tangent-conics", "vertical-tangency"):
-        f = fixture_by_id(fid)
-        clone = fixture_from_text(fixture_text(f))
-        assert fixture_text(clone) == fixture_text(f)
-        assert clone.fixture_id == f.fixture_id
-        assert clone.expected_relations.same_relators(f.expected_relations)
 
 
 def test_verify_fixture_reports_checks():

@@ -55,10 +55,16 @@ def test_compute_center_and_radius(capsys):
     assert "letters: (empty)" in out
 
 
-def test_parse_error_exits_two(capsys):
-    code, _, err = _run(capsys, "compute", "--curve", "(y+x^2")
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--curve", "(y+x^2"), id="curve"),
+    pytest.param(("--curve", "(y+x^2)(y-x^2)", "--center", "1/0"), id="center-real"),
+    pytest.param(("--curve", "(y+x^2)(y-x^2)", "--center", "1/0i"), id="center-imag"),
+])
+def test_parse_error_exits_two(capsys, flags):
+    code, _, err = _run(capsys, "compute", *flags)
     assert code == 2
     assert "error" in err
+    assert "Traceback" not in err
 
 
 def test_missing_curve_exits_two(capsys):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from braidmono import (
-    Encircle,
     Motion,
     MotionProgram,
     RotateBlock,
@@ -146,11 +145,3 @@ def test_program_rejects_stale_positions():
     with pytest.raises(GeometryError):
         prog.braid()
 
-
-def test_program_records_round_trip():
-    prog = MotionProgram(
-        (-2, -1, 1),
-        (RotateBlock((-1, 1), 0, Fraction(4)), Encircle((-2,), (-1, 1), Fraction(1))),
-    )
-    clone = MotionProgram.from_records(prog.points, prog.records())
-    assert clone.braid().letters == prog.braid().letters

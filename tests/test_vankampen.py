@@ -8,13 +8,13 @@ from braidmono import (
     GBase,
     braid_images,
     induced_presentation,
-    standard_gbase,
+    raw_relators,
 )
 from braidmono.errors import DimensionMismatchError
 
 
 def test_standard_gbase_is_one_letter_loops():
-    g = standard_gbase(4)
+    g = GBase.standard(4)
     assert g.rank == 4
     assert [w.letters for w in g.loops] == [(1,), (2,), (3,), (4,)]
 
@@ -34,7 +34,7 @@ def test_braid_images_respect_custom_gbase():
 
 def test_gbase_rank_mismatch():
     with pytest.raises(DimensionMismatchError):
-        braid_images(BraidWord(3, (1,)), standard_gbase(2))
+        braid_images(BraidWord(3, (1,)), GBase.standard(2))
 
 
 def test_identity_braid_gives_free_presentation():
@@ -48,6 +48,16 @@ def test_fixed_generators_give_no_relator():
     p = induced_presentation(BraidWord(3, (1,)))
     assert p.rank == 3
     assert len(p.relators) == 2
+
+
+def test_raw_relators_keep_trivial_ones_in_place():
+    # s1 fixes x3: its relator is empty but still third.
+    rels = raw_relators(BraidWord(3, (1,)))
+    assert len(rels) == 3
+    assert rels[2].letters == ()
+    assert [r for r in rels if r.letters] == list(
+        induced_presentation(BraidWord(3, (1,))).relators
+    )
 
 
 def test_raw_relators_of_double_full_twist():
