@@ -156,7 +156,8 @@ def cmd_vankampen(args) -> int:
     if args.braid is not None:
         braid = _parse_braid(args.braid, args.strands)
     elif args.curve:
-        braid = motion_to_braid(_tracked_motion(args)[1])
+        _, motion = _tracked_motion(args)
+        braid = motion_to_braid(motion)
     else:
         print("vankampen needs --braid or --curve", file=sys.stderr)
         return EXIT_PARSE

@@ -331,7 +331,7 @@ def simplify(
     return SimplifyResult(out, tuple(moves), truncated)
 
 
-def _delete_generator(letters: Sequence[int], gen: int) -> list[int]:
+def _delete_generator(letters: Sequence[int], gen: int) -> tuple[int, ...]:
     """Drop the letters x_gen^{+-1} and renumber x_k as x_{k-1} for k > gen."""
     out = []
     for a in letters:
@@ -339,7 +339,7 @@ def _delete_generator(letters: Sequence[int], gen: int) -> list[int]:
         if g != gen:
             g = g - 1 if g > gen else g
             out.append(g if a > 0 else -g)
-    return out
+    return tuple(out)
 
 
 def eliminate_generators(
@@ -369,7 +369,7 @@ def eliminate_generators(
         for j, r in enumerate(relators):
             if j == k:
                 continue
-            out.append(tuple(_delete_generator(substitute(r, rule), g)))
+            out.append(_delete_generator(substitute(r, rule), g))
         relators = [r for r in out if r]
         rank -= 1
 
