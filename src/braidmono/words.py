@@ -24,6 +24,7 @@ by every braid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
@@ -248,15 +249,15 @@ class GBase:
         return cls(rank, tuple(FreeWord.generator(rank, k) for k in range(1, rank + 1)))
 
 
-# Substitution tables for one braid letter s_i (positive) or s_i^-1;
-# letters other than x_i^{+-1}, x_{i+1}^{+-1} are fixed.
-def _apply_letter(letters: Sequence[int], i: int, positive: bool) -> tuple[int, ...]:
+# Substitution table of one braid letter, s_i for a = i or s_i^-1 for
+# a = -i; letters other than x_i^{+-1}, x_{i+1}^{+-1} are fixed.
+@lru_cache(maxsize=None)
+def _letter_images(a: int) -> dict[int, tuple[int, ...]]:
+    i = abs(a)
     j = i + 1
-    if positive:
-        images = {i: (j,), -i: (-j,), j: (j, i, -j), -j: (j, -i, -j)}
-    else:
-        images = {j: (i,), -j: (-i,), i: (-i, j, i), -i: (-i, -j, i)}
-    return substitute(letters, images)
+    if a > 0:
+        return {i: (j,), -i: (-j,), j: (j, i, -j), -j: (j, -i, -j)}
+    return {j: (i,), -j: (-i,), i: (-i, j, i), -i: (-i, -j, i)}
 
 
 def artin_action(b: BraidWord, w: FreeWord) -> FreeWord:
@@ -271,7 +272,7 @@ def artin_action(b: BraidWord, w: FreeWord) -> FreeWord:
         )
     letters = w.letters
     for a in b.letters:
-        letters = _apply_letter(letters, abs(a), a > 0)
+        letters = substitute(letters, _letter_images(a))
     return FreeWord(w.rank, letters)
 
 
