@@ -2,11 +2,12 @@
 
 tests/data/word_layer.json holds, for each of the 15 fixtures that
 `braidmono verify all` runs, the model braid, the exact images of the
-generators under its Artin action and the induced relators.  For the
-nine fixtures whose simplification is cheap it also holds the moves and
-the final relators of simplify(max_len=24, budget=200).  The values
+generators under its Artin action, the induced relators, and the moves
+and final relators of simplify(max_len=24, budget=200).  The values
 were recorded before free reduction, substitution and the relator
-formula were consolidated, so any change in word arithmetic shows here.
+formula were consolidated, and before the consequence search was made
+cheaper, so any change in word arithmetic or in the search's verdicts
+shows here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from braidmono import braid_images, fixture_by_id, induced_presentation, simplif
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "word_layer.json").read_text(encoding="utf-8")
 )
-CHEAP = [fid for fid, rec in PINNED.items() if "simplify_moves" in rec]
 
 
 def _letters(words):
@@ -30,7 +30,7 @@ def _letters(words):
 
 def test_pins_cover_verify_all():
     assert len(PINNED) == 15
-    assert len(CHEAP) == 9
+    assert sum("simplify_moves" in rec for rec in PINNED.values()) == 15
 
 
 @pytest.mark.parametrize("fixture_id", list(PINNED))
@@ -42,7 +42,7 @@ def test_model_braid_images_and_relators(fixture_id):
     assert _letters(induced_presentation(braid).relators) == rec["relators"]
 
 
-@pytest.mark.parametrize("fixture_id", CHEAP)
+@pytest.mark.parametrize("fixture_id", list(PINNED))
 def test_model_presentation_simplifies_as_pinned(fixture_id):
     rec = PINNED[fixture_id]
     braid = fixture_by_id(fixture_id).model_program.braid()
