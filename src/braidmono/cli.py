@@ -116,23 +116,28 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="human-readable text or line-delimited key=value records")
 
 
+# The tracking flags are declared without argparse defaults, so that a flag
+# left out reads None and `vankampen --braid` can reject any that is given.
+_TRACKING_DEFAULTS = {"shear": "0", "center": "0", "radius": "1", "arc": "full", "steps": 256}
+
+
 def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curve", help="curve equation, e.g. \"(y+x^2)(y-x^2)\"")
-    p.add_argument("--shear", default="0", help="rational q for the substitution x -> x + q*y")
-    p.add_argument("--center", default="0", help="loop center a+bi (rational parts)")
-    p.add_argument("--radius", default="1", help="loop radius as a fraction p/q")
-    p.add_argument("--arc", choices=["full", "half"], default="full",
-                   help="full loop or the lower half")
-    p.add_argument("--steps", type=int, default=256,
-                   help="initial number of sample steps along the arc")
+    p.add_argument("--shear", help="rational q for the substitution x -> x + q*y")
+    p.add_argument("--center", help="loop center a+bi (rational parts)")
+    p.add_argument("--radius", help="loop radius as a fraction p/q")
+    p.add_argument("--arc", choices=["full", "half"], help="full loop or the lower half")
+    p.add_argument("--steps", type=int, help="initial number of sample steps along the arc")
 
 
 def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
     """The curve named by the tracking flags and its fiber motion along the loop."""
-    curve = parse_curve(args.curve, _parse_rational(args.shear))
-    loop_arc = "negative-half" if args.arc == "half" else "full"
-    loop = LoopSpec(_parse_complex(args.center), _parse_rational(args.radius), loop_arc)
-    return curve, track_loop(curve, loop, initial_divisions=args.steps)
+    opt = {k: d if getattr(args, k) is None else getattr(args, k)
+           for k, d in _TRACKING_DEFAULTS.items()}
+    curve = parse_curve(args.curve, _parse_rational(opt["shear"]))
+    loop_arc = "negative-half" if opt["arc"] == "half" else "full"
+    loop = LoopSpec(_parse_complex(opt["center"]), _parse_rational(opt["radius"]), loop_arc)
+    return curve, track_loop(curve, loop, initial_divisions=opt["steps"])
 
 
 def cmd_compute(args) -> int:
@@ -153,8 +158,15 @@ def cmd_compute(args) -> int:
 
 
 def cmd_vankampen(args) -> int:
+    if args.braid is not None and args.curve is not None:
+        raise ParseError("--braid and --curve are mutually exclusive")
     if args.braid is not None:
+        given = ["--" + k for k in _TRACKING_DEFAULTS if getattr(args, k) is not None]
+        if given:
+            raise ParseError("--braid takes no tracking flags (got %s)" % ", ".join(given))
         braid = _parse_braid(args.braid, args.strands)
+    elif args.curve is not None and args.strands is not None:
+        raise ParseError("--strands applies only to --braid input")
     elif args.curve:
         _, motion = _tracked_motion(args)
         braid = motion_to_braid(motion)

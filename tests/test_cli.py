@@ -108,6 +108,26 @@ def test_vankampen_bad_letter_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--braid", "s1 s1", "--curve", "(y^2-x)"), id="braid-and-curve"),
+    pytest.param(("--braid", "s1 s1", "--curve", ""), id="braid-and-empty-curve"),
+    pytest.param(("--braid", "s1 s1", "--shear", "1"), id="braid-shear"),
+    pytest.param(("--braid", "s1 s1", "--center", "5"), id="braid-center"),
+    pytest.param(("--braid", "s1 s1", "--radius", "5"), id="braid-radius"),
+    pytest.param(("--braid", "s1 s1", "--radius", "1"), id="braid-default-radius"),
+    pytest.param(("--braid", "s1 s1", "--arc", "half"), id="braid-arc"),
+    pytest.param(("--braid", "s1 s1", "--steps", "8"), id="braid-steps"),
+    pytest.param(("--braid", "s1 s1", "--strands", "2", "--arc", "half",
+                  "--radius", "5"), id="braid-strands-arc-radius"),
+    pytest.param(("--curve", "(y^2-x)", "--strands", "3"), id="curve-strands"),
+])
+def test_vankampen_rejects_conflicting_flags(capsys, flags):
+    code, out, err = _run(capsys, "vankampen", *flags)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_verify_single_fixture(capsys):
     code, out, _ = _run(capsys, "verify", "two-tangent-conics")
     assert code == 0
