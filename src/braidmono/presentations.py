@@ -37,18 +37,28 @@ DEFAULT_MAX_LEN = 64
 DEFAULT_BUDGET = 100_000
 
 
-def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    ls = list(letters)
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        ls = ls[1:-1]
-    return tuple(ls)
+def _cyclic_reduce(letters: Sequence[int]) -> tuple[int, ...]:
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return tuple(letters[i : j + 1])
 
 
 def _rotations(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
-    n = len(letters)
-    if n == 0:
-        return [()]
-    return [letters[k:] + letters[:k] for k in range(n)]
+    return [letters[k:] + letters[:k] for k in range(len(letters))]
+
+
+def _least_rotation(core: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least cyclic rotation of a nonempty word.
+
+    That rotation starts with the word's smallest letter, so only the
+    start positions holding it are compared.
+    """
+    n = len(core)
+    low = min(core)
+    doubled = core + core
+    return min(doubled[i : i + n] for i in range(n) if core[i] == low)
 
 
 def _invert(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -64,7 +74,7 @@ def canonical_relator(w: FreeWord) -> FreeWord:
     core = _cyclic_reduce(w.letters)
     if not core:
         return FreeWord(w.rank, ())
-    best = min(_rotations(core) + _rotations(_invert(core)))
+    best = min(_least_rotation(core), _least_rotation(_invert(core)))
     return FreeWord(w.rank, best)
 
 
@@ -130,10 +140,13 @@ def is_consequence(
 ) -> Verdict:
     """Search for a derivation of `word` from the normal closure of `relators`.
 
-    States are cyclic words; successors multiply by a cyclic rotation
-    of a relator or its inverse.  Best-first on length, so a Derivable
-    answer is a genuine derivation; Unknown only means the budget ran
-    out.
+    States are cyclic words, each stored as its least rotation: the
+    lexicographically least rotation of the letters, never of the
+    inverse word.  Successors multiply by a cyclic rotation of a relator
+    or its inverse; a successor longer than `max_len` once cyclically
+    reduced is discarded before it is brought to that form.  Best-first
+    on length, so a Derivable answer is a genuine derivation; Unknown
+    only means the budget ran out.
     """
     target = _cyclic_reduce(word.letters)
     if not target:
@@ -151,13 +164,7 @@ def is_consequence(
     if not seen_m:
         return Verdict.UNKNOWN
 
-    def norm(ls: tuple[int, ...]) -> tuple[int, ...]:
-        core = _cyclic_reduce(ls)
-        if not core:
-            return ()
-        return min(_rotations(core))
-
-    start = norm(target)
+    start = _least_rotation(target)
     seen = {start}
     heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
     expanded = 0
@@ -172,13 +179,18 @@ def is_consequence(
         # an exhausted search reports Unknown rather than a proof of
         # independence.
         for end in range(len(state)):
+            mults = by_first.get(-state[end])
+            if not mults:
+                continue
             rot_state = state[end + 1 :] + state[: end + 1]
-            a = rot_state[-1]
-            for m in by_first.get(-a, ()):
-                nxt = norm(reduce_onto(list(rot_state), m))
-                if not nxt:
+            for m in mults:
+                core = _cyclic_reduce(reduce_onto(list(rot_state), m))
+                if not core:
                     return Verdict.DERIVABLE
-                if len(nxt) > max_len or nxt in seen:
+                if len(core) > max_len:
+                    continue
+                nxt = _least_rotation(core)
+                if nxt in seen:
                     continue
                 seen.add(nxt)
                 tick += 1

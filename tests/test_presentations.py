@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from braidmono import (
@@ -12,6 +14,7 @@ from braidmono import (
     simplify,
 )
 from braidmono.errors import DimensionMismatchError
+from braidmono.presentations import _least_rotation
 
 
 def _w(rank, *letters):
@@ -30,6 +33,67 @@ def test_canonical_relator_identifies_conjugates_and_inverses():
     assert canonical_relator(r) == canonical_relator(r.conjugate(_w(3, 3, 1)))
     assert canonical_relator(r) == canonical_relator(r.inverse())
     assert canonical_relator(r) != canonical_relator(_w(3, 1, 3, -1, -3))
+
+
+def _all_rotations(letters):
+    return [letters[k:] + letters[:k] for k in range(len(letters))]
+
+
+def _inverse(letters):
+    return tuple(-a for a in reversed(letters))
+
+
+def _brute_canonical(letters):
+    return min(_all_rotations(letters) + _all_rotations(_inverse(letters)))
+
+
+def _random_cyclic_word(rng, rank, length):
+    """A freely and cyclically reduced word with `length` letters."""
+    gens = [a for g in range(1, rank + 1) for a in (g, -g)]
+    while True:
+        w = []
+        while len(w) < length:
+            a = rng.choice(gens)
+            if not w or a != -w[-1]:
+                w.append(a)
+        if length < 2 or w[0] != -w[-1]:
+            return tuple(w)
+
+
+@pytest.mark.parametrize("letters", [
+    pytest.param((1,), id="single-letter"),
+    pytest.param((-3,), id="single-inverse-letter"),
+    pytest.param((1,) * 7, id="constant"),
+    pytest.param((1, 2) * 4, id="periodic-1-2"),
+    pytest.param((-1, 2, -1, 2), id="periodic-inverse-letters"),
+    pytest.param((2, 1, 2, 1, 1), id="smallest-letter-repeated"),
+])
+def test_least_rotation_explicit_cases(letters):
+    assert _least_rotation(letters) == min(_all_rotations(letters))
+    w = FreeWord(3, letters)
+    assert canonical_relator(w).letters == _brute_canonical(letters)
+
+
+def test_canonical_relator_can_come_from_the_inverse():
+    letters = (1, 2, 1, -2)
+    canon = canonical_relator(FreeWord(2, letters)).letters
+    assert canon == (-2, -1, 2, -1)
+    assert canon not in _all_rotations(letters)
+    assert canon in _all_rotations(_inverse(letters))
+
+
+def test_least_rotation_and_canonical_relator_match_brute_force():
+    rng = random.Random(20261018)
+    for _ in range(600):
+        rank = rng.randint(1, 4)
+        letters = _random_cyclic_word(rng, rank, rng.randint(1, 30))
+        assert _least_rotation(letters) == min(_all_rotations(letters))
+        w = FreeWord(rank, letters)
+        assert canonical_relator(w).letters == _brute_canonical(letters)
+        # A conjugate is no longer cyclically reduced; it canonicalises
+        # to the same word.
+        u = FreeWord(rank, _random_cyclic_word(rng, rank, rng.randint(1, 5)))
+        assert canonical_relator(w.conjugate(u)).letters == _brute_canonical(letters)
 
 
 def test_presentation_relator_set_drops_trivial():
