@@ -1,0 +1,40 @@
+"""Pinned braids of the catalogue's motion programs.
+
+tests/data/program_braids.json holds, for the model and the Lefschetz
+program of each of the twelve fixtures and of n-tangency-2..6, the
+braid letters, the strand and sample counts of `to_motion`, and its
+matching permutation.  The values were recorded before motion
+composition was rewritten to run in one pass, so any change in how a
+program's moves are joined shows here.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from braidmono import fixture_by_id
+
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "program_braids.json").read_text(encoding="utf-8")
+)
+
+
+def test_pins_cover_the_catalogue():
+    assert len(PINNED) == 17
+    assert all(set(rec) == {"model", "lefschetz"} for rec in PINNED.values())
+
+
+@pytest.mark.parametrize("kind", ["model", "lefschetz"])
+@pytest.mark.parametrize("fixture_id", sorted(PINNED))
+def test_program_braid_is_pinned(fixture_id, kind):
+    rec = PINNED[fixture_id][kind]
+    program = getattr(fixture_by_id(fixture_id), kind + "_program")
+    motion = program.to_motion()
+    braid = program.braid()
+    assert braid.strands == rec["strands"]
+    assert list(braid.letters) == rec["letters"]
+    assert len(motion.times) == rec["samples"]
+    assert list(motion.matching_permutation().images) == rec["permutation"]
