@@ -63,13 +63,12 @@ class Motion:
     """Trajectories of n distinct points over a common time grid.
 
     paths is strand-major: paths[k][j] is the position of strand k at
-    times[j].  step_bound, when given, is the declared upper bound on a
-    single-step displacement and is checked on construction.
+    times[j].  Construction checks that the times strictly increase and
+    that no two strands coincide at any sample.
     """
 
     times: tuple[float, ...]
     paths: tuple[tuple[complex, ...], ...]
-    step_bound: float | None = None
 
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
@@ -92,14 +91,6 @@ class Motion:
                     if abs(col[a] - col[b]) <= tol:
                         raise DegenerateMotionError(
                             "strands %d and %d coincide at sample %d" % (a, b, j)
-                        )
-        if self.step_bound is not None:
-            for k, p in enumerate(paths):
-                for j in range(len(times) - 1):
-                    if abs(p[j + 1] - p[j]) > self.step_bound:
-                        raise DegenerateMotionError(
-                            "strand %d jumps by more than the declared bound at step %d"
-                            % (k, j)
                         )
 
     @property
@@ -126,7 +117,7 @@ class Motion:
         if len(times) == 1:
             times = (0.0,)
         paths = tuple(tuple(reversed(p)) for p in self.paths)
-        return Motion(times, paths, self.step_bound)
+        return Motion(times, paths)
 
     def matching_permutation(self) -> Permutation:
         """Slot-to-slot matching: where the strand starting in slot i ends."""
@@ -275,14 +266,6 @@ def _as_complex(z) -> complex:
     return complex(z)
 
 
-def _declared_bound(paths: Sequence[Sequence[complex]]) -> float:
-    worst = 0.0
-    for p in paths:
-        for a, b in zip(p, p[1:]):
-            worst = max(worst, abs(b - a))
-    return worst * (1.0 + 1e-9) + 1e-15
-
-
 def _grid(k: int) -> tuple[float, ...]:
     return tuple(j / k for j in range(k + 1))
 
@@ -322,7 +305,7 @@ def rotate_block_motion(
         )
     for z in fixed:
         paths.append((z,) * (steps + 1))
-    return Motion(_grid(steps), tuple(paths), _declared_bound(paths))
+    return Motion(_grid(steps), tuple(paths))
 
 
 def encircle_motion(
@@ -437,49 +420,56 @@ def complex_level_frame(
     paths = [bot_path, top_path]
     for k in idx[:-2]:
         paths.append((pts[k],) * (steps + 1))
-    transport = Motion(_grid(steps), tuple(paths), _declared_bound(paths))
+    transport = Motion(_grid(steps), tuple(paths))
     pre = compose_motions(lift, transport)
     post = pre.reverse()
     return pre, post
 
 
-def compose_motions(a: Motion, b: Motion) -> Motion:
-    """Concatenation in time.
+def _continuations(ends: Sequence[complex], starts: Sequence[complex]) -> list[int]:
+    """For each end point, the index of the start point that continues it.
 
-    Strands are matched by position: each endpoint of a must coincide
-    (within tolerance) with a unique start point of b, whose trajectory
-    then continues that strand.
+    That start must be the nearest one, lie within _MATCH_TOL (relative)
+    of the end point, and continue no other end point.
     """
-    if a.strands != b.strands:
+    if len(ends) != len(starts):
         raise DegenerateMotionError("strand counts differ")
-    ends = a.end
-    starts = b.start
-    scale = _scale(list(ends) + list(starts))
-    tol = _MATCH_TOL * scale
-    used = [False] * b.strands
+    tol = _MATCH_TOL * _scale(list(ends) + list(starts))
+    used = [False] * len(starts)
     match: list[int] = []
     for k, z in enumerate(ends):
-        best = min(range(b.strands), key=lambda j: abs(starts[j] - z))
+        best = min(range(len(starts)), key=lambda j: abs(starts[j] - z))
         if abs(starts[best] - z) > tol or used[best]:
-            raise DegenerateMotionError(
-                "strand %d of the first motion has no unique continuation" % k
-            )
+            raise DegenerateMotionError("strand %d has no unique continuation" % k)
         used[best] = True
         match.append(best)
-    ta = a.times[-1] - a.times[0]
-    tb = b.times[-1] - b.times[0]
-    half = 0.5
-    times = [half * (t - a.times[0]) / ta if ta > 0 else 0.0 for t in a.times]
-    paths = [list(p) for p in a.paths]
-    for j in range(1, len(b.times)):
-        frac = (b.times[j] - b.times[0]) / tb if tb > 0 else 1.0
-        times.append(half + half * frac)
-        for k in range(a.strands):
-            paths[k].append(b.paths[match[k]][j])
-    bound = None
-    if a.step_bound is not None or b.step_bound is not None:
-        bound = max(a.step_bound or 0.0, b.step_bound or 0.0, tol)
-    return Motion(tuple(times), tuple(tuple(p) for p in paths), bound)
+    return match
+
+
+def compose_motions(*motions: Motion) -> Motion:
+    """Concatenation in time of one or more motions.
+
+    Motion i of k is rescaled onto [i/k, (i+1)/k].  At each junction the
+    end points of one motion are matched to the start points of the next
+    by position (see _continuations).  Strands keep the numbering of the
+    first motion.
+    """
+    if not motions:
+        raise DegenerateMotionError("nothing to compose")
+    k = len(motions)
+    times = [0.0]
+    paths = [[z] for z in motions[0].start]
+    cur = list(range(len(paths)))
+    for i, m in enumerate(motions):
+        if i:
+            link = _continuations(motions[i - 1].end, m.start)
+            cur = [link[s] for s in cur]
+        t0 = m.times[0]
+        span = m.times[-1] - t0
+        times.extend((i + (t - t0) / span) / k for t in m.times[1:])
+        for p, s in zip(paths, cur):
+            p.extend(m.paths[s][1:])
+    return Motion(tuple(times), tuple(tuple(p) for p in paths))
 
 
 @dataclass(frozen=True)
@@ -522,49 +512,30 @@ class MotionProgram:
 
     `points` is the full starting configuration; each move names its
     own participants, and every other point stays put during that move.
-    Moves must keep the configuration consistent end to start, which
-    Motion composition checks numerically.
+    The first move must start at `points` and each later move where the
+    one before it ended; `to_motion` checks both numerically and joins
+    all the moves in one `compose_motions` call.  Strands are numbered
+    as in the first move's motion.
     """
 
     points: tuple
     moves: tuple[Move, ...]
 
     def to_motion(self) -> Motion:
-        config = [_as_complex(z) for z in self.points]
-        total: Motion | None = None
-        for mv in self.moves:
-            m = self._motion_for(mv, config)
-            config = self._match_config(config, m)
-            total = m if total is None else compose_motions(total, m)
-        if total is None:
-            total = Motion.stationary(config)
-        return total
+        points = [_as_complex(z) for z in self.points]
+        if not self.moves:
+            return Motion.stationary(points)
+        motions = [self._motion_for(self.moves[0], points)]
+        _continuations(points, motions[0].start)
+        for mv in self.moves[1:]:
+            motions.append(self._motion_for(mv, motions[-1].end))
+        return compose_motions(*motions)
 
     def braid(self) -> BraidWord:
         return motion_to_braid(self.to_motion())
 
     @staticmethod
-    def _match_config(config: list[complex], m: Motion) -> list[complex]:
-        starts = list(m.start)
-        used = [False] * len(starts)
-        scale = _scale(config)
-        ends: list[complex] = []
-        for z in config:
-            best = None
-            for k, s in enumerate(starts):
-                if used[k]:
-                    continue
-                if abs(s - z) <= _MATCH_TOL * scale:
-                    best = k
-                    break
-            if best is None:
-                raise DegenerateMotionError("move does not start at the current configuration")
-            used[best] = True
-            ends.append(m.paths[best][-1])
-        return ends
-
-    @staticmethod
-    def _motion_for(mv: Move, config: list[complex]) -> Motion:
+    def _motion_for(mv: Move, config: Sequence[complex]) -> Motion:
         def rest(listed: Sequence[complex]) -> list[complex]:
             scale = _scale(config)
             out = list(config)

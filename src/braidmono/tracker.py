@@ -3,9 +3,11 @@
 The fiber of a curve over a point x0 is the set of y-roots of the
 product polynomial.  Tracking moves x around a circle, re-solves the
 fiber at each sample, and matches roots to the previous sample by
-nearest neighbour.  A step is accepted only when every root moved less
-than half the minimal pairwise separation of the previous fiber, which
-makes the matching provably unambiguous; otherwise the step is halved.
+nearest neighbour.  A step is accepted only when the matching is a
+bijection and every root moved less than half the minimal pairwise
+separation of the previous fiber; otherwise the step is halved.  The
+test sees only the sampled endpoints of a step, so it cannot detect two
+roots that wind round each other within one step.
 
 The resulting strand paths form a Motion whose braid word is the local
 monodromy of the loop.  Tracking only the lower half of the circle
@@ -187,7 +189,6 @@ def track_loop(
     min_step = arc * _MIN_STEP_FRACTION
     theta = theta0
     streak = 0
-    max_disp = 0.0
 
     while theta < theta1 - 1e-15:
         h = min(step, theta1 - theta)
@@ -209,9 +210,7 @@ def track_loop(
                 )
             streak = 0
             continue
-        new_matched = new[perm]
-        max_disp = max(max_disp, float(np.max(np.abs(new_matched - current))))
-        current = new_matched
+        current = new[perm]
         theta = target
         thetas.append(theta)
         samples.append(current.copy())
@@ -242,8 +241,7 @@ def track_loop(
     paths = tuple(
         tuple(complex(samples[j][k]) for j in range(len(samples))) for k in range(n)
     )
-    bound = max_disp * 1.25 + 1e-9
-    return Motion(tuple(times), paths, step_bound=bound)
+    return Motion(tuple(times), paths)
 
 
 def local_braid_monodromy(

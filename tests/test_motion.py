@@ -6,6 +6,7 @@ import pytest
 
 from braidmono import (
     Motion,
+    FrameIn,
     MotionProgram,
     RotateBlock,
     complex_level_frame,
@@ -110,12 +111,45 @@ def test_compose_requires_matching_configurations():
     a = rotate_block_motion([-1, 1], 0, 1)
     with pytest.raises(DegenerateMotionError):
         compose_motions(a, Motion.stationary([5, 6]))
+    with pytest.raises(DegenerateMotionError):
+        compose_motions(a, a, Motion.stationary([-1, 2]))
 
 
 def test_compose_concatenates_letters():
     a = rotate_block_motion([-1, 1], 0, 1)
     b = rotate_block_motion([-1, 1], 0, 1)
     assert motion_to_braid(compose_motions(a, b)).letters == (1, 1)
+    a = rotate_block_motion([-1, 1], 0, 1, others=[3])
+    b = rotate_block_motion([1, 3], 2, -1, others=[-1])
+    c = rotate_block_motion([-1, 1], 0, 2, others=[3])
+    m = compose_motions(a, b, c)
+    assert motion_to_braid(m).letters == (1, -2, 1, 1)
+    assert len(m.times) == len(a.times) + len(b.times) + len(c.times) - 2
+    assert m.times[0] == 0.0 and m.times[-1] == 1.0
+
+
+def test_compose_keeps_first_motion_start_and_order():
+    a = rotate_block_motion([1, 3], 2, 1, others=[-1])
+    b = rotate_block_motion([-1, 1], 0, 1, others=[3])
+    m = compose_motions(a, b)
+    assert m.start == a.start == (1, 3, -1)
+    assert all(abs(z - w) < 1e-12 for z, w in zip(m.end, (3, -1, 1)))
+
+
+def test_empty_program_is_identity_braid():
+    b = MotionProgram((-1, 0, 2), ()).braid()
+    assert b.strands == 3
+    assert b.letters == ()
+
+
+def test_program_rejects_frame_off_the_configuration():
+    frame = FrameIn((-1, 0, 1), 2)
+    with pytest.raises(DegenerateMotionError):
+        MotionProgram((-1, 0, 2), (frame,)).to_motion()
+    with pytest.raises(DegenerateMotionError):
+        MotionProgram(
+            (-1, 0, 1), (RotateBlock((1,), 3, Fraction(1)), frame)
+        ).to_motion()
 
 
 def test_matching_permutation_tracks_slot_exchange():
