@@ -142,8 +142,7 @@ def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
 
 def cmd_compute(args) -> int:
     if not args.curve:
-        print("compute needs --curve", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("compute needs --curve")
     curve, motion = _tracked_motion(args)
     braid = motion_to_braid(motion)
     _emit([
@@ -171,8 +170,7 @@ def cmd_vankampen(args) -> int:
         _, motion = _tracked_motion(args)
         braid = motion_to_braid(motion)
     else:
-        print("vankampen needs --braid or --curve", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("vankampen needs --braid or --curve")
     pres = induced_presentation(braid)
     pairs: list[tuple[str, str]] = [
         ("strands", str(braid.strands)),

@@ -67,9 +67,16 @@ def test_parse_error_exits_two(capsys, flags):
     assert "Traceback" not in err
 
 
-def test_missing_curve_exits_two(capsys):
-    code, _, err = _run(capsys, "compute")
+@pytest.mark.parametrize("argv", [
+    pytest.param(("compute",), id="compute"),
+    pytest.param(("vankampen",), id="vankampen"),
+    pytest.param(("vankampen", "--curve", ""), id="vankampen-empty-curve"),
+])
+def test_missing_input_is_an_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
     assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_tracking_error_exits_three(capsys):
