@@ -93,7 +93,8 @@ class Fixture:
         return len(self.model_program.points)
 
 
-def _principal_fixtures() -> list[Fixture]:
+def fixtures() -> list[Fixture]:
+    """The ten principal fixtures plus the two remark variants."""
     out = []
 
     # Two smooth conics meeting at a single tangency point.
@@ -387,11 +388,6 @@ def _principal_fixtures() -> list[Fixture]:
         deletion_checks=(),
     ))
     return out
-
-
-def fixtures() -> list[Fixture]:
-    """The ten principal fixtures plus the two remark variants."""
-    return _principal_fixtures()
 
 
 def fixture_by_id(fixture_id: str) -> Fixture:
