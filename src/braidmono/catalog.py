@@ -168,7 +168,7 @@ def fixtures() -> list[Fixture]:
         _eq(5, (1,), (4, 3, -4)),
         _eq(5, (4,), (5,)),
     ))
-    frame33 = FrameIn((-2, -1, 0, 1, 2), 2, None, F(-1), F(1, 2))
+    frame33 = FrameIn((-2, -1, 0, 1, 2), F(-1), F(1, 2))
     out.append(Fixture(
         fixture_id="vertical-tangency",
         equation="y(y^2+x)(y^2-x)",
@@ -266,7 +266,7 @@ def fixtures() -> list[Fixture]:
     trio543 = Presentation(3, tuple(_chain(
         3, (3, 2, 1, 3, 2, 1), (2, 1, 3, 2, 1, 3), (1, 3, 2, 1, 3, 2)
     )))
-    frame413 = FrameIn((-2, -1, 0, 1, 2, 3), 2, None, F(-1), F(1, 2))
+    frame413 = FrameIn((-2, -1, 0, 1, 2, 3), F(-1), F(1, 2))
     quartet413 = (F(-201, 200), F(199, 200), F(1, 200) - 1j, F(1, 200) + 1j)
     c413 = complex(F(-1, 200))
     turned413 = tuple(c413 + 1j * (complex(z) - c413) for z in quartet413)
@@ -277,7 +277,7 @@ def fixtures() -> list[Fixture]:
         complex_level=2,
         model_program=MotionProgram((-2, -1, 0, 1, 2, 3), (
             frame413,
-            Encircle((1,), (-2, -1, 0, complex(-1, 0.5), complex(-1, -0.5)), F(1), None, -1),
+            Encircle((1,), (-2, -1, 0, complex(-1, 0.5), complex(-1, -0.5)), F(1), -1),
             RotateBlock((-2, 0, complex(-1, 0.5), complex(-1, -0.5)), -1, F(1)),
             FrameOut(frame413),
         )),
@@ -285,7 +285,7 @@ def fixtures() -> list[Fixture]:
             (F(-201, 200), 0, F(1, 200) - 1j, F(1, 200) + 1j, F(199, 200), 100),
             (
                 RotateBlock(quartet413, F(-1, 200), F(1, 2)),
-                Encircle((100,), turned413 + (0,), F(1, 2), None, 0),
+                Encircle((100,), turned413 + (0,), F(1, 2), 0),
             ),
         ),
         lefschetz_doubling=False,
@@ -327,7 +327,7 @@ def fixtures() -> list[Fixture]:
         _eq(6, (1,), (5, 4, -5)),
         _eq(6, (5,), (6,)),
     ))
-    frame422 = FrameIn((-2, F(-1, 2), F(1, 2), 2, 3, 4), 2, None, F(0), F(1))
+    frame422 = FrameIn((-2, F(-1, 2), F(1, 2), 2, 3, 4), F(0), F(1))
     out.append(Fixture(
         fixture_id="vertical-tangency-line-pair",
         equation="y(x+2y)(y^2+x)(y^2-x)",
@@ -341,7 +341,7 @@ def fixtures() -> list[Fixture]:
         )),
         lefschetz_program=MotionProgram((-1, -1j, 0, 1j, F(1, 2), 1), (
             RotateBlock((1, -1, 1j, -1j), 0, F(1, 2)),
-            Encircle((F(1, 2),), (0,), F(1, 2), None, 0),
+            Encircle((F(1, 2),), (0,), F(1, 2), 0),
         )),
         lefschetz_doubling=False,
         expected_relations=exp422,
@@ -362,7 +362,7 @@ def fixtures() -> list[Fixture]:
         )),
         lefschetz_program=MotionProgram((-1, 0, 2), (
             RotateBlock((-1, 0), F(-1, 2), F(2)),
-            Encircle((2,), (-1, 0), F(1, 2), None, 0),
+            Encircle((2,), (-1, 0), F(1, 2), 0),
         )),
         lefschetz_doubling=False,
         expected_relations=exp31,
@@ -380,7 +380,7 @@ def fixtures() -> list[Fixture]:
         )),
         lefschetz_program=MotionProgram((-2, -1, 0), (
             RotateBlock((-1, 0), F(-1, 2), F(2)),
-            Encircle((-2,), (-1, 0), F(1, 2), None, 0),
+            Encircle((-2,), (-1, 0), F(1, 2), 0),
         )),
         lefschetz_doubling=False,
         expected_relations=exp32,
@@ -458,12 +458,11 @@ class VerificationReport:
 def verify_fixture(
     f: Fixture,
     *,
-    center: complex = 0j,
     radius: Fraction = F(1),
     targets: Sequence[tuple[str, FiniteGroupTable]] | None = None,
 ) -> VerificationReport:
     checks: list[CheckResult] = []
-    loop = LoopSpec(center, radius)
+    loop = LoopSpec(radius=radius)
     model_braid = f.model_program.braid()
 
     tracked = None

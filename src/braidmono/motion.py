@@ -12,6 +12,11 @@ of two adjacent points yields a positive Artin generator.
 Builders construct the synthetic motions used throughout: rigid block
 rotations, encircling moves, and the framing pair that lifts the
 rightmost points into a complex-conjugate configuration and back.
+
+Which point continues which is decided in one place, nearest_match:
+each point goes to its nearest target, and the matching stands only if
+every point lies within a tolerance of its target and no two points
+share one.  The fiber tracker and motion composition both use it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .words import BraidWord, Permutation
 __all__ = [
     "EPS",
     "strand_key",
+    "nearest_match",
     "Motion",
     "MotionProgram",
     "RotateBlock",
@@ -58,13 +64,35 @@ def _scale(points: Iterable[complex]) -> float:
     return max(1.0, max(abs(z) for z in points))
 
 
+def nearest_match(
+    points: Sequence[complex], targets: Sequence[complex], tol: float
+) -> list[int] | None:
+    """For each point, the index of its nearest target (the first on ties).
+
+    Returns None unless every point lies within tol of its nearest
+    target (a distance equal to tol passes) and no two points share one.
+    """
+    match: list[int] = []
+    for z in points:
+        dist = [abs(w - z) for w in targets]
+        d = min(dist, default=math.inf)
+        if d > tol:
+            return None
+        k = dist.index(d)
+        if k in match:
+            return None
+        match.append(k)
+    return match
+
+
 @dataclass(frozen=True)
 class Motion:
     """Trajectories of n distinct points over a common time grid.
 
     paths is strand-major: paths[k][j] is the position of strand k at
     times[j].  Construction checks that the times strictly increase and
-    that no two strands coincide at any sample.
+    that no two strands coincide at any sample.  Motions are joined by
+    compose_motions, which continues each strand with nearest_match.
     """
 
     times: tuple[float, ...]
@@ -113,9 +141,6 @@ class Motion:
     def reverse(self) -> "Motion":
         t1 = self.times[-1]
         times = tuple(t1 - t for t in reversed(self.times))
-        # Guard against collapsing a single-sample grid.
-        if len(times) == 1:
-            times = (0.0,)
         paths = tuple(tuple(reversed(p)) for p in self.paths)
         return Motion(times, paths)
 
@@ -292,8 +317,8 @@ def rotate_block_motion(
     quarter_turns = abs(angle) * 2
     if steps is None:
         steps = max(1, math.ceil(128 * abs(angle)))
-    elif angle != 0 and Fraction(steps) < 8 * quarter_turns:
-        raise GeometryError("need at least 8 steps per quarter turn")
+    elif steps < max(1, 8 * quarter_turns):
+        raise GeometryError("need at least one step and 8 steps per quarter turn")
     total = float(angle) * math.pi
     paths = []
     for z in movers:
@@ -312,7 +337,6 @@ def encircle_motion(
     movers: Sequence[complex],
     around: Sequence[complex],
     turns: Fraction | int,
-    steps: int | None = None,
     others: Sequence[complex] = (),
     center: complex | None = None,
 ) -> Motion:
@@ -345,7 +369,7 @@ def encircle_motion(
     for z in ot:
         if abs(z - c) <= r_out + pad:
             raise GeometryError("a bystander point would be captured by the orbit")
-    return rotate_block_motion(mv, c, 2 * turns, steps, others=ar + ot)
+    return rotate_block_motion(mv, c, 2 * turns, others=ar + ot)
 
 
 def _transport_paths(
@@ -370,28 +394,20 @@ def _transport_paths(
 
 def complex_level_frame(
     slots: Sequence[Fraction | float],
-    level: int,
-    steps: int | None = None,
     pair_re: Fraction | float | None = None,
     pair_height: Fraction | float | None = None,
 ) -> tuple[Motion, Motion]:
-    """Framing motions that move the `level` rightmost points off the axis.
+    """Framing motions that move the two rightmost points off the axis.
 
     The pre-motion rotates the two rightmost points 90 degrees
     counterclockwise about their midpoint (right point up, left point
     down) and then transports the vertical pair to real part `pair_re`,
-    linearly rescaling its half-height to `pair_height`.  The
-    post-motion is the exact reverse, so pre followed by post induces
-    the empty braid.  Only levels 0 and 2 occur in the catalog.
+    linearly rescaling its half-height to `pair_height`; each part takes
+    64 steps.  The post-motion is the exact reverse, so pre followed by
+    post induces the empty braid.
     """
     pts = [_as_complex(z) for z in slots]
     n = len(pts)
-    if level < 0 or level > n:
-        raise GeometryError("level out of range")
-    if level == 0:
-        return Motion.stationary(pts), Motion.stationary(pts)
-    if level != 2:
-        raise GeometryError("only levels 0 and 2 are supported")
     if n < 2:
         raise GeometryError("need at least two points to frame")
     idx = sorted(range(n), key=lambda k: strand_key(pts[k]))
@@ -405,8 +421,7 @@ def complex_level_frame(
     end_h = r if pair_height is None else float(pair_height)
     if end_h <= 0:
         raise GeometryError("pair height must be positive")
-    if steps is None:
-        steps = 64
+    steps = 64
 
     lift = rotate_block_motion(
         [a, b], mid, Fraction(1, 2), steps,
@@ -426,43 +441,30 @@ def complex_level_frame(
     return pre, post
 
 
-def _continuations(ends: Sequence[complex], starts: Sequence[complex]) -> list[int]:
-    """For each end point, the index of the start point that continues it.
-
-    That start must be the nearest one, lie within _MATCH_TOL (relative)
-    of the end point, and continue no other end point.
-    """
-    if len(ends) != len(starts):
-        raise DegenerateMotionError("strand counts differ")
-    tol = _MATCH_TOL * _scale(list(ends) + list(starts))
-    used = [False] * len(starts)
-    match: list[int] = []
-    for k, z in enumerate(ends):
-        best = min(range(len(starts)), key=lambda j: abs(starts[j] - z))
-        if abs(starts[best] - z) > tol or used[best]:
-            raise DegenerateMotionError("strand %d has no unique continuation" % k)
-        used[best] = True
-        match.append(best)
-    return match
-
-
 def compose_motions(*motions: Motion) -> Motion:
     """Concatenation in time of one or more motions.
 
-    Motion i of k is rescaled onto [i/k, (i+1)/k].  At each junction the
-    end points of one motion are matched to the start points of the next
-    by position (see _continuations).  Strands keep the numbering of the
-    first motion.
+    Motion i of k is rescaled onto [i/k, (i+1)/k].  At each junction
+    nearest_match continues every end point of one motion by a start
+    point of the next, within _MATCH_TOL (relative).  Strands keep the
+    numbering of the first motion.
     """
     if not motions:
         raise DegenerateMotionError("nothing to compose")
+    if len({m.strands for m in motions}) != 1:
+        raise DegenerateMotionError("strand counts differ")
     k = len(motions)
     times = [0.0]
     paths = [[z] for z in motions[0].start]
     cur = list(range(len(paths)))
     for i, m in enumerate(motions):
         if i:
-            link = _continuations(motions[i - 1].end, m.start)
+            ends = motions[i - 1].end
+            link = nearest_match(ends, m.start, _MATCH_TOL * _scale(ends + m.start))
+            if link is None:
+                raise DegenerateMotionError(
+                    "motion %d does not start where motion %d ends" % (i, i - 1)
+                )
             cur = [link[s] for s in cur]
         t0 = m.times[0]
         span = m.times[-1] - t0
@@ -485,15 +487,12 @@ class Encircle:
     movers: tuple
     around: tuple
     turns: Fraction
-    steps: int | None = None
     center: object | None = None
 
 
 @dataclass(frozen=True)
 class FrameIn:
     slots: tuple
-    level: int
-    steps: int | None = None
     pair_re: object | None = None
     pair_height: object | None = None
 
@@ -513,9 +512,10 @@ class MotionProgram:
     `points` is the full starting configuration; each move names its
     own participants, and every other point stays put during that move.
     The first move must start at `points` and each later move where the
-    one before it ended; `to_motion` checks both numerically and joins
-    all the moves in one `compose_motions` call.  Strands are numbered
-    as in the first move's motion.
+    one before it ended; `to_motion` checks both with nearest_match and
+    joins all the moves in one `compose_motions` call.  A move's listed
+    points are found in the current configuration with nearest_match
+    too.  Strands are numbered as in the first move's motion.
     """
 
     points: tuple
@@ -526,7 +526,10 @@ class MotionProgram:
         if not self.moves:
             return Motion.stationary(points)
         motions = [self._motion_for(self.moves[0], points)]
-        _continuations(points, motions[0].start)
+        start = motions[0].start
+        tol = _MATCH_TOL * _scale(points + list(start))
+        if len(start) != len(points) or nearest_match(points, start, tol) is None:
+            raise DegenerateMotionError("the first move does not start at the points")
         for mv in self.moves[1:]:
             motions.append(self._motion_for(mv, motions[-1].end))
         return compose_motions(*motions)
@@ -537,17 +540,12 @@ class MotionProgram:
     @staticmethod
     def _motion_for(mv: Move, config: Sequence[complex]) -> Motion:
         def rest(listed: Sequence[complex]) -> list[complex]:
-            scale = _scale(config)
-            out = list(config)
-            for z in listed:
-                zz = _as_complex(z)
-                for k, w in enumerate(out):
-                    if abs(w - zz) <= _MATCH_TOL * scale:
-                        del out[k]
-                        break
-                else:
-                    raise GeometryError("a listed point is absent from the configuration")
-            return out
+            hit = nearest_match(
+                [_as_complex(z) for z in listed], config, _MATCH_TOL * _scale(config)
+            )
+            if hit is None:
+                raise GeometryError("a listed point is absent from the configuration")
+            return [w for k, w in enumerate(config) if k not in hit]
 
         if isinstance(mv, RotateBlock):
             return rotate_block_motion(
@@ -556,18 +554,13 @@ class MotionProgram:
         if isinstance(mv, Encircle):
             listed = list(mv.movers) + list(mv.around)
             return encircle_motion(
-                mv.movers, mv.around, mv.turns, mv.steps,
-                others=rest(listed), center=mv.center,
+                mv.movers, mv.around, mv.turns, others=rest(listed), center=mv.center
             )
         if isinstance(mv, FrameIn):
-            pre, _ = complex_level_frame(
-                mv.slots, mv.level, mv.steps, mv.pair_re, mv.pair_height
-            )
+            pre, _ = complex_level_frame(mv.slots, mv.pair_re, mv.pair_height)
             return pre
         if isinstance(mv, FrameOut):
             f = mv.frame
-            _, post = complex_level_frame(
-                f.slots, f.level, f.steps, f.pair_re, f.pair_height
-            )
+            _, post = complex_level_frame(f.slots, f.pair_re, f.pair_height)
             return post
         raise GeometryError("unknown move kind %r" % (mv,))

@@ -2,12 +2,14 @@
 
 The fiber of a curve over a point x0 is the set of y-roots of the
 product polynomial.  Tracking moves x around a circle, re-solves the
-fiber at each sample, and matches roots to the previous sample by
-nearest neighbour.  A step is accepted only when the matching is a
-bijection and every root moved less than half the minimal pairwise
-separation of the previous fiber; otherwise the step is halved.  The
-test sees only the sampled endpoints of a step, so it cannot detect two
-roots that wind round each other within one step.
+fiber at each sample, and continues each root of the previous sample
+by motion.nearest_match, the one matching rule of the package.  A step
+is accepted only when every root has a distinct nearest new root within
+half the minimal pairwise separation of the previous fiber; otherwise
+the step is halved.  The test sees only the sampled endpoints of a
+step, so it cannot detect two roots that wind round each other within
+one step.  A full loop must end on its starting fiber: the same rule
+matches the two within 1e-6 of the fiber scale.
 
 The resulting strand paths form a Motion whose braid word is the local
 monodromy of the loop.  Tracking only the lower half of the circle
@@ -32,7 +34,7 @@ from .errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from .motion import Motion, motion_to_braid, strand_key
+from .motion import Motion, motion_to_braid, nearest_match, strand_key
 from .words import BraidWord
 
 __all__ = [
@@ -144,22 +146,6 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
     return sorted((complex(z) for z in roots), key=strand_key)
 
 
-def _match(prev: np.ndarray, new: np.ndarray, max_move: float) -> list[int] | None:
-    """Match prev[i] -> new[perm[i]] by nearest neighbour.
-
-    Returns None unless the matching is an unambiguous bijection with
-    every displacement below max_move.
-    """
-    dist = np.abs(prev[:, None] - new[None, :])
-    perm = dist.argmin(axis=1)
-    if len(set(perm.tolist())) != len(prev):
-        return None
-    moves = dist[np.arange(len(prev)), perm]
-    if float(moves.max()) >= max_move:
-        return None
-    return perm.tolist()
-
-
 def track_loop(
     curve: CurveSpec, loop: LoopSpec, *, initial_divisions: int = 256
 ) -> Motion:
@@ -201,7 +187,7 @@ def track_loop(
             )
         perm = None
         if len(new) == n:
-            perm = _match(current, new, 0.5 * sep)
+            perm = nearest_match(current.tolist(), new.tolist(), 0.5 * sep)
         if perm is None:
             step = h / 2.0
             if step < min_step:
@@ -220,21 +206,9 @@ def track_loop(
             streak = 0
 
     if loop.arc == "full":
-        # The end fiber must coincide with the start fiber as a set.
         end = samples[-1]
-        tol = 1e-6 * _fiber_scale(end)
-        used = [False] * n
-        for z in end:
-            best, best_d = -1, math.inf
-            for i, w in enumerate(start_sorted):
-                d = abs(z - w)
-                if not used[i] and d < best_d:
-                    best, best_d = i, d
-            if best < 0 or best_d > tol:
-                raise TrackingFailureError(
-                    "full loop did not return to the starting fiber"
-                )
-            used[best] = True
+        if nearest_match(end.tolist(), start_sorted, 1e-6 * _fiber_scale(end)) is None:
+            raise TrackingFailureError("full loop did not return to the starting fiber")
 
     times = [(t - theta0) / arc for t in thetas]
     times[0], times[-1] = 0.0, 1.0

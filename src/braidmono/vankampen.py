@@ -10,25 +10,19 @@ argument, with relations read off over the basepoint fiber.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatchError
 from .presentations import Presentation
-from .words import BraidWord, FreeWord, GBase, artin_action
+from .words import BraidWord, FreeWord, artin_action
 
 __all__ = ["braid_images", "raw_relators", "induced_presentation"]
 
 
-def braid_images(b: BraidWord, gbase: GBase | None = None) -> list[FreeWord]:
-    """Images of the base loops under the braid action, in generator order."""
-    base = gbase if gbase is not None else GBase.standard(b.strands)
-    if len(base.loops) != b.strands:
-        raise DimensionMismatchError(
-            "base has %d loops but braid has %d strands"
-            % (len(base.loops), b.strands)
-        )
-    return [artin_action(b, w) for w in base.loops]
+def braid_images(b: BraidWord) -> list[FreeWord]:
+    """Images of the generators x_1, ..., x_n under the braid action."""
+    n = b.strands
+    return [artin_action(b, FreeWord.generator(n, k)) for k in range(1, n + 1)]
 
 
-def raw_relators(b: BraidWord, gbase: GBase | None = None) -> list[FreeWord]:
+def raw_relators(b: BraidWord) -> list[FreeWord]:
     """The relators x_j^-1 * (action of the braid on x_j), j = 1..n.
 
     Trivial relators (generators fixed by the action) are kept, so the
@@ -37,14 +31,14 @@ def raw_relators(b: BraidWord, gbase: GBase | None = None) -> list[FreeWord]:
     n = b.strands
     return [
         FreeWord.generator(n, j).inverse() * img
-        for j, img in enumerate(braid_images(b, gbase), start=1)
+        for j, img in enumerate(braid_images(b), start=1)
     ]
 
 
-def induced_presentation(b: BraidWord, gbase: GBase | None = None) -> Presentation:
+def induced_presentation(b: BraidWord) -> Presentation:
     """Presentation with the nontrivial raw relators.
 
     Generators are never dropped, even those the action fixes.
     """
-    rels = tuple(r for r in raw_relators(b, gbase) if r.letters)
+    rels = tuple(r for r in raw_relators(b) if r.letters)
     return Presentation(b.strands, rels)

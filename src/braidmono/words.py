@@ -33,7 +33,6 @@ __all__ = [
     "FreeWord",
     "BraidWord",
     "Permutation",
-    "GBase",
     "reduce_onto",
     "substitute",
     "artin_action",
@@ -218,35 +217,6 @@ class Permutation:
     @property
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
-
-
-@dataclass(frozen=True)
-class GBase:
-    """Ordered free basis of meridian loops for a punctured disk.
-
-    The standard base consists of the one-letter words x_1, ..., x_n,
-    listed in the strand order of the basepoint fiber.
-    """
-
-    rank: int
-    loops: tuple[FreeWord, ...]
-
-    def __post_init__(self) -> None:
-        loops = tuple(self.loops)
-        if len(loops) != self.rank:
-            raise DimensionMismatchError(
-                "expected %d loops, got %d" % (self.rank, len(loops))
-            )
-        for w in loops:
-            if w.rank != self.rank:
-                raise DimensionMismatchError(
-                    "loop rank %d does not match base rank %d" % (w.rank, self.rank)
-                )
-        object.__setattr__(self, "loops", loops)
-
-    @classmethod
-    def standard(cls, rank: int) -> "GBase":
-        return cls(rank, tuple(FreeWord.generator(rank, k) for k in range(1, rank + 1)))
 
 
 # Substitution table of one braid letter, s_i for a = i or s_i^-1 for

@@ -7,16 +7,13 @@ from braidmono import LoopSpec, fixture_by_id, local_braid_monodromy
 
 @pytest.fixture(scope="session")
 def tracked_braid():
-    """Memoized full-loop monodromy, keyed by fixture id and step count."""
+    """Memoized full-loop monodromy of a fixture on the unit circle."""
     memo = {}
 
-    def get(fixture_id: str, divisions: int = 256):
-        key = (fixture_id, divisions)
-        if key not in memo:
+    def get(fixture_id: str):
+        if fixture_id not in memo:
             f = fixture_by_id(fixture_id)
-            memo[key] = local_braid_monodromy(
-                f.curve, LoopSpec(), initial_divisions=divisions
-            )
-        return memo[key]
+            memo[fixture_id] = local_braid_monodromy(f.curve, LoopSpec())
+        return memo[fixture_id]
 
     return get

@@ -32,6 +32,7 @@ from braidmono import (
     is_consequence,
     kill_generator,
     lefschetz_braid,
+    local_braid_monodromy,
     motion_to_braid,
     n_tangency_fixture,
     simplify,
@@ -255,8 +256,8 @@ def _suite_tietze_preserves_hom_counts(instances: int) -> None:
 def _suite_step_doubling(tracked) -> None:
     todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     for f in todo:
-        coarse = tracked(f.fixture_id, 256)
-        fine = tracked(f.fixture_id, 512)
+        coarse = tracked(f.fixture_id)
+        fine = local_braid_monodromy(f.curve, LoopSpec(), initial_divisions=512)
         assert braid_equal(coarse, fine), f.fixture_id
 
 

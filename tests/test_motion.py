@@ -16,6 +16,7 @@ from braidmono import (
     rotate_block_motion,
 )
 from braidmono.errors import DegenerateMotionError, GeometryError, TieError
+from braidmono.motion import nearest_match
 
 
 def test_half_twist_of_two_points_is_positive_generator():
@@ -60,6 +61,16 @@ def test_too_few_steps_rejected():
         rotate_block_motion([-1, 1], 0, 2, steps=4)
 
 
+def test_fewer_than_one_step_rejected_at_every_angle():
+    for angle in (0, 1):
+        with pytest.raises(GeometryError):
+            rotate_block_motion([1], 0, angle, steps=0)
+        with pytest.raises(GeometryError):
+            MotionProgram((1,), (RotateBlock((1,), 0, angle, steps=0),)).to_motion()
+    with pytest.raises(GeometryError):
+        rotate_block_motion([1], 0, 0, steps=-1)
+
+
 def test_encircle_single_point_once():
     m = encircle_motion([2], [0], 1, others=[-3])
     assert motion_to_braid(m).letters == (2, 2)
@@ -78,33 +89,22 @@ def test_encircle_validations():
 
 def test_frame_round_trip_is_trivial():
     pre, post = complex_level_frame(
-        [-1, 0, 1], 2, pair_re=Fraction(1, 2), pair_height=Fraction(1, 2)
+        [-1, 0, 1], pair_re=Fraction(1, 2), pair_height=Fraction(1, 2)
     )
     m = compose_motions(pre, post)
     assert motion_to_braid(m).letters == ()
 
 
 def test_frame_moves_rightmost_pair_off_axis():
-    pre, _ = complex_level_frame([-1, 0, 1], 2, pair_re=0, pair_height=1)
+    pre, _ = complex_level_frame([-1, 0, 1], pair_re=0, pair_height=1)
     ends = sorted(pre.end, key=lambda z: z.imag)
     assert ends[0].imag < 0 < ends[2].imag
     assert abs(ends[1] - (-1)) < 1e-9
 
 
-def test_frame_level_zero_is_stationary():
-    pre, post = complex_level_frame([-1, 1], 0)
-    assert motion_to_braid(pre).letters == ()
-    assert pre.start == pre.end
-    assert post.start == post.end
-
-
 def test_frame_level_validation():
     with pytest.raises(GeometryError):
-        complex_level_frame([-1, 1], 1)
-    with pytest.raises(GeometryError):
-        complex_level_frame([-1, 1], 3)
-    with pytest.raises(GeometryError):
-        complex_level_frame([0, 1j], 2)
+        complex_level_frame([0, 1j])
 
 
 def test_compose_requires_matching_configurations():
@@ -143,7 +143,7 @@ def test_empty_program_is_identity_braid():
 
 
 def test_program_rejects_frame_off_the_configuration():
-    frame = FrameIn((-1, 0, 1), 2)
+    frame = FrameIn((-1, 0, 1))
     with pytest.raises(DegenerateMotionError):
         MotionProgram((-1, 0, 2), (frame,)).to_motion()
     with pytest.raises(DegenerateMotionError):
@@ -169,6 +169,34 @@ def test_program_tracks_configuration_between_moves():
         (RotateBlock((-1, 1), 0, Fraction(1)), RotateBlock((-1, 1), 0, Fraction(1))),
     )
     assert prog.braid().letters == (1, 1)
+
+
+def test_nearest_match_maps_each_point_to_its_nearest_target():
+    assert nearest_match([1, 0, 5], [0, 5, 1.001], 0.01) == [2, 0, 1]
+    assert nearest_match([1], [0, 1, 2], 0.0) == [1]  # a distance equal to tol passes
+    assert nearest_match([], [0, 1], 0.1) == []
+
+
+def test_nearest_match_rejects_a_shared_target():
+    assert nearest_match([0, 0.01], [0, 1], 1.0) is None
+
+
+def test_nearest_match_rejects_a_point_beyond_tol():
+    assert nearest_match([0, 1.5], [0, 1], 0.4) is None
+    assert nearest_match([0], [], 1.0) is None
+
+
+def test_program_takes_the_nearest_listed_point():
+    # Both 0 and 5e-8 lie within tolerance of the listed 4e-8.  It stands
+    # for the nearest, 5e-8, so 0 stays put and the half turn about 1
+    # crosses no other point.
+    prog = MotionProgram((0, 5e-8, 5), (RotateBlock((4e-8,), 1, Fraction(1)),))
+    assert prog.braid().letters == ()
+
+
+def test_program_rejects_a_listed_point_absent_from_the_configuration():
+    with pytest.raises(GeometryError):
+        MotionProgram((-1, 1, 3), (RotateBlock((-1, 2), 0, Fraction(1)),)).to_motion()
 
 
 def test_program_rejects_stale_positions():

@@ -1,40 +1,17 @@
 from __future__ import annotations
 
-import pytest
-
 from braidmono import (
     BraidWord,
-    FreeWord,
-    GBase,
     braid_images,
     induced_presentation,
     raw_relators,
 )
-from braidmono.errors import DimensionMismatchError
-
-
-def test_standard_gbase_is_one_letter_loops():
-    g = GBase.standard(4)
-    assert g.rank == 4
-    assert [w.letters for w in g.loops] == [(1,), (2,), (3,), (4,)]
 
 
 def test_braid_images_of_single_generator():
     imgs = braid_images(BraidWord(2, (1,)))
     assert imgs[0].letters == (2,)
     assert imgs[1].letters == (2, 1, -2)
-
-
-def test_braid_images_respect_custom_gbase():
-    base = GBase(2, (FreeWord(2, (2,)), FreeWord(2, (1,))))
-    imgs = braid_images(BraidWord(2, (1,)), base)
-    assert imgs[0].letters == (2, 1, -2)
-    assert imgs[1].letters == (2,)
-
-
-def test_gbase_rank_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        braid_images(BraidWord(3, (1,)), GBase.standard(2))
 
 
 def test_identity_braid_gives_free_presentation():

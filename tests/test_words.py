@@ -5,7 +5,6 @@ import pytest
 from braidmono import (
     BraidWord,
     FreeWord,
-    GBase,
     Permutation,
     artin_action,
     braid_equal,
@@ -150,9 +149,3 @@ def test_exponent_sum_counts_signs():
     assert exponent_sum(BraidWord(3, (1, 2, -1, -1))) == 0
     assert exponent_sum(BraidWord(2, (1, 1, 1, 1))) == 4
 
-
-def test_standard_gbase():
-    g = GBase.standard(3)
-    assert [w.letters for w in g.loops] == [(1,), (2,), (3,)]
-    with pytest.raises(DimensionMismatchError):
-        GBase(2, (FreeWord.generator(2, 1),))
