@@ -61,7 +61,7 @@ def strand_key(z: complex) -> float:
 
 
 def _scale(points: Iterable[complex]) -> float:
-    return max(1.0, max(abs(z) for z in points))
+    return max([1.0, *map(abs, points)])
 
 
 def nearest_match(

@@ -1,11 +1,12 @@
-"""Finite presentations and Tietze-style simplification.
+"""Finite presentations, Tietze simplification and Tietze elimination.
 
-Relators live in a fixed free group; the generator set never changes
-during simplification, because the presentations produced downstream
-keep one generator per curve branch.  Simplification therefore uses
-only relator-level moves: canonical cyclic reduction, substitution of
-a generator expressed by one relator into the others, length-reducing
+Simplification keeps the generator set, because the presentations
+produced downstream keep one generator per curve branch.  It uses only
+relator-level moves: canonical cyclic reduction, substitution of a
+generator expressed by one relator into the others, length-reducing
 relator products, and dropping relators derivable from the rest.
+Elimination, run before counting homomorphisms, drops the generators
+that relators pin down.  Both find such a relator by one donor search.
 
 Derivability (membership in the normal closure) is checked by a
 best-first search on cyclic words and returns Derivable or Unknown,
@@ -17,7 +18,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
 from .words import FreeWord, reduce_onto, substitute
@@ -113,15 +115,15 @@ class Presentation:
 
     def __str__(self) -> str:
         gens = ", ".join("x%d" % (i + 1) for i in range(self.rank))
-        rels = "; ".join(_word_str(r) for r in self.relators) or "-"
+        rels = "; ".join(_word_str(r.letters) for r in self.relators) or "-"
         return "< %s | %s >" % (gens, rels)
 
 
-def _word_str(w: FreeWord) -> str:
-    if not w.letters:
+def _word_str(letters: Sequence[int]) -> str:
+    if not letters:
         return "1"
     parts = []
-    for a in w.letters:
+    for a in letters:
         parts.append("x%d" % a if a > 0 else "x%d^-1" % -a)
     return " ".join(parts)
 
@@ -205,9 +207,13 @@ class SimplifyResult:
     truncated: bool
 
 
-def _solve_for(
-    letters: tuple[int, ...], gen: int
-) -> dict[int, tuple[int, ...]] | None:
+# A relator as a letter tuple, and a move: its text, the index of the
+# relator it changes, and the new relator or None to delete that one.
+_Rel = tuple[int, ...]
+_Move = tuple[str, int, _Rel | None]
+
+
+def _solve_for(letters: _Rel, gen: int) -> dict[int, _Rel] | None:
     """If gen occurs exactly once in the relator, the substitution that
     writes gen and its inverse as words in the remaining generators."""
     hits = [k for k, a in enumerate(letters) if abs(a) == gen]
@@ -221,6 +227,59 @@ def _solve_for(
     return {gen: expr, -gen: _invert(expr)}
 
 
+def _donors(rank: int, rels: list[_Rel]) -> Iterator[tuple[int, int, dict[int, _Rel]]]:
+    """Each (k, g, rule) such that relator k contains generator g exactly
+    once and `rule` solves it for g, relator by relator."""
+    for k, r in enumerate(rels):
+        for g in range(1, rank + 1):
+            rule = _solve_for(r, g)
+            if rule is not None:
+                yield k, g, rule
+
+
+def _shorter(rank: int, s: _Rel, word: Sequence[int], rels: list[_Rel]) -> _Rel | None:
+    """Canonical `word` if it is nontrivial, shorter than `s` and new."""
+    cand = canonical_relator(FreeWord(rank, word)).letters
+    return cand if cand and len(cand) < len(s) and cand not in rels else None
+
+
+def _drops(rank: int, rels: list[_Rel], max_len: int, budget: int) -> Iterator[_Move]:
+    """Relators derivable from the others, longest first.  The searches
+    get a small budget and a tight length cap: genuine dependencies
+    resolve in a handful of expansions, and hopeless ones fail fast."""
+    drop_len = min(max_len, 2 * max((len(r) for r in rels), default=0) + 4)
+    for k in sorted(range(len(rels)), key=lambda k: (-len(rels[k]), -k)):
+        rest = [FreeWord(rank, r) for i, r in enumerate(rels) if i != k]
+        if rest and is_consequence(
+            rest, FreeWord(rank, rels[k]), max_len=drop_len, budget=min(budget, 2000)
+        ) is Verdict.DERIVABLE:
+            yield "drop derivable relator %s" % _word_str(rels[k]), k, None
+
+
+def _substitutions(rank: int, rels: list[_Rel]) -> Iterator[_Move]:
+    """Relators shortened by a donor's rule, shortest donor first."""
+    donors = sorted(_donors(rank, rels), key=lambda d: (len(rels[d[0]]), d[1], d[0]))
+    for k, g, rule in donors:
+        for j, s in enumerate(rels):
+            if j == k:
+                continue
+            cand = _shorter(rank, s, substitute(s, rule), rels)
+            if cand:
+                text = "substitute x%d from %s into %s"
+                yield text % (g, _word_str(rels[k]), _word_str(s)), j, cand
+
+
+def _products(rank: int, rels: list[_Rel]) -> Iterator[_Move]:
+    """Relators shortened by a product with a rotation of another."""
+    for j, s in enumerate(rels):
+        for r in rels[:j] + rels[j + 1 :]:
+            for m in _rotations(r) + _rotations(_invert(r)):
+                cand = _shorter(rank, s, reduce_onto(list(s), m), rels)
+                if cand:
+                    text = "multiply %s by a conjugate of %s"
+                    yield text % (_word_str(s), _word_str(r)), j, cand
+
+
 def simplify(
     p: Presentation,
     *,
@@ -229,118 +288,48 @@ def simplify(
 ) -> SimplifyResult:
     """Shorten and prune relators without touching the generator set.
 
-    Deterministic: phases run in a fixed order and each phase scans
-    relators in a fixed order, restarting after every applied move.
+    After canonicalisation, each of at most 10,000 rounds applies the
+    first move of three phases, tried in order: drop a derivable
+    relator, substitute a donor's generator (the donor search that
+    eliminate_generators shares), multiply by a conjugate.  Running out
+    of rounds sets `truncated`.  Drop searches use min(budget, 2000), so
+    a larger budget changes nothing there.  Deterministic: each phase
+    scans relators in a fixed order.
     """
     moves: list[str] = []
-    truncated = False
-    rels: list[tuple[int, ...]] = []
+    rels: list[_Rel] = []
     for r in p.relators:
         c = canonical_relator(r).letters
         if not c:
             if r.letters:
-                moves.append("drop trivial relator %s" % _word_str(r))
+                moves.append("drop trivial relator %s" % _word_str(r.letters))
             continue
         if c in rels:
-            moves.append("drop duplicate relator %s" % _word_str(r))
+            moves.append("drop duplicate relator %s" % _word_str(r.letters))
             continue
         if c != r.letters:
-            moves.append(
-                "canonicalise %s -> %s"
-                % (_word_str(r), _word_str(FreeWord(p.rank, c)))
-            )
+            moves.append("canonicalise %s -> %s" % (_word_str(r.letters), _word_str(c)))
         rels.append(c)
 
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            truncated = True
-            break
-        changed = False
-
-        # Drop relators derivable from the others, longest first.  The
-        # inner searches get a small budget and a tight length cap:
-        # genuine dependencies resolve in a handful of expansions, and
-        # hopeless ones should fail fast.
-        drop_budget = min(budget, 2000)
-        drop_len = min(max_len, 2 * max((len(r) for r in rels), default=0) + 4)
-        order = sorted(range(len(rels)), key=lambda k: (-len(rels[k]), -k))
-        for k in order:
-            rest = [FreeWord(p.rank, r) for i, r in enumerate(rels) if i != k]
-            if not rest:
-                continue
-            verdict = is_consequence(
-                rest, FreeWord(p.rank, rels[k]), max_len=drop_len, budget=drop_budget
-            )
-            if verdict is Verdict.DERIVABLE:
-                moves.append(
-                    "drop derivable relator %s" % _word_str(FreeWord(p.rank, rels[k]))
-                )
-                del rels[k]
-                changed = True
-                break
-        if changed:
-            continue
-
-        # Use a relator that pins down a generator to shorten others.
-        donors = sorted(
-            (
-                (len(r), g, k)
-                for k, r in enumerate(rels)
-                for g in range(1, p.rank + 1)
-                if _solve_for(r, g) is not None
-            ),
+    truncated = False
+    for _ in range(10_000):
+        phases = chain(
+            _drops(p.rank, rels, max_len, budget),
+            _substitutions(p.rank, rels),
+            _products(p.rank, rels),
         )
-        for _, g, k in donors:
-            rule = _solve_for(rels[k], g)
-            for j, s in enumerate(rels):
-                if j == k:
-                    continue
-                cand = canonical_relator(
-                    FreeWord(p.rank, substitute(s, rule))
-                ).letters
-                if cand and len(cand) < len(s) and cand not in rels:
-                    moves.append(
-                        "substitute x%d from %s into %s"
-                        % (g, _word_str(FreeWord(p.rank, rels[k])),
-                           _word_str(FreeWord(p.rank, s)))
-                    )
-                    rels[j] = cand
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-
-        # Length-reducing products with rotations of other relators.
-        for j, s in enumerate(rels):
-            for k, r in enumerate(rels):
-                if j == k:
-                    continue
-                for m in _rotations(r) + _rotations(_invert(r)):
-                    cand = canonical_relator(
-                        FreeWord(p.rank, reduce_onto(list(s), m))
-                    ).letters
-                    if cand and len(cand) < len(s) and cand not in rels:
-                        moves.append(
-                            "multiply %s by a conjugate of %s"
-                            % (_word_str(FreeWord(p.rank, s)),
-                               _word_str(FreeWord(p.rank, rels[k])))
-                        )
-                        rels[j] = cand
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-        if not changed:
+        move = next(phases, None)
+        if move is None:
             break
-
-    out = Presentation(p.rank, tuple(FreeWord(p.rank, r) for r in rels))
-    return SimplifyResult(out, tuple(moves), truncated)
+        text, k, new = move
+        moves.append(text)
+        if new is None:
+            del rels[k]
+        else:
+            rels[k] = new
+    else:
+        truncated = True
+    return SimplifyResult(Presentation(p.rank, tuple(rels)), tuple(moves), truncated)
 
 
 def _delete_generator(letters: Sequence[int], gen: int) -> tuple[int, ...]:
@@ -359,41 +348,24 @@ def eliminate_generators(
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Tietze-eliminate the generators that relators pin down.
 
-    While some relator contains a generator exactly once, solve that
-    relator for the generator, substitute the solution into the other
+    While the donor search shared with simplify finds a relator that
+    contains a generator exactly once, solve the first such relator for
+    its lowest such generator, substitute the solution into the other
     relators, and drop the relator and the generator.  Returns the new
     rank and the nontrivial relators that remain.
     """
-    while True:
-        pick = None
-        for k, r in enumerate(relators):
-            for g in range(1, rank + 1):
-                rule = _solve_for(r, g)
-                if rule is not None:
-                    pick = (k, g, rule)
-                    break
-            if pick:
-                break
-        if not pick:
-            return rank, relators
+    while (pick := next(_donors(rank, relators), None)) is not None:
         k, g, rule = pick
-        out = []
-        for j, r in enumerate(relators):
-            if j == k:
-                continue
-            out.append(_delete_generator(substitute(r, rule), g))
+        others = relators[:k] + relators[k + 1 :]
+        out = [_delete_generator(substitute(r, rule), g) for r in others]
         relators = [r for r in out if r]
         rank -= 1
+    return rank, relators
 
 
 def kill_generator(p: Presentation, gen: int) -> Presentation:
     """Set generator `gen` to the identity and renumber the rest."""
     if not 1 <= gen <= p.rank:
         raise DimensionMismatchError("no generator x%d in rank %d" % (gen, p.rank))
-    new_rank = p.rank - 1
-    rels = []
-    for r in p.relators:
-        w = FreeWord(new_rank, _delete_generator(r.letters, gen))
-        if w.letters:
-            rels.append(w)
-    return Presentation(new_rank, tuple(rels))
+    rels = (_delete_generator(r.letters, gen) for r in p.relators)
+    return Presentation(p.rank - 1, tuple(r for r in rels if r))

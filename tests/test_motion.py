@@ -199,6 +199,18 @@ def test_program_rejects_a_listed_point_absent_from_the_configuration():
         MotionProgram((-1, 1, 3), (RotateBlock((-1, 2), 0, Fraction(1)),)).to_motion()
 
 
+def test_program_on_no_points_rejects_a_listed_point():
+    with pytest.raises(GeometryError):
+        MotionProgram((), (RotateBlock((1,), 0, Fraction(1)),)).braid()
+
+
+def test_compose_motions_on_no_points():
+    m = compose_motions(Motion((0.0, 1.0), ()), Motion((0.0, 1.0), ()))
+    assert m.strands == 0 and m.times == (0.0, 0.5, 1.0)
+    with pytest.raises(DegenerateMotionError):
+        motion_to_braid(m)
+
+
 def test_program_rejects_stale_positions():
     prog = MotionProgram(
         (-1, 1),

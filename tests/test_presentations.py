@@ -184,3 +184,8 @@ def test_kill_generator_renumbers():
     assert [r.letters for r in q.relators] == [(1, -2), (1,)]
     with pytest.raises(DimensionMismatchError):
         kill_generator(p, 4)
+
+
+def test_kill_generator_on_the_last_generator():
+    q = kill_generator(Presentation(1, (_w(1, 1, 1),)), 1)
+    assert q == Presentation(0, ())

@@ -25,10 +25,6 @@ PINNED = json.loads(
 )
 
 
-def _presentation(rec) -> Presentation:
-    return Presentation(rec["rank"], tuple(tuple(r) for r in rec["relators"]))
-
-
 def test_pins_exercise_every_phase():
     assert len(PINNED) == 200
     moves = [m.split()[0] for rec in PINNED for m in rec["simplify_moves"]]
@@ -39,7 +35,8 @@ def test_pins_exercise_every_phase():
 
 def test_simplify_as_pinned():
     for i, rec in enumerate(PINNED):
-        result = simplify(_presentation(rec), max_len=24, budget=200)
+        p = Presentation(rec["rank"], tuple(rec["relators"]))
+        result = simplify(p, max_len=24, budget=200)
         got = [list(r.letters) for r in result.presentation.relators]
         assert list(result.moves) == rec["simplify_moves"], i
         assert got == rec["simplify_final"], i
