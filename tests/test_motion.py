@@ -51,6 +51,34 @@ def test_coincident_points_rejected():
         Motion.stationary([1, 1])
 
 
+def test_empty_time_grid_rejected():
+    with pytest.raises(DegenerateMotionError, match="at least one sample"):
+        Motion((), ((),))
+
+
+def test_times_must_strictly_increase():
+    with pytest.raises(DegenerateMotionError, match="strictly increasing"):
+        Motion((0.0, 1.0, 1.0), ((0, 1, 2),))
+    with pytest.raises(DegenerateMotionError, match="strictly increasing"):
+        Motion((0.0, 2.0, 1.0), ((0, 1, 2),))
+
+
+def test_ragged_paths_rejected():
+    with pytest.raises(DegenerateMotionError, match="does not match time grid"):
+        Motion((0.0, 1.0), ((0, 1), (2, 3, 4)))
+    with pytest.raises(DegenerateMotionError, match="does not match time grid"):
+        Motion((0.0, 1.0), ((0, 1, 2), (3, 4, 5)))
+
+
+def test_coincidence_names_the_first_sample_then_the_first_pair():
+    with pytest.raises(DegenerateMotionError) as err:
+        Motion((0.0, 1.0), ((0, 1), (2, 1), (3, 3)))
+    assert str(err.value) == "strands 0 and 1 coincide at sample 1"
+    with pytest.raises(DegenerateMotionError) as err:
+        Motion((0.0, 1.0, 2.0), ((0, 5, 1), (2, 6, 1), (4, 6, 1)))
+    assert str(err.value) == "strands 1 and 2 coincide at sample 1"
+
+
 def test_rotation_about_a_member_point_rejected():
     with pytest.raises(DegenerateMotionError):
         rotate_block_motion([0, 1], 0, 1)
