@@ -14,12 +14,18 @@ moving its fiber point far from the others.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import CriticalFiberError, ImproperProjectionError, ParseError
+from .errors import (
+    CriticalFiberError,
+    ImproperProjectionError,
+    ParseError,
+    TrackingFailureError,
+)
 
 __all__ = ["Polynomial2", "CurveSpec", "parse_curve", "parse_polynomial"]
 
@@ -119,8 +125,16 @@ class Polynomial2:
         """Coefficients [c_n, ..., c_0] of the fiber polynomial in y at x=x0."""
         n = self.degree_y
         out = [0j] * (n + 1)
-        for (dx, dy), v in self.coeffs:
-            out[n - dy] += float(v) * x0**dx
+        try:
+            for (dx, dy), v in self.coeffs:
+                out[n - dy] += float(v) * x0**dx
+            finite = all(map(cmath.isfinite, out))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise TrackingFailureError(
+                "fiber polynomial at x=%s is out of floating-point range" % x0
+            )
         return out
 
     def eval(self, x0: complex, y0: complex) -> complex:

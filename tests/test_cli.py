@@ -85,6 +85,19 @@ def test_tracking_error_exits_three(capsys):
     assert "tracking error" in err
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--radius", "1e100"), id="radius-1e100"),
+    pytest.param(("--radius", "1e200"), id="radius-1e200"),
+    pytest.param(("--shear", "1e400"), id="shear-1e400"),
+])
+def test_fiber_polynomial_overflow_exits_three(capsys, flags):
+    code, out, err = _run(capsys, "compute", "--curve", "(y+x^2)(y-x^2)", *flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("tracking error: fiber polynomial at x=")
+    assert err.endswith(" is out of floating-point range\n")
+
+
 def test_vankampen_from_braid(capsys):
     code, out, _ = _run(capsys, "vankampen", "--braid", "s1 s1 s1 s1")
     assert code == 0
