@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DegenerateMotionError, GeometryError, TieError
 from .words import BraidWord, Permutation
@@ -55,13 +57,15 @@ _LAMBDA_TOL = 1e-9
 _MATCH_TOL = 1e-7
 
 
-def strand_key(z: complex) -> float:
-    """Sheared real projection that orders the strands of a fiber."""
+def strand_key(z: complex | np.ndarray) -> float | np.ndarray:
+    """Sheared real projection that orders the strands; elementwise on arrays."""
     return z.real + EPS * z.imag
 
 
-def _scale(points: Iterable[complex]) -> float:
-    return max([1.0, *map(abs, points)])
+def _scale(points) -> float | np.ndarray:
+    """max(1, largest modulus) of a point list, or of each sample (column)
+    of a (strands, samples) array."""
+    return np.abs(np.asarray(points, dtype=complex)).max(axis=0, initial=1.0)
 
 
 def nearest_match(
@@ -85,41 +89,45 @@ def nearest_match(
     return match
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Motion:
     """Trajectories of n distinct points over a common time grid.
 
-    paths is strand-major: paths[k][j] is the position of strand k at
-    times[j].  Construction checks that the times strictly increase and
-    that no two strands coincide at any sample.  Motions are joined by
-    compose_motions, which continues each strand with nearest_match.
+    paths is a read-only complex128 array of shape (strands, samples):
+    paths[k, j] is the position of strand k at times[j].  Construction
+    copies it, checks that the times strictly increase and that no two
+    strands coincide at any sample.  Motions compare by identity, since
+    an array field cannot take part in a generated __eq__.  Motions are
+    joined by compose_motions, which continues each strand with
+    nearest_match.
     """
 
     times: tuple[float, ...]
-    paths: tuple[tuple[complex, ...], ...]
+    paths: np.ndarray
 
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
-        paths = tuple(tuple(complex(z) for z in p) for p in self.paths)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "paths", paths)
         if len(times) < 1:
             raise DegenerateMotionError("a motion needs at least one sample")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise DegenerateMotionError("sample times must be strictly increasing")
-        for p in paths:
-            if len(p) != len(times):
-                raise DegenerateMotionError("trajectory length does not match time grid")
-        n = len(paths)
-        for j in range(len(times)):
-            col = [p[j] for p in paths]
-            tol = _KEY_TOL * _scale(col)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if abs(col[a] - col[b]) <= tol:
-                        raise DegenerateMotionError(
-                            "strands %d and %d coincide at sample %d" % (a, b, j)
-                        )
+        try:
+            paths = np.array(self.paths, dtype=complex)
+            paths = paths.reshape(len(self.paths), len(times))
+        except ValueError:
+            raise DegenerateMotionError(
+                "trajectory length does not match time grid"
+            ) from None
+        paths.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "paths", paths)
+        ia, ib = np.triu_indices(len(paths), 1)
+        hit = np.abs(paths[ia] - paths[ib]) <= _KEY_TOL * _scale(paths)
+        if hit.any():
+            j, p = np.argwhere(hit.T)[0]
+            raise DegenerateMotionError(
+                "strands %d and %d coincide at sample %d" % (ia[p], ib[p], j)
+            )
 
     @property
     def strands(self) -> int:
@@ -127,39 +135,27 @@ class Motion:
 
     @property
     def start(self) -> tuple[complex, ...]:
-        return tuple(p[0] for p in self.paths)
+        return tuple(self.paths[:, 0].tolist())
 
     @property
     def end(self) -> tuple[complex, ...]:
-        return tuple(p[-1] for p in self.paths)
+        return tuple(self.paths[:, -1].tolist())
 
     @classmethod
     def stationary(cls, points: Sequence[complex]) -> "Motion":
-        pts = tuple(complex(z) for z in points)
-        return cls((0.0, 1.0), tuple((z, z) for z in pts))
+        return cls((0.0, 1.0), [(complex(z),) * 2 for z in points])
 
     def reverse(self) -> "Motion":
         t1 = self.times[-1]
         times = tuple(t1 - t for t in reversed(self.times))
-        paths = tuple(tuple(reversed(p)) for p in self.paths)
-        return Motion(times, paths)
+        return Motion(times, self.paths[:, ::-1])
 
     def matching_permutation(self) -> Permutation:
         """Slot-to-slot matching: where the strand starting in slot i ends."""
-        start_order = sorted(range(self.strands), key=lambda k: strand_key(self.paths[k][0]))
-        end_order = sorted(range(self.strands), key=lambda k: strand_key(self.paths[k][-1]))
-        end_slot = {k: j + 1 for j, k in enumerate(end_order)}
-        return Permutation(tuple(end_slot[k] for k in start_order))
-
-
-def _initial_order(cols: Sequence[complex]) -> list[int]:
-    keys = [strand_key(z) for z in cols]
-    order = sorted(range(len(cols)), key=lambda k: keys[k])
-    tol = _KEY_TOL * _scale(cols)
-    for a, b in zip(order, order[1:]):
-        if abs(keys[a] - keys[b]) <= tol:
-            raise TieError("tied sheared order at the initial configuration")
-    return order
+        keys = strand_key(self.paths)
+        start_order = np.argsort(keys[:, 0], kind="stable")
+        end_slot = np.argsort(np.argsort(keys[:, -1], kind="stable"))
+        return Permutation(tuple((end_slot[start_order] + 1).tolist()))
 
 
 def motion_to_braid(m: Motion) -> BraidWord:
@@ -168,48 +164,49 @@ def motion_to_braid(m: Motion) -> BraidWord:
     Crossings are located per linear interpolation step; simultaneous
     crossings are layered by imaginary part and factored into adjacent
     transpositions, which is order independent for layered clusters.
+    The sheared-key gaps of all strand pairs are computed in one array
+    pass; only steps where a gap starts tied or changes sign are walked.
     """
     n = m.strands
     if n == 0:
         raise DegenerateMotionError("a motion needs at least one strand")
+    keys = strand_key(m.paths)
+    scale = _scale(m.paths)
+    order = np.argsort(keys[:, 0], kind="stable").tolist()
+    if (np.diff(keys[order, 0]) <= _KEY_TOL * scale[0]).any():
+        raise TieError("tied sheared order at the initial configuration")
+    pos = np.argsort(order).tolist()
     letters: list[int] = []
-    order = _initial_order([p[0] for p in m.paths])
-    pos = [0] * n
-    for slot, k in enumerate(order):
-        pos[k] = slot
 
-    for j in range(len(m.times) - 1):
-        col0 = [p[j] for p in m.paths]
-        col1 = [p[j + 1] for p in m.paths]
-        k0 = [strand_key(z) for z in col0]
-        k1 = [strand_key(z) for z in col1]
-        tol = _KEY_TOL * max(_scale(col0), _scale(col1))
-
+    ia, ib = np.triu_indices(n, 1)
+    pairs = list(zip(ia.tolist(), ib.tolist()))
+    gaps = keys[ia] - keys[ib]
+    g0, g1 = gaps[:, :-1], gaps[:, 1:]
+    tol = _KEY_TOL * np.maximum(scale[:-1], scale[1:])
+    # Per pair and step: gap tied at the start (z0), at the end (z1), or
+    # changing sign strictly inside the step (cross).
+    z0 = np.abs(g0) <= tol
+    z1 = np.abs(g1) <= tol
+    cross = ~(z0 | z1 | (g0 * g1 > 0))
+    for j in np.flatnonzero((z0 | cross).any(axis=0)).tolist():
+        stuck = np.flatnonzero(z0[:, j] & z1[:, j])
+        if stuck.size:
+            raise TieError(
+                "strands %d and %d keep equal sheared keys across step %d"
+                % (*pairs[stuck[0]], j)
+            )
+        col0 = m.paths[:, j].tolist()
+        col1 = m.paths[:, j + 1].tolist()
         events: list[tuple[float, int, int]] = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                g0 = k0[a] - k0[b]
-                g1 = k1[a] - k1[b]
-                z0 = abs(g0) <= tol
-                z1 = abs(g1) <= tol
-                if z0 and z1:
-                    raise TieError(
-                        "strands %d and %d keep equal sheared keys across step %d"
-                        % (a, b, j)
-                    )
-                if z0:
-                    # Tied at the step start: the maintained order decides
-                    # whether the separation is a crossing.
-                    before = pos[a] < pos[b]
-                    after = g1 < 0
-                    if before != after:
-                        events.append((0.0, a, b))
-                    continue
-                if z1 or g0 * g1 > 0:
-                    continue
-                lam = g0 / (g0 - g1)
-                events.append((lam, a, b))
-
+        for p in np.flatnonzero(z0[:, j] | cross[:, j]).tolist():
+            a, b = pairs[p]
+            d0, d1 = float(g0[p, j]), float(g1[p, j])
+            if not z0[p, j]:
+                events.append((d0 / (d0 - d1), a, b))
+            elif (pos[a] < pos[b]) != (d1 < 0):
+                # Tied at the step start: the maintained order decides
+                # whether the separation is a crossing.
+                events.append((0.0, a, b))
         if not events:
             continue
         events.sort(key=lambda e: e[0])
@@ -279,8 +276,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
                             pos[sa], pos[sb] = p + 1, p
                             changed = True
 
-    final = sorted(range(n), key=lambda k: strand_key(m.paths[k][-1]))
-    if final != order:
+    if np.argsort(keys[:, -1], kind="stable").tolist() != order:
         raise TieError("strand order bookkeeping lost sync with the final fiber")
     return BraidWord(n, tuple(letters))
 
@@ -293,6 +289,11 @@ def _as_complex(z) -> complex:
 
 def _grid(k: int) -> tuple[float, ...]:
     return tuple(j / k for j in range(k + 1))
+
+
+def _still(points: Sequence[complex], steps: int) -> np.ndarray:
+    """Paths of stationary points over steps + 1 samples."""
+    return np.repeat(np.array(points, dtype=complex).reshape(-1, 1), steps + 1, axis=1)
 
 
 def rotate_block_motion(
@@ -311,26 +312,19 @@ def rotate_block_motion(
     movers = [_as_complex(z) for z in points]
     fixed = [_as_complex(z) for z in others]
     c = _as_complex(center)
-    for z in movers:
-        if abs(z - c) <= _KEY_TOL * _scale(movers + [c]):
-            raise DegenerateMotionError("a rotated point sits at the center")
+    rel = np.array(movers, dtype=complex) - c
+    if (np.abs(rel) <= _KEY_TOL * _scale(movers + [c])).any():
+        raise DegenerateMotionError("a rotated point sits at the center")
     quarter_turns = abs(angle) * 2
     if steps is None:
         steps = max(1, math.ceil(128 * abs(angle)))
     elif steps < max(1, 8 * quarter_turns):
         raise GeometryError("need at least one step and 8 steps per quarter turn")
     total = float(angle) * math.pi
-    paths = []
-    for z in movers:
-        rel = z - c
-        paths.append(
-            tuple(c + rel * complex(math.cos(total * j / steps),
-                                    math.sin(total * j / steps))
-                  for j in range(steps + 1))
-        )
-    for z in fixed:
-        paths.append((z,) * (steps + 1))
-    return Motion(_grid(steps), tuple(paths))
+    turns = [complex(math.cos(total * j / steps), math.sin(total * j / steps))
+             for j in range(steps + 1)]
+    paths = np.vstack([c + np.outer(rel, turns), _still(fixed, steps)])
+    return Motion(_grid(steps), paths)
 
 
 def encircle_motion(
@@ -372,26 +366,6 @@ def encircle_motion(
     return rotate_block_motion(mv, c, 2 * turns, others=ar + ot)
 
 
-def _transport_paths(
-    start_top: complex,
-    start_bottom: complex,
-    end_re: float,
-    end_height: float,
-    steps: int,
-) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    top = []
-    bottom = []
-    for j in range(steps + 1):
-        lam = j / steps
-        re_t = start_top.real + lam * (end_re - start_top.real)
-        h_t = start_top.imag + lam * (end_height - start_top.imag)
-        re_b = start_bottom.real + lam * (end_re - start_bottom.real)
-        h_b = start_bottom.imag + lam * (-end_height - start_bottom.imag)
-        top.append(complex(re_t, h_t))
-        bottom.append(complex(re_b, h_b))
-    return tuple(top), tuple(bottom)
-
-
 def complex_level_frame(
     slots: Sequence[Fraction | float],
     pair_re: Fraction | float | None = None,
@@ -422,23 +396,18 @@ def complex_level_frame(
     if end_h <= 0:
         raise GeometryError("pair height must be positive")
     steps = 64
-
-    lift = rotate_block_motion(
-        [a, b], mid, Fraction(1, 2), steps,
-        others=[pts[k] for k in idx[:-2]],
-    )
+    rest = [pts[k] for k in idx[:-2]]
+    lift = rotate_block_motion([a, b], mid, Fraction(1, 2), steps, others=rest)
     # Strand order in `lift`: movers first (a then b), then the others;
-    # after the quarter turn b sits on top, a at the bottom.
-    top0 = mid + complex(0.0, r)
-    bot0 = mid - complex(0.0, r)
-    top_path, bot_path = _transport_paths(top0, bot0, end_re, end_h, steps)
-    paths = [bot_path, top_path]
-    for k in idx[:-2]:
-        paths.append((pts[k],) * (steps + 1))
-    transport = Motion(_grid(steps), tuple(paths))
+    # after the quarter turn b sits on top, a at the bottom.  The
+    # transport moves both linearly from there to end_re -/+ i*end_h.
+    grid = _grid(steps)
+    start = np.array([mid - complex(0.0, r), mid + complex(0.0, r)])
+    shift = np.array([complex(end_re, -end_h), complex(end_re, end_h)]) - start
+    moved = start[:, None] + np.array(grid) * shift[:, None]
+    transport = Motion(grid, np.vstack([moved, _still(rest, steps)]))
     pre = compose_motions(lift, transport)
-    post = pre.reverse()
-    return pre, post
+    return pre, pre.reverse()
 
 
 def compose_motions(*motions: Motion) -> Motion:
@@ -455,8 +424,8 @@ def compose_motions(*motions: Motion) -> Motion:
         raise DegenerateMotionError("strand counts differ")
     k = len(motions)
     times = [0.0]
-    paths = [[z] for z in motions[0].start]
-    cur = list(range(len(paths)))
+    cols = [motions[0].paths[:, :1]]
+    cur = list(range(motions[0].strands))
     for i, m in enumerate(motions):
         if i:
             ends = motions[i - 1].end
@@ -469,9 +438,8 @@ def compose_motions(*motions: Motion) -> Motion:
         t0 = m.times[0]
         span = m.times[-1] - t0
         times.extend((i + (t - t0) / span) / k for t in m.times[1:])
-        for p, s in zip(paths, cur):
-            p.extend(m.paths[s][1:])
-    return Motion(tuple(times), tuple(tuple(p) for p in paths))
+        cols.append(m.paths[cur, 1:])
+    return Motion(tuple(times), np.hstack(cols))
 
 
 @dataclass(frozen=True)

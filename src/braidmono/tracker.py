@@ -34,7 +34,7 @@ from .errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from .motion import Motion, motion_to_braid, nearest_match, strand_key
+from .motion import Motion, _scale, motion_to_braid, nearest_match, strand_key
 from .words import BraidWord
 
 __all__ = [
@@ -119,10 +119,6 @@ def _solve_fiber(product, x0: complex) -> np.ndarray:
     return _polish(coeffs, roots)
 
 
-def _fiber_scale(roots: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(roots))))
-
-
 def _min_separation(roots: np.ndarray) -> float:
     n = len(roots)
     if n < 2:
@@ -139,7 +135,7 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
     """
     roots = _solve_fiber(curve.product, complex(x0))
     sep = _min_separation(roots)
-    if sep <= 2.0 * _SEPARATION_TOL * _fiber_scale(roots):
+    if sep <= 2.0 * _SEPARATION_TOL * _scale(roots):
         raise CriticalFiberError(
             "fiber over x=%s has nearly coincident roots (separation %.3e)" % (x0, sep)
         )
@@ -169,7 +165,7 @@ def track_loop(
         raise CriticalFiberError("empty fiber")
 
     thetas = [theta0]
-    samples = [current.copy()]
+    samples = [current]
 
     step = arc / float(initial_divisions)
     min_step = arc * _MIN_STEP_FRACTION
@@ -181,7 +177,7 @@ def track_loop(
         target = theta + h
         new = _solve_fiber(product, loop.point(target))
         sep = _min_separation(current)
-        if sep <= 2.0 * _SEPARATION_TOL * _fiber_scale(current):
+        if sep <= 2.0 * _SEPARATION_TOL * _scale(current):
             raise CriticalFiberError(
                 "fiber separation collapsed at loop angle %.6f" % theta
             )
@@ -199,7 +195,7 @@ def track_loop(
         current = new[perm]
         theta = target
         thetas.append(theta)
-        samples.append(current.copy())
+        samples.append(current)
         streak += 1
         if streak >= 8:
             step = min(step * 2.0, max(arc / 64.0, arc / float(initial_divisions)))
@@ -207,15 +203,12 @@ def track_loop(
 
     if loop.arc == "full":
         end = samples[-1]
-        if nearest_match(end.tolist(), start_sorted, 1e-6 * _fiber_scale(end)) is None:
+        if nearest_match(end.tolist(), start_sorted, 1e-6 * _scale(end)) is None:
             raise TrackingFailureError("full loop did not return to the starting fiber")
 
     times = [(t - theta0) / arc for t in thetas]
     times[0], times[-1] = 0.0, 1.0
-    paths = tuple(
-        tuple(complex(samples[j][k]) for j in range(len(samples))) for k in range(n)
-    )
-    return Motion(tuple(times), paths)
+    return Motion(tuple(times), np.array(samples).T)
 
 
 def local_braid_monodromy(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from braidmono import (
@@ -68,6 +69,16 @@ def test_ragged_paths_rejected():
         Motion((0.0, 1.0), ((0, 1), (2, 3, 4)))
     with pytest.raises(DegenerateMotionError, match="does not match time grid"):
         Motion((0.0, 1.0), ((0, 1, 2), (3, 4, 5)))
+
+
+def test_paths_are_a_read_only_copy():
+    src = np.array([[0, 1], [2, 3]], dtype=complex)
+    m = Motion((0.0, 1.0), src)
+    assert m.paths.dtype == np.complex128 and m.paths.shape == (2, 2)
+    src[0, 0] = 5
+    assert m.paths[0, 0] == 0
+    with pytest.raises(ValueError):
+        m.paths[0, 0] = 1
 
 
 def test_coincidence_names_the_first_sample_then_the_first_pair():
