@@ -128,10 +128,9 @@ class Polynomial2:
         try:
             for (dx, dy), v in self.coeffs:
                 out[n - dy] += float(v) * x0**dx
-            finite = all(map(cmath.isfinite, out))
         except OverflowError:
-            finite = False
-        if not finite:
+            out = [cmath.inf]
+        if not all(map(cmath.isfinite, out)):
             raise TrackingFailureError(
                 "fiber polynomial at x=%s is out of floating-point range" % x0
             )
