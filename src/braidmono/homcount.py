@@ -25,12 +25,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from itertools import permutations
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GroupTableError
-from .presentations import Presentation, eliminate_generators
+from .words import eliminate_generators
+
+if TYPE_CHECKING:
+    from .presentations import Presentation
 
 __all__ = [
     "FiniteGroupTable",
@@ -154,8 +158,6 @@ def dihedral_group(n: int) -> FiniteGroupTable:
 
 
 def _all_perms(n: int) -> list[tuple[int, ...]]:
-    from itertools import permutations
-
     return [tuple(p) for p in permutations(range(n))]
 
 

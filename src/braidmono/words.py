@@ -1,4 +1,4 @@
-"""Free-group words, braid words, and the Artin action.
+"""Free-group words, braid words, the Artin action and Tietze elimination.
 
 Conventions
 -----------
@@ -35,10 +35,14 @@ __all__ = [
     "Permutation",
     "reduce_onto",
     "substitute",
+    "invert",
     "artin_action",
     "braid_equal",
     "braid_permutation",
     "exponent_sum",
+    "donors",
+    "delete_generator",
+    "eliminate_generators",
 ]
 
 
@@ -62,6 +66,11 @@ def substitute(
 ) -> tuple[int, ...]:
     """Freely reduced word with each letter a replaced by images.get(a, (a,))."""
     return tuple(reduce_onto([], [b for a in letters for b in images.get(a, (a,))]))
+
+
+def invert(letters: Sequence[int]) -> tuple[int, ...]:
+    """The inverse word: the letters reversed, each inverted."""
+    return tuple(-a for a in reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ class FreeWord:
         return FreeWord(self.rank, self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-a for a in reversed(self.letters)))
+        return FreeWord(self.rank, invert(self.letters))
 
     def conjugate(self, by: "FreeWord") -> "FreeWord":
         """by * self * by^-1."""
@@ -167,7 +176,7 @@ class BraidWord:
         return self.inverse() ** (-n)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-a for a in reversed(self.letters)))
+        return BraidWord(self.strands, invert(self.letters))
 
 
 @dataclass(frozen=True)
@@ -272,3 +281,59 @@ def braid_permutation(b: BraidWord) -> Permutation:
 def exponent_sum(b: BraidWord) -> int:
     """Sum of letter signs; an invariant of braid equality."""
     return sum(1 if a > 0 else -1 for a in b.letters)
+
+
+def _solve_for(letters: tuple[int, ...], gen: int) -> dict[int, tuple[int, ...]] | None:
+    """If gen occurs exactly once in the relator, the substitution that
+    writes gen and its inverse as words in the remaining generators."""
+    hits = [k for k, a in enumerate(letters) if abs(a) == gen]
+    if len(hits) != 1:
+        return None
+    k = hits[0]
+    u, s, v = letters[:k], letters[k], letters[k + 1 :]
+    # u g v = 1  =>  g = (v u)^-1 ; u g^-1 v = 1  =>  g = v u.
+    vu = tuple(reduce_onto(list(v), u))
+    expr = vu if s < 0 else invert(vu)
+    return {gen: expr, -gen: invert(expr)}
+
+
+def donors(rank: int, rels: list[tuple[int, ...]]) -> Iterator[tuple[int, int, dict]]:
+    """Each (k, g, rule) such that relator k contains generator g exactly
+    once and `rule` solves it for g, relator by relator: the donor search
+    of eliminate_generators and of presentations.simplify."""
+    for k, r in enumerate(rels):
+        for g in range(1, rank + 1):
+            rule = _solve_for(r, g)
+            if rule is not None:
+                yield k, g, rule
+
+
+def delete_generator(letters: Sequence[int], gen: int) -> tuple[int, ...]:
+    """Drop the letters x_gen^{+-1} and renumber x_k as x_{k-1} for k > gen."""
+    out = []
+    for a in letters:
+        g = abs(a)
+        if g != gen:
+            g = g - 1 if g > gen else g
+            out.append(g if a > 0 else -g)
+    return tuple(out)
+
+
+def eliminate_generators(
+    rank: int, relators: list[tuple[int, ...]]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Tietze-eliminate the generators that relators pin down.
+
+    While the donor search finds a relator that contains a generator
+    exactly once, solve the first such relator for its lowest such
+    generator, substitute the solution into the other relators, and drop
+    the relator and the generator.  Returns the new rank and the
+    nontrivial relators that remain.
+    """
+    while (pick := next(donors(rank, relators), None)) is not None:
+        k, g, rule = pick
+        others = relators[:k] + relators[k + 1 :]
+        out = [delete_generator(substitute(r, rule), g) for r in others]
+        relators = [r for r in out if r]
+        rank -= 1
+    return rank, relators

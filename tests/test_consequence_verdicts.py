@@ -10,7 +10,8 @@ simplifications make 248 calls, 119 of them distinct: 19 Derivable and
 
 A Derivable answer is a derivation, so it must stay Derivable.  An
 Unknown answer only means the budget ran out; it may be settled later,
-but never as Derivable.
+but never as Derivable.  Every recorded Unknown word has a witness among
+default_targets(), so none of those searches needs to run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from braidmono import FreeWord, Verdict, is_consequence
+from braidmono import FreeWord, Presentation, Verdict, default_targets, is_consequence
+from braidmono.presentations import witness
 
 RECORDED = json.loads(
     (Path(__file__).parent / "data" / "consequence_verdicts.json").read_text(
@@ -49,3 +51,15 @@ def test_recorded_verdicts_replay():
             assert got is Verdict.DERIVABLE, i
         else:
             assert got is not Verdict.DERIVABLE, i
+
+
+def test_recorded_unknowns_have_witnesses():
+    targets = default_targets()
+    names = Counter()
+    for rec in RECORDED:
+        rank = rec["rank"]
+        rest = Presentation(rank, tuple(FreeWord(rank, tuple(r)) for r in rec["rest"]))
+        found = witness(rest, FreeWord(rank, tuple(rec["word"])), targets)
+        assert (found is None) == (rec["verdict"] == "Derivable")
+        names[found] += 1
+    assert names == {None: 19, "C2": 14, "S3": 86}

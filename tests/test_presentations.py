@@ -9,16 +9,41 @@ from braidmono import (
     Presentation,
     Verdict,
     canonical_relator,
+    default_targets,
     is_consequence,
     kill_generator,
     simplify,
 )
 from braidmono.errors import DimensionMismatchError
-from braidmono.presentations import _least_rotation
+from braidmono.presentations import _least_rotation, witness
 
 
 def _w(rank, *letters):
     return FreeWord(rank, tuple(letters))
+
+
+TARGETS = default_targets()
+
+
+def _commutator(u, v):
+    return u * v * u.inverse() * v.inverse()
+
+
+# [[[a,b],[a,b^-1]], [[a^-1,b],[a^-1,b^-1]]] in a = x1, b = x2: 64
+# letters in the third derived subgroup of the free group, so every
+# solvable group of derived length at most 3, the whole battery of
+# default_targets() included, kills it.  No finite quotient there can
+# prove it independent of anything.
+_A, _B = _w(2, 1), _w(2, 2)
+_DEEP_COMMUTATOR = _commutator(
+    _commutator(_commutator(_A, _B), _commutator(_A, _B.inverse())),
+    _commutator(
+        _commutator(_A.inverse(), _B), _commutator(_A.inverse(), _B.inverse())
+    ),
+)
+# Its first factor lies in the second derived subgroup: only S4, of
+# derived length 3, tells it from the identity.
+_SECOND_DERIVED = _commutator(_commutator(_A, _B), _commutator(_A, _B.inverse()))
 
 
 def test_canonical_relator_cyclic_reduction():
@@ -134,14 +159,47 @@ def test_consequence_across_two_relators():
 
 
 def test_non_consequence_is_unknown():
-    assert is_consequence([_w(2, 1, 1)], _w(2, 2)) is Verdict.UNKNOWN
-    assert is_consequence([], _w(2, 1)) is Verdict.UNKNOWN
+    # Nontrivial in the free group, but no battery group tells.
+    assert len(_DEEP_COMMUTATOR) == 64
+    assert witness(Presentation(2, ()), _DEEP_COMMUTATOR, TARGETS) is None
+    assert is_consequence([], _DEEP_COMMUTATOR) is Verdict.UNKNOWN
 
 
 def test_consequence_respects_budget():
     rels = [_w(2, 1, 1, 1)]
-    hopeless = _w(2, 2, 1, 2, 1)
-    assert is_consequence(rels, hopeless, budget=50) is Verdict.UNKNOWN
+    assert is_consequence(rels, _DEEP_COMMUTATOR, budget=50) is Verdict.UNKNOWN
+
+
+def test_witness_proves_independence():
+    cases = [
+        ([_w(2, 1, 1)], _w(2, 2), "C2"),
+        ([], _w(2, 1), "C2"),
+        ([_w(2, 1, 1, 1)], _w(2, 2, 1, 2, 1), "C3"),
+        # x1 and x2 commute in S3's cyclic quotients but not in S3.
+        ([], _commutator(_A, _B), "S3"),
+        # Tried only after the search runs out.
+        ([], _SECOND_DERIVED, "S4"),
+        ([_w(2, 1, 1, 1)], _SECOND_DERIVED, "S4"),
+    ]
+    for rels, word, name in cases:
+        assert witness(Presentation(2, tuple(rels)), word, TARGETS) == name
+        assert is_consequence(rels, word) is Verdict.INDEPENDENT
+
+
+def test_consequences_have_no_witness():
+    rels = [_w(2, 1, 1), _w(2, 2, 2)]
+    assert witness(Presentation(2, tuple(rels)), _w(2, 1, 1, 2, 2), TARGETS) is None
+    assert witness(Presentation(2, ()), _w(2), TARGETS) is None
+
+
+def test_consequence_rank_check():
+    # The relators and the word must live in one free group.
+    with pytest.raises(DimensionMismatchError):
+        is_consequence([_w(2, 1, 1)], _w(3, 1, 1))
+    with pytest.raises(DimensionMismatchError):
+        is_consequence([_w(2, 1, 1)], _w(3, 3))
+    with pytest.raises(DimensionMismatchError):
+        is_consequence([_w(2, 1, 1)], _w(3))
 
 
 def test_simplify_drops_duplicates_and_trivial():

@@ -23,6 +23,7 @@ from braidmono import (
     local_braid_monodromy,
     parse_curve,
 )
+from braidmono.presentations import witness
 
 
 def _rand_word(rng: random.Random, rank: int, length: int) -> FreeWord:
@@ -111,6 +112,30 @@ def test_constructed_consequences_are_derivable():
                 r = r.inverse()
             word = word * r.conjugate(_rand_word(rng, rank, rng.randint(0, 2)))
         assert is_consequence(rels, word) is Verdict.DERIVABLE
+
+
+def test_consequences_never_get_a_witness():
+    # Soundness of Independent: a product of conjugates of the relators
+    # dies under every homomorphism that kills the relators, so no group
+    # may tell it apart.  Longer conjugators than above, so the search
+    # need not find the derivation; the verdict is never Independent.
+    rng = random.Random(4246)
+    for _ in range(200):
+        rank = rng.randint(2, 4)
+        rels = [
+            _rand_word(rng, rank, rng.randint(1, 6))
+            for _ in range(rng.randint(1, 3))
+        ]
+        word = FreeWord(rank)
+        for _ in range(rng.randint(1, 4)):
+            r = rng.choice(rels)
+            if rng.random() < 0.5:
+                r = r.inverse()
+            word = word * r.conjugate(_rand_word(rng, rank, rng.randint(0, 6)))
+        verdict = is_consequence(rels, word, budget=200)
+        assert verdict is not Verdict.INDEPENDENT, witness(
+            Presentation(rank, tuple(rels)), word, default_targets()
+        )
 
 
 def test_relabelling_generators_preserves_hom_counts():

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from braidmono import Presentation, simplify
-from braidmono.presentations import eliminate_generators
+from braidmono.words import eliminate_generators
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "tietze_pins.json").read_text(encoding="utf-8")
