@@ -98,6 +98,28 @@ def test_fiber_polynomial_overflow_exits_three(capsys, flags):
     assert err.endswith(" is out of floating-point range\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(("--curve", "(y^2-2xy+x^2)"),
+                 "step underflow at loop angle 0.000000 (fiber too unstable)",
+                 id="repeated-factor"),
+    pytest.param(("--curve", "(2x+y)(y+x^2)(y-x^2)", "--radius", "2"),
+                 "step underflow at loop angle 0.000000 (fiber too unstable)",
+                 id="critical-value-on-loop"),
+    pytest.param(("--curve", "(xy^2-y^2-x)"),
+                 "leading y-coefficient vanishes near x=(1+0j) "
+                 "(curve has a branch at infinity)",
+                 id="branch-at-infinity"),
+    pytest.param(("--curve", "(y^2-x)", "--center", "1"),
+                 "step underflow at loop angle 3.141593 (fiber too unstable)",
+                 id="loop-through-critical-value"),
+])
+def test_tracker_error_message_and_exit(capsys, flags, message):
+    code, out, err = _run(capsys, "compute", *flags)
+    assert code == 3
+    assert out == ""
+    assert err == "tracking error: %s\n" % message
+
+
 def test_vankampen_from_braid(capsys):
     code, out, _ = _run(capsys, "vankampen", "--braid", "s1 s1 s1 s1")
     assert code == 0
