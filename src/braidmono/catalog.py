@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .curves import CurveSpec, parse_curve
 from .errors import BraidMonoError, CapacityError, ParseError
-from .homcount import FiniteGroupTable, equivalence_evidence
+from .homcount import FiniteGroupTable, count_memo, equivalence_evidence
 from .motion import Encircle, FrameIn, FrameOut, MotionProgram, RotateBlock
 from .presentations import (
     Presentation,
@@ -455,6 +455,7 @@ class VerificationReport:
         return out
 
 
+@count_memo()
 def verify_fixture(
     f: Fixture,
     *,

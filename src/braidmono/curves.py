@@ -18,6 +18,7 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -126,8 +127,8 @@ class Polynomial2:
         n = self.degree_y
         out = [0j] * (n + 1)
         try:
-            for (dx, dy), v in self.coeffs:
-                out[n - dy] += float(v) * x0**dx
+            for (dx, dy), v in self._float_coeffs:
+                out[n - dy] += v * x0**dx
         except OverflowError:
             out = [cmath.inf]
         if not all(map(cmath.isfinite, out)):
@@ -135,6 +136,12 @@ class Polynomial2:
                 "fiber polynomial at x=%s is out of floating-point range" % x0
             )
         return out
+
+    @cached_property
+    def _float_coeffs(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        """The coefficients as floats, converted on first use; a coefficient
+        out of float range raises OverflowError on every use."""
+        return tuple((k, float(v)) for k, v in self.coeffs)
 
     def eval(self, x0: complex, y0: complex) -> complex:
         total = 0j

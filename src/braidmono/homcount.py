@@ -18,15 +18,21 @@ maps those with x1 -> c one-to-one onto those with x1 -> g c g^-1, so the
 weighted sum is exact.  Rows are extended in batches of a fixed size,
 depth first, so the working set stays bounded whatever the rank.
 Each group's tables are built on first use and kept with the group.
+
+Inside a count_memo block a count is made once per presentation and
+group: it depends only on the rank and the set of non-empty relators.
+The memo lives only as long as the outermost block, so nothing is
+cached from one verify_fixture or simplify call to the next.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +51,7 @@ __all__ = [
     "quaternion_group",
     "default_targets",
     "count_homomorphisms",
+    "count_memo",
     "HomCountReport",
     "equivalence_evidence",
     "dump_targets",
@@ -209,8 +216,16 @@ def quaternion_group() -> FiniteGroupTable:
 
 
 def default_targets() -> list[tuple[str, FiniteGroupTable]]:
-    """Standard battery of ten small groups used for comparisons."""
-    return [
+    """Standard battery of ten small groups used for comparisons.
+
+    The groups are built once; each call returns a new list of them.
+    """
+    return list(_built_targets())
+
+
+@cache
+def _built_targets() -> tuple[tuple[str, FiniteGroupTable], ...]:
+    return (
         ("C2", cyclic_group(2)),
         ("C3", cyclic_group(3)),
         ("C4", cyclic_group(4)),
@@ -221,13 +236,44 @@ def default_targets() -> list[tuple[str, FiniteGroupTable]]:
         ("A4", alternating_group(4)),
         ("D6", dihedral_group(6)),
         ("S4", symmetric_group(4)),
-    ]
+    )
+
+
+# (rank, relator set, group) -> count, inside a count_memo block.
+_memo: dict[tuple[int, frozenset[tuple[int, ...]], FiniteGroupTable], int] | None = None
+
+
+@contextmanager
+def count_memo() -> Iterator[None]:
+    """Count each presentation once per group inside the block.
+
+    A nested block shares the outer memo, which is dropped when the
+    outermost block exits, whether or not it raised.
+    """
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
 
 
 def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into `group`."""
     relators = [r.letters for r in p.relators if r.letters]
-    rank, relators = eliminate_generators(p.rank, relators)
+    if _memo is None:
+        return _count(p.rank, relators, group)
+    key = (p.rank, frozenset(relators), group)
+    if key not in _memo:
+        _memo[key] = _count(p.rank, relators, group)
+    return _memo[key]
+
+
+def _count(rank: int, relators: list[tuple[int, ...]], group: FiniteGroupTable) -> int:
+    rank, relators = eliminate_generators(rank, relators)
     used = sorted({abs(a) for r in relators for a in r})
     # A generator in no relator may go anywhere: a factor |G| each.
     free = group.order ** (rank - len(used))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .curves import CurveSpec
 from .errors import (
+    BraidMonoError,
     CriticalFiberError,
     GeometryError,
     ImproperProjectionError,
@@ -67,6 +68,12 @@ class LoopSpec:
         r = Fraction(self.radius)
         if r <= 0:
             raise GeometryError("loop radius must be positive")
+        try:
+            as_float = float(r)
+        except OverflowError:
+            as_float = math.inf
+        if not 0.0 < as_float < math.inf:
+            raise GeometryError("loop radius is out of floating-point range")
         if self.arc not in ("full", "negative-half"):
             raise GeometryError("arc must be 'full' or 'negative-half'")
         object.__setattr__(self, "center", complex(self.center))
@@ -86,37 +93,83 @@ class LoopSpec:
         return self.point(self.angle_range[0])
 
 
+def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoError]:
+    """All fiber roots over each point of xs, unsorted, polished, in one batch.
+
+    Each fiber comes out bit-identical to np.roots and a Newton polish
+    on its own: the companion matrices are the ones np.roots builds,
+    after stripping the same exact trailing zeros, and the polish uses
+    the Horner order of np.polyval.  A point whose fiber cannot be
+    solved gets its error in place of roots.
+    """
+    out: list[np.ndarray | BraidMonoError] = []
+    rows = []
+    for x0 in xs:
+        try:
+            coeffs = np.asarray(product.y_coeffs_at(x0), dtype=complex)
+            scale = np.max(np.abs(coeffs))
+            if scale == 0:
+                raise CriticalFiberError("curve vanishes identically over x=%s" % x0)
+            if abs(coeffs[0]) <= 1e-12 * scale:
+                raise ImproperProjectionError(
+                    "leading y-coefficient vanishes near x=%s "
+                    "(curve has a branch at infinity)" % x0
+                )
+        except BraidMonoError as e:
+            out.append(e)
+            continue
+        out.append(coeffs)
+        rows.append(len(out) - 1)
+    if not rows:
+        return out
+    coeffs = np.array([out[i] for i in rows])
+    k, d = coeffs.shape[0], coeffs.shape[1] - 1
+    roots = np.zeros((k, d), dtype=complex)
+    # np.roots strips exact trailing zeros and appends zero roots for them.
+    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    for t in np.unique(trailing).tolist():
+        group = np.flatnonzero(trailing == t)
+        m = d - t
+        if m > 0:
+            companion = np.zeros((len(group), m, m), dtype=complex)
+            companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+            companion[:, 0, :] = -coeffs[group, 1 : m + 1] / coeffs[group, :1]
+            roots[group, :m] = np.linalg.eigvals(companion)
+    roots = _polish(coeffs, roots)
+    for i, z in zip(rows, roots):
+        out[i] = z
+    return out
+
+
 def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton-polish roots of the polynomial with the given descending coeffs."""
-    deriv = np.polyder(coeffs)
-    scale = np.max(np.abs(coeffs))
-    z = roots.astype(complex)
+    """Newton-polish each row of roots on the row of descending coeffs.
+
+    A row stops changing once all its residuals meet their bound.
+    """
+    deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
+    scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
+    z = roots
+    active = np.ones(len(z), dtype=bool)
     for _ in range(50):
-        vals = np.polyval(coeffs, z)
-        bound = _RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(z)) ** (len(coeffs) - 1)
-        if np.all(np.abs(vals) <= bound):
+        vals = _horner(coeffs, z)
+        bound = _RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(z)) ** (coeffs.shape[1] - 1)
+        active &= ~np.all(np.abs(vals) <= bound, axis=1)
+        if not active.any():
             break
-        dvals = np.polyval(deriv, z)
-        safe = np.abs(dvals) > 0
+        dvals = _horner(deriv, z)
+        safe = (np.abs(dvals) > 0) & active[:, None]
         step = np.zeros_like(z)
         step[safe] = vals[safe] / dvals[safe]
         z = z - step
     return z
 
 
-def _solve_fiber(product, x0: complex) -> np.ndarray:
-    """All fiber roots over x0, unsorted, polished."""
-    coeffs = np.asarray(product.y_coeffs_at(x0), dtype=complex)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0:
-        raise CriticalFiberError("curve vanishes identically over x=%s" % x0)
-    if abs(coeffs[0]) <= 1e-12 * scale:
-        raise ImproperProjectionError(
-            "leading y-coefficient vanishes near x=%s (curve has a branch at infinity)"
-            % x0
-        )
-    roots = np.roots(coeffs)
-    return _polish(coeffs, roots)
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of coeffs evaluated at its row of z, as np.polyval does."""
+    y = np.zeros_like(z)
+    for c in coeffs.T:
+        y = y * z + c[:, None]
+    return y
 
 
 def _min_separation(roots: np.ndarray) -> float:
@@ -133,13 +186,33 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
 
     Raises CriticalFiberError when two roots are too close to separate.
     """
-    roots = _solve_fiber(curve.product, complex(x0))
+    roots = _solve_fibers(curve.product, [complex(x0)])[0]
+    if isinstance(roots, BraidMonoError):
+        raise roots
     sep = _min_separation(roots)
     if sep <= 2.0 * _SEPARATION_TOL * _scale(roots):
         raise CriticalFiberError(
             "fiber over x=%s has nearly coincident roots (separation %.3e)" % (x0, sep)
         )
     return sorted((complex(z) for z in roots), key=strand_key)
+
+
+def _planned_targets(
+    theta: float, step: float, streak: int, theta1: float, max_step: float
+) -> list[float]:
+    """The loop angles track_loop visits from here if it accepts every
+    step, in its own float operations, up to the next change of step
+    size or the end of the arc."""
+    targets = []
+    while theta < theta1 - 1e-15:
+        theta = theta + min(step, theta1 - theta)
+        targets.append(theta)
+        streak += 1
+        if streak >= 8:
+            if step < max_step:
+                break
+            streak = 0
+    return targets
 
 
 def track_loop(
@@ -169,13 +242,25 @@ def track_loop(
 
     step = arc / float(initial_divisions)
     min_step = arc * _MIN_STEP_FRACTION
+    max_step = max(arc / 64.0, arc / float(initial_divisions))
     theta = theta0
     streak = 0
+    # Fibers solved ahead, next one last; a rejected step drops the rest.
+    ahead: list[np.ndarray | BraidMonoError] = []
+    grown = False
 
     while theta < theta1 - 1e-15:
         h = min(step, theta1 - theta)
         target = theta + h
-        new = _solve_fiber(product, loop.point(target))
+        if not ahead:
+            # The first step at a grown size is the likeliest to be
+            # rejected, so it is solved alone.
+            targets = [target] if grown else _planned_targets(
+                theta, step, streak, theta1, max_step)
+            ahead = _solve_fibers(product, [loop.point(t) for t in targets])[::-1]
+        new = ahead.pop()
+        if isinstance(new, BraidMonoError):
+            raise new
         sep = _min_separation(current)
         if sep <= 2.0 * _SEPARATION_TOL * _scale(current):
             raise CriticalFiberError(
@@ -191,14 +276,17 @@ def track_loop(
                     "step underflow at loop angle %.6f (fiber too unstable)" % theta
                 )
             streak = 0
+            ahead = []
             continue
         current = new[perm]
         theta = target
         thetas.append(theta)
         samples.append(current)
         streak += 1
+        grown = False
         if streak >= 8:
-            step = min(step * 2.0, max(arc / 64.0, arc / float(initial_divisions)))
+            grown = step < max_step
+            step = min(step * 2.0, max_step)
             streak = 0
 
     if loop.arc == "full":

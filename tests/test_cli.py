@@ -221,3 +221,12 @@ def test_verify_bad_targets_file_exits_two(tmp_path, capsys, content):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["compute", "vankampen"])
+@pytest.mark.parametrize("radius", ["1e400", "1e-400"])
+def test_radius_outside_float_range_exits_two(capsys, command, radius):
+    code, out, err = _run(capsys, command, "--curve", "(y^2-x)", "--radius", radius)
+    assert code == 2
+    assert out == ""
+    assert err == "error: loop radius is out of floating-point range\n"

@@ -20,9 +20,13 @@ from braidmono import (
     induced_presentation,
     load_targets,
     quaternion_group,
+    simplify,
     symmetric_group,
+    verify_fixture,
 )
+from braidmono import homcount
 from braidmono.errors import GroupTableError
+from braidmono.homcount import count_memo
 
 
 def _p(rank, *relators):
@@ -56,6 +60,15 @@ def test_default_target_battery():
         "C2", "C3", "C4", "C6", "S3", "D4", "Q8", "A4", "D6", "S4",
     ]
     assert [g.order for _, g in targets] == [2, 3, 4, 6, 6, 8, 8, 12, 12, 24]
+
+
+def test_default_targets_share_their_groups():
+    first = default_targets()
+    first[0] = ("X", cyclic_group(5))
+    del first[1:]
+    second = default_targets()
+    assert len(second) == 10 and second[0][0] == "C2"
+    assert all(a is b for (_, a), (_, b) in zip(second, default_targets()))
 
 
 def test_free_group_counts():
@@ -202,3 +215,77 @@ def test_counts_match_brute_force(p):
 def test_pinned_s4_counts_of_model_braids(fixture_id, count):
     braid = fixture_by_id(fixture_id).model_program.braid()
     assert count_homomorphisms(induced_presentation(braid), symmetric_group(4)) == count
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The (rank, relator set, group) of every count actually made."""
+    made = []
+    real = homcount._count
+
+    def spy(rank, relators, group):
+        made.append((rank, frozenset(relators), group))
+        return real(rank, relators, group)
+
+    monkeypatch.setattr(homcount, "_count", spy)
+    return made
+
+
+def test_memo_ignores_relator_order_and_duplicates(counted):
+    g = symmetric_group(3)
+    p = _p(2, (1, 1), (1, 2, -1, -2))
+    q = _p(2, (1, 2, -1, -2), (), (1, 1), (1, 2, -1, -2))
+    with count_memo():
+        assert count_homomorphisms(p, g) == count_homomorphisms(q, g) == 12
+        assert count_homomorphisms(_p(3, (1, 1), (1, 2, -1, -2)), g) == 72
+    assert len(counted) == 2
+    assert count_homomorphisms(p, g) == 12
+    assert len(counted) == 3
+
+
+def test_nested_memo_scopes_share_one_memo(counted):
+    g = cyclic_group(3)
+    assert homcount._memo is None
+    with count_memo():
+        outer = homcount._memo
+        count_homomorphisms(_p(1, (1, 1, 1)), g)
+        with count_memo():
+            assert homcount._memo is outer
+            count_homomorphisms(_p(1, (1, 1, 1)), g)
+        assert homcount._memo is outer
+    assert homcount._memo is None
+    assert len(counted) == 1
+
+
+def _scoped_call(call: str) -> None:
+    """One verify_fixture or simplify call that makes several counts."""
+    f = fixture_by_id("triple-tangency")
+    if call == "verify_fixture":
+        verify_fixture(f)
+    else:
+        simplify(induced_presentation(f.model_program.braid()))
+
+
+@pytest.mark.parametrize("call", ["verify_fixture", "simplify"])
+def test_no_memo_survives_a_call(counted, call):
+    _scoped_call(call)
+    assert homcount._memo is None
+    first = list(counted)
+    assert first and len(set(first)) == len(first)
+    _scoped_call(call)
+    assert counted[len(first):] == first
+
+
+@pytest.mark.parametrize("call", ["verify_fixture", "simplify"])
+def test_no_memo_survives_a_call_that_raises(monkeypatch, call):
+    seen = []
+
+    def failing(rank, relators, group):
+        seen.append(homcount._memo is not None)
+        raise RuntimeError("count failed")
+
+    monkeypatch.setattr(homcount, "_count", failing)
+    with pytest.raises(RuntimeError, match="count failed"):
+        _scoped_call(call)
+    assert seen == [True]
+    assert homcount._memo is None

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
 from braidmono import (
     LoopSpec,
+    Polynomial2,
     braid_equal,
     braid_permutation,
     fiber_roots,
+    fixtures,
     lefschetz_braid,
     local_braid_monodromy,
+    n_tangency_fixture,
     parse_curve,
     track_loop,
 )
@@ -20,6 +25,7 @@ from braidmono.errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
+from braidmono.tracker import _solve_fibers
 
 
 def test_loop_spec_validation():
@@ -135,3 +141,38 @@ def test_coarse_steps_still_converge():
     curve = parse_curve("(y+x^2)(y-x^2)")
     b = local_braid_monodromy(curve, LoopSpec(), initial_divisions=16)
     assert braid_equal(b, local_braid_monodromy(curve, LoopSpec()))
+
+
+@pytest.mark.parametrize("radius", ["1e400", "1e-400"])
+def test_loop_radius_must_be_a_positive_float(radius):
+    with pytest.raises(GeometryError, match="out of floating-point range"):
+        LoopSpec(0j, Fraction(radius))
+
+
+def test_batch_solve_matches_a_batch_of_one():
+    # Points on two of the verify radii plus the basepoints; the curves
+    # with a y factor have a zero root in every fiber.
+    xs = [r * cmath.exp(2j * math.pi * k / 16) for r in (0.5, 1.0) for k in range(16)]
+    curves = [f.curve for f in fixtures() + [n_tangency_fixture(n) for n in range(2, 7)]]
+    assert any(c.product.y_coeffs_at(0.5)[-1] == 0 for c in curves)
+    for curve in curves:
+        batch = _solve_fibers(curve.product, xs)
+        for x, roots in zip(xs, batch):
+            alone = _solve_fibers(curve.product, [x])[0]
+            assert roots.tobytes() == alone.tobytes(), (str(curve), x)
+
+
+@pytest.mark.parametrize("poly, bad, error", [
+    pytest.param(parse_curve("(xy^2-y^2-x)").product, 1.0, ImproperProjectionError,
+                 id="leading-coefficient"),
+    pytest.param(Polynomial2.from_dict({(1, 1): 1, (1, 0): -1}), 0.0, CriticalFiberError,
+                 id="vanishes-identically"),
+    pytest.param(parse_curve("(y^2-x^2-x)").product, 1e200, TrackingFailureError,
+                 id="overflow"),
+])
+def test_batch_returns_an_error_as_a_value(poly, bad, error):
+    xs = [0.5j, -0.5, bad, 0.25]
+    out = _solve_fibers(poly, xs)
+    assert isinstance(out[2], error)
+    for k in (0, 1, 3):
+        assert out[k].tobytes() == _solve_fibers(poly, [xs[k]])[0].tobytes()
