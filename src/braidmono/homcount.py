@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
@@ -239,8 +240,10 @@ def _built_targets() -> tuple[tuple[str, FiniteGroupTable], ...]:
     )
 
 
-# (rank, relator set, group) -> count, inside a count_memo block.
-_memo: dict[tuple[int, frozenset[tuple[int, ...]], FiniteGroupTable], int] | None = None
+# (rank, relator set, group) -> count, inside a count_memo block; each
+# thread and task sees its own.
+_Key = tuple[int, frozenset[tuple[int, ...]], FiniteGroupTable]
+_memo: ContextVar[dict[_Key, int] | None] = ContextVar("count_memo", default=None)
 
 
 @contextmanager
@@ -250,26 +253,26 @@ def count_memo() -> Iterator[None]:
     A nested block shares the outer memo, which is dropped when the
     outermost block exits, whether or not it raised.
     """
-    global _memo
-    if _memo is not None:
+    if _memo.get() is not None:
         yield
         return
-    _memo = {}
+    token = _memo.set({})
     try:
         yield
     finally:
-        _memo = None
+        _memo.reset(token)
 
 
 def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into `group`."""
     relators = [r.letters for r in p.relators if r.letters]
-    if _memo is None:
+    memo = _memo.get()
+    if memo is None:
         return _count(p.rank, relators, group)
     key = (p.rank, frozenset(relators), group)
-    if key not in _memo:
-        _memo[key] = _count(p.rank, relators, group)
-    return _memo[key]
+    if key not in memo:
+        memo[key] = _count(p.rank, relators, group)
+    return memo[key]
 
 
 def _count(rank: int, relators: list[tuple[int, ...]], group: FiniteGroupTable) -> int:

@@ -3,7 +3,13 @@
 The fiber of a curve over a point x0 is the set of y-roots of the
 product polynomial.  Tracking moves x around a circle, re-solves the
 fiber at each sample, and continues each root of the previous sample
-by motion.nearest_match, the one matching rule of the package.  A step
+by motion.nearest_match, the one matching rule of the package.  Fibers
+are solved in batches: the tracker replays its step rule to list the
+samples it will visit if every step is accepted, up to the next change
+of step size, and solves them together (one eigenvalue call per batch
+and one vectorised Newton polish); a rejected step drops the rest of
+the batch.  The first step at a grown size is solved alone, since it is
+the one most often rejected.  A step
 is accepted only when every root has a distinct nearest new root within
 half the minimal pairwise separation of the previous fiber; otherwise
 the step is halved.  The test sees only the sampled endpoints of a
@@ -102,9 +108,9 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
     the Horner order of np.polyval.  A point whose fiber cannot be
     solved gets its error in place of roots.
     """
-    out: list[np.ndarray | BraidMonoError] = []
-    rows = []
-    for x0 in xs:
+    out: list[np.ndarray | BraidMonoError] = [None] * len(xs)
+    rows, polys = [], []
+    for i, x0 in enumerate(xs):
         try:
             coeffs = np.asarray(product.y_coeffs_at(x0), dtype=complex)
             scale = np.max(np.abs(coeffs))
@@ -116,15 +122,15 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
                     "(curve has a branch at infinity)" % x0
                 )
         except BraidMonoError as e:
-            out.append(e)
+            out[i] = e
             continue
-        out.append(coeffs)
-        rows.append(len(out) - 1)
+        rows.append(i)
+        polys.append(coeffs)
     if not rows:
         return out
-    coeffs = np.array([out[i] for i in rows])
-    k, d = coeffs.shape[0], coeffs.shape[1] - 1
-    roots = np.zeros((k, d), dtype=complex)
+    coeffs = np.array(polys)
+    d = coeffs.shape[1] - 1
+    roots = np.zeros((len(rows), d), dtype=complex)
     # np.roots strips exact trailing zeros and appends zero roots for them.
     trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)
     for t in np.unique(trailing).tolist():
@@ -135,20 +141,18 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
             companion[:, np.arange(1, m), np.arange(m - 1)] = 1
             companion[:, 0, :] = -coeffs[group, 1 : m + 1] / coeffs[group, :1]
             roots[group, :m] = np.linalg.eigvals(companion)
-    roots = _polish(coeffs, roots)
-    for i, z in zip(rows, roots):
+    for i, z in zip(rows, _polish(coeffs, roots)):
         out[i] = z
     return out
 
 
-def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton-polish each row of roots on the row of descending coeffs.
+def _polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton-polish each row of roots z on its row of descending coeffs.
 
     A row stops changing once all its residuals meet their bound.
     """
     deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
     scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
-    z = roots
     active = np.ones(len(z), dtype=bool)
     for _ in range(50):
         vals = _horner(coeffs, z)
@@ -245,20 +249,23 @@ def track_loop(
     max_step = max(arc / 64.0, arc / float(initial_divisions))
     theta = theta0
     streak = 0
-    # Fibers solved ahead, next one last; a rejected step drops the rest.
-    ahead: list[np.ndarray | BraidMonoError] = []
+    # (angle, fiber) solved ahead, next one last.  A fiber is used only at
+    # its own angle, so a rejected step, which moves the next angle back,
+    # drops the rest of the batch.
+    ahead: list[tuple[float, np.ndarray | BraidMonoError]] = []
     grown = False
 
     while theta < theta1 - 1e-15:
         h = min(step, theta1 - theta)
         target = theta + h
-        if not ahead:
+        if not ahead or ahead[-1][0] != target:
             # The first step at a grown size is the likeliest to be
             # rejected, so it is solved alone.
             targets = [target] if grown else _planned_targets(
                 theta, step, streak, theta1, max_step)
-            ahead = _solve_fibers(product, [loop.point(t) for t in targets])[::-1]
-        new = ahead.pop()
+            fibers = _solve_fibers(product, [loop.point(t) for t in targets])
+            ahead = list(zip(targets, fibers))[::-1]
+        new = ahead.pop()[1]
         if isinstance(new, BraidMonoError):
             raise new
         sep = _min_separation(current)
@@ -276,16 +283,15 @@ def track_loop(
                     "step underflow at loop angle %.6f (fiber too unstable)" % theta
                 )
             streak = 0
-            ahead = []
+            grown = False
             continue
         current = new[perm]
         theta = target
         thetas.append(theta)
         samples.append(current)
         streak += 1
-        grown = False
+        grown = streak >= 8 and step < max_step
         if streak >= 8:
-            grown = step < max_step
             step = min(step * 2.0, max_step)
             streak = 0
 

@@ -109,6 +109,10 @@ def test_fiber_polynomial_overflow_exits_three(capsys, flags):
                  "leading y-coefficient vanishes near x=(1+0j) "
                  "(curve has a branch at infinity)",
                  id="branch-at-infinity"),
+    pytest.param(("--curve", "(xy^2-y^2-x)", "--center", "2"),
+                 "leading y-coefficient vanishes near x=(1-2.097981369335578e-15j) "
+                 "(curve has a branch at infinity)",
+                 id="branch-at-infinity-mid-loop"),
     pytest.param(("--curve", "(y^2-x)", "--center", "1"),
                  "step underflow at loop angle 3.141593 (fiber too unstable)",
                  id="loop-through-critical-value"),

@@ -245,15 +245,15 @@ def test_memo_ignores_relator_order_and_duplicates(counted):
 
 def test_nested_memo_scopes_share_one_memo(counted):
     g = cyclic_group(3)
-    assert homcount._memo is None
+    assert homcount._memo.get() is None
     with count_memo():
-        outer = homcount._memo
+        outer = homcount._memo.get()
         count_homomorphisms(_p(1, (1, 1, 1)), g)
         with count_memo():
-            assert homcount._memo is outer
+            assert homcount._memo.get() is outer
             count_homomorphisms(_p(1, (1, 1, 1)), g)
-        assert homcount._memo is outer
-    assert homcount._memo is None
+        assert homcount._memo.get() is outer
+    assert homcount._memo.get() is None
     assert len(counted) == 1
 
 
@@ -269,7 +269,7 @@ def _scoped_call(call: str) -> None:
 @pytest.mark.parametrize("call", ["verify_fixture", "simplify"])
 def test_no_memo_survives_a_call(counted, call):
     _scoped_call(call)
-    assert homcount._memo is None
+    assert homcount._memo.get() is None
     first = list(counted)
     assert first and len(set(first)) == len(first)
     _scoped_call(call)
@@ -281,11 +281,11 @@ def test_no_memo_survives_a_call_that_raises(monkeypatch, call):
     seen = []
 
     def failing(rank, relators, group):
-        seen.append(homcount._memo is not None)
+        seen.append(homcount._memo.get() is not None)
         raise RuntimeError("count failed")
 
     monkeypatch.setattr(homcount, "_count", failing)
     with pytest.raises(RuntimeError, match="count failed"):
         _scoped_call(call)
     assert seen == [True]
-    assert homcount._memo is None
+    assert homcount._memo.get() is None
