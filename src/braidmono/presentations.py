@@ -302,7 +302,8 @@ def simplify(
     eliminate_generators shares), multiply by a conjugate.  Running out
     of rounds sets `truncated`.  Drop searches use min(budget, 2000), so
     a larger budget changes nothing there.  Deterministic: each phase
-    scans relators in a fixed order.
+    scans relators in a fixed order.  The witness tests of one call
+    count each presentation once per group (homcount.count_memo).
     """
     moves: list[str] = []
     rels: list[_Rel] = []
