@@ -54,10 +54,7 @@ from .motion import (
     MotionProgram,
     RotateBlock,
     compose_motions,
-    complex_level_frame,
-    encircle_motion,
     motion_to_braid,
-    rotate_block_motion,
 )
 from .presentations import (
     Presentation,
@@ -125,14 +122,12 @@ __all__ = [
     "braid_images",
     "braid_permutation",
     "canonical_relator",
-    "complex_level_frame",
     "compose_motions",
     "count_homomorphisms",
     "cyclic_group",
     "default_targets",
     "dihedral_group",
     "dump_targets",
-    "encircle_motion",
     "equivalence_evidence",
     "exponent_sum",
     "fiber_roots",
@@ -150,7 +145,6 @@ __all__ = [
     "parse_polynomial",
     "quaternion_group",
     "raw_relators",
-    "rotate_block_motion",
     "simplify",
     "symmetric_group",
     "track_loop",

@@ -1,8 +1,8 @@
 """Command-line interface: compute, vankampen, verify.
 
 Exit codes: 0 on success, 1 when `verify` ran and a check failed, 2 for
-unparseable input, unknown fixture ids or an unreadable targets file,
-3 for numerical tracking failures.
+unparseable input, unknown fixture ids, an unreadable targets file or an
+input over a size limit, 3 for numerical tracking failures.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .catalog import fixture_by_id, fixtures, n_tangency_fixture, verify_fixture
 from .curves import CurveSpec, parse_curve
 from .errors import (
     BraidMonoError,
+    CapacityError,
     CriticalFiberError,
     ImproperProjectionError,
     ParseError,
@@ -35,6 +36,16 @@ EXIT_PARSE = 2
 EXIT_TRACKING = 3
 
 _TRACKING_ERRORS = (TrackingFailureError, CriticalFiberError, ImproperProjectionError)
+
+# Input size limits, checked before any work that grows with the input.
+# A curve of y-degree d gives a braid on d strands.
+MAX_STRANDS = 32
+MAX_TARGET_ORDER = 128
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise CapacityError("%s is %d, over the limit of %d" % (what, value, limit))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -89,6 +100,7 @@ def _parse_braid(text: str, strands: int | None) -> BraidWord:
     if strands is None:
         strands = max((abs(a) for a in letters), default=0) + 1
         strands = max(strands, 1)
+    _check_limit("the braid's strand count", strands, MAX_STRANDS)
     return BraidWord(strands, tuple(letters))
 
 
@@ -135,6 +147,7 @@ def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
     opt = {k: d if getattr(args, k) is None else getattr(args, k)
            for k, d in _TRACKING_DEFAULTS.items()}
     curve = parse_curve(args.curve, _parse_rational(opt["shear"]))
+    _check_limit("the curve's y-degree", curve.degree_y, MAX_STRANDS)
     loop_arc = "negative-half" if opt["arc"] == "half" else "full"
     loop = LoopSpec(_parse_complex(opt["center"]), _parse_rational(opt["radius"]), loop_arc)
     return curve, track_loop(curve, loop, initial_divisions=opt["steps"])
@@ -203,6 +216,8 @@ def cmd_verify(args) -> int:
         except (OSError, UnicodeDecodeError) as e:
             print("error: cannot read targets file: %s" % e, file=sys.stderr)
             return EXIT_PARSE
+        orders = [int(v) for v in re.findall(r"^\s*order\s+(\d+)", text, re.M)]
+        _check_limit("a target group's order", max(orders, default=0), MAX_TARGET_ORDER)
         targets = load_targets(text)
     if args.fixture == "all":
         todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]

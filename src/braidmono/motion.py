@@ -9,14 +9,17 @@ letter is positive when the strand of smaller imaginary part (the one
 passing in front) comes from the left, so a counterclockwise half-twist
 of two adjacent points yields a positive Artin generator.
 
-Builders construct the synthetic motions used throughout: rigid block
-rotations, encircling moves, and the framing pair that lifts the
-rightmost points into a complex-conjugate configuration and back.
+A MotionProgram builds the synthetic motions used throughout from a
+sequence of moves: rigid block rotations, encircling moves, and the
+framing pair that lifts the rightmost points into a complex-conjugate
+configuration and back.  Each move sweeps its samples from the current
+configuration; the program writes them into one strand array and
+validates it once, as a single Motion.
 
 Which point continues which is decided in one place, nearest_match:
 each point goes to its nearest target, and the matching stands only if
 every point lies within a tolerance of its target and no two points
-share one.  The fiber tracker and motion composition both use it.
+share one.  The fiber tracker, the moves and compose_motions use it.
 """
 
 from __future__ import annotations
@@ -42,9 +45,6 @@ __all__ = [
     "FrameIn",
     "FrameOut",
     "motion_to_braid",
-    "rotate_block_motion",
-    "encircle_motion",
-    "complex_level_frame",
     "compose_motions",
 ]
 
@@ -144,11 +144,6 @@ class Motion:
     @classmethod
     def stationary(cls, points: Sequence[complex]) -> "Motion":
         return cls((0.0, 1.0), [(complex(z),) * 2 for z in points])
-
-    def reverse(self) -> "Motion":
-        t1 = self.times[-1]
-        times = tuple(t1 - t for t in reversed(self.times))
-        return Motion(times, self.paths[:, ::-1])
 
     def matching_permutation(self) -> Permutation:
         """Slot-to-slot matching: where the strand starting in slot i ends."""
@@ -287,33 +282,20 @@ def _as_complex(z) -> complex:
     return complex(z)
 
 
-def _grid(k: int) -> tuple[float, ...]:
-    return tuple(j / k for j in range(k + 1))
-
-
 def _still(points: Sequence[complex], steps: int) -> np.ndarray:
     """Paths of stationary points over steps + 1 samples."""
     return np.repeat(np.array(points, dtype=complex).reshape(-1, 1), steps + 1, axis=1)
 
 
-def rotate_block_motion(
-    points: Sequence[complex],
-    center: complex,
-    angle: Fraction | int,
-    steps: int | None = None,
-    others: Sequence[complex] = (),
-) -> Motion:
-    """Rigid counterclockwise rotation of `points` about `center` by angle*pi.
-
-    `others` are stationary fixture points carried along in the motion.
+def _rotation(movers: list[complex], center: complex, angle, steps: int | None,
+              fixed: list[complex]) -> tuple[tuple[float, ...], np.ndarray]:
+    """Times and rows of a rigid counterclockwise rotation of `movers`
+    about `center` by angle*pi, followed by the rows of the `fixed` points.
     The default sampling uses 64 steps per quarter turn.
     """
     angle = Fraction(angle)
-    movers = [_as_complex(z) for z in points]
-    fixed = [_as_complex(z) for z in others]
-    c = _as_complex(center)
-    rel = np.array(movers, dtype=complex) - c
-    if (np.abs(rel) <= _KEY_TOL * _scale(movers + [c])).any():
+    rel = np.array(movers, dtype=complex) - center
+    if (np.abs(rel) <= _KEY_TOL * _scale(movers + [center])).any():
         raise DegenerateMotionError("a rotated point sits at the center")
     quarter_turns = abs(angle) * 2
     if steps is None:
@@ -323,91 +305,16 @@ def rotate_block_motion(
     total = float(angle) * math.pi
     turns = [complex(math.cos(total * j / steps), math.sin(total * j / steps))
              for j in range(steps + 1)]
-    paths = np.vstack([c + np.outer(rel, turns), _still(fixed, steps)])
-    return Motion(_grid(steps), paths)
+    grid = tuple(j / steps for j in range(steps + 1))
+    return grid, np.vstack([center + np.outer(rel, turns), _still(fixed, steps)])
 
 
-def encircle_motion(
-    movers: Sequence[complex],
-    around: Sequence[complex],
-    turns: Fraction | int,
-    others: Sequence[complex] = (),
-    center: complex | None = None,
-) -> Motion:
-    """Movers wind `turns` times counterclockwise about the around-set.
-
-    The mover cluster rotates rigidly about `center` (default: centroid
-    of the around-set).  Every around-point must lie strictly inside the
-    innermost mover orbit and every other point strictly outside the
-    outermost one, so the loop captures exactly the around-set.
-    """
-    turns = Fraction(turns)
-    mv = [_as_complex(z) for z in movers]
-    ar = [_as_complex(z) for z in around]
-    ot = [_as_complex(z) for z in others]
-    if not mv:
-        raise GeometryError("need at least one moving point")
-    if not ar:
-        raise GeometryError("need at least one encircled point")
-    if center is None:
-        c = sum(ar, complex(0)) / len(ar)
-    else:
-        c = _as_complex(center)
-    radii = [abs(z - c) for z in mv]
-    r_in = min(radii)
-    r_out = max(radii)
-    pad = _KEY_TOL * _scale(mv + ar + ot + [c])
-    for z in ar:
-        if abs(z - c) >= r_in - pad:
-            raise GeometryError("an encircled point is not strictly inside the orbit")
-    for z in ot:
-        if abs(z - c) <= r_out + pad:
-            raise GeometryError("a bystander point would be captured by the orbit")
-    return rotate_block_motion(mv, c, 2 * turns, others=ar + ot)
-
-
-def complex_level_frame(
-    slots: Sequence[Fraction | float],
-    pair_re: Fraction | float | None = None,
-    pair_height: Fraction | float | None = None,
-) -> tuple[Motion, Motion]:
-    """Framing motions that move the two rightmost points off the axis.
-
-    The pre-motion rotates the two rightmost points 90 degrees
-    counterclockwise about their midpoint (right point up, left point
-    down) and then transports the vertical pair to real part `pair_re`,
-    linearly rescaling its half-height to `pair_height`; each part takes
-    64 steps.  The post-motion is the exact reverse, so pre followed by
-    post induces the empty braid.
-    """
-    pts = [_as_complex(z) for z in slots]
-    n = len(pts)
-    if n < 2:
-        raise GeometryError("need at least two points to frame")
-    idx = sorted(range(n), key=lambda k: strand_key(pts[k]))
-    ia, ib = idx[-2], idx[-1]
-    a, b = pts[ia], pts[ib]
-    if abs(a.imag) > 0 or abs(b.imag) > 0:
-        raise GeometryError("frame expects a real starting configuration")
-    mid = (a + b) / 2
-    r = abs(b - a) / 2
-    end_re = mid.real if pair_re is None else float(pair_re)
-    end_h = r if pair_height is None else float(pair_height)
-    if end_h <= 0:
-        raise GeometryError("pair height must be positive")
-    steps = 64
-    rest = [pts[k] for k in idx[:-2]]
-    lift = rotate_block_motion([a, b], mid, Fraction(1, 2), steps, others=rest)
-    # Strand order in `lift`: movers first (a then b), then the others;
-    # after the quarter turn b sits on top, a at the bottom.  The
-    # transport moves both linearly from there to end_re -/+ i*end_h.
-    grid = _grid(steps)
-    start = np.array([mid - complex(0.0, r), mid + complex(0.0, r)])
-    shift = np.array([complex(end_re, -end_h), complex(end_re, end_h)]) - start
-    moved = start[:, None] + np.array(grid) * shift[:, None]
-    transport = Motion(grid, np.vstack([moved, _still(rest, steps)]))
-    pre = compose_motions(lift, transport)
-    return pre, pre.reverse()
+def _locate(listed: list[complex], config: list[complex]) -> list[int]:
+    """Configuration indices of the listed points, then of the others in order."""
+    hit = nearest_match(listed, config, _MATCH_TOL * _scale(config))
+    if hit is None:
+        raise GeometryError("a listed point is absent from the configuration")
+    return hit + [k for k in range(len(config)) if k not in hit]
 
 
 def compose_motions(*motions: Motion) -> Motion:
@@ -442,6 +349,11 @@ def compose_motions(*motions: Motion) -> Motion:
     return Motion(tuple(times), np.hstack(cols))
 
 
+# A move's sweep from a configuration: its sample times on [0, 1], its
+# (strands, samples) rows, and the configuration index each row starts at.
+Sweep = tuple[tuple[float, ...], np.ndarray, list[int]]
+
+
 @dataclass(frozen=True)
 class RotateBlock:
     points: tuple
@@ -449,25 +361,117 @@ class RotateBlock:
     angle: Fraction
     steps: int | None = None
 
+    def _sweep(self, config: list[complex]) -> Sweep:
+        movers = [_as_complex(z) for z in self.points]
+        at = _locate(movers, config)
+        rest = [config[k] for k in at[len(movers):]]
+        times, rows = _rotation(
+            movers, _as_complex(self.center), self.angle, self.steps, rest)
+        return times, rows, at
+
 
 @dataclass(frozen=True)
 class Encircle:
+    """Movers wind `turns` times counterclockwise about the around-set.
+
+    The mover cluster rotates rigidly about `center` (default: centroid
+    of the around-set).  Every around-point must lie strictly inside the
+    innermost mover orbit and every other point strictly outside the
+    outermost one, so the loop captures exactly the around-set.
+    """
+
     movers: tuple
     around: tuple
     turns: Fraction
     center: object | None = None
 
+    def _sweep(self, config: list[complex]) -> Sweep:
+        mv = [_as_complex(z) for z in self.movers]
+        ar = [_as_complex(z) for z in self.around]
+        at = _locate(mv + ar, config)
+        ot = [config[k] for k in at[len(mv) + len(ar):]]
+        if not mv:
+            raise GeometryError("need at least one moving point")
+        if not ar:
+            raise GeometryError("need at least one encircled point")
+        if self.center is None:
+            c = sum(ar, complex(0)) / len(ar)
+        else:
+            c = _as_complex(self.center)
+        radii = [abs(z - c) for z in mv]
+        pad = _KEY_TOL * _scale(mv + ar + ot + [c])
+        if any(abs(z - c) >= min(radii) - pad for z in ar):
+            raise GeometryError("an encircled point is not strictly inside the orbit")
+        if any(abs(z - c) <= max(radii) + pad for z in ot):
+            raise GeometryError("a bystander point would be captured by the orbit")
+        times, rows = _rotation(mv, c, 2 * Fraction(self.turns), None, ar + ot)
+        return times, rows, at
+
 
 @dataclass(frozen=True)
 class FrameIn:
+    """Moves the two rightmost of `slots` off the axis.
+
+    The two rightmost points rotate 90 degrees counterclockwise about
+    their midpoint (right point up, left point down) and then move
+    linearly to real part `pair_re`, with the half-height rescaled to
+    `pair_height`; each part takes 64 steps.  FrameOut is the exact
+    reverse, so a FrameIn followed by its FrameOut induces the empty
+    braid.
+    """
+
     slots: tuple
     pair_re: object | None = None
     pair_height: object | None = None
+
+    def _rows(self) -> tuple[tuple[float, ...], np.ndarray]:
+        """Times and rows of the move, started at the slots."""
+        pts = [_as_complex(z) for z in self.slots]
+        if len(pts) < 2:
+            raise GeometryError("need at least two points to frame")
+        idx = sorted(range(len(pts)), key=lambda k: strand_key(pts[k]))
+        a, b = pts[idx[-2]], pts[idx[-1]]
+        if abs(a.imag) > 0 or abs(b.imag) > 0:
+            raise GeometryError("frame expects a real starting configuration")
+        mid = (a + b) / 2
+        r = abs(b - a) / 2
+        end_re = mid.real if self.pair_re is None else float(self.pair_re)
+        end_h = r if self.pair_height is None else float(self.pair_height)
+        if end_h <= 0:
+            raise GeometryError("pair height must be positive")
+        rest = [pts[k] for k in idx[:-2]]
+        grid, lift = _rotation([a, b], mid, Fraction(1, 2), 64, rest)
+        # Rows: a, b, then the rest; after the quarter turn b sits on
+        # top and a at the bottom, and both move linearly from there to
+        # end_re -/+ i*end_h.  The transport starts where the lift ends,
+        # so the lift's last sample stands for both.
+        start = np.array([mid - complex(0.0, r), mid + complex(0.0, r)])
+        shift = np.array([complex(end_re, -end_h), complex(end_re, end_h)]) - start
+        moved = start[:, None] + np.array(grid) * shift[:, None]
+        transport = np.vstack([moved, _still(rest, 64)])
+        times = (0.0, *((i + t) / 2 for i in (0, 1) for t in grid[1:]))
+        return times, np.hstack([lift, transport[:, 1:]])
+
+    def _sweep(self, config: list[complex]) -> Sweep:
+        return _onto(*self._rows(), config)
 
 
 @dataclass(frozen=True)
 class FrameOut:
     frame: FrameIn
+
+    def _sweep(self, config: list[complex]) -> Sweep:
+        times, rows = self.frame._rows()
+        return _onto(tuple(1.0 - t for t in reversed(times)), rows[:, ::-1], config)
+
+
+def _onto(times: tuple[float, ...], rows: np.ndarray, config: list[complex]) -> Sweep:
+    """A frame's sweep, its rows matched onto the configuration they start at."""
+    start = rows[:, 0].tolist()
+    at = nearest_match(start, config, _MATCH_TOL * _scale(start + config))
+    if at is None or len(at) != len(config):
+        raise DegenerateMotionError("the frame does not start at the configuration")
+    return times, rows, at
 
 
 Move = RotateBlock | Encircle | FrameIn | FrameOut
@@ -479,56 +483,34 @@ class MotionProgram:
 
     `points` is the full starting configuration; each move names its
     own participants, and every other point stays put during that move.
-    The first move must start at `points` and each later move where the
-    one before it ended; `to_motion` checks both with nearest_match and
-    joins all the moves in one `compose_motions` call.  A move's listed
-    points are found in the current configuration with nearest_match
-    too.  Strands are numbered as in the first move's motion.
+    A move finds its listed points in the current configuration with
+    nearest_match; a frame, which lists every point, must start at it.
+    `to_motion` gives move i of k the times [i/k, (i+1)/k], writes each
+    move's rows into one strand array, and validates that array once as
+    a Motion.  Strands are numbered as in the first move's rows.
     """
 
     points: tuple
     moves: tuple[Move, ...]
 
     def to_motion(self) -> Motion:
-        points = [_as_complex(z) for z in self.points]
+        config = [_as_complex(z) for z in self.points]
         if not self.moves:
-            return Motion.stationary(points)
-        motions = [self._motion_for(self.moves[0], points)]
-        start = motions[0].start
-        tol = _MATCH_TOL * _scale(points + list(start))
-        if len(start) != len(points) or nearest_match(points, start, tol) is None:
-            raise DegenerateMotionError("the first move does not start at the points")
-        for mv in self.moves[1:]:
-            motions.append(self._motion_for(mv, motions[-1].end))
-        return compose_motions(*motions)
+            return Motion.stationary(config)
+        k = len(self.moves)
+        times, cols = [0.0], []
+        for i, mv in enumerate(self.moves):
+            if not isinstance(mv, Move):
+                raise GeometryError("unknown move kind %r" % (mv,))
+            t, rows, at = mv._sweep(config)
+            if i:
+                rows = rows[np.argsort(at)]
+            else:
+                cols.append(rows[:, :1])
+            times.extend((i + s) / k for s in t[1:])
+            cols.append(rows[:, 1:])
+            config = rows[:, -1].tolist()
+        return Motion(tuple(times), np.hstack(cols))
 
     def braid(self) -> BraidWord:
         return motion_to_braid(self.to_motion())
-
-    @staticmethod
-    def _motion_for(mv: Move, config: Sequence[complex]) -> Motion:
-        def rest(listed: Sequence[complex]) -> list[complex]:
-            hit = nearest_match(
-                [_as_complex(z) for z in listed], config, _MATCH_TOL * _scale(config)
-            )
-            if hit is None:
-                raise GeometryError("a listed point is absent from the configuration")
-            return [w for k, w in enumerate(config) if k not in hit]
-
-        if isinstance(mv, RotateBlock):
-            return rotate_block_motion(
-                mv.points, mv.center, mv.angle, mv.steps, others=rest(mv.points)
-            )
-        if isinstance(mv, Encircle):
-            listed = list(mv.movers) + list(mv.around)
-            return encircle_motion(
-                mv.movers, mv.around, mv.turns, others=rest(listed), center=mv.center
-            )
-        if isinstance(mv, FrameIn):
-            pre, _ = complex_level_frame(mv.slots, mv.pair_re, mv.pair_height)
-            return pre
-        if isinstance(mv, FrameOut):
-            f = mv.frame
-            _, post = complex_level_frame(f.slots, f.pair_re, f.pair_height)
-            return post
-        raise GeometryError("unknown move kind %r" % (mv,))

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from braidmono import (
+    Encircle,
+    Fixture,
+    MotionProgram,
+    RotateBlock,
     braid_images,
     braid_permutation,
     exponent_sum,
@@ -120,3 +126,78 @@ def test_verify_fixture_reports_checks():
     assert "tracked-vs-model" in names
     assert "model-vs-expected" in names
     assert all(line.startswith("pass ") for line in report.lines())
+
+
+def test_verify_pins_level_one_and_deletion_checks():
+    report = verify_fixture(fixture_by_id("vertical-tangency-line-pair"))
+    assert report.lines() == [
+        "pass vertical-tangency-line-pair tracked-vs-model: hom counts Consistent",
+        "pass vertical-tangency-line-pair model-vs-expected: hom counts Consistent",
+        "pass vertical-tangency-line-pair redundancy-6: relation 6 Derivable from the others",
+        "pass vertical-tangency-line-pair deletion-x2: hom counts Consistent",
+        "pass vertical-tangency-line-pair deletion-x3: hom counts Consistent",
+        "pass vertical-tangency-line-pair lefschetz-program: half-loop braid matches the program",
+    ]
+
+
+def test_verify_reports_both_tracking_failures():
+    # At radius 2 the loop passes near the critical value of the secant,
+    # and both the full and the half loop fail to track.
+    report = verify_fixture(fixture_by_id("tangent-conics-secant-below"), radius=Fraction(2))
+    assert not report.passed
+    assert report.lines() == [
+        "FAIL tangent-conics-secant-below tracked-vs-model: tracking failed: "
+        "step underflow at loop angle 0.000000 (fiber too unstable)",
+        "pass tangent-conics-secant-below model-vs-expected: hom counts Consistent",
+        "pass tangent-conics-secant-below redundancy-3: relation 3 Derivable from the others",
+        "FAIL tangent-conics-secant-below lefschetz: tracking failed: "
+        "step underflow at loop angle 3.141593 (fiber too unstable)",
+    ]
+
+
+def _level_zero_fixture(fixture_id, like, model_program):
+    """A level-0 fixture with the curve and expectations of `like`."""
+    base = fixture_by_id(like)
+    return Fixture(
+        fixture_id=fixture_id,
+        equation=base.equation,
+        shear=base.shear,
+        complex_level=0,
+        model_program=model_program,
+        lefschetz_program=base.lefschetz_program,
+        lefschetz_doubling=base.lefschetz_doubling,
+        expected_relations=base.expected_relations,
+        redundancy_claims=(),
+        deletion_checks=(),
+    )
+
+
+def test_verify_reports_a_wrong_model_program():
+    # A single half twist is not the monodromy of two tangent conics.
+    wrong = MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, Fraction(1)),))
+    report = verify_fixture(_level_zero_fixture("wrong-model", "two-tangent-conics", wrong))
+    assert report.lines() == [
+        "FAIL wrong-model tracked-vs-model: braids and counts differ",
+        "FAIL wrong-model model-vs-expected: hom counts Inconsistent",
+        "pass wrong-model lefschetz-program: half-loop braid matches the program",
+        "pass wrong-model lefschetz-doubling: half squared equals the full loop",
+    ]
+
+
+def test_verify_accepts_a_conjugate_model_program():
+    # The catalogue model of the secant-below fixture, conjugated by s1.
+    swap = ((-2, -1), Fraction(-3, 2))
+    conjugate = MotionProgram((-2, -1, 1), (
+        RotateBlock(*swap, Fraction(1)),
+        RotateBlock((-1, 1), 0, Fraction(4)),
+        Encircle((-2,), (-1, 1), Fraction(1)),
+        RotateBlock(*swap, Fraction(-1)),
+    ))
+    report = verify_fixture(
+        _level_zero_fixture("conjugate-model", "tangent-conics-secant-below", conjugate)
+    )
+    assert report.passed
+    assert report.lines()[0] == (
+        "pass conjugate-model tracked-vs-model: braid words differ but "
+        "presentations are consistent (conjugate realization)"
+    )

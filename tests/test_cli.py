@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from braidmono import default_targets, dump_targets
-from braidmono.cli import main
+from braidmono.cli import MAX_STRANDS, MAX_TARGET_ORDER, main
 
 
 def _run(capsys, *argv):
@@ -234,3 +234,42 @@ def test_radius_outside_float_range_exits_two(capsys, command, radius):
     assert code == 2
     assert out == ""
     assert err == "error: loop radius is out of floating-point range\n"
+
+
+def _cyclic_table_text(n):
+    tokens = [str(k) for k in range(n)]
+    rows = (" ".join(tokens[i:] + tokens[:i]) for i in range(n))
+    return "group C%d\norder %d\nidentity 0\n%s\n" % (n, n, "\n".join(rows))
+
+
+@pytest.mark.parametrize("argv, limit", [
+    pytest.param(("vankampen", "--braid", "s99999999999999999999"), MAX_STRANDS,
+                 id="braid-index"),
+    pytest.param(("vankampen", "--braid", "s1", "--strands", "33"), MAX_STRANDS,
+                 id="strands-flag"),
+    pytest.param(("compute", "--curve", "(y^99999)"), MAX_STRANDS,
+                 id="compute-curve-degree"),
+    pytest.param(("vankampen", "--curve", "(y^33-x)"), MAX_STRANDS,
+                 id="vankampen-curve-degree"),
+    pytest.param(("verify", "two-tangent-conics", "--targets"), MAX_TARGET_ORDER,
+                 id="target-order"),
+])
+def test_input_over_a_size_limit_exits_two(tmp_path, capsys, argv, limit):
+    if argv[-1] == "--targets":
+        path = tmp_path / "targets.txt"
+        path.write_text(_cyclic_table_text(1500), encoding="utf-8")
+        argv += (str(path),)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("over the limit of %d\n" % limit)
+
+
+def test_inputs_at_the_size_limits_run(tmp_path, capsys):
+    code, out, _ = _run(capsys, "vankampen", "--braid", "s%d" % (MAX_STRANDS - 1))
+    assert code == 0
+    assert "strands: %d\n" % MAX_STRANDS in out
+    path = tmp_path / "targets.txt"
+    path.write_text(_cyclic_table_text(MAX_TARGET_ORDER), encoding="utf-8")
+    code, _, _ = _run(capsys, "verify", "two-tangent-conics", "--targets", str(path))
+    assert code == 0

@@ -6,32 +6,37 @@ import numpy as np
 import pytest
 
 from braidmono import (
-    Motion,
+    Encircle,
     FrameIn,
+    FrameOut,
+    Motion,
     MotionProgram,
     RotateBlock,
-    complex_level_frame,
     compose_motions,
-    encircle_motion,
     motion_to_braid,
-    rotate_block_motion,
 )
 from braidmono.errors import DegenerateMotionError, GeometryError, TieError
 from braidmono.motion import nearest_match
 
 
+def rotation(points, center, angle, steps=None, others=()):
+    """Motion of a one-move program that turns `points` about `center`."""
+    move = RotateBlock(tuple(points), center, Fraction(angle), steps)
+    return MotionProgram((*points, *others), (move,)).to_motion()
+
+
 def test_half_twist_of_two_points_is_positive_generator():
-    m = rotate_block_motion([-1, 1], 0, 1)
+    m = rotation([-1, 1], 0, 1)
     assert motion_to_braid(m).letters == (1,)
 
 
 def test_full_twist_of_two_points():
-    m = rotate_block_motion([-1, 1], 0, 2)
+    m = rotation([-1, 1], 0, 2)
     assert motion_to_braid(m).letters == (1, 1)
 
 
 def test_clockwise_half_twist_is_negative():
-    m = rotate_block_motion([-1, 1], 0, -1)
+    m = rotation([-1, 1], 0, -1)
     assert motion_to_braid(m).letters == (-1,)
 
 
@@ -41,7 +46,7 @@ def test_stationary_motion_is_empty_braid():
 
 
 def test_block_rotation_with_bystander():
-    m = rotate_block_motion([-1, 1], 0, 1, others=[3])
+    m = rotation([-1, 1], 0, 1, others=[3])
     b = motion_to_braid(m)
     assert b.strands == 3
     assert b.letters == (1,)
@@ -92,50 +97,50 @@ def test_coincidence_names_the_first_sample_then_the_first_pair():
 
 def test_rotation_about_a_member_point_rejected():
     with pytest.raises(DegenerateMotionError):
-        rotate_block_motion([0, 1], 0, 1)
+        rotation([0, 1], 0, 1)
 
 
 def test_too_few_steps_rejected():
     with pytest.raises(GeometryError):
-        rotate_block_motion([-1, 1], 0, 2, steps=4)
+        rotation([-1, 1], 0, 2, steps=4)
 
 
 def test_fewer_than_one_step_rejected_at_every_angle():
     for angle in (0, 1):
         with pytest.raises(GeometryError):
-            rotate_block_motion([1], 0, angle, steps=0)
+            rotation([1], 0, angle, steps=0, others=[5])
         with pytest.raises(GeometryError):
             MotionProgram((1,), (RotateBlock((1,), 0, angle, steps=0),)).to_motion()
     with pytest.raises(GeometryError):
-        rotate_block_motion([1], 0, 0, steps=-1)
+        rotation([1], 0, 0, steps=-1)
 
 
 def test_encircle_single_point_once():
-    m = encircle_motion([2], [0], 1, others=[-3])
+    m = MotionProgram((2, 0, -3), (Encircle((2,), (0,), Fraction(1)),)).to_motion()
     assert motion_to_braid(m).letters == (2, 2)
 
 
 def test_encircle_validations():
-    with pytest.raises(GeometryError):
-        encircle_motion([], [0], 1)
-    with pytest.raises(GeometryError):
-        encircle_motion([2], [], 1)
-    with pytest.raises(GeometryError):
-        encircle_motion([2], [0, 3], 1)
-    with pytest.raises(GeometryError):
-        encircle_motion([2], [0], 1, others=[1])
+    cases = [
+        ((0,), Encircle((), (0,), Fraction(1))),
+        ((2,), Encircle((2,), (), Fraction(1))),
+        ((2, 0, 3), Encircle((2,), (0, 3), Fraction(1))),
+        ((2, 0, 1), Encircle((2,), (0,), Fraction(1))),
+    ]
+    for points, move in cases:
+        with pytest.raises(GeometryError):
+            MotionProgram(points, (move,)).to_motion()
 
 
 def test_frame_round_trip_is_trivial():
-    pre, post = complex_level_frame(
-        [-1, 0, 1], pair_re=Fraction(1, 2), pair_height=Fraction(1, 2)
-    )
-    m = compose_motions(pre, post)
+    frame = FrameIn((-1, 0, 1), pair_re=Fraction(1, 2), pair_height=Fraction(1, 2))
+    m = MotionProgram((-1, 0, 1), (frame, FrameOut(frame))).to_motion()
     assert motion_to_braid(m).letters == ()
 
 
 def test_frame_moves_rightmost_pair_off_axis():
-    pre, _ = complex_level_frame([-1, 0, 1], pair_re=0, pair_height=1)
+    frame = FrameIn((-1, 0, 1), pair_re=0, pair_height=1)
+    pre = MotionProgram((-1, 0, 1), (frame,)).to_motion()
     ends = sorted(pre.end, key=lambda z: z.imag)
     assert ends[0].imag < 0 < ends[2].imag
     assert abs(ends[1] - (-1)) < 1e-9
@@ -143,11 +148,11 @@ def test_frame_moves_rightmost_pair_off_axis():
 
 def test_frame_level_validation():
     with pytest.raises(GeometryError):
-        complex_level_frame([0, 1j])
+        MotionProgram((0, 1j), (FrameIn((0, 1j)),)).to_motion()
 
 
 def test_compose_requires_matching_configurations():
-    a = rotate_block_motion([-1, 1], 0, 1)
+    a = rotation([-1, 1], 0, 1)
     with pytest.raises(DegenerateMotionError):
         compose_motions(a, Motion.stationary([5, 6]))
     with pytest.raises(DegenerateMotionError):
@@ -155,12 +160,12 @@ def test_compose_requires_matching_configurations():
 
 
 def test_compose_concatenates_letters():
-    a = rotate_block_motion([-1, 1], 0, 1)
-    b = rotate_block_motion([-1, 1], 0, 1)
+    a = rotation([-1, 1], 0, 1)
+    b = rotation([-1, 1], 0, 1)
     assert motion_to_braid(compose_motions(a, b)).letters == (1, 1)
-    a = rotate_block_motion([-1, 1], 0, 1, others=[3])
-    b = rotate_block_motion([1, 3], 2, -1, others=[-1])
-    c = rotate_block_motion([-1, 1], 0, 2, others=[3])
+    a = rotation([-1, 1], 0, 1, others=[3])
+    b = rotation([1, 3], 2, -1, others=[-1])
+    c = rotation([-1, 1], 0, 2, others=[3])
     m = compose_motions(a, b, c)
     assert motion_to_braid(m).letters == (1, -2, 1, 1)
     assert len(m.times) == len(a.times) + len(b.times) + len(c.times) - 2
@@ -168,8 +173,8 @@ def test_compose_concatenates_letters():
 
 
 def test_compose_keeps_first_motion_start_and_order():
-    a = rotate_block_motion([1, 3], 2, 1, others=[-1])
-    b = rotate_block_motion([-1, 1], 0, 1, others=[3])
+    a = rotation([1, 3], 2, 1, others=[-1])
+    b = rotation([-1, 1], 0, 1, others=[3])
     m = compose_motions(a, b)
     assert m.start == a.start == (1, 3, -1)
     assert all(abs(z - w) < 1e-12 for z, w in zip(m.end, (3, -1, 1)))
@@ -192,7 +197,7 @@ def test_program_rejects_frame_off_the_configuration():
 
 
 def test_matching_permutation_tracks_slot_exchange():
-    m = rotate_block_motion([-1, 1], 0, 1, others=[3])
+    m = rotation([-1, 1], 0, 1, others=[3])
     assert m.matching_permutation().images == (2, 1, 3)
 
 
@@ -258,3 +263,37 @@ def test_program_rejects_stale_positions():
     with pytest.raises(GeometryError):
         prog.braid()
 
+
+
+def test_program_numbers_strands_as_its_first_move_rows():
+    # The first move lists 1 and 3 before the bystander -1, so the
+    # motion starts (1, 3, -1) whatever the order of `points`.
+    prog = MotionProgram(
+        (-1, 1, 3),
+        (RotateBlock((1, 3), 2, Fraction(1)), RotateBlock((-1, 1), 0, Fraction(1))),
+    )
+    m = prog.to_motion()
+    assert m.start == (1, 3, -1)
+    assert all(abs(z - w) < 1e-12 for z, w in zip(m.end, (3, -1, 1)))
+    assert prog.braid().letters == (2, 1)
+
+
+def test_program_constructs_one_motion(monkeypatch):
+    built = []
+    validate = Motion.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Motion, "__post_init__", counting)
+    frame = FrameIn((-1, 0, 1))
+    moves = (
+        RotateBlock((-1, 0), Fraction(-1, 2), Fraction(1)),
+        Encircle((1,), (-1, 0), Fraction(1)),
+        frame,
+        FrameOut(frame),
+    )
+    m = MotionProgram((-1, 0, 1), moves).to_motion()
+    assert built == [m]
+    assert m.times[0] == 0.0 and m.times[-1] == 1.0

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from braidmono import (
@@ -25,7 +26,7 @@ from braidmono.errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from braidmono.tracker import _solve_fibers
+from braidmono.tracker import _RESIDUAL_TOL, _solve_fibers
 
 
 def test_loop_spec_validation():
@@ -176,3 +177,19 @@ def test_batch_returns_an_error_as_a_value(poly, bad, error):
     assert isinstance(out[2], error)
     for k in (0, 1, 3):
         assert out[k].tobytes() == _solve_fibers(poly, [xs[k]])[0].tobytes()
+
+
+def test_polish_brings_roots_of_wide_magnitude_within_the_residual_bound():
+    # Each fiber has ten roots of modulus 1 and two of modulus 3.2e5.  The
+    # eigenvalues miss the residual bound, so the Newton polish must step.
+    curve = parse_curve("(y^10-x)(y^2-100000000000)")
+    xs = [cmath.exp(2j * math.pi * k / 6) for k in range(6)]
+
+    def meets_bound(coeffs, z):
+        bound = _RESIDUAL_TOL * np.abs(coeffs).max() * np.maximum(1.0, np.abs(z)) ** 12
+        return bool(np.all(np.abs(np.polyval(coeffs, z)) <= bound))
+
+    for x0, roots in zip(xs, _solve_fibers(curve.product, xs)):
+        coeffs = np.asarray(curve.product.y_coeffs_at(x0), dtype=complex)
+        assert not meets_bound(coeffs, np.roots(coeffs))
+        assert meets_bound(coeffs, roots)
