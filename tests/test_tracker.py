@@ -19,6 +19,7 @@ from braidmono import (
     n_tangency_fixture,
     parse_curve,
     track_loop,
+    tracker,
 )
 from braidmono.errors import (
     CriticalFiberError,
@@ -193,3 +194,24 @@ def test_polish_brings_roots_of_wide_magnitude_within_the_residual_bound():
         coeffs = np.asarray(curve.product.y_coeffs_at(x0), dtype=complex)
         assert not meets_bound(coeffs, np.roots(coeffs))
         assert meets_bound(coeffs, roots)
+
+
+def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch):
+    # Work counts of the 15 `verify all` fixtures at radius 1, both arcs:
+    # batches and fibers passed to _solve_fibers, and samples kept.  Solving
+    # fibers one at a time, or planning runs longer than the step rule
+    # walks, changes the first two.
+    solve = tracker._solve_fibers
+    work = {"batches": 0, "fibers": 0}
+
+    def counting(product, xs):
+        work["batches"] += 1
+        work["fibers"] += len(xs)
+        return solve(product, xs)
+
+    monkeypatch.setattr(tracker, "_solve_fibers", counting)
+    samples = 0
+    for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
+        for arc in ("full", "negative-half"):
+            samples += len(track_loop(f.curve, LoopSpec(arc=arc)).times)
+    assert (work["batches"], work["fibers"], samples) == (997, 5770, 5318)
