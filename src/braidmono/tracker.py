@@ -3,16 +3,15 @@
 The fiber of a curve over a point x0 is the set of y-roots of the
 product polynomial.  Tracking moves x around a circle, re-solves the
 fiber at each sample, and continues each root of the previous sample
-by motion.nearest_match, the one matching rule of the package.  Fibers
-are solved in batches: the tracker replays its step rule to list the
-samples it will visit if every step is accepted, up to the next change
-of step size, and solves them together (one eigenvalue call per batch
-and one vectorised Newton polish); a rejected step drops the rest of
-the batch.  The first step at a grown size is solved alone, since it is
-the one most often rejected.  A step
-is accepted only when every root has a distinct nearest new root within
-half the minimal pairwise separation of the previous fiber; otherwise
-the step is halved.  The test sees only the sampled endpoints of a
+by motion.nearest_match, the one matching rule of the package.  The
+walk goes in runs: a run is the angles at the current step size up to
+the next change of size.  Its fibers are solved in one batch (one
+eigenvalue call and one vectorised Newton polish) and walked in order;
+a rejected step ends the run and drops the rest of its fibers.  The
+first step at a grown size is a run of its own, since it is the one
+most often rejected.  A step is accepted only when every root has a
+distinct nearest new root within half the minimal pairwise separation
+of the previous fiber; otherwise the step is halved.  The test sees only the sampled endpoints of a
 step, so it cannot detect two roots that wind round each other within
 one step.  A full loop must end on its starting fiber: the same rule
 matches the two within 1e-6 of the fiber scale.
@@ -201,24 +200,6 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
     return sorted((complex(z) for z in roots), key=strand_key)
 
 
-def _planned_targets(
-    theta: float, step: float, streak: int, theta1: float, max_step: float
-) -> list[float]:
-    """The loop angles track_loop visits from here if it accepts every
-    step, in its own float operations, up to the next change of step
-    size or the end of the arc."""
-    targets = []
-    while theta < theta1 - 1e-15:
-        theta = theta + min(step, theta1 - theta)
-        targets.append(theta)
-        streak += 1
-        if streak >= 8:
-            if step < max_step:
-                break
-            streak = 0
-    return targets
-
-
 def track_loop(
     curve: CurveSpec, loop: LoopSpec, *, initial_divisions: int = 256
 ) -> Motion:
@@ -237,10 +218,6 @@ def track_loop(
 
     start_sorted = fiber_roots(curve, loop.basepoint)
     current = np.asarray(start_sorted, dtype=complex)
-    n = len(current)
-    if n < 1:
-        raise CriticalFiberError("empty fiber")
-
     thetas = [theta0]
     samples = [current]
 
@@ -249,51 +226,46 @@ def track_loop(
     max_step = max(arc / 64.0, arc / float(initial_divisions))
     theta = theta0
     streak = 0
-    # (angle, fiber) solved ahead, next one last.  A fiber is used only at
-    # its own angle, so a rejected step, which moves the next angle back,
-    # drops the rest of the batch.
-    ahead: list[tuple[float, np.ndarray | BraidMonoError]] = []
     grown = False
 
     while theta < theta1 - 1e-15:
-        h = min(step, theta1 - theta)
-        target = theta + h
-        if not ahead or ahead[-1][0] != target:
-            # The first step at a grown size is the likeliest to be
-            # rejected, so it is solved alone.
-            targets = [target] if grown else _planned_targets(
-                theta, step, streak, theta1, max_step)
-            fibers = _solve_fibers(product, [loop.point(t) for t in targets])
-            ahead = list(zip(targets, fibers))[::-1]
-        new = ahead.pop()[1]
-        if isinstance(new, BraidMonoError):
-            raise new
-        sep = _min_separation(current)
-        if sep <= 2.0 * _SEPARATION_TOL * _scale(current):
-            raise CriticalFiberError(
-                "fiber separation collapsed at loop angle %.6f" % theta
-            )
-        perm = None
-        if len(new) == n:
-            perm = nearest_match(current.tolist(), new.tolist(), 0.5 * sep)
-        if perm is None:
-            step = h / 2.0
-            if step < min_step:
-                raise TrackingFailureError(
-                    "step underflow at loop angle %.6f (fiber too unstable)" % theta
+        # One run: the angles at this step size up to its next change.  The
+        # first step at a grown size is the likeliest to be rejected, so it
+        # is a run of its own.
+        size = 1 if grown else 8 - streak if step < max_step else math.inf
+        targets, t = [], theta
+        while len(targets) < size and t < theta1 - 1e-15:
+            t += min(step, theta1 - t)
+            targets.append(t)
+        fibers = _solve_fibers(product, [loop.point(t) for t in targets])
+        for target, new in zip(targets, fibers):
+            if isinstance(new, BraidMonoError):
+                raise new
+            sep = _min_separation(current)
+            if sep <= 2.0 * _SEPARATION_TOL * _scale(current):
+                raise CriticalFiberError(
+                    "fiber separation collapsed at loop angle %.6f" % theta
                 )
-            streak = 0
-            grown = False
-            continue
-        current = new[perm]
-        theta = target
-        thetas.append(theta)
-        samples.append(current)
-        streak += 1
-        grown = streak >= 8 and step < max_step
-        if streak >= 8:
-            step = min(step * 2.0, max_step)
-            streak = 0
+            perm = nearest_match(current.tolist(), new.tolist(), 0.5 * sep)
+            if perm is None:
+                # A rejected step halves the step and ends the run.
+                step = min(step, theta1 - theta) / 2.0
+                if step < min_step:
+                    raise TrackingFailureError(
+                        "step underflow at loop angle %.6f (fiber too unstable)" % theta
+                    )
+                streak = 0
+                grown = False
+                break
+            current = new[perm]
+            theta = target
+            thetas.append(theta)
+            samples.append(current)
+            streak += 1
+            grown = streak >= 8 and step < max_step
+            if grown:
+                step = min(step * 2.0, max_step)
+                streak = 0
 
     if loop.arc == "full":
         end = samples[-1]
