@@ -11,10 +11,11 @@ a rejected step ends the run and drops the rest of its fibers.  The
 first step at a grown size is a run of its own, since it is the one
 most often rejected.  A step is accepted only when every root has a
 distinct nearest new root within half the minimal pairwise separation
-of the previous fiber; otherwise the step is halved.  The test sees only the sampled endpoints of a
-step, so it cannot detect two roots that wind round each other within
-one step.  A full loop must end on its starting fiber: the same rule
-matches the two within 1e-6 of the fiber scale.
+of the previous fiber; otherwise the step is halved.  The test sees
+only the sampled endpoints of a step, so it cannot detect two roots
+that wind round each other within one step.  A full loop must end on
+its starting fiber: the same rule matches the two within 1e-6 of the
+fiber scale.
 
 The resulting strand paths form a Motion whose braid word is the local
 monodromy of the loop.  Tracking only the lower half of the circle
@@ -109,13 +110,15 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
     """
     out: list[np.ndarray | BraidMonoError] = [None] * len(xs)
     rows, polys = [], []
+    # The leading y-coefficient sum_k a_k x^k vanishes where it is small
+    # beside sum_k |a_k| |x|^k.
+    lead = [(k, abs(a)) for k, a in product.y_coefficient(product.degree_y).items()]
     for i, x0 in enumerate(xs):
         try:
             coeffs = np.asarray(product.y_coeffs_at(x0), dtype=complex)
-            scale = np.max(np.abs(coeffs))
-            if scale == 0:
+            if not np.any(coeffs):
                 raise CriticalFiberError("curve vanishes identically over x=%s" % x0)
-            if abs(coeffs[0]) <= 1e-12 * scale:
+            if abs(coeffs[0]) <= 1e-12 * sum(a * abs(x0) ** k for k, a in lead):
                 raise ImproperProjectionError(
                     "leading y-coefficient vanishes near x=%s "
                     "(curve has a branch at infinity)" % x0

@@ -124,6 +124,19 @@ def test_tracker_error_message_and_exit(capsys, flags, message):
     assert err == "tracking error: %s\n" % message
 
 
+@pytest.mark.parametrize("curve, letters", [
+    pytest.param("(y^10-x)(y^2-1000000000000)", "s3 s5 s7 s9 s2 s4 s6 s8 s10",
+                 id="root-moduli-1-and-1e6"),
+    pytest.param("(y^4-x)(y-1000000)(y+1000000)", "s3 s2 s4", id="roots-at-1e6"),
+])
+def test_constant_leading_coefficient_is_proper_beside_large_coefficients(
+        capsys, curve, letters):
+    # The leading y-coefficient is 1 at every x; other coefficients reach 1e12.
+    code, out, err = _run(capsys, "compute", "--curve", curve)
+    assert (code, err) == (0, "")
+    assert "letters: %s\n" % letters in out
+
+
 def test_vankampen_from_braid(capsys):
     code, out, _ = _run(capsys, "vankampen", "--braid", "s1 s1 s1 s1")
     assert code == 0
