@@ -40,6 +40,7 @@ _TRACKING_ERRORS = (TrackingFailureError, CriticalFiberError, ImproperProjection
 # Input size limits, checked before any work that grows with the input.
 # A curve of y-degree d gives a braid on d strands.
 MAX_STRANDS = 32
+MAX_LETTERS = 1000
 MAX_TARGET_ORDER = 128
 
 
@@ -96,10 +97,10 @@ def _parse_braid(text: str, strands: int | None) -> BraidWord:
                 base, power = -base, -1
         if base < 1:
             raise ParseError("braid letter index must be positive in %r" % tok)
+        _check_limit("the braid's letter count", len(letters) + abs(power), MAX_LETTERS)
         letters.extend([base if power > 0 else -base] * abs(power))
     if strands is None:
         strands = max((abs(a) for a in letters), default=0) + 1
-        strands = max(strands, 1)
     _check_limit("the braid's strand count", strands, MAX_STRANDS)
     return BraidWord(strands, tuple(letters))
 

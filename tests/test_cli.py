@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from braidmono import default_targets, dump_targets
-from braidmono.cli import MAX_STRANDS, MAX_TARGET_ORDER, main
+from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
 
 
 def _run(capsys, *argv):
@@ -260,6 +260,9 @@ def _cyclic_table_text(n):
                  id="braid-index"),
     pytest.param(("vankampen", "--braid", "s1", "--strands", "33"), MAX_STRANDS,
                  id="strands-flag"),
+    pytest.param(("vankampen", "--braid", "s1^1001"), MAX_LETTERS, id="braid-letters"),
+    pytest.param(("vankampen", "--braid", "s1^1000000000000"), MAX_LETTERS,
+                 id="braid-power"),
     pytest.param(("compute", "--curve", "(y^99999)"), MAX_STRANDS,
                  id="compute-curve-degree"),
     pytest.param(("vankampen", "--curve", "(y^33-x)"), MAX_STRANDS,
@@ -286,3 +289,9 @@ def test_inputs_at_the_size_limits_run(tmp_path, capsys):
     path.write_text(_cyclic_table_text(MAX_TARGET_ORDER), encoding="utf-8")
     code, _, _ = _run(capsys, "verify", "two-tangent-conics", "--targets", str(path))
     assert code == 0
+
+
+def test_braid_parser_accepts_the_letter_limit_across_tokens():
+    word = _parse_braid("s1^600 s2^-%d" % (MAX_LETTERS - 600), None)
+    assert len(word.letters) == MAX_LETTERS
+    assert word.letters[-1] == -2
