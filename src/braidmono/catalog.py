@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .curves import CurveSpec, parse_curve
@@ -84,8 +85,9 @@ class Fixture:
                 % (self.fixture_id, n, self.expected_relations.rank)
             )
 
-    @property
+    @cached_property
     def curve(self) -> CurveSpec:
+        """The parsed equation; a parse error is raised again on each use."""
         return parse_curve(self.equation, self.shear)
 
     @property

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from braidmono import (
     n_tangency_fixture,
     verify_fixture,
 )
-from braidmono.errors import CapacityError, ParseError
+from braidmono.errors import CapacityError, CriticalFiberError, ParseError
 
 ALL_IDS = [
     "two-tangent-conics",
@@ -64,6 +65,16 @@ def test_n_tangency_three_matches_triple_tangency_relations():
     parametric = n_tangency_fixture(3)
     catalogued = fixture_by_id("triple-tangency")
     assert parametric.expected_relations.same_relators(catalogued.expected_relations)
+
+
+def test_fixture_parses_its_curve_once():
+    f = fixture_by_id("two-tangent-conics")
+    assert f.curve is f.curve
+    # A parse error is not kept: each use raises it again.
+    bad = dataclasses.replace(f, equation="(y-x)(y-x)")
+    for _ in range(2):
+        with pytest.raises(CriticalFiberError, match="repeated factor"):
+            bad.curve
 
 
 def test_fixture_strand_counts():
