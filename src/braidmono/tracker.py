@@ -110,13 +110,13 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
     """
     out: list[np.ndarray | BraidMonoError] = [None] * len(xs)
     rows, polys = [], []
-    # The leading y-coefficient sum_k a_k x^k vanishes where it is small
-    # beside sum_k |a_k| |x|^k.
+    # The leading y-coefficient a(x) = sum_k a_k x^k counts as vanishing
+    # where |a(x)| is small beside sum_k |a_k| |x|^k.
     lead = [(k, abs(a)) for k, a in product.y_coefficient(product.degree_y).items()]
     for i, x0 in enumerate(xs):
         try:
             coeffs = np.asarray(product.y_coeffs_at(x0), dtype=complex)
-            if not np.any(coeffs):
+            if not np.count_nonzero(coeffs):
                 raise CriticalFiberError("curve vanishes identically over x=%s" % x0)
             if abs(coeffs[0]) <= 1e-12 * sum(a * abs(x0) ** k for k, a in lead):
                 raise ImproperProjectionError(
@@ -251,7 +251,6 @@ def track_loop(
                 )
             perm = nearest_match(current.tolist(), new.tolist(), 0.5 * sep)
             if perm is None:
-                # A rejected step halves the step and ends the run.
                 step = min(step, theta1 - theta) / 2.0
                 if step < min_step:
                     raise TrackingFailureError(
@@ -266,7 +265,7 @@ def track_loop(
             samples.append(current)
             streak += 1
             grown = streak >= 8 and step < max_step
-            if grown:
+            if streak >= 8:
                 step = min(step * 2.0, max_step)
                 streak = 0
 
