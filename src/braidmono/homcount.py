@@ -11,13 +11,15 @@ first (their image is forced), and each generator left in no relator
 contributes a factor |G|.  The rest are bound one at a time by
 backtracking: the assignments that survive so far are extended by every
 image of the next generator, and each relator is tested, dropping the
-rows that fail it, as soon as its highest generator is bound.  The image
-of the first generator ranges only over conjugacy-class representatives,
-each row weighted by its class size; conjugating a homomorphism by g
-maps those with x1 -> c one-to-one onto those with x1 -> g c g^-1, so the
-weighted sum is exact.  Rows are extended in batches of a fixed size,
-depth first, so the working set stays bounded whatever the rank.
-Each group's tables are built on first use and kept with the group.
+rows that fail it, as soon as its highest generator is bound.  With two
+or more generators, x1 and x2 range together over one pair of each
+orbit of G x G under simultaneous conjugation, each row weighted by the
+orbit's size: conjugating a homomorphism by g maps those with (x1, x2)
+-> (a, b) one-to-one onto those with (x1, x2) -> (g a g^-1, g b g^-1),
+so the weighted sum is exact.  Products are read from flat tables at
+a*n + b.  Rows are extended in batches of a fixed size, depth first, so
+the working set stays bounded whatever the rank.  Each group's tables
+are built on first use and kept with the group.
 
 Inside a count_memo block a count is made once per presentation and
 group: it depends only on the rank and the set of non-empty relators.
@@ -104,27 +106,28 @@ class FiniteGroupTable:
     def _search(self) -> _SearchTables:
         """Arrays for count_homomorphisms, built on first use."""
         n = self.order
-        table = np.array(self.table, dtype=np.min_scalar_type(n - 1))
+        table = np.array(self.table, dtype=np.min_scalar_type(n * n - 1))
         inv = np.argmax(table == self.identity, axis=1).astype(table.dtype)
-        elems = np.arange(n)
-        # conj[g, a] = g^-1 a g; the least conjugate names the class of a
-        conj = table[table[inv[:, None], elems], elems[:, None]]
-        reps, sizes = np.unique(conj.min(axis=0), return_counts=True)
-        return _SearchTables(
-            table, table[:, inv], inv, self.identity,
-            reps.astype(table.dtype), sizes.astype(np.int64),
-        )
+        mul = table.ravel()
+        least = np.arange(n * n, dtype=table.dtype)
+        a, b = np.divmod(least, n)
+        # The least code over the pairs (g^-1 a g, g^-1 b g) names the orbit.
+        for g in range(n):
+            conj = mul.take(table[inv[g]] * n + g)
+            np.minimum(least, conj.take(a) * n + conj.take(b), out=least)
+        pairs, weights = np.unique(least, return_counts=True)
+        return _SearchTables(mul, table[:, inv].ravel(), inv, self.identity, pairs, weights)
 
 
 class _SearchTables(NamedTuple):
-    """A group's table in the smallest dtype that holds its elements."""
+    """Flat tables indexed by codes a*n + b, in a dtype that holds n*n - 1."""
 
-    table: np.ndarray  # table[a, b] = a*b
-    div: np.ndarray  # div[a, b] = a*b^-1
+    mul: np.ndarray  # mul[a*n + b] = a*b
+    div: np.ndarray  # div[a*n + b] = a*b^-1
     inv: np.ndarray
     identity: int
-    reps: np.ndarray  # one element per conjugacy class
-    sizes: np.ndarray  # the size of each class, int64
+    pairs: np.ndarray  # the least code of each conjugation orbit of pairs
+    weights: np.ndarray  # the size of each orbit
 
 
 def _from_permutations(perms: list[tuple[int, ...]]) -> FiniteGroupTable:
@@ -302,50 +305,62 @@ def _backtrack(s: _SearchTables, due: list[list[list[tuple[int, bool]]]]) -> int
     """Weighted count of the assignments that satisfy every relator.
 
     due[k] holds the relators whose highest generator is bound at level
-    k, as (level, positive) letters.  Level 0 ranges over conjugacy-class
-    representatives weighted by class size; each later level over the
-    whole group.
+    k, as (level, positive) letters.  With one level, x1 ranges over the
+    whole group.  Otherwise levels 0 and 1 range over the pair orbits,
+    weighted by orbit size, and each later level over the whole group.
     """
-    elems = np.arange(len(s.inv), dtype=s.inv.dtype)
-    ones = np.ones(len(elems), dtype=np.int64)
+    n = len(s.inv)
+    elems = np.arange(n, dtype=s.inv.dtype)
     last = len(due) - 1
-    step = max(1, _CHUNK // len(elems))
+    step = max(1, _CHUNK // n)
 
-    def extend(cols: list[np.ndarray], weight: np.ndarray, k: int) -> int:
-        vals, vw = (s.reps, s.sizes) if k == 0 else (elems, ones)
-        # ok[row, j]: the relators due at level k hold with x_k -> vals[j]
-        ok = np.ones((len(weight), len(vals)), dtype=bool)
+    def extend(cols: list[np.ndarray], weight: np.ndarray) -> int:
+        if len(weight) > step:
+            return sum(
+                extend([c[i:i + step] for c in cols], weight[i:i + step])
+                for i in range(0, len(weight), step)
+            )
+        # ok[row, j]: the relators due at level k hold with x_k -> j
+        k = len(cols)
+        images = [c[:, None] for c in cols] + [elems[None, :]]
+        ok = np.ones((len(weight), n), dtype=bool)
         for word in due[k]:
-            # Runs of earlier letters are multiplied per row, shape (rows, 1),
-            # and folded into the full product only before each x_k letter.
-            acc = run = None
-            for g, positive in word:
-                if g == k:
-                    if run is not None:
-                        acc = run if acc is None else s.table[acc, run]
-                        run = None
-                    acc = _times(s, acc, vals[None, :], positive)
-                else:
-                    run = _times(s, run, cols[g][:, None], positive)
-            ok &= acc == s.identity
+            ok &= _value(s, word, images, k) == s.identity
         if k == last:
-            return int(weight @ (ok @ vw))
+            return int(weight @ ok.sum(axis=1))
         row, col = np.nonzero(ok)
-        cols = [c[row] for c in cols] + [vals[col]]
-        weight = weight[row] * vw[col]
-        return sum(
-            extend([c[i:i + step] for c in cols], weight[i:i + step], k + 1)
-            for i in range(0, len(weight), step)
-        )
+        return extend([c[row] for c in cols] + [elems[col]], weight[row])
 
-    return extend([], np.ones(1, dtype=np.int64), 0)
+    cols = list(np.divmod(s.pairs, n)) if last else [elems]
+    weight = s.weights if last else np.ones(n, dtype=np.int64)
+    ok = np.ones(len(weight), dtype=bool)
+    for k in range(len(cols)):
+        for word in due[k]:
+            ok &= _value(s, word, cols, k) == s.identity
+    cols, weight = [c[ok] for c in cols], weight[ok]
+    return extend(cols, weight) if last > 1 else int(weight.sum())
+
+
+def _value(s: _SearchTables, word: list[tuple[int, bool]], images: list[np.ndarray], k: int) -> np.ndarray:
+    """The value of word, which ends in an x_k letter, at x_g -> images[g]."""
+    # Runs of earlier letters are multiplied per row, and folded into the
+    # product only before each x_k letter, whose image may be wider.
+    acc = run = None
+    for g, positive in word:
+        if g < k:
+            run = _times(s, run, images[g], positive)
+            continue
+        if run is not None:
+            acc, run = _times(s, acc, run, True), None
+        acc = _times(s, acc, images[k], positive)
+    return acc
 
 
 def _times(s: _SearchTables, acc: np.ndarray | None, img: np.ndarray, positive: bool) -> np.ndarray:
     """acc * img, or acc * img^-1; a missing acc stands for the identity."""
     if acc is None:
-        return img if positive else s.inv[img]
-    return (s.table if positive else s.div)[acc, img]
+        return img if positive else s.inv.take(img)
+    return (s.mul if positive else s.div).take(acc * len(s.inv) + img)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,8 @@ def track_loop(
 
     start_sorted = fiber_roots(curve, loop.basepoint)
     current = np.asarray(start_sorted, dtype=complex)
+    # What the step test needs of the current fiber, made once per fiber.
+    sep, scale, points = _min_separation(current), _scale(current), current.tolist()
     thetas = [theta0]
     samples = [current]
 
@@ -244,12 +246,11 @@ def track_loop(
         for target, new in zip(targets, fibers):
             if isinstance(new, BraidMonoError):
                 raise new
-            sep = _min_separation(current)
-            if sep <= 2.0 * _SEPARATION_TOL * _scale(current):
+            if sep <= 2.0 * _SEPARATION_TOL * scale:
                 raise CriticalFiberError(
                     "fiber separation collapsed at loop angle %.6f" % theta
                 )
-            perm = nearest_match(current.tolist(), new.tolist(), 0.5 * sep)
+            perm = nearest_match(points, new.tolist(), 0.5 * sep)
             if perm is None:
                 step = min(step, theta1 - theta) / 2.0
                 if step < min_step:
@@ -260,6 +261,7 @@ def track_loop(
                 grown = False
                 break
             current = new[perm]
+            sep, scale, points = _min_separation(current), _scale(current), current.tolist()
             theta = target
             thetas.append(theta)
             samples.append(current)

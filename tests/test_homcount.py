@@ -184,9 +184,11 @@ def _random_presentation(rng):
     ))
 
 
-@pytest.mark.parametrize("p", [
+_BRUTE_FORCE_CASES = [
     # relators in x1 alone, one of them beside a relator in x1, x2
     pytest.param(_p(2, (1, 1, 1, 1, 1, 1), (2, 1, 2, -1, -2, -1)), id="x1-only"),
+    # two generators, so every relator is due while the pair is bound
+    pytest.param(_p(2, (1, 1, 1, 1), (1, 2, -1, -2), (2, 2, 2, 2, 2, 2)), id="pair-only"),
     pytest.param(_p(1, (1, 1, -1, 1, 1)), id="x1-only-rank-1"),
     # x2 occurs in no relator and sits between bound generators
     pytest.param(_p(3, (1, 3, -1, -3), (1, 1, 3, 3)), id="unused-generator"),
@@ -201,11 +203,62 @@ def _random_presentation(rng):
 ] + [
     pytest.param(_random_presentation(random.Random(seed)), id="random-%d" % seed)
     for seed in range(40)
-])
+]
+
+
+@pytest.mark.parametrize("p", _BRUTE_FORCE_CASES)
 def test_counts_match_brute_force(p):
     for _, g in default_targets():
         if g.order ** p.rank <= _BRUTE_FORCE_LIMIT:
             assert count_homomorphisms(p, g) == _brute_force(p, g), p
+
+
+def _relabelled_s3():
+    """S3 through load_targets, its labels permuted so the identity is 5."""
+    g = symmetric_group(3)
+    label = [5, 3, 0, 4, 1, 2]
+    assert label[g.identity] == 5
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[label[a]][label[b]] = label[g.table[a][b]]
+    text = "group S3\norder 6\nidentity 5\n" + "\n".join(
+        " ".join(map(str, row)) for row in table)
+    return load_targets(text)[0][1]
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(cyclic_group(1), id="trivial"),
+    pytest.param(dihedral_group(5), id="D5"),
+    pytest.param(_relabelled_s3(), id="S3-relabelled"),
+])
+def test_counts_outside_the_battery_match_brute_force(group):
+    for case in _BRUTE_FORCE_CASES:
+        p = case.values[0]
+        if group.order ** p.rank <= _BRUTE_FORCE_LIMIT:
+            assert count_homomorphisms(p, group) == _brute_force(p, group), case.id
+
+
+@pytest.mark.parametrize("name, orbits", [
+    ("C2", 4), ("C3", 9), ("C4", 16), ("C6", 36), ("S3", 11),
+    ("D4", 28), ("Q8", 28), ("A4", 22), ("D6", 44), ("S4", 43),
+])
+def test_pair_orbits_of_the_battery(name, orbits):
+    g = dict(default_targets())[name]
+    n, s = g.order, g._search
+    assert len(s.pairs) == orbits
+    assert sum(s.weights) == n * n
+    # Burnside: the orbits of G x G under conjugation number
+    # (1/|G|) sum_g |C(g)|^2, and (a, b) is fixed by g iff both lie in C(g).
+    centraliser = [sum(g.table[a][b] == g.table[b][a] for b in range(n)) for a in range(n)]
+    assert orbits * n == sum(c * c for c in centraliser)
+    for code, size in zip(s.pairs.tolist(), s.weights.tolist()):
+        a, b = divmod(code, n)
+        orbit = set()
+        for x in range(n):
+            conj = [g.table[g.table[g.inverse(x)][y]][x] for y in (a, b)]
+            orbit.add(conj[0] * n + conj[1])
+        assert (min(orbit), len(orbit)) == (code, size)
 
 
 @pytest.mark.parametrize("fixture_id, count", [
