@@ -93,7 +93,7 @@ class Polynomial2:
         c = Fraction(c)
         return Polynomial2.from_dict({k: v * c for k, v in self.coeffs})
 
-    @property
+    @cached_property
     def degree_y(self) -> int:
         return max((dy for (_, dy), _ in self.coeffs), default=-1)
 

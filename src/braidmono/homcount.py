@@ -23,8 +23,11 @@ are built on first use and kept with the group.
 
 Inside a count_memo block a count is made once per presentation and
 group: it depends only on the rank and the set of non-empty relators.
-The memo lives only as long as the outermost block, so nothing is
-cached from one verify_fixture or simplify call to the next.
+The elimination and the relator lists of the search do not depend on
+the group, so inside a block they are made once per presentation and
+reused across the battery.  The memo lives only as long as the
+outermost block, so nothing is cached from one verify_fixture or
+simplify call to the next.
 """
 
 from __future__ import annotations
@@ -243,15 +246,26 @@ def _built_targets() -> tuple[tuple[str, FiniteGroupTable], ...]:
     )
 
 
-# (rank, relator set, group) -> count, inside a count_memo block; each
-# thread and task sees its own.
-_Key = tuple[int, frozenset[tuple[int, ...]], FiniteGroupTable]
-_memo: ContextVar[dict[_Key, int] | None] = ContextVar("count_memo", default=None)
+# A search plan: the exponent of the factor |G| for the generators in no
+# relator, and the due lists of _backtrack.
+_Plan = tuple[int, list[list[list[tuple[int, bool]]]]]
+_Key = tuple[int, frozenset[tuple[int, ...]]]
+
+
+class _Memo(NamedTuple):
+    """What a count_memo block keeps, by (rank, relator set)."""
+
+    counts: dict[tuple[_Key, FiniteGroupTable], int]
+    plans: dict[_Key, _Plan]
+
+
+# Each thread and task sees its own.
+_memo: ContextVar[_Memo | None] = ContextVar("count_memo", default=None)
 
 
 @contextmanager
 def count_memo() -> Iterator[None]:
-    """Count each presentation once per group inside the block.
+    """Count each presentation once per group, and plan it once, inside the block.
 
     A nested block shares the outer memo, which is dropped when the
     outermost block exits, whether or not it raised.
@@ -259,7 +273,7 @@ def count_memo() -> Iterator[None]:
     if _memo.get() is not None:
         yield
         return
-    token = _memo.set({})
+    token = _memo.set(_Memo({}, {}))
     try:
         yield
     finally:
@@ -272,19 +286,27 @@ def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
     memo = _memo.get()
     if memo is None:
         return _count(p.rank, relators, group)
-    key = (p.rank, frozenset(relators), group)
-    if key not in memo:
-        memo[key] = _count(p.rank, relators, group)
-    return memo[key]
+    key = ((p.rank, frozenset(relators)), group)
+    if key not in memo.counts:
+        memo.counts[key] = _count(p.rank, relators, group)
+    return memo.counts[key]
 
 
 def _count(rank: int, relators: list[tuple[int, ...]], group: FiniteGroupTable) -> int:
+    memo = _memo.get()
+    plans = {} if memo is None else memo.plans
+    key = (rank, frozenset(relators))
+    if key not in plans:
+        plans[key] = _plan(rank, relators)
+    free, due = plans[key]
+    count = group.order ** free
+    return count * _backtrack(group._search, due) if due else count
+
+
+def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
+    """What a count needs of a presentation, whatever the group."""
     rank, relators = eliminate_generators(rank, relators)
     used = sorted({abs(a) for r in relators for a in r})
-    # A generator in no relator may go anywhere: a factor |G| each.
-    free = group.order ** (rank - len(used))
-    if not used:
-        return free
     level = {g: k for k, g in enumerate(used)}
     due: list[list[list[tuple[int, bool]]]] = [[] for _ in used]
     for r in relators:
@@ -293,7 +315,8 @@ def _count(rank: int, relators: list[tuple[int, ...]], group: FiniteGroupTable) 
         # A relator holds iff its rotations do; end it with its last x_k.
         cut = max(i for i, (g, _) in enumerate(word) if g == k) + 1
         due[k].append(word[cut:] + word[:cut])
-    return free * _backtrack(group._search, due)
+    # A generator in no relator may go anywhere: a factor |G| each.
+    return rank - len(used), due
 
 
 # Partial assignments extended per batch: bounds the working set of each

@@ -16,10 +16,12 @@ configuration and back.  Each move sweeps its samples from the current
 configuration; the program writes them into one strand array and
 validates it once, as a single Motion.
 
-Which point continues which is decided in one place, nearest_match:
+Which point continues which is decided by one rule, nearest_match:
 each point goes to its nearest target, and the matching stands only if
 every point lies within a tolerance of its target and no two points
-share one.  The fiber tracker, the moves and compose_motions use it.
+share one.  The moves, compose_motions and the tracker's closure check
+call it; the tracker's step test applies the same rule to a whole run
+of fibers in one array pass.
 """
 
 from __future__ import annotations

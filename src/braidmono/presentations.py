@@ -215,8 +215,14 @@ def is_consequence(
             if not mults:
                 continue
             rot_state = state[end + 1 :] + state[: end + 1]
+            n = len(rot_state)
             for m in mults:
-                core = _cyclic_reduce(reduce_onto(list(rot_state), m))
+                # Both words are reduced, so only the junction cancels: the
+                # first k letters of m against the last k of rot_state.
+                k = 1
+                while k < min(n, len(m)) and m[k] == -rot_state[n - 1 - k]:
+                    k += 1
+                core = _cyclic_reduce(rot_state[: n - k] + m[k:])
                 if not core:
                     return Verdict.DERIVABLE
                 if len(core) > max_len:

@@ -3,19 +3,20 @@
 The fiber of a curve over a point x0 is the set of y-roots of the
 product polynomial.  Tracking moves x around a circle, re-solves the
 fiber at each sample, and continues each root of the previous sample
-by motion.nearest_match, the one matching rule of the package.  The
-walk goes in runs: a run is the angles at the current step size up to
-the next change of size.  Its fibers are solved in one batch (one
-eigenvalue call and one vectorised Newton polish) and walked in order;
-a rejected step ends the run and drops the rest of its fibers.  The
-first step at a grown size is a run of its own, since it is the one
-most often rejected.  A step is accepted only when every root has a
-distinct nearest new root within half the minimal pairwise separation
-of the previous fiber; otherwise the step is halved.  The test sees
-only the sampled endpoints of a step, so it cannot detect two roots
-that wind round each other within one step.  A full loop must end on
-its starting fiber: the same rule matches the two within 1e-6 of the
-fiber scale.
+by the matching rule of motion.nearest_match.  The walk goes in runs:
+a run is the angles at the current step size up to the next change of
+size.  Its fibers are solved in one batch (one eigenvalue call and one
+vectorised Newton polish), and the step test of every fiber against
+its predecessor is one array pass implementing nearest_match's rule;
+the run is then walked in order, and a rejected step ends it and drops
+the rest of its fibers.  The first step at a grown size is a run of its
+own, since it is the one most often rejected.  A step is accepted only
+when every root has a distinct nearest new root within half the
+minimal pairwise separation of the previous fiber; otherwise the step
+is halved.  The test sees only the sampled endpoints of a step, so it
+cannot detect two roots that wind round each other within one step.
+A full loop must end on its starting fiber: nearest_match matches the
+two within 1e-6 of the fiber scale.
 
 The resulting strand paths form a Motion whose braid word is the local
 monodromy of the loop.  Tracking only the lower half of the circle
@@ -111,8 +112,12 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
     out: list[np.ndarray | BraidMonoError] = [None] * len(xs)
     rows, polys = [], []
     # The leading y-coefficient a(x) = sum_k a_k x^k counts as vanishing
-    # where |a(x)| is small beside sum_k |a_k| |x|^k.
-    lead = [(k, abs(a)) for k, a in product.y_coefficient(product.degree_y).items()]
+    # where |a(x)| is small beside sum_k |a_k| |x|^k.  A coefficient out
+    # of float range makes y_coeffs_at fail first at every point.
+    try:
+        lead = [(k, float(abs(a))) for k, a in product.y_coefficient(product.degree_y).items()]
+    except OverflowError:
+        lead = []
     for i, x0 in enumerate(xs):
         try:
             coeffs = np.asarray(product.y_coeffs_at(x0), dtype=complex)
@@ -178,13 +183,35 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _min_separation(roots: np.ndarray) -> float:
-    n = len(roots)
-    if n < 2:
-        return math.inf
-    diffs = np.abs(roots[:, None] - roots[None, :])
-    diffs[np.arange(n), np.arange(n)] = math.inf
-    return float(diffs.min())
+def _separations(fibers: np.ndarray) -> np.ndarray:
+    """The least distance between two roots of each row; inf below two roots."""
+    n = fibers.shape[1]
+    diffs = np.abs(fibers[:, :, None] - fibers[:, None, :])
+    diffs[:, np.arange(n), np.arange(n)] = math.inf
+    return diffs.min(axis=(1, 2), initial=math.inf)
+
+
+def _step_test(chain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """nearest_match's rule for each row of chain against the row before.
+
+    chain is (K + 1, n): a fiber and the K fibers that follow it, each
+    matched to its predecessor within half the predecessor's minimal
+    separation.  Returns near, where near[k, i] is the root of row k + 1
+    nearest to root i of row k (the first on ties); ok[k], whether that
+    matching stands; and the separation and scale of each predecessor.
+    Distances are np.hypot of the parts, which is bit-identical to abs()
+    of a Python complex where np.abs need not be.
+    """
+    prev, new = chain[:-1], chain[1:]
+    diff = new[:, None, :] - prev[:, :, None]
+    dist = np.hypot(diff.real, diff.imag)
+    near = dist.argmin(axis=2)
+    sep = _separations(prev)
+    far = dist.min(axis=2) > 0.5 * sep[:, None]
+    ordered = np.sort(near, axis=1)
+    shared = ordered[:, 1:] == ordered[:, :-1]
+    ok = ~far.any(axis=1) & ~shared.any(axis=1)
+    return near, ok, sep, _scale(prev.T)
 
 
 def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
@@ -195,7 +222,7 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
     roots = _solve_fibers(curve.product, [complex(x0)])[0]
     if isinstance(roots, BraidMonoError):
         raise roots
-    sep = _min_separation(roots)
+    sep = _separations(roots[None])[0]
     if sep <= 2.0 * _SEPARATION_TOL * _scale(roots):
         raise CriticalFiberError(
             "fiber over x=%s has nearly coincident roots (separation %.3e)" % (x0, sep)
@@ -221,8 +248,6 @@ def track_loop(
 
     start_sorted = fiber_roots(curve, loop.basepoint)
     current = np.asarray(start_sorted, dtype=complex)
-    # What the step test needs of the current fiber, made once per fiber.
-    sep, scale, points = _min_separation(current), _scale(current), current.tolist()
     thetas = [theta0]
     samples = [current]
 
@@ -243,15 +268,21 @@ def track_loop(
             t += min(step, theta1 - t)
             targets.append(t)
         fibers = _solve_fibers(product, [loop.point(t) for t in targets])
-        for target, new in zip(targets, fibers):
-            if isinstance(new, BraidMonoError):
-                raise new
-            if sep <= 2.0 * _SEPARATION_TOL * scale:
+        # The step test of the fibers before the first error, in one pass;
+        # the walk below checks each in order, as a step at a time would.
+        solved = next(
+            (k for k, f in enumerate(fibers) if isinstance(f, BraidMonoError)), len(fibers)
+        )
+        near, ok, sep, scale = _step_test(np.array([current, *fibers[:solved]]))
+        perm = np.arange(len(current))
+        for k, target in enumerate(targets):
+            if k == solved:
+                raise fibers[k]
+            if sep[k] <= 2.0 * _SEPARATION_TOL * scale[k]:
                 raise CriticalFiberError(
                     "fiber separation collapsed at loop angle %.6f" % theta
                 )
-            perm = nearest_match(points, new.tolist(), 0.5 * sep)
-            if perm is None:
+            if not ok[k]:
                 step = min(step, theta1 - theta) / 2.0
                 if step < min_step:
                     raise TrackingFailureError(
@@ -260,8 +291,9 @@ def track_loop(
                 streak = 0
                 grown = False
                 break
-            current = new[perm]
-            sep, scale, points = _min_separation(current), _scale(current), current.tolist()
+            # Strand i is root perm[i] of row k; continue it to row k + 1.
+            perm = near[k][perm]
+            current = fibers[k][perm]
             theta = target
             thetas.append(theta)
             samples.append(current)

@@ -50,8 +50,9 @@ def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:
     """Append letters to the freely reduced word `out` and return it.
 
     Each letter cancels against the end of `out` when it is its inverse,
-    so `out` stays freely reduced.  This is the package's only free
-    reduction: products, substitutions and the Artin action all use it.
+    so `out` stays freely reduced.  Products, substitutions and the Artin
+    action all use it; only is_consequence, whose two factors are always
+    reduced, cancels at their junction itself.
     """
     for a in letters:
         if out and out[-1] == -a:

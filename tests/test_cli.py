@@ -98,6 +98,13 @@ def test_fiber_polynomial_overflow_exits_three(capsys, flags):
     assert err.endswith(" is out of floating-point range\n")
 
 
+def test_out_of_range_leading_coefficient_exits_three(capsys):
+    code, out, err = _run(capsys, "compute", "--curve", "(%dy^2-x-1)" % 10**400)
+    assert (code, out) == (3, "")
+    assert err.startswith("tracking error: fiber polynomial at x=")
+    assert err.endswith(" is out of floating-point range\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     pytest.param(("--curve", "(y^2-2xy+x^2)"),
                  "step underflow at loop angle 0.000000 (fiber too unstable)",

@@ -342,3 +342,21 @@ def test_no_memo_survives_a_call_that_raises(monkeypatch, call):
         _scoped_call(call)
     assert seen == [True]
     assert homcount._memo.get() is None
+
+
+def test_count_memo_plans_each_presentation_once(monkeypatch):
+    calls = []
+    real = homcount.eliminate_generators
+
+    def spy(rank, relators):
+        calls.append(rank)
+        return real(rank, relators)
+
+    monkeypatch.setattr(homcount, "eliminate_generators", spy)
+    p = _p(3, (1, 2, -1, -2), (1, 3, 3), (2, 2, 2))
+    with count_memo():
+        inside = [count_homomorphisms(p, g) for _, g in default_targets()]
+    assert len(calls) == 1
+    outside = [count_homomorphisms(p, g) for _, g in default_targets()]
+    assert len(calls) == 11
+    assert inside == outside

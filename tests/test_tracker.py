@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from braidmono.errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from braidmono.tracker import _RESIDUAL_TOL, _solve_fibers
+from braidmono.motion import nearest_match
+from braidmono.tracker import _RESIDUAL_TOL, _solve_fibers, _step_test
 
 
 def test_loop_spec_validation():
@@ -210,8 +213,98 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
         return solve(product, xs)
 
     monkeypatch.setattr(tracker, "_solve_fibers", counting)
+    # The steps are matched in one array pass per run; nearest_match only
+    # checks that each of the 15 full loops closes.
+    match = tracker.nearest_match
+    matches = 0
+
+    def counting_matches(points, targets, tol):
+        nonlocal matches
+        matches += 1
+        return match(points, targets, tol)
+
+    monkeypatch.setattr(tracker, "nearest_match", counting_matches)
     samples = 0
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         for arc in ("full", "negative-half"):
             samples += len(track_loop(f.curve, LoopSpec(arc=arc)).times)
     assert (work["batches"], work["fibers"], samples) == (997, 5770, 5318)
+    assert matches == 15
+
+
+def _grid_chain(rng, n, k):
+    """k + 1 fibers of n distinct Gaussian integers: exact distances, ties."""
+    grid = [complex(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    return [rng.sample(grid, n) for _ in range(k + 1)]
+
+
+def _moved_chain(rng, n, k):
+    """k + 1 fibers, each a shuffled copy of the last moved by up to its separation."""
+    rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]]
+    for _ in range(k):
+        sep = min((abs(a - b) for a in rows[-1] for b in rows[-1] if a != b), default=1.0)
+        row = [z + sep * complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+               for z in rows[-1]]
+        rng.shuffle(row)
+        rows.append(row)
+    return rows
+
+
+def _boundary_chain(rng):
+    """A step whose first point moves half the separation, up to rounding.
+
+    Where np.abs rounds |d| differently from abs(), only distances taken
+    as abs() takes them decide this step as nearest_match does.
+    """
+    d = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    return [[0j, 2 * d], [d, 2.1 * d]]
+
+
+# (id, chain, the matching of each step or None)
+_EXACT_CHAINS = [
+    ("tie-first-wins-at-half-separation", [[0, 2], [3, 1]], [[1, 0]]),
+    ("tie-makes-a-shared-target", [[0, 2], [1, 3]], [None]),
+    ("just-above-half-separation", [[0, 2], [3, 1 + 2**-52]], [None]),
+    ("shared-target-within-tolerance", [[0, 1, 10], [0.5, 10, 20]], [None]),
+    ("single-strand", [[0], [100], [-5j]], [[0], [0]]),
+]
+
+
+@pytest.mark.parametrize("rows, expected", [c[1:] for c in _EXACT_CHAINS],
+                         ids=[c[0] for c in _EXACT_CHAINS])
+def test_step_test_decides_the_pinned_chains(rows, expected):
+    near, ok, _, _ = _step_test(np.array(rows, dtype=complex))
+    assert [m if good else None for m, good in zip(near.tolist(), ok)] == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_test_equals_nearest_match(seed):
+    rng = random.Random(seed)
+    chains = [[[complex(z) for z in row] for row in rows] for _, rows, _ in _EXACT_CHAINS]
+    for _ in range(100):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        chains += [_grid_chain(rng, n, k), _moved_chain(rng, n, k), _boundary_chain(rng)]
+    decisions = set()
+    for rows in chains:
+        chain = np.array(rows, dtype=complex)
+        near, ok, sep, scale = _step_test(chain)
+        for k in range(len(rows) - 1):
+            # The separation and scale as the step test of a single fiber had them.
+            prev = chain[k]
+            gaps = np.abs(prev[:, None] - prev[None, :])
+            gaps[np.arange(len(prev)), np.arange(len(prev))] = math.inf
+            assert sep[k] == gaps.min()
+            assert scale[k] == max(1.0, np.abs(prev).max())
+            match = nearest_match(rows[k], rows[k + 1], 0.5 * float(sep[k]))
+            assert bool(ok[k]) == (match is not None)
+            if match is not None:
+                assert near[k].tolist() == match
+            decisions.add(match is not None)
+    assert decisions == {True, False}
+
+
+def test_out_of_range_leading_coefficient_fails_tracking():
+    # CurveSpec refuses the curve on construction, so track a bare product.
+    poly = Polynomial2.from_dict({(0, 2): 10**400, (1, 0): -1, (0, 0): -1})
+    with pytest.raises(TrackingFailureError, match="out of floating-point range"):
+        track_loop(SimpleNamespace(product=poly), LoopSpec())
