@@ -335,7 +335,7 @@ class CurveSpec:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "shear", shear)
 
-    @property
+    @cached_property
     def product(self) -> Polynomial2:
         out = Polynomial2.constant(Fraction(1))
         for f in self.factors:

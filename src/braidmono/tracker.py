@@ -11,10 +11,13 @@ its predecessor is one array pass implementing nearest_match's rule;
 the run is then walked in order, and a rejected step ends it and drops
 the rest of its fibers.  The first step at a grown size is a run of its
 own, since it is the one most often rejected.  A step is accepted only
-when every root has a distinct nearest new root within half the
-minimal pairwise separation of the previous fiber; otherwise the step
-is halved.  The test sees only the sampled endpoints of a step, so it
-cannot detect two roots that wind round each other within one step.
+when every root of the previous fiber has a distinct nearest new root
+within half that root's distance to its nearest neighbour; otherwise
+the step is halved.  These discs are pairwise disjoint, so an accepted
+step continues each root unambiguously, and an isolated root does not
+hold the whole fiber to the pace of its closest pair.  The test sees
+only the sampled endpoints of a step, so it cannot detect two roots
+that wind round each other within one step.
 A full loop must end on its starting fiber: nearest_match matches the
 two within 1e-6 of the fiber scale.
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
@@ -70,6 +73,7 @@ class LoopSpec:
     center: complex = 0j
     radius: Fraction = Fraction(1)
     arc: Literal["full", "negative-half"] = "full"
+    _radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = Fraction(self.radius)
@@ -85,6 +89,7 @@ class LoopSpec:
             raise GeometryError("arc must be 'full' or 'negative-half'")
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "_radius", as_float)
 
     @property
     def angle_range(self) -> tuple[float, float]:
@@ -93,7 +98,7 @@ class LoopSpec:
         return (math.pi, 2.0 * math.pi)
 
     def point(self, theta: float) -> complex:
-        return self.center + float(self.radius) * cmath.exp(1j * theta)
+        return self.center + self._radius * cmath.exp(1j * theta)
 
     @property
     def basepoint(self) -> complex:
@@ -184,34 +189,37 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _separations(fibers: np.ndarray) -> np.ndarray:
-    """The least distance between two roots of each row; inf below two roots."""
+    """Each root's distance to its nearest neighbour in its row; inf for a
+    lone root.  A row's minimum is its least pairwise separation."""
     n = fibers.shape[1]
     diffs = np.abs(fibers[:, :, None] - fibers[:, None, :])
     diffs[:, np.arange(n), np.arange(n)] = math.inf
-    return diffs.min(axis=(1, 2), initial=math.inf)
+    return diffs.min(axis=2, initial=math.inf)
 
 
 def _step_test(chain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """nearest_match's rule for each row of chain against the row before.
 
     chain is (K + 1, n): a fiber and the K fibers that follow it, each
-    matched to its predecessor within half the predecessor's minimal
-    separation.  Returns near, where near[k, i] is the root of row k + 1
-    nearest to root i of row k (the first on ties); ok[k], whether that
-    matching stands; and the separation and scale of each predecessor.
-    Distances are np.hypot of the parts, which is bit-identical to abs()
-    of a Python complex where np.abs need not be.
+    matched to its predecessor with a tolerance per root: half that
+    root's distance to its nearest neighbour in the predecessor.  These
+    discs are pairwise disjoint, so a matching that stands is the one
+    bijection they allow.  Returns near, where near[k, i] is the root of
+    row k + 1 nearest to root i of row k (the first on ties); ok[k],
+    whether that matching stands; and the least separation and scale of
+    each predecessor.  Distances are np.hypot of the parts, which is
+    bit-identical to abs() of a Python complex where np.abs need not be.
     """
     prev, new = chain[:-1], chain[1:]
     diff = new[:, None, :] - prev[:, :, None]
     dist = np.hypot(diff.real, diff.imag)
     near = dist.argmin(axis=2)
-    sep = _separations(prev)
-    far = dist.min(axis=2) > 0.5 * sep[:, None]
+    gaps = _separations(prev)
+    far = dist.min(axis=2) > 0.5 * gaps
     ordered = np.sort(near, axis=1)
     shared = ordered[:, 1:] == ordered[:, :-1]
     ok = ~far.any(axis=1) & ~shared.any(axis=1)
-    return near, ok, sep, _scale(prev.T)
+    return near, ok, gaps.min(axis=1, initial=math.inf), _scale(prev.T)
 
 
 def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
@@ -222,7 +230,7 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
     roots = _solve_fibers(curve.product, [complex(x0)])[0]
     if isinstance(roots, BraidMonoError):
         raise roots
-    sep = _separations(roots[None])[0]
+    sep = _separations(roots[None]).min(initial=math.inf)
     if sep <= 2.0 * _SEPARATION_TOL * _scale(roots):
         raise CriticalFiberError(
             "fiber over x=%s has nearly coincident roots (separation %.3e)" % (x0, sep)

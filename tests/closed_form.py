@@ -26,8 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from braidmono import CurveSpec, Motion, Polynomial2, motion_to_braid
-from braidmono.words import BraidWord
+from braidmono import BraidWord, CurveSpec, Motion, Polynomial2, motion_to_braid
 
 Branch = tuple[Fraction, int]  # (c, k): the branch y = c x^k
 

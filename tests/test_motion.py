@@ -297,3 +297,9 @@ def test_program_constructs_one_motion(monkeypatch):
     m = MotionProgram((-1, 0, 1), moves).to_motion()
     assert built == [m]
     assert m.times[0] == 0.0 and m.times[-1] == 1.0
+
+
+def test_nearest_match_takes_a_tolerance_per_point():
+    assert nearest_match([0, 10], [0.25, 13], [0.5, 3.0]) == [0, 1]
+    assert nearest_match([0, 10], [0.25, 13], [0.5, 2.5]) is None
+    assert nearest_match([0, 10], [0.25, 13], [0.2, 3.0]) is None

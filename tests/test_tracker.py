@@ -228,7 +228,7 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         for arc in ("full", "negative-half"):
             samples += len(track_loop(f.curve, LoopSpec(arc=arc)).times)
-    assert (work["batches"], work["fibers"], samples) == (997, 5770, 5318)
+    assert (work["batches"], work["fibers"], samples) == (236, 2426, 2396)
     assert matches == 15
 
 
@@ -251,7 +251,7 @@ def _moved_chain(rng, n, k):
 
 
 def _boundary_chain(rng):
-    """A step whose first point moves half the separation, up to rounding.
+    """A step whose first point moves half its distance to the other, up to rounding.
 
     Where np.abs rounds |d| differently from abs(), only distances taken
     as abs() takes them decide this step as nearest_match does.
@@ -267,6 +267,11 @@ _EXACT_CHAINS = [
     ("just-above-half-separation", [[0, 2], [3, 1 + 2**-52]], [None]),
     ("shared-target-within-tolerance", [[0, 1, 10], [0.5, 10, 20]], [None]),
     ("single-strand", [[0], [100], [-5j]], [[0], [0]]),
+    # Root 100 is 99 from its neighbour: it may move up to 49.5, past half
+    # the fiber's least separation (0.5), but no further.
+    ("isolated-root-within-its-own-half-gap", [[0, 1, 100], [0, 1, 130]], [[0, 1, 2]]),
+    ("isolated-root-just-above-its-own-half-gap", [[0, 1, 100], [0, 1, 149.5 + 2**-45]],
+     [None]),
 ]
 
 
@@ -289,13 +294,15 @@ def test_step_test_equals_nearest_match(seed):
         chain = np.array(rows, dtype=complex)
         near, ok, sep, scale = _step_test(chain)
         for k in range(len(rows) - 1):
-            # The separation and scale as the step test of a single fiber had them.
+            # Each root's distance to its nearest neighbour, the least
+            # separation and the scale, as the step test of a single fiber
+            # had them.
             prev = chain[k]
             gaps = np.abs(prev[:, None] - prev[None, :])
             gaps[np.arange(len(prev)), np.arange(len(prev))] = math.inf
             assert sep[k] == gaps.min()
             assert scale[k] == max(1.0, np.abs(prev).max())
-            match = nearest_match(rows[k], rows[k + 1], 0.5 * float(sep[k]))
+            match = nearest_match(rows[k], rows[k + 1], (0.5 * gaps.min(axis=1)).tolist())
             assert bool(ok[k]) == (match is not None)
             if match is not None:
                 assert near[k].tolist() == match
