@@ -83,72 +83,4 @@ from .words import (
     exponent_sum,
 )
 
-__all__ = [
-    "BraidMonoError",
-    "BraidWord",
-    "CapacityError",
-    "CheckResult",
-    "CriticalFiberError",
-    "CurveSpec",
-    "DegenerateMotionError",
-    "DimensionMismatchError",
-    "Encircle",
-    "FiniteGroupTable",
-    "Fixture",
-    "FrameIn",
-    "FrameOut",
-    "FreeWord",
-    "GeometryError",
-    "GroupTableError",
-    "HomCountReport",
-    "ImproperProjectionError",
-    "LoopSpec",
-    "MalformedWordError",
-    "Motion",
-    "MotionProgram",
-    "ParseError",
-    "Permutation",
-    "Polynomial2",
-    "Presentation",
-    "RotateBlock",
-    "SimplifyResult",
-    "TieError",
-    "TrackingFailureError",
-    "Verdict",
-    "VerificationReport",
-    "alternating_group",
-    "artin_action",
-    "braid_equal",
-    "braid_images",
-    "braid_permutation",
-    "canonical_relator",
-    "compose_motions",
-    "count_homomorphisms",
-    "cyclic_group",
-    "default_targets",
-    "dihedral_group",
-    "dump_targets",
-    "equivalence_evidence",
-    "exponent_sum",
-    "fiber_roots",
-    "fixture_by_id",
-    "fixtures",
-    "induced_presentation",
-    "is_consequence",
-    "kill_generator",
-    "lefschetz_braid",
-    "load_targets",
-    "local_braid_monodromy",
-    "motion_to_braid",
-    "n_tangency_fixture",
-    "parse_curve",
-    "parse_polynomial",
-    "quaternion_group",
-    "raw_relators",
-    "simplify",
-    "symmetric_group",
-    "track_loop",
-    "verify_fixture",
-]
-
 __version__ = "0.1.0"

@@ -36,16 +36,6 @@ from .tracker import LoopSpec, lefschetz_braid, local_braid_monodromy
 from .vankampen import induced_presentation, raw_relators
 from .words import FreeWord, braid_equal
 
-__all__ = [
-    "Fixture",
-    "CheckResult",
-    "VerificationReport",
-    "fixtures",
-    "fixture_by_id",
-    "n_tangency_fixture",
-    "verify_fixture",
-]
-
 F = Fraction
 
 
@@ -89,10 +79,6 @@ class Fixture:
     def curve(self) -> CurveSpec:
         """The parsed equation; a parse error is raised again on each use."""
         return parse_curve(self.equation, self.shear)
-
-    @property
-    def strands(self) -> int:
-        return len(self.model_program.points)
 
 
 def fixtures() -> list[Fixture]:

@@ -22,14 +22,12 @@ from .errors import (
     ParseError,
     TrackingFailureError,
 )
-from .homcount import load_targets
+from .homcount import TARGET_HEADER, load_targets
 from .motion import Motion, motion_to_braid
 from .presentations import simplify
 from .tracker import LoopSpec, track_loop
 from .vankampen import braid_images, induced_presentation
 from .words import BraidWord, braid_permutation, exponent_sum
-
-__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -78,7 +76,10 @@ def _parse_complex(text: str) -> complex:
             im_part = _parse_rational(body)
     else:
         im_part = Fraction(0)
-    return complex(float(re_part), float(im_part))
+    try:
+        return complex(float(re_part), float(im_part))
+    except OverflowError:
+        raise ParseError("complex number %r is out of floating-point range" % text) from None
 
 
 def _parse_braid(text: str, strands: int | None) -> BraidWord:
@@ -217,7 +218,11 @@ def cmd_verify(args) -> int:
         except (OSError, UnicodeDecodeError) as e:
             print("error: cannot read targets file: %s" % e, file=sys.stderr)
             return EXIT_PARSE
-        orders = [int(v) for v in re.findall(r"^\s*order\s+(\d+)", text, re.M)]
+        headers = (TARGET_HEADER.fullmatch(ln.strip()) for ln in text.splitlines())
+        try:
+            orders = [int(m[2]) for m in headers if m and m[1] == "order"]
+        except ValueError:
+            raise ParseError("a target group's order has too many digits") from None
         _check_limit("a target group's order", max(orders, default=0), MAX_TARGET_ORDER)
         targets = load_targets(text)
     if args.fixture == "all":

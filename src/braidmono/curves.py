@@ -28,8 +28,6 @@ from .errors import (
     TrackingFailureError,
 )
 
-__all__ = ["Polynomial2", "CurveSpec", "parse_curve", "parse_polynomial"]
-
 
 def _clean(coeffs: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
     return {k: Fraction(v) for k, v in coeffs.items() if v != 0}
@@ -142,12 +140,6 @@ class Polynomial2:
         """The coefficients as floats, converted on first use; a coefficient
         out of float range raises OverflowError on every use."""
         return tuple((k, float(v)) for k, v in self.coeffs)
-
-    def eval(self, x0: complex, y0: complex) -> complex:
-        total = 0j
-        for (dx, dy), v in self.coeffs:
-            total += float(v) * x0**dx * y0**dy
-        return total
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -48,21 +48,8 @@ from .words import eliminate_generators
 if TYPE_CHECKING:
     from .presentations import Presentation
 
-__all__ = [
-    "FiniteGroupTable",
-    "cyclic_group",
-    "dihedral_group",
-    "symmetric_group",
-    "alternating_group",
-    "quaternion_group",
-    "default_targets",
-    "count_homomorphisms",
-    "count_memo",
-    "HomCountReport",
-    "equivalence_evidence",
-    "dump_targets",
-    "load_targets",
-]
+# A header line of a target block, "order N" or "identity N", once stripped.
+TARGET_HEADER = re.compile(r"(order|identity)\s+([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -402,13 +389,6 @@ class HomCountReport:
     def verdict(self) -> str:
         return "Consistent" if self.consistent else "Inconsistent"
 
-    def lines(self) -> list[str]:
-        out = []
-        for name, a, b in zip(self.targets, self.left, self.right):
-            mark = "==" if a == b else "!="
-            out.append("%-4s %6d %s %-6d" % (name, a, mark, b))
-        return out
-
 
 def equivalence_evidence(
     p: Presentation,
@@ -453,7 +433,7 @@ def load_targets(text: str) -> list[tuple[str, FiniteGroupTable]]:
 
 
 def _header(line: str, key: str) -> int:
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != key:
+    m = TARGET_HEADER.fullmatch(line)
+    if not m or m[1] != key:
         raise ValueError("expected '%s N', got %r" % (key, line))
-    return int(parts[1])
+    return int(m[2])

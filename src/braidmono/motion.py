@@ -36,20 +36,6 @@ import numpy as np
 from .errors import DegenerateMotionError, GeometryError, TieError
 from .words import BraidWord, Permutation
 
-__all__ = [
-    "EPS",
-    "strand_key",
-    "nearest_match",
-    "Motion",
-    "MotionProgram",
-    "RotateBlock",
-    "Encircle",
-    "FrameIn",
-    "FrameOut",
-    "motion_to_braid",
-    "compose_motions",
-]
-
 # Shear used for the real projection; breaks the Re tie of conjugate pairs.
 EPS = 1e-3
 
@@ -280,12 +266,6 @@ def motion_to_braid(m: Motion) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def _as_complex(z) -> complex:
-    if isinstance(z, (int, float, Fraction)):
-        return complex(float(z), 0.0)
-    return complex(z)
-
-
 def _still(points: Sequence[complex], steps: int) -> np.ndarray:
     """Paths of stationary points over steps + 1 samples."""
     return np.repeat(np.array(points, dtype=complex).reshape(-1, 1), steps + 1, axis=1)
@@ -366,11 +346,11 @@ class RotateBlock:
     steps: int | None = None
 
     def _sweep(self, config: list[complex]) -> Sweep:
-        movers = [_as_complex(z) for z in self.points]
+        movers = [complex(z) for z in self.points]
         at = _locate(movers, config)
         rest = [config[k] for k in at[len(movers):]]
         times, rows = _rotation(
-            movers, _as_complex(self.center), self.angle, self.steps, rest)
+            movers, complex(self.center), self.angle, self.steps, rest)
         return times, rows, at
 
 
@@ -390,8 +370,8 @@ class Encircle:
     center: object | None = None
 
     def _sweep(self, config: list[complex]) -> Sweep:
-        mv = [_as_complex(z) for z in self.movers]
-        ar = [_as_complex(z) for z in self.around]
+        mv = [complex(z) for z in self.movers]
+        ar = [complex(z) for z in self.around]
         at = _locate(mv + ar, config)
         ot = [config[k] for k in at[len(mv) + len(ar):]]
         if not mv:
@@ -401,7 +381,7 @@ class Encircle:
         if self.center is None:
             c = sum(ar, complex(0)) / len(ar)
         else:
-            c = _as_complex(self.center)
+            c = complex(self.center)
         radii = [abs(z - c) for z in mv]
         pad = _KEY_TOL * _scale(mv + ar + ot + [c])
         if any(abs(z - c) >= min(radii) - pad for z in ar):
@@ -430,7 +410,7 @@ class FrameIn:
 
     def _rows(self) -> tuple[tuple[float, ...], np.ndarray]:
         """Times and rows of the move, started at the slots."""
-        pts = [_as_complex(z) for z in self.slots]
+        pts = [complex(z) for z in self.slots]
         if len(pts) < 2:
             raise GeometryError("need at least two points to frame")
         idx = sorted(range(len(pts)), key=lambda k: strand_key(pts[k]))
@@ -498,7 +478,7 @@ class MotionProgram:
     moves: tuple[Move, ...]
 
     def to_motion(self) -> Motion:
-        config = [_as_complex(z) for z in self.points]
+        config = [complex(z) for z in self.points]
         if not self.moves:
             return Motion.stationary(config)
         k = len(self.moves)

@@ -27,17 +27,6 @@ from .errors import DimensionMismatchError, MalformedWordError
 from .homcount import FiniteGroupTable, count_homomorphisms, count_memo, default_targets
 from .words import FreeWord, delete_generator, donors, invert, reduce_onto, substitute
 
-__all__ = [
-    "Presentation",
-    "SimplifyResult",
-    "Verdict",
-    "canonical_relator",
-    "simplify",
-    "is_consequence",
-    "witness",
-    "kill_generator",
-]
-
 DEFAULT_MAX_LEN = 64
 DEFAULT_BUDGET = 100_000
 
@@ -104,12 +93,6 @@ class Presentation:
     def canonical_relator_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(
             canonical_relator(r).letters for r in self.relators if r.letters
-        )
-
-    def same_relators(self, other: "Presentation") -> bool:
-        return (
-            self.rank == other.rank
-            and self.canonical_relator_set() == other.canonical_relator_set()
         )
 
     def __str__(self) -> str:

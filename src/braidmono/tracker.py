@@ -48,14 +48,6 @@ from .errors import (
 from .motion import Motion, _scale, motion_to_braid, nearest_match, strand_key
 from .words import BraidWord
 
-__all__ = [
-    "LoopSpec",
-    "fiber_roots",
-    "track_loop",
-    "local_braid_monodromy",
-    "lefschetz_braid",
-]
-
 _RESIDUAL_TOL = 1e-12
 _SEPARATION_TOL = 1e-9
 _MIN_STEP_FRACTION = 2.0**-40

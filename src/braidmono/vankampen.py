@@ -13,8 +13,6 @@ from __future__ import annotations
 from .presentations import Presentation
 from .words import BraidWord, FreeWord, artin_action
 
-__all__ = ["braid_images", "raw_relators", "induced_presentation"]
-
 
 def braid_images(b: BraidWord) -> list[FreeWord]:
     """Images of the generators x_1, ..., x_n under the braid action."""

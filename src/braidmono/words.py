@@ -29,22 +29,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
 
-__all__ = [
-    "FreeWord",
-    "BraidWord",
-    "Permutation",
-    "reduce_onto",
-    "substitute",
-    "invert",
-    "artin_action",
-    "braid_equal",
-    "braid_permutation",
-    "exponent_sum",
-    "donors",
-    "delete_generator",
-    "eliminate_generators",
-]
-
 
 def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:
     """Append letters to the freely reduced word `out` and return it.
@@ -97,10 +81,6 @@ class FreeWord:
         object.__setattr__(self, "letters", tuple(reduce_onto([], letters)))
 
     @classmethod
-    def identity(cls, rank: int) -> "FreeWord":
-        return cls(rank, ())
-
-    @classmethod
     def generator(cls, rank: int, k: int) -> "FreeWord":
         return cls(rank, (k,))
 
@@ -123,10 +103,6 @@ class FreeWord:
     def conjugate(self, by: "FreeWord") -> "FreeWord":
         """by * self * by^-1."""
         return by * self * by.inverse()
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
 
 
 @dataclass(frozen=True)
@@ -223,10 +199,6 @@ class Permutation:
         for k, v in enumerate(self.images, start=1):
             images[v - 1] = k
         return Permutation(tuple(images))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.images, start=1))
 
 
 # Substitution table of one braid letter, s_i for a = i or s_i^-1 for

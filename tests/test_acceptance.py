@@ -67,7 +67,7 @@ def test_criterion_1_calibration():
         target = Presentation(2, (FreeWord(2, (1, 2, 1, 2, -1, -2, -1, -2)),))
         report = equivalence_evidence(final, target)
         elapsed = time.perf_counter() - t0
-        assert report.consistent, report.lines()
+        assert report.consistent, report
         assert len(report.targets) == 10
         assert elapsed < 1.0, "calibration took %.2fs" % elapsed
 
@@ -96,7 +96,7 @@ def test_criterion_3_complex_fixtures_agree_by_hom_counts(tracked_braid):
                 induced_presentation(tracked), induced_presentation(model)
             )
             elapsed = time.perf_counter() - t0
-            assert report.consistent, (f.fixture_id, report.lines())
+            assert report.consistent, (f.fixture_id, report)
             assert elapsed < 30.0, "%s compared in %.2fs" % (f.fixture_id, elapsed)
 
 
@@ -110,7 +110,7 @@ def test_criterion_4_model_matches_printed_relations():
             report = equivalence_evidence(
                 induced_presentation(f.model_program.braid()), f.expected_relations
             )
-            assert report.consistent, (f.fixture_id, report.lines())
+            assert report.consistent, (f.fixture_id, report)
 
 
 def test_criterion_5_redundant_relations_are_derivable():
@@ -163,14 +163,15 @@ def test_criterion_8_parametric_tangency_scaling():
         f3 = n_tangency_fixture(3)
         final = simplify(induced_presentation(f3.model_program.braid())).presentation
         printed = fixture_by_id("triple-tangency").expected_relations
-        assert final.same_relators(printed)
+        assert (final.rank, final.canonical_relator_set()) == (
+            printed.rank, printed.canonical_relator_set())
 
         # n = 4: the claimed cyclic relation set, confirmed by hom counts.
         f4 = n_tangency_fixture(4)
         report4 = equivalence_evidence(
             induced_presentation(f4.model_program.braid()), f4.expected_relations
         )
-        assert report4.consistent, report4.lines()
+        assert report4.consistent, report4
 
 
 def _random_reduced_word(rng: random.Random, rank: int, length: int) -> FreeWord:

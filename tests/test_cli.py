@@ -256,10 +256,20 @@ def test_radius_outside_float_range_exits_two(capsys, command, radius):
     assert err == "error: loop radius is out of floating-point range\n"
 
 
-def _cyclic_table_text(n):
+@pytest.mark.parametrize("command", ["compute", "vankampen"])
+@pytest.mark.parametrize("center", ["1" + "0" * 400, "1+1%si" % ("0" * 400)],
+                         ids=["real-part", "imaginary-part"])
+def test_center_outside_float_range_exits_two(capsys, command, center):
+    code, out, err = _run(capsys, command, "--curve", "(y^2-x)", "--center", center)
+    assert code == 2
+    assert out == ""
+    assert err == "error: complex number %r is out of floating-point range\n" % center
+
+
+def _cyclic_table_text(n, order=None):
     tokens = [str(k) for k in range(n)]
     rows = (" ".join(tokens[i:] + tokens[:i]) for i in range(n))
-    return "group C%d\norder %d\nidentity 0\n%s\n" % (n, n, "\n".join(rows))
+    return "group C%d\norder %s\nidentity 0\n%s\n" % (n, order or n, "\n".join(rows))
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -276,16 +286,29 @@ def _cyclic_table_text(n):
                  id="vankampen-curve-degree"),
     pytest.param(("verify", "two-tangent-conics", "--targets"), MAX_TARGET_ORDER,
                  id="target-order"),
+    # Order headers that int() reads but the targets format refuses; a
+    # 200-element table behind either header must not get past the limit.
+    pytest.param(("verify", "two-tangent-conics", "--targets", "+200"),
+                 "got 'order +200'\n", id="target-order-signed"),
+    pytest.param(("verify", "two-tangent-conics", "--targets", "2_00"),
+                 "got 'order 2_00'\n", id="target-order-underscored"),
+    pytest.param(("verify", "two-tangent-conics", "--targets", "9" * 5000),
+                 "order has too many digits\n", id="target-order-digits"),
 ])
 def test_input_over_a_size_limit_exits_two(tmp_path, capsys, argv, limit):
-    if argv[-1] == "--targets":
+    """limit is the limit the error names, or the error's own ending."""
+    if "--targets" in argv:
+        header = argv[3:]
         path = tmp_path / "targets.txt"
-        path.write_text(_cyclic_table_text(1500), encoding="utf-8")
-        argv += (str(path),)
+        text = _cyclic_table_text(200, header[0]) if header else _cyclic_table_text(1500)
+        path.write_text(text, encoding="utf-8")
+        argv = argv[:3] + (str(path),)
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.endswith("over the limit of %d\n" % limit)
+    tail = limit if isinstance(limit, str) else "over the limit of %d\n" % limit
+    assert err.startswith("error: ") and err.endswith(tail)
+    assert "Traceback" not in err
 
 
 def test_inputs_at_the_size_limits_run(tmp_path, capsys):

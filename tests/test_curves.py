@@ -12,12 +12,12 @@ def test_parse_simple_polynomial():
     p = parse_polynomial("y^2-x")
     assert p.degree_y == 2
     assert p.degree_x == 1
-    assert p.eval(4, 2) == 0
+    assert p.as_dict() == {(0, 2): 1, (1, 0): -1}
 
 
 def test_parse_rational_coefficients():
     p = parse_polynomial("1/2y+x")
-    assert p.eval(1, 2) == 2
+    assert p.as_dict() == {(0, 1): Fraction(1, 2), (1, 0): 1}
 
 
 def test_parse_rejects_garbage():

@@ -116,7 +116,7 @@ def test_equivalence_report():
     diff = equivalence_evidence(a, b)
     assert not diff.consistent
     assert diff.verdict == "Inconsistent"
-    assert len(diff.lines()) == 10
+    assert len(diff.targets) == len(diff.left) == len(diff.right) == 10
 
 
 def test_dump_load_round_trip():
