@@ -78,6 +78,7 @@ from .words import (
     FreeWord,
     Permutation,
     artin_action,
+    braid_conjugate,
     braid_equal,
     braid_permutation,
     exponent_sum,

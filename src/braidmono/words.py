@@ -1,4 +1,5 @@
-"""Free-group words, braid words, the Artin action and Tietze elimination.
+"""Free-group words, braid words, the Artin action, Garside normal forms
+and conjugacy, and Tietze elimination.
 
 Conventions
 -----------
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatchError, MalformedWordError
+from .errors import CapacityError, DimensionMismatchError, MalformedWordError
 
 
 def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:
@@ -228,18 +230,211 @@ def artin_action(b: BraidWord, w: FreeWord) -> FreeWord:
     return FreeWord(w.rank, letters)
 
 
+# Garside normal form (Garside 1969; Elrifai & Morton 1994).  A simple
+# braid, a positive braid in which each pair of strands crosses at most
+# once, is stored as its permutation a: a[j] is the final position of
+# the strand that starts at position j (0-based).  Simple braids
+# multiply like their permutations, left to right.  Delta, the half
+# twist, is (n-1, ..., 1, 0); tau(A) = Delta^-1 A Delta maps s_i to
+# s_{n-i}.  A normal form Delta^p A_1 ... A_k is the pair (p, (A_1, ...,
+# A_k)) with no A_j equal to Delta or to the identity, and each pair
+# (A_j, A_{j+1}) left-weighted.
+NormalForm = tuple[int, tuple[tuple[int, ...], ...]]
+
+# Beyond these sizes the super summit set closure in braid_conjugate
+# raises CapacityError: it conjugates by all n! simple braids, so it
+# runs only for n <= MAX_CLOSURE_STRANDS, and stops once the set it has
+# built holds more than MAX_SUPER_SUMMIT braids.
+MAX_CLOSURE_STRANDS = 6
+MAX_SUPER_SUMMIT = 1000
+
+
+def _tau(a: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(a)
+    return tuple(n - 1 - a[n - 1 - j] for j in range(n))
+
+
+def _inverse(a: Sequence[int]) -> list[int]:
+    q = [0] * len(a)
+    for j, v in enumerate(a):
+        q[v] = j
+    return q
+
+
+@lru_cache(maxsize=1 << 12)
+def _left_weight(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(a', b') with a' b' = a b and every s_j that starts b' finishing a'.
+
+    Each s_j that starts b (strands j, j+1 cross in b) but does not
+    finish a (strands ending at j, j+1 have not crossed in a) moves from
+    b to a; both stay simple.  a is kept as its inverse q.
+    """
+    q, b2 = _inverse(a), list(b)
+    j = 0
+    while j < len(b2) - 1:
+        if b2[j] > b2[j + 1] and q[j] < q[j + 1]:
+            q[j], q[j + 1] = q[j + 1], q[j]
+            b2[j], b2[j + 1] = b2[j + 1], b2[j]
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    return tuple(_inverse(q)), tuple(b2)
+
+
+def _normal_form(n: int, p: int, factors: Iterable[tuple[int, ...]]) -> NormalForm:
+    """Normal form of Delta^p times the product of the simple `factors`.
+
+    Each factor is appended and the adjacent pairs are made left-weighted
+    from the right until one is already left-weighted; Delta factors end
+    up in front and identity factors at the back.
+    """
+    out: list[tuple[int, ...]] = []
+    for f in factors:
+        out.append(f)
+        k = len(out) - 1
+        while k > 0:
+            pair = _left_weight(out[k - 1], out[k])
+            if pair == (out[k - 1], out[k]):
+                break
+            out[k - 1], out[k] = pair
+            k -= 1
+    identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
+    while out and out[-1] == identity:
+        out.pop()
+    lead = 0
+    while lead < len(out) and out[lead] == delta:
+        lead += 1
+    return p + lead, tuple(out[lead:])
+
+
+def left_normal_form(b: BraidWord) -> NormalForm:
+    """Garside's left normal form Delta^p A_1 ... A_k of b, as (p, factors).
+
+    One pass from the right writes each s_i^-1 as Delta^-1 (Delta s_i^-1)
+    and moves the Delta^-1 to the front; a factor passes one Delta^-1 for
+    each inverse letter to its right, so it is replaced by tau of itself
+    when their number is odd.
+    """
+    n = b.strands
+    delta = tuple(range(n - 1, -1, -1))
+    p, factors = 0, []
+    for a in reversed(b.letters):
+        i, s = abs(a), list(range(n))
+        s[i - 1], s[i] = i, i - 1
+        f = tuple(s) if a > 0 else tuple(s[v] for v in delta)
+        factors.append(_tau(f) if p % 2 else f)
+        p -= a < 0
+    return _normal_form(n, p, reversed(factors))
+
+
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Decide equality in the braid group via the (faithful) Artin action."""
+    """Decide equality in the braid group by comparing left normal forms."""
+    if a.strands != b.strands:
+        raise DimensionMismatchError(
+            "cannot compare braids on %d and %d strands" % (a.strands, b.strands)
+        )
+    return left_normal_form(a) == left_normal_form(b)
+
+
+def _cycle(n: int, x: NormalForm) -> NormalForm:
+    """Cycling: conjugate Delta^p A_1 ... A_k to Delta^p A_2 ... A_k tau^p(A_1)."""
+    p, fs = x
+    if not fs:
+        return x
+    return _normal_form(n, p, fs[1:] + ((_tau(fs[0]) if p % 2 else fs[0]),))
+
+
+def _decycle(n: int, x: NormalForm) -> NormalForm:
+    """Decycling: conjugate Delta^p A_1 ... A_k to Delta^p tau^p(A_k) A_1 ... A_{k-1}."""
+    p, fs = x
+    if not fs:
+        return x
+    return _normal_form(n, p, ((_tau(fs[-1]) if p % 2 else fs[-1]),) + fs[:-1])
+
+
+def _super_summit(n: int, x: NormalForm) -> NormalForm:
+    """A conjugate of x in its super summit set (Elrifai & Morton).
+
+    Cycling never lowers inf and decycling never raises sup; while inf
+    (sup) is not yet extremal, one of the next n(n-1)/2 cyclings
+    (decyclings) changes it.  So cycle until that many in a row leave inf
+    alone, then decycle until that many in a row leave sup alone.
+    """
+    tries = n * (n - 1) // 2
+    for step, gain in ((_cycle, lambda y: y[0]), (_decycle, lambda y: -y[0] - len(y[1]))):
+        idle = 0
+        while idle < tries:
+            y = step(n, x)
+            idle = 0 if gain(y) > gain(x) else idle + 1
+            x = y
+    return x
+
+
+def _cycling_orbit(n: int, x: NormalForm) -> set[NormalForm]:
+    orbit = set()
+    while x not in orbit:
+        orbit.add(x)
+        x = _cycle(n, x)
+    return orbit
+
+
+def _closure_meets(n: int, x: NormalForm, targets: set[NormalForm]) -> bool:
+    """Whether the closure of {x} under conjugation by simple braids,
+    within the super summit set of x, meets targets.
+
+    Any two conjugate elements of a super summit set are joined by a
+    chain of such conjugations that stays inside it (Elrifai & Morton).
+    """
+    if n > MAX_CLOSURE_STRANDS:
+        raise CapacityError(
+            "conjugacy on %d strands needs the super summit set; the closure "
+            "supports at most %d strands" % (n, MAX_CLOSURE_STRANDS))
+    p, k = x[0], len(x[1])
+    delta = tuple(range(n - 1, -1, -1))
+    # s^-1 Delta^p A s = Delta^(p-1) tau^(p-1)(s^-1 Delta) A s, and every
+    # braid of the super summit set has the same p.
+    moves = []
+    for s in list(permutations(range(n)))[1:]:
+        star = tuple(delta[v] for v in _inverse(s))
+        moves.append((_tau(star) if (p - 1) % 2 else star, s))
+    seen, todo = {x}, [x]
+    while todo:
+        fs = todo.pop()[1]
+        for head, s in moves:
+            y = _normal_form(n, p - 1, (head,) + fs + (s,))
+            if y[0] != p or len(y[1]) != k or y in seen:
+                continue
+            if y in targets:
+                return True
+            seen.add(y)
+            todo.append(y)
+            if len(seen) > MAX_SUPER_SUMMIT:
+                raise CapacityError(
+                    "super summit set has more than %d braids" % MAX_SUPER_SUMMIT)
+    return False
+
+
+def braid_conjugate(a: BraidWord, b: BraidWord) -> bool:
+    """Decide whether a and b are conjugate in the braid group.
+
+    Both are brought into their super summit sets.  Different inf or sup
+    there proves them not conjugate; meeting cycling orbits prove them
+    conjugate; otherwise the super summit set of a is closed under
+    conjugation by simple braids and searched for b's orbit.
+    """
     if a.strands != b.strands:
         raise DimensionMismatchError(
             "cannot compare braids on %d and %d strands" % (a.strands, b.strands)
         )
     n = a.strands
-    for k in range(1, n + 1):
-        x = FreeWord.generator(n, k)
-        if artin_action(a, x) != artin_action(b, x):
-            return False
-    return True
+    x = _super_summit(n, left_normal_form(a))
+    y = _super_summit(n, left_normal_form(b))
+    if x[0] != y[0] or len(x[1]) != len(y[1]):
+        return False
+    targets = _cycling_orbit(n, y)
+    if not targets.isdisjoint(_cycling_orbit(n, x)):
+        return True
+    return _closure_meets(n, x, targets)
 
 
 def braid_permutation(b: BraidWord) -> Permutation:

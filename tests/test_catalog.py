@@ -83,14 +83,6 @@ def test_fixture_strand_counts():
     assert [len(f.model_program.points) for f in fixtures()] == expected
 
 
-def test_complex_levels():
-    levels = {f.fixture_id: f.complex_level for f in fixtures()}
-    assert levels["vertical-tangency"] == 2
-    assert levels["triple-tangency-vertical-line"] == 2
-    assert levels["vertical-tangency-line-pair"] == 2
-    assert levels["two-tangent-conics"] == 0
-
-
 def test_secant_below_model_images():
     f = fixture_by_id("tangent-conics-secant-below")
     imgs = braid_images(f.model_program.braid())
@@ -143,7 +135,7 @@ def test_verify_fixture_reports_checks():
 def test_verify_pins_level_one_and_deletion_checks():
     report = verify_fixture(fixture_by_id("vertical-tangency-line-pair"))
     assert report.lines() == [
-        "pass vertical-tangency-line-pair tracked-vs-model: hom counts Consistent",
+        "pass vertical-tangency-line-pair tracked-vs-model: braids are conjugate",
         "pass vertical-tangency-line-pair model-vs-expected: hom counts Consistent",
         "pass vertical-tangency-line-pair redundancy-6: relation 6 Derivable from the others",
         "pass vertical-tangency-line-pair deletion-x2: hom counts Consistent",
@@ -167,14 +159,13 @@ def test_verify_reports_both_tracking_failures():
     ]
 
 
-def _level_zero_fixture(fixture_id, like, model_program):
-    """A level-0 fixture with the curve and expectations of `like`."""
+def _fixture_with_model(fixture_id, like, model_program):
+    """A fixture with the curve and expectations of `like` and its own model."""
     base = fixture_by_id(like)
     return Fixture(
         fixture_id=fixture_id,
         equation=base.equation,
         shear=base.shear,
-        complex_level=0,
         model_program=model_program,
         lefschetz_program=base.lefschetz_program,
         lefschetz_doubling=base.lefschetz_doubling,
@@ -187,9 +178,9 @@ def _level_zero_fixture(fixture_id, like, model_program):
 def test_verify_reports_a_wrong_model_program():
     # A single half twist is not the monodromy of two tangent conics.
     wrong = MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, Fraction(1)),))
-    report = verify_fixture(_level_zero_fixture("wrong-model", "two-tangent-conics", wrong))
+    report = verify_fixture(_fixture_with_model("wrong-model", "two-tangent-conics", wrong))
     assert report.lines() == [
-        "FAIL wrong-model tracked-vs-model: braids and counts differ",
+        "FAIL wrong-model tracked-vs-model: braids are not conjugate",
         "FAIL wrong-model model-vs-expected: hom counts Inconsistent",
         "pass wrong-model lefschetz-program: half-loop braid matches the program",
         "pass wrong-model lefschetz-doubling: half squared equals the full loop",
@@ -206,10 +197,7 @@ def test_verify_accepts_a_conjugate_model_program():
         RotateBlock(*swap, Fraction(-1)),
     ))
     report = verify_fixture(
-        _level_zero_fixture("conjugate-model", "tangent-conics-secant-below", conjugate)
+        _fixture_with_model("conjugate-model", "tangent-conics-secant-below", conjugate)
     )
     assert report.passed
-    assert report.lines()[0] == (
-        "pass conjugate-model tracked-vs-model: braid words differ but "
-        "presentations are consistent (conjugate realization)"
-    )
+    assert report.lines()[0] == "pass conjugate-model tracked-vs-model: braids are conjugate"

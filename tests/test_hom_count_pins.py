@@ -1,12 +1,20 @@
 """Recorded hom counts of the `verify all` fixtures.
 
-tests/data/hom_counts.json holds every count that verify_fixture makes
-on the 15 fixtures of `braidmono verify all` at radius 1, as they reach
-homcount._count: the rank, the relators (sorted), the battery group's
-name and the number of homomorphisms.  Those checks make 328 distinct
-counts, 30 into each battery group and 7 more into each of C2, C3, C4
-and S3 from the consequence witnesses.  A count is exact, so every
-record must replay to the same number.
+tests/data/hom_counts.json holds every count that verify_fixture made
+on the 15 fixtures of `braidmono verify all` at radius 1 when tracked
+braids were still compared with their models by hom counts, as they
+reach homcount._count: the rank, the relators (sorted), the battery
+group's name and the number of homomorphisms.  Those checks made 328
+distinct counts, 30 into each battery group and 7 more into each of C2,
+C3, C4 and S3 from the consequence witnesses.  A count is exact, so
+every record must replay to the same number; the records stay as pins
+of the count kernel.
+
+Since tracked-vs-model is decided by braid conjugacy, `verify all` at
+radius 1 makes 448 `_count` calls and 298 distinct counts (it made 478
+and 328).  The 30 counts it no longer makes are those of the three
+tracked presentations of vertical-tangency, triple-tangency-vertical-line
+and vertical-tangency-line-pair over the 10 battery groups.
 """
 
 from __future__ import annotations
@@ -15,7 +23,16 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from braidmono import FreeWord, Presentation, count_homomorphisms, default_targets
+import braidmono.homcount as homcount
+from braidmono import (
+    FreeWord,
+    Presentation,
+    count_homomorphisms,
+    default_targets,
+    fixtures,
+    n_tangency_fixture,
+    verify_fixture,
+)
 
 RECORDED = json.loads(
     (Path(__file__).parent / "data" / "hom_counts.json").read_text(encoding="utf-8")
@@ -36,3 +53,22 @@ def test_recorded_counts_replay():
         rank = rec["rank"]
         p = Presentation(rank, tuple(FreeWord(rank, tuple(r)) for r in rec["relators"]))
         assert count_homomorphisms(p, groups[rec["group"]]) == rec["count"], i
+
+
+def test_verify_all_makes_only_the_recorded_counts(monkeypatch):
+    names = {id(table): name for name, table in default_targets()}
+    made = []
+    inner = homcount._count
+
+    def spy(rank, relators, group):
+        made.append((rank, tuple(sorted(map(tuple, relators))), names[id(group)]))
+        return inner(rank, relators, group)
+
+    monkeypatch.setattr(homcount, "_count", spy)
+    for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
+        assert verify_fixture(f).passed, f.fixture_id
+    recorded = {
+        (rec["rank"], tuple(map(tuple, rec["relators"])), rec["group"]) for rec in RECORDED
+    }
+    assert (len(made), len(set(made))) == (448, 298)
+    assert set(made) <= recorded
