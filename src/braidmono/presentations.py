@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
 from .homcount import FiniteGroupTable, count_homomorphisms, count_memo, default_targets
-from .words import FreeWord, delete_generator, donors, invert, reduce_onto, substitute
+from .words import FreeWord, delete_generator, donors, invert, substitute
 
 DEFAULT_MAX_LEN = 64
 DEFAULT_BUDGET = 100_000
@@ -37,6 +37,25 @@ def _cyclic_reduce(letters: Sequence[int]) -> tuple[int, ...]:
         i += 1
         j -= 1
     return tuple(letters[i : j + 1])
+
+
+def _cyclic_product(s: tuple[int, ...], m: tuple[int, ...], cap: int) -> tuple[int, ...] | None:
+    """Cyclic reduction of s m for reduced s and m, or None if it has more
+    than `cap` letters.  s m cancels k letters at the junction and,
+    cyclically, c more at its ends; unless either run eats a whole
+    factor, that leaves |s| + |m| - 2(k + c), known before it is built."""
+    top = min(len(s), len(m))
+    k = c = 0
+    while k < top and m[k] == -s[-1 - k]:
+        k += 1
+    while c < top - k and s[c] == -m[-1 - c]:
+        c += 1
+    if c < top - k:
+        if len(s) + len(m) - 2 * (k + c) > cap:
+            return None
+        return s[c : len(s) - k] + m[k : len(m) - c]
+    core = _cyclic_reduce(s[: len(s) - k] + m[k:])
+    return core if len(core) <= cap else None
 
 
 def _rotations(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -55,6 +74,11 @@ def _least_rotation(core: tuple[int, ...]) -> tuple[int, ...]:
     return min(doubled[i : i + n] for i in range(n) if core[i] == low)
 
 
+def _canonical(core: tuple[int, ...]) -> tuple[int, ...]:
+    """Least rotation of a nonempty cyclically reduced word or its inverse."""
+    return min(_least_rotation(core), _least_rotation(invert(core)))
+
+
 def canonical_relator(w: FreeWord) -> FreeWord:
     """Lexicographically least cyclic rotation of the relator or its inverse.
 
@@ -62,10 +86,7 @@ def canonical_relator(w: FreeWord) -> FreeWord:
     and inversion exactly when their canonical forms coincide.
     """
     core = _cyclic_reduce(w.letters)
-    if not core:
-        return FreeWord(w.rank, ())
-    best = min(_least_rotation(core), _least_rotation(invert(core)))
-    return FreeWord(w.rank, best)
+    return FreeWord(w.rank, _canonical(core) if core else ())
 
 
 @dataclass(frozen=True)
@@ -118,14 +139,15 @@ class Verdict(Enum):
 
 @cache
 def _battery() -> tuple[list[tuple[str, FiniteGroupTable]], ...]:
-    """default_targets() as its groups of order at most 6 (C2, C3, C4,
-    S3) and the rest.  Witnesses are nearly always small, and a
-    consequence, which has none, pays for every count, so the rest wait
-    for the search.  C6 = C2 x C3 and D6 = S3 x C2 are left out: a map to
-    a product that kills the relators but not the word has a factor that
-    does so too."""
-    groups = [g for g in default_targets() if g[0] not in ("C6", "D6")]
-    return groups[:4], groups[4:]
+    """The witness groups: S3 and C4 before the search, Q8 and S4 after.
+    A map into a subgroup H of G is one into G, so when H kills the
+    relators but not the word, G does too.  C2 and C3 embed in S3, and
+    D4, A4, S3 and C4 in S4; a map into C6 = C2 x C3 or D6 = S3 x C2
+    that tells has a factor that tells.  So these find a witness exactly
+    when default_targets() does.  Q8 and S4 wait for the search, because
+    a consequence, which has no witness, pays for every count."""
+    groups = dict(default_targets())
+    return [(g, groups[g]) for g in ("S3", "C4")], [(g, groups[g]) for g in ("Q8", "S4")]
 
 
 def witness(
@@ -151,15 +173,16 @@ def is_consequence(
     """Decide whether `word` lies in the normal closure of `relators`.
 
     Independent when a group of default_targets() witnesses that it
-    does not: a small one before the search, which then could never
-    succeed and is skipped, or a larger one once it runs out.  Search
-    states are cyclic words, each stored as its least rotation: the
-    lexicographically least rotation of the letters, never of the
-    inverse word.  Successors multiply by a cyclic rotation of a relator
-    or its inverse; a successor longer than `max_len` once cyclically
-    reduced is discarded before it is brought to that form.  Best-first
-    on length, so a Derivable answer is a genuine derivation; Unknown
-    only means the budget ran out and no group told.
+    does not: S3 or C4 before the search, which then could never
+    succeed and is skipped, or Q8 or S4 once it runs out; the other
+    groups cannot tell more (see _battery).  Search states are cyclic
+    words, each stored as its least rotation: the lexicographically
+    least rotation of the letters, never of the inverse word.
+    Successors multiply by a cyclic rotation of a relator or its
+    inverse; a successor longer than `max_len` once cyclically reduced
+    is discarded, mostly before it is built (_cyclic_product).
+    Best-first on length, so a Derivable answer is a genuine derivation;
+    Unknown only means the budget ran out and no group told.
     """
     # Raises DimensionMismatchError unless every rank is the word's.
     rest = Presentation(word.rank, tuple(relators))
@@ -200,16 +223,11 @@ def is_consequence(
             rot_state = state[end + 1 :] + state[: end + 1]
             n = len(rot_state)
             for m in mults:
-                # Both words are reduced, so only the junction cancels: the
-                # first k letters of m against the last k of rot_state.
-                k = 1
-                while k < min(n, len(m)) and m[k] == -rot_state[n - 1 - k]:
-                    k += 1
-                core = _cyclic_reduce(rot_state[: n - k] + m[k:])
+                core = _cyclic_product(rot_state, m, max_len)
+                if core is None:
+                    continue
                 if not core:
                     return Verdict.DERIVABLE
-                if len(core) > max_len:
-                    continue
                 nxt = _least_rotation(core)
                 if nxt in seen:
                     continue
@@ -233,10 +251,14 @@ _Rel = tuple[int, ...]
 _Move = tuple[str, int, _Rel | None]
 
 
-def _shorter(rank: int, s: _Rel, word: Sequence[int], rels: list[_Rel]) -> _Rel | None:
-    """Canonical `word` if it is nontrivial, shorter than `s` and new."""
-    cand = canonical_relator(FreeWord(rank, word)).letters
-    return cand if cand and len(cand) < len(s) and cand not in rels else None
+def _shorter(s: _Rel, word: Sequence[int], rels: list[_Rel]) -> _Rel | None:
+    """Canonical freely reduced `word` if it is nontrivial, shorter than
+    `s` and new; the length is tested before canonicalising."""
+    core = _cyclic_reduce(word)
+    if not core or len(core) >= len(s):
+        return None
+    cand = _canonical(core)
+    return cand if cand not in rels else None
 
 
 def _drops(rank: int, rels: list[_Rel], max_len: int, budget: int) -> Iterator[_Move]:
@@ -259,19 +281,24 @@ def _substitutions(rank: int, rels: list[_Rel]) -> Iterator[_Move]:
         for j, s in enumerate(rels):
             if j == k:
                 continue
-            cand = _shorter(rank, s, substitute(s, rule), rels)
+            cand = _shorter(s, substitute(s, rule), rels)
             if cand:
                 text = "substitute x%d from %s into %s"
                 yield text % (g, _word_str(rels[k]), _word_str(s)), j, cand
 
 
-def _products(rank: int, rels: list[_Rel]) -> Iterator[_Move]:
-    """Relators shortened by a product with a rotation of another."""
+def _products(rels: list[_Rel]) -> Iterator[_Move]:
+    """Relators shortened by a product with a rotation of another; most
+    are ruled out by length before they are built (_cyclic_product)."""
+    mults = [_rotations(r) + _rotations(invert(r)) for r in rels]
     for j, s in enumerate(rels):
-        for r in rels[:j] + rels[j + 1 :]:
-            for m in _rotations(r) + _rotations(invert(r)):
-                cand = _shorter(rank, s, reduce_onto(list(s), m), rels)
-                if cand:
+        for i, r in enumerate(rels):
+            if i == j:
+                continue
+            for m in mults[i]:
+                core = _cyclic_product(s, m, len(s) - 1)
+                cand = _canonical(core) if core else None
+                if cand and cand not in rels:
                     text = "multiply %s by a conjugate of %s"
                     yield text % (_word_str(s), _word_str(r)), j, cand
 
@@ -291,8 +318,10 @@ def simplify(
     eliminate_generators shares), multiply by a conjugate.  Running out
     of rounds sets `truncated`.  Drop searches use min(budget, 2000), so
     a larger budget changes nothing there.  Deterministic: each phase
-    scans relators in a fixed order.  The witness tests of one call
-    count each presentation once per group (homcount.count_memo).
+    scans relators in a fixed order.  Candidates are rejected by length
+    before they are canonicalised, products before they are built.  The
+    witness tests of one call count each presentation once per group
+    (homcount.count_memo).
     """
     moves: list[str] = []
     rels: list[_Rel] = []
@@ -314,7 +343,7 @@ def simplify(
         phases = chain(
             _drops(p.rank, rels, max_len, budget),
             _substitutions(p.rank, rels),
-            _products(p.rank, rels),
+            _products(rels),
         )
         move = next(phases, None)
         if move is None:

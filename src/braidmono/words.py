@@ -36,9 +36,9 @@ def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:
     """Append letters to the freely reduced word `out` and return it.
 
     Each letter cancels against the end of `out` when it is its inverse,
-    so `out` stays freely reduced.  Products, substitutions and the Artin
-    action all use it; only is_consequence, whose two factors are always
-    reduced, cancels at their junction itself.
+    so `out` stays freely reduced.  Substitutions and the Artin action
+    use it; relator products in presentations, whose two factors are
+    always reduced, cancel at their junction themselves.
     """
     for a in letters:
         if out and out[-1] == -a:
@@ -227,6 +227,8 @@ def artin_action(b: BraidWord, w: FreeWord) -> FreeWord:
     letters = w.letters
     for a in b.letters:
         letters = substitute(letters, _letter_images(a))
+        if len(letters) > MAX_IMAGE_LETTERS:
+            raise CapacityError("braid image has more than %d letters" % MAX_IMAGE_LETTERS)
     return FreeWord(w.rank, letters)
 
 
@@ -247,6 +249,10 @@ NormalForm = tuple[int, tuple[tuple[int, ...], ...]]
 # built holds more than MAX_SUPER_SUMMIT braids.
 MAX_CLOSURE_STRANDS = 6
 MAX_SUPER_SUMMIT = 1000
+# artin_action raises CapacityError once the image outgrows this: an image
+# can grow exponentially in the braid's length, and simplify's time on
+# the induced relators grows about cubically in theirs.
+MAX_IMAGE_LETTERS = 500
 
 
 def _tau(a: tuple[int, ...]) -> tuple[int, ...]:

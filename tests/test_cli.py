@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from braidmono import default_targets, dump_targets
 from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
+from braidmono.words import MAX_IMAGE_LETTERS
 
 
 def _run(capsys, *argv):
@@ -319,7 +322,22 @@ def test_inputs_at_the_size_limits_run(tmp_path, capsys):
     path.write_text(_cyclic_table_text(MAX_TARGET_ORDER), encoding="utf-8")
     code, _, _ = _run(capsys, "verify", "two-tangent-conics", "--targets", str(path))
     assert code == 0
-    # The letter limit holds across tokens; a CLI run at it takes seconds.
+    # The letter limit holds across tokens.  A CLI run on this braid stops
+    # at the image limit (test_braid_image_over_the_limit_exits_two).
     word = _parse_braid("s1^600 s2^-%d" % (MAX_LETTERS - 600), None)
     assert len(word.letters) == MAX_LETTERS
     assert word.letters[-1] == -2
+
+
+@pytest.mark.parametrize("braid", [
+    # 30 letters; the images would reach 7,049,153 letters.
+    pytest.param(" ".join(["s1 s2^-1"] * 15), id="alternating"),
+    # At the letter limit; the relators would reach 481,200 letters.
+    pytest.param("s1^600 s2^-%d" % (MAX_LETTERS - 600), id="at-letter-limit"),
+])
+def test_braid_image_over_the_limit_exits_two(capsys, braid):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "vankampen", "--braid", braid)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: braid image has more than %d letters\n" % MAX_IMAGE_LETTERS

@@ -11,7 +11,8 @@ from braidmono import (
     braid_permutation,
     exponent_sum,
 )
-from braidmono.errors import DimensionMismatchError, MalformedWordError
+from braidmono.errors import CapacityError, DimensionMismatchError, MalformedWordError
+from braidmono.words import MAX_IMAGE_LETTERS
 
 
 def test_free_word_reduces_on_construction():
@@ -95,6 +96,20 @@ def test_action_inverse_roundtrip():
 def test_action_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         artin_action(BraidWord(3, (1,)), FreeWord(2, (1,)))
+
+
+def test_action_stops_at_the_image_limit():
+    # s1^n conjugates x1 by (x2 x1)^(n // 2), so x2's image has 2n + 1
+    # letters: 499 for n = 249, over the limit for n = 250.
+    x2 = FreeWord.generator(2, 2)
+    assert MAX_IMAGE_LETTERS == 500
+    assert len(artin_action(BraidWord(2, (1,) * 249), x2)) == 499
+    with pytest.raises(CapacityError, match="more than 500 letters"):
+        artin_action(BraidWord(2, (1,) * 250), x2)
+    # Each s1 s2^-1 multiplies the length by about 2.6; without the limit
+    # 15 of them would build a 7,049,153-letter image.
+    with pytest.raises(CapacityError):
+        artin_action(BraidWord(3, (1, -2) * 15), FreeWord.generator(3, 2))
 
 
 def test_braid_relations():
