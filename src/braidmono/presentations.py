@@ -39,7 +39,9 @@ def _cyclic_reduce(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(letters[i : j + 1])
 
 
-def _cyclic_product(s: tuple[int, ...], m: tuple[int, ...], cap: int) -> tuple[int, ...] | None:
+def _cyclic_product(
+    s: tuple[int, ...], m: tuple[int, ...], cap: int
+) -> tuple[int, ...] | None:
     """Cyclic reduction of s m for reduced s and m, or None if it has more
     than `cap` letters.  s m cancels k letters at the junction and,
     cyclically, c more at its ends; unless either run eats a whole
@@ -255,10 +257,8 @@ def _shorter(s: _Rel, word: Sequence[int], rels: list[_Rel]) -> _Rel | None:
     """Canonical freely reduced `word` if it is nontrivial, shorter than
     `s` and new; the length is tested before canonicalising."""
     core = _cyclic_reduce(word)
-    if not core or len(core) >= len(s):
-        return None
-    cand = _canonical(core)
-    return cand if cand not in rels else None
+    cand = _canonical(core) if 0 < len(core) < len(s) else None
+    return None if cand in rels else cand
 
 
 def _drops(rank: int, rels: list[_Rel], max_len: int, budget: int) -> Iterator[_Move]:

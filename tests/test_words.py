@@ -99,8 +99,8 @@ def test_action_dimension_mismatch():
 
 
 def test_action_stops_at_the_image_limit():
-    # s1^n conjugates x1 by (x2 x1)^(n // 2), so x2's image has 2n + 1
-    # letters: 499 for n = 249, over the limit for n = 250.
+    # x2's image under s1^n has 2n + 1 letters: 499 for n = 249, and 501,
+    # over the limit, for n = 250.
     x2 = FreeWord.generator(2, 2)
     assert MAX_IMAGE_LETTERS == 500
     assert len(artin_action(BraidWord(2, (1,) * 249), x2)) == 499
