@@ -4,8 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from braidmono import parse_curve, parse_polynomial
-from braidmono.errors import CriticalFiberError, ImproperProjectionError, ParseError
+from braidmono import (
+    CurveSpec,
+    LoopSpec,
+    Polynomial2,
+    braid_equal,
+    fixture_by_id,
+    fixtures,
+    local_braid_monodromy,
+    parse_curve,
+    parse_polynomial,
+)
+from braidmono.errors import (
+    CriticalFiberError,
+    ImproperProjectionError,
+    ParseError,
+    TrackingFailureError,
+)
 
 
 def test_parse_simple_polynomial():
@@ -99,3 +114,58 @@ def test_unbalanced_parentheses():
 def test_transverse_intersections_are_fine():
     c = parse_curve("(y-x)(y+x)")
     assert len(c.factors) == 2
+
+
+def test_factors_meeting_at_the_first_sample_points_are_coprime():
+    # The factors meet over x = 1, 2, 3: the first `bound` = 3 sample
+    # points, so only the last point proves them coprime.
+    c = parse_curve("y(y-x^3+6x^2-11x+6)")
+    assert len(c.factors) == 2
+
+
+def test_sample_where_a_leading_coefficient_vanishes_is_skipped():
+    # Both factors share (x-1)y - 1; at x = 1 its leading coefficient
+    # vanishes and both fibers have a constant gcd.
+    with pytest.raises(CriticalFiberError, match="factors 1 and 2 share a component"):
+        parse_curve("(xy^2-y^2+x^2y-xy-y-x)(xy^2-y^2-x^2y+xy-y+x)")
+
+
+def test_sharing_factors_of_y_degree_sixteen_are_rejected():
+    # Proving a common component takes bound + 1 = 1,249 sample points.
+    common = parse_polynomial("y^8+x^13y^3+x^20y+x^19-1")
+    a = parse_polynomial("y^8+x^19y^7+x^5y^2+x^6-x+1") * common
+    b = parse_polynomial("y^8-x^19y^4+x^6y-2") * common
+    assert (a.degree_y, a.degree_x, b.degree_y, b.degree_x) == (16, 39, 16, 39)
+    with pytest.raises(CriticalFiberError, match="factors 1 and 2 share a component"):
+        CurveSpec((a, b))
+
+
+def _scaled(curve: CurveSpec, lam: int) -> CurveSpec:
+    """The curve under y -> lam*y."""
+    return CurveSpec(tuple(
+        Polynomial2.from_dict({(dx, dy): v * lam**dy for (dx, dy), v in f.coeffs})
+        for f in curve.factors))
+
+
+_FIXTURE_IDS = [f.fixture_id for f in fixtures()]
+
+
+@pytest.mark.parametrize("lam", [pytest.param(2**20, id="2^20"), pytest.param(2**40, id="2^40")])
+@pytest.mark.parametrize("fixture_id", _FIXTURE_IDS)
+def test_scaled_fixture_curves_are_accepted(fixture_id, lam):
+    curve = _scaled(fixture_by_id(fixture_id).curve, lam)
+    assert curve.degree_y == fixture_by_id(fixture_id).curve.degree_y
+
+
+@pytest.mark.parametrize("lam", [
+    pytest.param(2**20, id="2^20"),
+    pytest.param(2**40, id="2^40", marks=pytest.mark.xfail(
+        strict=True, raises=TrackingFailureError,
+        reason="ROADMAP item 6: Motion judges coincidence against an absolute scale, "
+               "so roots of size 2^-40 are refused as nearly coincident")),
+])
+@pytest.mark.parametrize("fixture_id", _FIXTURE_IDS)
+def test_scaled_fixture_keeps_its_braid(tracked_braid, fixture_id, lam):
+    # y -> lam*y shrinks every fiber by lam and leaves the braid alone.
+    curve = _scaled(fixture_by_id(fixture_id).curve, lam)
+    assert braid_equal(local_braid_monodromy(curve, LoopSpec()), tracked_braid(fixture_id))

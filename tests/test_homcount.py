@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -360,3 +361,31 @@ def test_count_memo_plans_each_presentation_once(monkeypatch):
     outside = [count_homomorphisms(p, g) for _, g in default_targets()]
     assert len(calls) == 11
     assert inside == outside
+
+
+def _element_order(g, a):
+    k, x = 1, a
+    while x != g.identity:
+        k, x = k + 1, g.table[x][a]
+    return k
+
+
+@pytest.mark.parametrize("name, orders, commuting", [
+    ("C2", {1: 1, 2: 1}, 4),
+    ("C3", {1: 1, 3: 2}, 9),
+    ("C4", {1: 1, 2: 1, 4: 2}, 16),
+    ("C6", {1: 1, 2: 1, 3: 2, 6: 2}, 36),
+    ("S3", {1: 1, 2: 3, 3: 2}, 18),
+    ("D4", {1: 1, 2: 5, 4: 2}, 40),
+    ("Q8", {1: 1, 2: 1, 4: 6}, 40),
+    ("A4", {1: 1, 2: 3, 3: 8}, 48),
+    ("D6", {1: 1, 2: 7, 3: 2, 6: 2}, 72),
+    ("S4", {1: 1, 2: 9, 3: 8, 4: 6}, 120),
+])
+def test_battery_group_isomorphism_types(name, orders, commuting):
+    # The multiset of element orders tells D4 from Q8; the commuting
+    # pairs, the size of the centre and conjugacy classes, back it up.
+    g = dict(default_targets())[name]
+    n = g.order
+    assert Counter(_element_order(g, a) for a in range(n)) == orders
+    assert sum(g.table[a][b] == g.table[b][a] for a in range(n) for b in range(n)) == commuting
