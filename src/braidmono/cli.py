@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import fixture_by_id, fixtures, n_tangency_fixture, verify_fixture
-from .curves import CurveSpec, parse_curve
+from .curves import CurveSpec, _split_factors, parse_polynomial
 from .errors import (
     BraidMonoError,
     CapacityError,
@@ -148,8 +148,10 @@ def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
     """The curve named by the tracking flags and its fiber motion along the loop."""
     opt = {k: d if getattr(args, k) is None else getattr(args, k)
            for k, d in _TRACKING_DEFAULTS.items()}
-    curve = parse_curve(args.curve, _parse_rational(opt["shear"]))
-    _check_limit("the curve's y-degree", curve.degree_y, MAX_STRANDS)
+    shear = _parse_rational(opt["shear"])
+    factors = tuple(parse_polynomial(t).shear_x(shear) for t in _split_factors(args.curve))
+    _check_limit("the curve's y-degree", sum(f.degree_y for f in factors), MAX_STRANDS)
+    curve = CurveSpec(factors)
     loop_arc = "negative-half" if opt["arc"] == "half" else "full"
     loop = LoopSpec(_parse_complex(opt["center"]), _parse_rational(opt["radius"]), loop_arc)
     return curve, track_loop(curve, loop, initial_divisions=opt["steps"])

@@ -10,6 +10,17 @@ actually depend on y, and no factor may contain a vertical-line
 component (a factor of positive degree in x alone).  An optional shear
 x -> x + q*y fixes equations with a vertical line, at the price of
 moving its fiber point far from the others.
+
+The product must be reduced: no factor may repeat a component and no two
+factors may share one.  Both are decided exactly.  For f and g free of
+x-content, Res_y(f, g) is zero exactly when they share a component, and
+its x-degree is at most deg_x f * deg_y g + deg_x g * deg_y f.  At a
+rational x0 where neither leading y-coefficient vanishes, Res_y(f, g)(x0)
+is the resultant of f(x0, y) and g(x0, y), so a constant gcd of the two
+proves them coprime, and one more sample than that degree bound with a
+non-constant gcd proves a common component (Cox, Little & O'Shea, Ideals,
+Varieties, and Algorithms, ch. 3).  A factor f is squarefree exactly
+when it shares no component with df/dy.
 """
 
 from __future__ import annotations
@@ -18,7 +29,9 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
+from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -48,20 +61,8 @@ class Polynomial2:
         return dict(self.coeffs)
 
     @classmethod
-    def zero(cls) -> "Polynomial2":
-        return cls(())
-
-    @classmethod
     def constant(cls, c: Fraction) -> "Polynomial2":
         return cls.from_dict({(0, 0): Fraction(c)})
-
-    @classmethod
-    def variable(cls, name: str) -> "Polynomial2":
-        if name == "x":
-            return cls.from_dict({(1, 0): Fraction(1)})
-        if name == "y":
-            return cls.from_dict({(0, 1): Fraction(1)})
-        raise ParseError("unknown variable %r" % name)
 
     @property
     def is_zero(self) -> bool:
@@ -73,12 +74,6 @@ class Polynomial2:
             d[k] = d.get(k, Fraction(0)) + v
         return Polynomial2.from_dict(d)
 
-    def __neg__(self) -> "Polynomial2":
-        return Polynomial2(tuple((k, -v) for k, v in self.coeffs))
-
-    def __sub__(self, other: "Polynomial2") -> "Polynomial2":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial2") -> "Polynomial2":
         d: dict[tuple[int, int], Fraction] = {}
         for (ax, ay), av in self.coeffs:
@@ -86,10 +81,6 @@ class Polynomial2:
                 k = (ax + bx, ay + by)
                 d[k] = d.get(k, Fraction(0)) + av * bv
         return Polynomial2.from_dict(d)
-
-    def scale(self, c: Fraction) -> "Polynomial2":
-        c = Fraction(c)
-        return Polynomial2.from_dict({k: v * c for k, v in self.coeffs})
 
     @cached_property
     def degree_y(self) -> int:
@@ -108,16 +99,19 @@ class Polynomial2:
         q = Fraction(q)
         if q == 0:
             return self
-        x = Polynomial2.variable("x")
-        y = Polynomial2.variable("y")
-        repl = x + y.scale(q)
-        out = Polynomial2.zero()
-        powers = [Polynomial2.constant(Fraction(1))]
-        for _ in range(self.degree_x):
-            powers.append(powers[-1] * repl)
+        d: dict[tuple[int, int], Fraction] = {}
         for (dx, dy), v in self.coeffs:
-            term = powers[dx] * Polynomial2.from_dict({(0, dy): v})
-            out = out + term
+            # (x + q y)^dx y^dy = sum_k C(dx, k) q^k x^(dx-k) y^(dy+k)
+            for k in range(dx + 1):
+                key = (dx - k, dy + k)
+                d[key] = d.get(key, Fraction(0)) + v * comb(dx, k) * q**k
+        return Polynomial2.from_dict(d)
+
+    def fiber_at(self, x0: Fraction | int) -> list[Fraction]:
+        """Ascending y-coefficients of f(x0, y), exactly; the last is lc_y(f)(x0)."""
+        out = [Fraction(0)] * (self.degree_y + 1)
+        for (dx, dy), v in self.coeffs:
+            out[dy] += v * x0**dx
         return out
 
     def y_coeffs_at(self, x0: complex) -> list[complex]:
@@ -246,49 +240,54 @@ def _split_factors(text: str) -> list[str]:
     return out
 
 
-def _x_gcd(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Euclidean gcd of univariate polynomials in x (dict deg -> coeff)."""
+def _primitive(p: Sequence[Fraction | int]) -> list[int]:
+    """p times a rational making its coefficients coprime integers."""
+    den = reduce(lcm, (c.denominator for c in p), 1)
+    q = [int(c * den) for c in p]
+    while q and q[-1] == 0:
+        q.pop()
+    g = reduce(gcd, q, 0)
+    return [c // g for c in q]
 
-    def norm(p: dict[int, Fraction]) -> list[Fraction]:
-        if not p:
-            return []
-        n = max(p)
-        return [p.get(i, Fraction(0)) for i in range(n + 1)]
 
-    fa, fb = norm(a), norm(b)
-
-    def strip(p: list[Fraction]) -> list[Fraction]:
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    fa, fb = strip(fa), strip(fb)
-    while fb:
-        # fa mod fb
-        while len(fa) >= len(fb) and fa:
-            q = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, c in enumerate(fb):
-                fa[i + shift] -= q * c
-            fa = strip(fa)
-        fa, fb = fb, fa
-    return {i: c for i, c in enumerate(fa)}
+def _gcd(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[int]:
+    """Gcd of polynomials as ascending coefficient lists, up to a constant:
+    [] is zero, a one-entry list a constant.  Euclid by pseudo-division over
+    the integers, which is far cheaper than reducing fractions at each step."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        while len(a) >= len(b):
+            lead, shift = a[-1], len(a) - len(b)
+            a = [b[-1] * c for c in a]
+            for i, c in enumerate(b):
+                a[i + shift] -= lead * c
+            a.pop()
+        a, b = b, _primitive(a)
+    return a
 
 
 def _vertical_content(p: Polynomial2) -> bool:
     """True if some x-polynomial divides every coefficient (vertical line)."""
-    coeffs: list[dict[int, Fraction]] = []
+    g: list[int] = []
     for dy in range(p.degree_y + 1):
         c = p.y_coefficient(dy)
-        if c:
-            coeffs.append(c)
-    if not coeffs:
-        return True
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = _x_gcd(g, c)
-    deg = max(g) if g else -1
-    return deg > 0 or (deg < 0)
+        g = _gcd(g, [c.get(dx, Fraction(0)) for dx in range(max(c, default=-1) + 1)])
+    return len(g) != 1
+
+
+def _share_component(f: Polynomial2, g: Polynomial2) -> bool:
+    """True if f and g, both free of x-content, have a common component:
+    decided at x0 = 1, 2, ..., skipping roots of lc_y (module docstring)."""
+    bound = f.degree_x * g.degree_y + g.degree_x * f.degree_y
+    kept = x0 = 0
+    while kept <= bound:
+        x0 += 1
+        a, b = f.fiber_at(x0), g.fiber_at(x0)
+        if a[-1] and b[-1]:
+            if len(_gcd(a, b)) == 1:
+                return False
+            kept += 1
+    return True
 
 
 @dataclass(frozen=True)
@@ -317,13 +316,17 @@ class CurveSpec:
                 raise ImproperProjectionError(
                     "factor %s contains a vertical-line component" % f
                 )
-        seen = []
-        for f in factors:
-            norm = _normalize(f)
-            if norm in seen:
+        norms = [_normalize(f) for f in factors]
+        for k, f in enumerate(factors):
+            if norms[k] in norms[:k]:
                 raise CriticalFiberError("repeated factor %s (product not squarefree)" % f)
-            seen.append(norm)
-        _check_pairwise_coprime(factors)
+        for f in factors:
+            df = Polynomial2.from_dict({(dx, dy - 1): dy * v for (dx, dy), v in f.coeffs if dy})
+            if _share_component(f, df):
+                raise CriticalFiberError("factor %s is not squarefree" % f)
+        for (a, f), (b, g) in combinations(enumerate(factors, 1), 2):
+            if _share_component(f, g):
+                raise CriticalFiberError("factors %d and %d share a component" % (a, b))
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "shear", shear)
 
@@ -343,52 +346,10 @@ class CurveSpec:
 
 
 def _normalize(p: Polynomial2) -> tuple:
-    lead = None
-    for k, v in sorted(p.coeffs):
-        lead = v
-        break
-    if lead is None or lead == 0:
-        return ()
+    lead = min(p.coeffs)[1]
     return tuple((k, v / lead) for k, v in p.coeffs)
-
-
-# Shared roots are detected numerically: a genuine common component
-# yields a shared root at every sample x, while isolated intersections
-# cannot survive two generic rational samples.
-_COPRIME_SAMPLES = (complex(1.137, 0.291), complex(-0.842, 0.515))
-
-
-def _check_pairwise_coprime(factors: Sequence[Polynomial2]) -> None:
-    import numpy as np
-
-    roots_at: list[list] = []
-    for x0 in _COPRIME_SAMPLES:
-        per_factor = []
-        for f in factors:
-            cs = f.y_coeffs_at(x0)
-            per_factor.append(np.roots(cs) if len(cs) > 1 else np.array([]))
-        roots_at.append(per_factor)
-    n = len(factors)
-    for a in range(n):
-        for b in range(a + 1, n):
-            shared_everywhere = True
-            for per_factor in roots_at:
-                ra, rb = per_factor[a], per_factor[b]
-                if ra.size == 0 or rb.size == 0:
-                    shared_everywhere = False
-                    break
-                dist = min(abs(x - y) for x in ra for y in rb)
-                if dist > 1e-6:
-                    shared_everywhere = False
-                    break
-            if shared_everywhere:
-                raise CriticalFiberError(
-                    "factors %d and %d appear to share a component" % (a + 1, b + 1)
-                )
 
 
 def parse_curve(text: str, shear: Fraction | int = 0) -> CurveSpec:
     """Parse a product of factors, e.g. "(2x+y)(y+x^2)(y-x^2)" or "y(y^2+x)(y^2-x)"."""
-    factor_texts = _split_factors(text)
-    factors = tuple(parse_polynomial(t) for t in factor_texts)
-    return CurveSpec(factors, Fraction(shear))
+    return CurveSpec(tuple(parse_polynomial(t) for t in _split_factors(text)), Fraction(shear))

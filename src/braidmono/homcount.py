@@ -37,7 +37,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -120,93 +119,60 @@ class _SearchTables(NamedTuple):
     weights: np.ndarray  # the size of each orbit
 
 
-def _from_permutations(perms: list[tuple[int, ...]]) -> FiniteGroupTable:
-    index = {p: k for k, p in enumerate(perms)}
-    n = len(perms)
-    table = []
-    for a in perms:
-        row = []
-        for b in perms:
-            # composition: apply a, then b
-            c = tuple(b[x] for x in a)
-            row.append(index[c])
-        table.append(tuple(row))
-    deg = len(perms[0])
-    ident = index[tuple(range(deg))]
-    return FiniteGroupTable(n, ident, tuple(table))
+def _generated(*gens: tuple[int, ...]) -> FiniteGroupTable:
+    """The group generated by permutations of 0..d-1, closed breadth-first:
+    the identity is element 0, the others numbered as first reached by right
+    multiplication with a generator; a*b applies a, then b."""
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    for a in elems:
+        for g in gens:
+            c = tuple(g[x] for x in a)
+            if c not in index:
+                index[c] = len(elems)
+                elems.append(c)
+    table = tuple(tuple(index[tuple(b[x] for x in a)] for b in elems) for a in elems)
+    return FiniteGroupTable(len(elems), 0, table)
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
     if n < 1:
         raise GroupTableError("cyclic group needs order >= 1")
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroupTable(n, 0, table)
+    # Element k is the k-th power of the n-cycle, so a*b is (a + b) mod n.
+    return _generated(tuple(range(1, n)) + (0,))
 
 
 def dihedral_group(n: int) -> FiniteGroupTable:
-    """Symmetries of a regular n-gon, order 2n."""
+    """Symmetries of a regular n-gon, order 2n, acting on its flags (vertex
+    i, side d) as 2i + d: faithful for n = 2 too, unlike on the vertices."""
     if n < 2:
         raise GroupTableError("dihedral group needs n >= 2")
-    perms = []
-    base = list(range(n))
-    for k in range(n):
-        rot = tuple(base[(i + k) % n] for i in range(n))
-        perms.append(rot)
-    for k in range(n):
-        ref = tuple(base[(k - i) % n] for i in range(n))
-        perms.append(ref)
-    return _from_permutations(perms)
-
-
-def _all_perms(n: int) -> list[tuple[int, ...]]:
-    return [tuple(p) for p in permutations(range(n))]
+    flags = [(i, d) for i in range(n) for d in (0, 1)]
+    rotation = tuple(2 * ((i + 1) % n) + d for i, d in flags)
+    reflection = tuple(2 * (-i % n) + 1 - d for i, d in flags)
+    return _generated(rotation, reflection)
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
     if not 1 <= n <= 5:
         raise GroupTableError("symmetric group supported for 1 <= n <= 5")
-    return _from_permutations(_all_perms(n))
+    # The n-cycle and the transposition (0 n-1) of two of its neighbours.
+    swap = tuple(n - 1 - i if i in (0, n - 1) else i for i in range(n))
+    return _generated(tuple(range(1, n)) + (0,), swap)
 
 
 def alternating_group(n: int) -> FiniteGroupTable:
     if not 3 <= n <= 5:
         raise GroupTableError("alternating group supported for 3 <= n <= 5")
-
-    def sign(p: tuple[int, ...]) -> int:
-        s = 1
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-
-    return _from_permutations([p for p in _all_perms(n) if sign(p) == 1])
+    # The 3-cycles (0 1 k) generate A_n.
+    cycles = (tuple({0: 1, 1: k, k: 0}.get(i, i) for i in range(n)) for k in range(2, n))
+    return _generated(*cycles)
 
 
 def quaternion_group() -> FiniteGroupTable:
-    """Order-8 quaternion group {1, -1, i, -i, j, -j, k, -k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def mul(a: str, b: str) -> str:
-        sa, ua = (-1 if a.startswith("-") else 1), a.lstrip("-")
-        sb, ub = (-1 if b.startswith("-") else 1), b.lstrip("-")
-        rules = {
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-        s, u = rules[(ua, ub)]
-        s *= sa * sb
-        return u if s > 0 else "-" + u
-
-    index = {nm: k for k, nm in enumerate(names)}
-    table = tuple(
-        tuple(index[mul(a, b)] for b in names) for a in names
-    )
-    return FiniteGroupTable(8, 0, table)
+    """Order-8 quaternion group, as right multiplication by i and j on
+    its elements 1, -1, i, -i, j, -j, k, -k."""
+    return _generated((2, 3, 1, 0, 7, 6, 4, 5), (4, 5, 6, 7, 1, 0, 3, 2))
 
 
 def default_targets() -> list[tuple[str, FiniteGroupTable]]:

@@ -110,7 +110,7 @@ def test_out_of_range_leading_coefficient_exits_three(capsys):
 
 @pytest.mark.parametrize("flags, message", [
     pytest.param(("--curve", "(y^2-2xy+x^2)"),
-                 "step underflow at loop angle 0.000000 (fiber too unstable)",
+                 "factor y^2-2xy+x^2 is not squarefree",
                  id="repeated-factor"),
     pytest.param(("--curve", "(2x+y)(y+x^2)(y-x^2)", "--radius", "2"),
                  "step underflow at loop angle 0.000000 (fiber too unstable)",

@@ -15,12 +15,7 @@ from braidmono import (
     parse_curve,
     parse_polynomial,
 )
-from braidmono.errors import (
-    CriticalFiberError,
-    ImproperProjectionError,
-    ParseError,
-    TrackingFailureError,
-)
+from braidmono.errors import CriticalFiberError, ImproperProjectionError, ParseError
 
 
 def test_parse_simple_polynomial():
@@ -131,11 +126,11 @@ def test_sample_where_a_leading_coefficient_vanishes_is_skipped():
 
 
 def test_sharing_factors_of_y_degree_sixteen_are_rejected():
-    # Proving a common component takes bound + 1 = 1,249 sample points.
-    common = parse_polynomial("y^8+x^13y^3+x^20y+x^19-1")
-    a = parse_polynomial("y^8+x^19y^7+x^5y^2+x^6-x+1") * common
-    b = parse_polynomial("y^8-x^19y^4+x^6y-2") * common
-    assert (a.degree_y, a.degree_x, b.degree_y, b.degree_x) == (16, 39, 16, 39)
+    # Proving a common component takes bound + 1 = 385 sample points.
+    common = parse_polynomial("y^8+x^4y^3+x^6y+x^5-1")
+    a = parse_polynomial("y^8+x^6y^7+x^5y^2+x^6-x+1") * common
+    b = parse_polynomial("y^8-x^6y^4+x^6y-2") * common
+    assert (a.degree_y, a.degree_x, b.degree_y, b.degree_x) == (16, 12, 16, 12)
     with pytest.raises(CriticalFiberError, match="factors 1 and 2 share a component"):
         CurveSpec((a, b))
 
@@ -160,7 +155,7 @@ def test_scaled_fixture_curves_are_accepted(fixture_id, lam):
 @pytest.mark.parametrize("lam", [
     pytest.param(2**20, id="2^20"),
     pytest.param(2**40, id="2^40", marks=pytest.mark.xfail(
-        strict=True, raises=TrackingFailureError,
+        strict=True, raises=CriticalFiberError,
         reason="ROADMAP item 6: Motion judges coincidence against an absolute scale, "
                "so roots of size 2^-40 are refused as nearly coincident")),
 ])

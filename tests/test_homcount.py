@@ -42,6 +42,16 @@ def test_group_orders():
     assert quaternion_group().order == 8
 
 
+def test_constructors_over_their_whole_range():
+    assert [cyclic_group(n).order for n in (1, 2, 7)] == [1, 2, 7]
+    assert [symmetric_group(n).order for n in range(1, 6)] == [1, 2, 6, 24, 120]
+    assert [alternating_group(n).order for n in (3, 4, 5)] == [3, 12, 60]
+    assert [dihedral_group(n).order for n in (2, 3, 5)] == [4, 6, 10]
+    # D2 is the Klein four-group: every element is its own inverse.
+    klein = dihedral_group(2)
+    assert all(klein.table[a][a] == klein.identity for a in range(4))
+
+
 def test_table_validation():
     with pytest.raises(GroupTableError):
         FiniteGroupTable(2, 0, ((0, 1), (1, 1)))
