@@ -68,12 +68,6 @@ class Polynomial2:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "Polynomial2") -> "Polynomial2":
-        d = self.as_dict()
-        for k, v in other.coeffs:
-            d[k] = d.get(k, Fraction(0)) + v
-        return Polynomial2.from_dict(d)
-
     def __mul__(self, other: "Polynomial2") -> "Polynomial2":
         d: dict[tuple[int, int], Fraction] = {}
         for (ax, ay), av in self.coeffs:

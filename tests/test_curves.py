@@ -148,8 +148,8 @@ _FIXTURE_IDS = [f.fixture_id for f in fixtures()]
 @pytest.mark.parametrize("lam", [pytest.param(2**20, id="2^20"), pytest.param(2**40, id="2^40")])
 @pytest.mark.parametrize("fixture_id", _FIXTURE_IDS)
 def test_scaled_fixture_curves_are_accepted(fixture_id, lam):
-    curve = _scaled(fixture_by_id(fixture_id).curve, lam)
-    assert curve.degree_y == fixture_by_id(fixture_id).curve.degree_y
+    curve = fixture_by_id(fixture_id).curve
+    assert _scaled(curve, lam).degree_y == curve.degree_y
 
 
 @pytest.mark.parametrize("lam", [

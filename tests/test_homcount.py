@@ -394,7 +394,7 @@ def _element_order(g, a):
 ])
 def test_battery_group_isomorphism_types(name, orders, commuting):
     # The multiset of element orders tells D4 from Q8; the commuting
-    # pairs, the size of the centre and conjugacy classes, back it up.
+    # pairs, |G| times the number of conjugacy classes, back it up.
     g = dict(default_targets())[name]
     n = g.order
     assert Counter(_element_order(g, a) for a in range(n)) == orders
