@@ -303,3 +303,37 @@ def test_nearest_match_takes_a_tolerance_per_point():
     assert nearest_match([0, 10], [0.25, 13], [0.5, 3.0]) == [0, 1]
     assert nearest_match([0, 10], [0.25, 13], [0.5, 2.5]) is None
     assert nearest_match([0, 10], [0.25, 13], [0.2, 3.0]) is None
+
+
+def _two_faults(head_on: int, stuck: int, samples: int = 5) -> Motion:
+    """Strands 0 and 1 meet head on across step `head_on`; strand 3 keeps
+    the sheared key of strand 2 (10) across step `stuck`."""
+    a, b = [-1.0] * samples, [1.0] * samples
+    for j in range(head_on + 1, samples):
+        a[j], b[j] = 1.0, -1.0
+    c, d = [10.0] * samples, [20.0] * samples
+    d[stuck], d[stuck + 1] = 11 - 1000j, 12 - 2000j
+    for j in range(stuck + 2, samples):
+        d[j] = 30.0
+    return Motion(tuple(float(t) for t in range(samples)), (a, b, c, d))
+
+
+@pytest.mark.parametrize("motion, message", [
+    pytest.param(Motion((0.0, 1.0), ((0, 1j), (1 - 1000j, 2 - 1000j))),
+                 "tied sheared order at the initial configuration", id="initial"),
+    pytest.param(Motion((0.0, 1.0, 2.0, 3.0),
+                        ((0, 0, 0, 0), (1 + 5j, 1 - 1000j, 2 - 2000j, 3 - 2000j))),
+                 "strands 0 and 1 keep equal sheared keys across step 1", id="stuck"),
+    pytest.param(Motion((0.0, 1.0), ((-1, 1), (1, -1))),
+                 "cannot layer simultaneous crossing at step 0", id="head-on"),
+    pytest.param(_two_faults(head_on=3, stuck=1),
+                 "strands 2 and 3 keep equal sheared keys across step 1",
+                 id="stuck-before-head-on"),
+    pytest.param(_two_faults(head_on=1, stuck=2),
+                 "cannot layer simultaneous crossing at step 1",
+                 id="head-on-before-stuck"),
+])
+def test_tie_error_names_the_first_faulty_step(motion, message):
+    with pytest.raises(TieError) as err:
+        motion_to_braid(motion)
+    assert str(err.value) == message
