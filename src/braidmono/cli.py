@@ -84,6 +84,7 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_braid(text: str, strands: int | None) -> BraidWord:
     letters = []
+    written = []  # one letter per token, a zero power included
     for tok in text.replace(",", " ").split():
         m = re.fullmatch(r"s(\d+)(?:\^(-?\d+))?", tok)
         if m:
@@ -100,9 +101,11 @@ def _parse_braid(text: str, strands: int | None) -> BraidWord:
             raise ParseError("braid letter index must be positive in %r" % tok)
         _check_limit("the braid's letter count", len(letters) + abs(power), MAX_LETTERS)
         letters.extend([base if power > 0 else -base] * abs(power))
+        written.append(-base if power < 0 else base)
     if strands is None:
-        strands = max((abs(a) for a in letters), default=0) + 1
+        strands = max(map(abs, written), default=0) + 1
     _check_limit("the braid's strand count", strands, MAX_STRANDS)
+    BraidWord(strands, tuple(written))  # range-checks every written letter
     return BraidWord(strands, tuple(letters))
 
 

@@ -26,6 +26,8 @@ of fibers in one array pass.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +46,19 @@ _KEY_TOL = 1e-12
 _LAMBDA_TOL = 1e-9
 _MATCH_TOL = 1e-7
 
+# Entries kept by each cache: rotation tables, one per (angle, steps) with
+# steps + 1 samples, and strand pairs, one per strand count.
+_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Row and column indices of the strand pairs a < b of n strands, as
+    read-only arrays and as a list of pairs."""
+    ia, ib = np.triu_indices(n, 1)
+    ia.flags.writeable = ib.flags.writeable = False
+    return ia, ib, list(zip(ia.tolist(), ib.tolist()))
+
 
 def strand_key(z: complex | np.ndarray) -> float | np.ndarray:
     """Sheared real projection that orders the strands; elementwise on arrays."""
@@ -53,7 +68,9 @@ def strand_key(z: complex | np.ndarray) -> float | np.ndarray:
 def _scale(points) -> float | np.ndarray:
     """max(1, largest modulus) of a point list, or of each sample (column)
     of a (strands, samples) array."""
-    return np.abs(np.asarray(points, dtype=complex)).max(axis=0, initial=1.0)
+    if isinstance(points, np.ndarray):
+        return np.abs(points).max(axis=0, initial=1.0)
+    return max([1.0, *map(abs, points)])
 
 
 def nearest_match(
@@ -96,10 +113,10 @@ class Motion:
     paths: np.ndarray
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
+        times = np.asarray(self.times, dtype=float)
         if len(times) < 1:
             raise DegenerateMotionError("a motion needs at least one sample")
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if (np.diff(times) <= 0).any():
             raise DegenerateMotionError("sample times must be strictly increasing")
         try:
             paths = np.array(self.paths, dtype=complex)
@@ -109,9 +126,9 @@ class Motion:
                 "trajectory length does not match time grid"
             ) from None
         paths.flags.writeable = False
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", tuple(times.tolist()))
         object.__setattr__(self, "paths", paths)
-        ia, ib = np.triu_indices(len(paths), 1)
+        ia, ib, _ = _pairs(len(paths))
         hit = np.abs(paths[ia] - paths[ib]) <= _KEY_TOL * _scale(paths)
         if hit.any():
             j, p = np.argwhere(hit.T)[0]
@@ -150,43 +167,51 @@ def motion_to_braid(m: Motion) -> BraidWord:
     crossings are layered by imaginary part and factored into adjacent
     transpositions, which is order independent for layered clusters.
     The sheared-key gaps of all strand pairs are computed in one array
-    pass; only steps where a gap starts tied or changes sign are walked.
+    pass, which lists every (step, pair) where a gap starts tied or
+    changes sign; the walk takes those events step by step.
     """
     n = m.strands
     if n == 0:
         raise DegenerateMotionError("a motion needs at least one strand")
     keys = strand_key(m.paths)
     scale = _scale(m.paths)
-    order = np.argsort(keys[:, 0], kind="stable").tolist()
-    if (np.diff(keys[order, 0]) <= _KEY_TOL * scale[0]).any():
+    first = keys[:, 0].tolist()
+    order = sorted(range(n), key=first.__getitem__)
+    pos = sorted(range(n), key=order.__getitem__)
+    tol = _KEY_TOL * float(scale[0])
+    if any(first[b] - first[a] <= tol for a, b in zip(order, order[1:])):
         raise TieError("tied sheared order at the initial configuration")
-    pos = np.argsort(order).tolist()
     letters: list[int] = []
 
-    ia, ib = np.triu_indices(n, 1)
-    pairs = list(zip(ia.tolist(), ib.tolist()))
+    ia, ib, pairs = _pairs(n)
     gaps = keys[ia] - keys[ib]
     g0, g1 = gaps[:, :-1], gaps[:, 1:]
     tol = _KEY_TOL * np.maximum(scale[:-1], scale[1:])
-    # Per pair and step: gap tied at the start (z0), at the end (z1), or
-    # changing sign strictly inside the step (cross).
+    # Per pair and step: gap tied at the start (z0) or at the end (z1).  An
+    # event is a gap tied at the start or changing sign inside the step;
+    # events come in step order, then pair order, each with its gaps, its
+    # ties and the strand positions at both ends of its step.
     z0 = np.abs(g0) <= tol
     z1 = np.abs(g1) <= tol
-    cross = ~(z0 | z1 | (g0 * g1 > 0))
-    for j in np.flatnonzero((z0 | cross).any(axis=0)).tolist():
-        stuck = np.flatnonzero(z0[:, j] & z1[:, j])
-        if stuck.size:
-            raise TieError(
-                "strands %d and %d keep equal sheared keys across step %d"
-                % (*pairs[stuck[0]], j)
-            )
-        col0 = m.paths[:, j].tolist()
-        col1 = m.paths[:, j + 1].tolist()
+    js, ps = np.nonzero((z0 | ~(z1 | (g0 * g1 > 0))).T)
+    d0s, d1s = g0[ps, js].tolist(), g1[ps, js].tolist()
+    tied0, tied1 = z0[ps, js].tolist(), z1[ps, js].tolist()
+    cols0, cols1 = m.paths[:, js].T.tolist(), m.paths[:, js + 1].T.tolist()
+    js, ps = js.tolist(), ps.tolist()
+    for j, run in itertools.groupby(range(len(js)), js.__getitem__):
+        run = list(run)
+        for e in run:
+            if tied0[e] and tied1[e]:
+                raise TieError(
+                    "strands %d and %d keep equal sheared keys across step %d"
+                    % (*pairs[ps[e]], j)
+                )
+        col0, col1 = cols0[run[0]], cols1[run[0]]
         events: list[tuple[float, int, int]] = []
-        for p in np.flatnonzero(z0[:, j] | cross[:, j]).tolist():
-            a, b = pairs[p]
-            d0, d1 = float(g0[p, j]), float(g1[p, j])
-            if not z0[p, j]:
+        for e in run:
+            a, b = pairs[ps[e]]
+            d0, d1 = d0s[e], d1s[e]
+            if not tied0[e]:
                 events.append((d0 / (d0 - d1), a, b))
             elif (pos[a] < pos[b]) != (d1 < 0):
                 # Tied at the step start: the maintained order decides
@@ -236,9 +261,10 @@ def motion_to_braid(m: Motion) -> BraidWord:
                         "simultaneous crossings of non-adjacent strands at step %d" % j
                     )
                 lo = slots[0]
-                ims = {s: at(s, lam).imag for s in grp}
+                here = [at(s, lam) for s in grp]
+                ims = {s: z.imag for s, z in zip(grp, here)}
                 vals = sorted(ims.values())
-                im_tol = _KEY_TOL * _scale([at(s, lam) for s in grp]) / EPS
+                im_tol = _KEY_TOL * _scale(here) / EPS
                 for v0, v1 in zip(vals, vals[1:]):
                     if v1 - v0 <= im_tol:
                         raise TieError(
@@ -271,26 +297,42 @@ def _still(points: Sequence[complex], steps: int) -> np.ndarray:
     return np.repeat(np.array(points, dtype=complex).reshape(-1, 1), steps + 1, axis=1)
 
 
-def _rotation(movers: list[complex], center: complex, angle, steps: int | None,
-              fixed: list[complex]) -> tuple[tuple[float, ...], np.ndarray]:
-    """Times and rows of a rigid counterclockwise rotation of `movers`
-    about `center` by angle*pi, followed by the rows of the `fixed` points.
-    The default sampling uses 64 steps per quarter turn.
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _turns(angle, steps: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Sample grid on [0, 1] and unit turns exp(i*angle*pi*t) of a rotation,
+    as read-only arrays shared by every rotation of the key (equal angles,
+    Fraction or int, share one).  steps None takes 64 steps per quarter
+    turn; an invalid steps raises on every call, as errors are not cached.
     """
     angle = Fraction(angle)
-    rel = np.array(movers, dtype=complex) - center
-    if (np.abs(rel) <= _KEY_TOL * _scale(movers + [center])).any():
-        raise DegenerateMotionError("a rotated point sits at the center")
     quarter_turns = abs(angle) * 2
     if steps is None:
         steps = max(1, math.ceil(128 * abs(angle)))
     elif steps < max(1, 8 * quarter_turns):
         raise GeometryError("need at least one step and 8 steps per quarter turn")
     total = float(angle) * math.pi
-    turns = [complex(math.cos(total * j / steps), math.sin(total * j / steps))
-             for j in range(steps + 1)]
-    grid = tuple(j / steps for j in range(steps + 1))
-    return grid, np.vstack([center + np.outer(rel, turns), _still(fixed, steps)])
+    turns = np.array([complex(math.cos(total * j / steps), math.sin(total * j / steps))
+                      for j in range(steps + 1)])
+    grid = np.array([j / steps for j in range(steps + 1)])
+    turns.flags.writeable = grid.flags.writeable = False
+    return grid, turns
+
+
+def _rotation(movers: list[complex], center: complex, angle, steps: int | None,
+              fixed: list[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and rows of a rigid counterclockwise rotation of `movers`
+    about `center` by angle*pi, followed by the rows of the `fixed` points.
+    The default sampling uses 64 steps per quarter turn.
+    """
+    tol = _KEY_TOL * _scale(movers + [center])
+    if any(abs(z - center) <= tol for z in movers):
+        raise DegenerateMotionError("a rotated point sits at the center")
+    grid, turns = _turns(angle, steps)
+    rows = np.empty((len(movers) + len(fixed), len(grid)), dtype=complex)
+    np.multiply.outer(np.array(movers, dtype=complex) - center, turns, out=rows[:len(movers)])
+    rows[:len(movers)] += center
+    rows[len(movers):] = np.array(fixed, dtype=complex)[:, None]
+    return grid, rows
 
 
 def _locate(listed: list[complex], config: list[complex]) -> list[int]:
@@ -314,7 +356,7 @@ def compose_motions(*motions: Motion) -> Motion:
     if len({m.strands for m in motions}) != 1:
         raise DegenerateMotionError("strand counts differ")
     k = len(motions)
-    times = [0.0]
+    times = [np.zeros(1)]
     cols = [motions[0].paths[:, :1]]
     cur = list(range(motions[0].strands))
     for i, m in enumerate(motions):
@@ -328,14 +370,14 @@ def compose_motions(*motions: Motion) -> Motion:
             cur = [link[s] for s in cur]
         t0 = m.times[0]
         span = m.times[-1] - t0
-        times.extend((i + (t - t0) / span) / k for t in m.times[1:])
+        times.append((i + (np.array(m.times[1:]) - t0) / span) / k)
         cols.append(m.paths[cur, 1:])
-    return Motion(tuple(times), np.hstack(cols))
+    return Motion(np.concatenate(times), np.hstack(cols))
 
 
 # A move's sweep from a configuration: its sample times on [0, 1], its
 # (strands, samples) rows, and the configuration index each row starts at.
-Sweep = tuple[tuple[float, ...], np.ndarray, list[int]]
+Sweep = tuple[np.ndarray, np.ndarray, list[int]]
 
 
 @dataclass(frozen=True)
@@ -408,7 +450,7 @@ class FrameIn:
     pair_re: object | None = None
     pair_height: object | None = None
 
-    def _rows(self) -> tuple[tuple[float, ...], np.ndarray]:
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Times and rows of the move, started at the slots."""
         pts = [complex(z) for z in self.slots]
         if len(pts) < 2:
@@ -431,9 +473,9 @@ class FrameIn:
         # so the lift's last sample stands for both.
         start = np.array([mid - complex(0.0, r), mid + complex(0.0, r)])
         shift = np.array([complex(end_re, -end_h), complex(end_re, end_h)]) - start
-        moved = start[:, None] + np.array(grid) * shift[:, None]
+        moved = start[:, None] + grid * shift[:, None]
         transport = np.vstack([moved, _still(rest, 64)])
-        times = (0.0, *((i + t) / 2 for i in (0, 1) for t in grid[1:]))
+        times = np.concatenate([grid, 1 + grid[1:]]) / 2
         return times, np.hstack([lift, transport[:, 1:]])
 
     def _sweep(self, config: list[complex]) -> Sweep:
@@ -446,10 +488,10 @@ class FrameOut:
 
     def _sweep(self, config: list[complex]) -> Sweep:
         times, rows = self.frame._rows()
-        return _onto(tuple(1.0 - t for t in reversed(times)), rows[:, ::-1], config)
+        return _onto(1.0 - times[::-1], rows[:, ::-1], config)
 
 
-def _onto(times: tuple[float, ...], rows: np.ndarray, config: list[complex]) -> Sweep:
+def _onto(times: np.ndarray, rows: np.ndarray, config: list[complex]) -> Sweep:
     """A frame's sweep, its rows matched onto the configuration they start at."""
     start = rows[:, 0].tolist()
     at = nearest_match(start, config, _MATCH_TOL * _scale(start + config))
@@ -482,19 +524,19 @@ class MotionProgram:
         if not self.moves:
             return Motion.stationary(config)
         k = len(self.moves)
-        times, cols = [0.0], []
+        times, cols = [np.zeros(1)], []
         for i, mv in enumerate(self.moves):
             if not isinstance(mv, Move):
                 raise GeometryError("unknown move kind %r" % (mv,))
             t, rows, at = mv._sweep(config)
             if i:
-                rows = rows[np.argsort(at)]
+                rows = rows[sorted(range(len(at)), key=at.__getitem__)]
             else:
                 cols.append(rows[:, :1])
-            times.extend((i + s) / k for s in t[1:])
+            times.append((i + t[1:]) / k)
             cols.append(rows[:, 1:])
             config = rows[:, -1].tolist()
-        return Motion(tuple(times), np.hstack(cols))
+        return Motion(np.concatenate(times), np.hstack(cols))
 
     def braid(self) -> BraidWord:
         return motion_to_braid(self.to_motion())

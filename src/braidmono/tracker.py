@@ -242,6 +242,10 @@ def track_loop(
     """
     if initial_divisions < 1:
         raise GeometryError("initial_divisions must be positive")
+    try:
+        divisions = float(initial_divisions)
+    except OverflowError:
+        raise GeometryError("initial_divisions is out of floating-point range") from None
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
     product = curve.product
@@ -251,9 +255,9 @@ def track_loop(
     thetas = [theta0]
     samples = [current]
 
-    step = arc / float(initial_divisions)
+    step = arc / divisions
     min_step = arc * _MIN_STEP_FRACTION
-    max_step = max(arc / 64.0, arc / float(initial_divisions))
+    max_step = max(arc / 64.0, step)
     theta = theta0
     streak = 0
     grown = False

@@ -341,3 +341,31 @@ def test_braid_image_over_the_limit_exits_two(capsys, braid):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == "error: braid image has more than %d letters\n" % MAX_IMAGE_LETTERS
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    pytest.param(("--braid", "s5^0"), 0, "strands: 6\nbraid: (empty)\n", id="identity-on-6"),
+    pytest.param(("--braid", "s2^0 s1"), 0, "strands: 3\nbraid: s1\n", id="zero-power-sets-strands"),
+    pytest.param(("--strands", "3", "--braid", "s5^0"), 2,
+                 "error: letter 5 out of range for 3 strands\n", id="zero-power-out-of-range"),
+    pytest.param(("--strands", "3", "--braid", "s5"), 2,
+                 "error: letter 5 out of range for 3 strands\n", id="letter-out-of-range"),
+    pytest.param(("--braid", "s99^0"), 2,
+                 "error: the braid's strand count is 100, over the limit of %d\n" % MAX_STRANDS,
+                 id="zero-power-over-strand-limit"),
+])
+def test_every_written_letter_counts_toward_the_strands(capsys, argv, code, expected):
+    got, out, err = _run(capsys, "vankampen", *argv)
+    assert got == code
+    if code:
+        assert out == "" and err == expected
+    else:
+        assert out.startswith(expected)
+
+
+@pytest.mark.parametrize("command", ["compute", "vankampen"])
+def test_steps_outside_float_range_exits_two(capsys, command):
+    code, out, err = _run(capsys, command, "--curve", "(y^2-x)", "--steps", "1" + "0" * 400)
+    assert code == 2
+    assert out == ""
+    assert err == "error: initial_divisions is out of floating-point range\n"
