@@ -52,12 +52,12 @@ _CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
     """Row and column indices of the strand pairs a < b of n strands, as
-    read-only arrays and as a list of pairs."""
+    read-only arrays and as a tuple of pairs."""
     ia, ib = np.triu_indices(n, 1)
     ia.flags.writeable = ib.flags.writeable = False
-    return ia, ib, list(zip(ia.tolist(), ib.tolist()))
+    return ia, ib, tuple(zip(ia.tolist(), ib.tolist()))
 
 
 def strand_key(z: complex | np.ndarray) -> float | np.ndarray:
@@ -178,8 +178,8 @@ def motion_to_braid(m: Motion) -> BraidWord:
     first = keys[:, 0].tolist()
     order = sorted(range(n), key=first.__getitem__)
     pos = sorted(range(n), key=order.__getitem__)
-    tol = _KEY_TOL * float(scale[0])
-    if any(first[b] - first[a] <= tol for a, b in zip(order, order[1:])):
+    tie = _KEY_TOL * float(scale[0])
+    if any(first[b] - first[a] <= tie for a, b in zip(order, order[1:])):
         raise TieError("tied sheared order at the initial configuration")
     letters: list[int] = []
 
