@@ -176,7 +176,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
     keys = strand_key(m.paths)
     scale = _scale(m.paths)
     first = keys[:, 0].tolist()
-    order = sorted(range(n), key=first.__getitem__)
+    order = np.argsort(keys[:, 0], kind="stable").tolist()
     pos = sorted(range(n), key=order.__getitem__)
     tie = _KEY_TOL * float(scale[0])
     if any(first[b] - first[a] <= tie for a, b in zip(order, order[1:])):
