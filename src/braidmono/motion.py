@@ -238,23 +238,14 @@ def motion_to_braid(m: Motion) -> BraidWord:
             def at(k: int, t: float) -> complex:
                 return col0[k] + t * (col1[k] - col0[k])
 
-            # Connected components of the crossing pairs.
-            involved = sorted({s for _, a, b in cluster for s in (a, b)})
-            comp = {s: s for s in involved}
-
-            def find(s: int) -> int:
-                while comp[s] != s:
-                    comp[s] = comp[comp[s]]
-                    s = comp[s]
-                return s
-
+            # Connected components of the crossing pairs, taken in the
+            # order of their smallest strands.
+            groups: list[set[int]] = []
             for _, a, b in cluster:
-                comp[find(a)] = find(b)
-            groups: dict[int, list[int]] = {}
-            for s in involved:
-                groups.setdefault(find(s), []).append(s)
+                joined = {a, b}.union(*[g for g in groups if a in g or b in g])
+                groups = [g for g in groups if not g & joined] + [joined]
 
-            for grp in groups.values():
+            for grp in sorted(map(sorted, groups)):
                 slots = sorted(pos[s] for s in grp)
                 if slots != list(range(slots[0], slots[0] + len(slots))):
                     raise TieError(
