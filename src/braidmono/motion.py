@@ -175,41 +175,38 @@ def motion_to_braid(m: Motion) -> BraidWord:
         raise DegenerateMotionError("a motion needs at least one strand")
     keys = strand_key(m.paths)
     scale = _scale(m.paths)
-    first = keys[:, 0].tolist()
     order = np.argsort(keys[:, 0], kind="stable").tolist()
-    pos = sorted(range(n), key=order.__getitem__)
-    tie = _KEY_TOL * float(scale[0])
-    if any(first[b] - first[a] <= tie for a, b in zip(order, order[1:])):
+    if (np.diff(keys[order, 0]) <= _KEY_TOL * scale[0]).any():
         raise TieError("tied sheared order at the initial configuration")
+    pos = np.argsort(order).tolist()
     letters: list[int] = []
 
     ia, ib, pairs = _pairs(n)
     gaps = keys[ia] - keys[ib]
     g0, g1 = gaps[:, :-1], gaps[:, 1:]
     tol = _KEY_TOL * np.maximum(scale[:-1], scale[1:])
-    # Per pair and step: gap tied at the start (z0) or at the end (z1).  An
-    # event is a gap tied at the start or changing sign inside the step;
-    # events come in step order, then pair order, each with its gaps, its
-    # ties and the strand positions at both ends of its step.
+    # Per pair and step: gap tied at the start (z0), at the end (z1), or
+    # changing sign strictly inside the step (cross).
     z0 = np.abs(g0) <= tol
     z1 = np.abs(g1) <= tol
-    js, ps = np.nonzero((z0 | ~(z1 | (g0 * g1 > 0))).T)
+    cross = ~(z0 | z1 | (g0 * g1 > 0))
+    # The events (z0 or cross) in step order, then pair order, each with its
+    # gaps, its ties and the strand positions at both ends of its step.
+    js, ps = np.nonzero((z0 | cross).T)
     d0s, d1s = g0[ps, js].tolist(), g1[ps, js].tolist()
     tied0, tied1 = z0[ps, js].tolist(), z1[ps, js].tolist()
     cols0, cols1 = m.paths[:, js].T.tolist(), m.paths[:, js + 1].T.tolist()
     js, ps = js.tolist(), ps.tolist()
     for j, run in itertools.groupby(range(len(js)), js.__getitem__):
         run = list(run)
-        for e in run:
-            if tied0[e] and tied1[e]:
-                raise TieError(
-                    "strands %d and %d keep equal sheared keys across step %d"
-                    % (*pairs[ps[e]], j)
-                )
         col0, col1 = cols0[run[0]], cols1[run[0]]
         events: list[tuple[float, int, int]] = []
         for e in run:
             a, b = pairs[ps[e]]
+            if tied0[e] and tied1[e]:
+                raise TieError(
+                    "strands %d and %d keep equal sheared keys across step %d" % (a, b, j)
+                )
             d0, d1 = d0s[e], d1s[e]
             if not tied0[e]:
                 events.append((d0 / (d0 - d1), a, b))
@@ -252,10 +249,9 @@ def motion_to_braid(m: Motion) -> BraidWord:
                         "simultaneous crossings of non-adjacent strands at step %d" % j
                     )
                 lo = slots[0]
-                here = [at(s, lam) for s in grp]
-                ims = {s: z.imag for s, z in zip(grp, here)}
+                ims = {s: at(s, lam).imag for s in grp}
                 vals = sorted(ims.values())
-                im_tol = _KEY_TOL * _scale(here) / EPS
+                im_tol = _KEY_TOL * _scale([at(s, lam) for s in grp]) / EPS
                 for v0, v1 in zip(vals, vals[1:]):
                     if v1 - v0 <= im_tol:
                         raise TieError(
