@@ -8,7 +8,7 @@ program_braids.json; these pins add every sampled position and time, so
 a change in how moves are sampled or joined must leave each bit as it
 was.  Regenerate the data only on purpose:
 
-    PYTHONPATH=src python tests/test_motion_bytes.py > tests/data/motion_bytes.json
+    PYTHONPATH=src python tests/test_motion_bytes.py
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def test_seeded_program_bytes_are_pinned(name):
 
 if __name__ == "__main__":
     seeded = seeded_programs()
-    print(json.dumps({
+    DATA.write_text(json.dumps({
         "catalogue": {k: digest(p) for k, p in catalogue_programs().items()},
         "seeded": {k: digest(p) for k, p in seeded.items()},
         "programs": {k: repr(p) for k, p in seeded.items()},
-    }, indent=1, sort_keys=True))
+    }, indent=1, sort_keys=True) + "\n", encoding="utf-8")
