@@ -337,3 +337,25 @@ def test_tie_error_names_the_first_faulty_step(motion, message):
     with pytest.raises(TieError) as err:
         motion_to_braid(motion)
     assert str(err.value) == message
+
+
+# Strand 0 runs along the axis; strand 1 has the sheared key 0.5 of strand 0
+# at the middle sample, above or below it.
+_TIE_ABOVE, _TIE_BELOW = 0.499 + 1j, 0.501 - 1j
+
+
+@pytest.mark.parametrize("paths, letters", [
+    pytest.param(((0, 0.5, 1), (1, _TIE_ABOVE, 0)), (1,), id="swap-in-front"),
+    pytest.param(((0, 0.5, 1), (1, _TIE_BELOW, 0)), (-1,), id="swap-behind"),
+    pytest.param(((0, 0.5, 0), (1, _TIE_ABOVE, 1)), (), id="return"),
+])
+def test_keys_tied_at_a_step_start(paths, letters):
+    assert motion_to_braid(Motion((0.0, 0.5, 1.0), paths)).letters == letters
+
+
+def test_keys_tied_at_the_last_sample_lose_sync():
+    # Strand 1 ends a hair left of strand 0 in sheared key, within the tie
+    # tolerance, so no step crosses and the final order disagrees.
+    m = Motion((0.0, 0.5, 1.0), ((0, 0.25, 0.5), (1, 0.75, 0.499 - 1e-13 + 1j)))
+    with pytest.raises(TieError, match="lost sync with the final fiber"):
+        motion_to_braid(m)
