@@ -39,12 +39,8 @@ from .words import FreeWord, braid_conjugate, braid_equal
 F = Fraction
 
 
-def _w(rank: int, *letters: int) -> FreeWord:
-    return FreeWord(rank, tuple(letters))
-
-
 def _eq(rank: int, lhs: Sequence[int], rhs: Sequence[int]) -> FreeWord:
-    return _w(rank, *lhs) * _w(rank, *rhs).inverse()
+    return FreeWord(rank, tuple(lhs)) * FreeWord(rank, tuple(rhs)).inverse()
 
 
 def _chain(rank: int, *words: Sequence[int]) -> list[FreeWord]:
@@ -58,13 +54,13 @@ class Fixture:
 
     fixture_id: str
     equation: str
-    shear: Fraction
     model_program: MotionProgram
     lefschetz_program: MotionProgram
-    lefschetz_doubling: bool
     expected_relations: Presentation
-    redundancy_claims: tuple[int, ...]
-    deletion_checks: tuple[tuple[int, Presentation], ...]
+    shear: Fraction = Fraction(0)
+    lefschetz_doubling: bool = False
+    redundancy_claims: tuple[int, ...] = ()
+    deletion_checks: tuple[tuple[int, Presentation], ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.model_program.points)
@@ -88,13 +84,10 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="two-tangent-conics",
         equation="(y+x^2)(y-x^2)",
-        shear=F(0),
         model_program=MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, F(4)),)),
         lefschetz_program=MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, F(2)),)),
         lefschetz_doubling=True,
         expected_relations=Presentation(2, (_eq(2, (1, 2, 1, 2), (2, 1, 2, 1)),)),
-        redundancy_claims=(),
-        deletion_checks=(),
     ))
 
     # Tangent conics with a secant line passing below the tangency.
@@ -105,7 +98,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="tangent-conics-secant-below",
         equation="(2x+y)(y+x^2)(y-x^2)",
-        shear=F(0),
         model_program=MotionProgram((-2, -1, 1), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2,), (-1, 1), F(1)),
@@ -114,10 +106,8 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 1), 0, F(2)),
             Encircle((2,), (-1, 1), F(1, 2)),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp31,
         redundancy_claims=(3,),
-        deletion_checks=(),
     ))
 
     # Tangent conics with a secant line passing above the tangency.
@@ -128,7 +118,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="tangent-conics-secant-above",
         equation="(2x-y)(y+x^2)(y-x^2)",
-        shear=F(0),
         model_program=MotionProgram((-1, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((2,), (-1, 1), F(1)),
@@ -137,10 +126,7 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 1), 0, F(2)),
             Encircle((-2,), (-1, 1), F(1, 2)),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp32,
-        redundancy_claims=(),
-        deletion_checks=(),
     ))
 
     # Line tangent to a conic pair at a vertical-tangency point; the
@@ -157,7 +143,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="vertical-tangency",
         equation="y(y^2+x)(y^2-x)",
-        shear=F(0),
         model_program=MotionProgram((-2, -1, 0, 1, 2), (
             frame33,
             RotateBlock((-2, 0, complex(-1, 0.5), complex(-1, -0.5)), -1, F(1)),
@@ -166,10 +151,8 @@ def fixtures() -> list[Fixture]:
         lefschetz_program=MotionProgram((-1, -1j, 0, 1j, 1), (
             RotateBlock((1, -1, 1j, -1j), 0, F(1, 2)),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp33,
         redundancy_claims=(5,),
-        deletion_checks=(),
     ))
 
     # Three branches (line plus two conics) with a common tangent.
@@ -179,13 +162,11 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="triple-tangency",
         equation="y(y+x^2)(y-x^2)",
-        shear=F(0),
         model_program=MotionProgram((-1, 0, 1), (RotateBlock((-1, 1), 0, F(4)),)),
         lefschetz_program=MotionProgram((-1, 0, 1), (RotateBlock((-1, 1), 0, F(2)),)),
         lefschetz_doubling=True,
         expected_relations=trio,
         redundancy_claims=(3,),
-        deletion_checks=(),
     ))
 
     # Triple tangency plus a secant below.
@@ -196,7 +177,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="triple-tangency-secant-below",
         equation="y(2x+y)(y+x^2)(y-x^2)",
-        shear=F(0),
         model_program=MotionProgram((-2, -1, 0, 1), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2,), (-1, 0, 1), F(1)),
@@ -205,7 +185,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 1), 0, F(2)),
             Encircle((2,), (-1, 0, 1), F(1, 2)),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp411,
         redundancy_claims=(4,),
         deletion_checks=((1, trio), (3, exp31)),
@@ -219,7 +198,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="triple-tangency-secant-above",
         equation="y(2x-y)(y+x^2)(y-x^2)",
-        shear=F(0),
         model_program=MotionProgram((-1, 0, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((2,), (-1, 0, 1), F(1)),
@@ -228,10 +206,7 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 1), 0, F(2)),
             Encircle((-2,), (-1, 0, 1), F(1, 2)),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp412,
-        redundancy_claims=(),
-        deletion_checks=(),
     ))
 
     # Triple tangency crossed by the vertical line through the point.
@@ -268,7 +243,6 @@ def fixtures() -> list[Fixture]:
                 Encircle((100,), turned413 + (0,), F(1, 2), 0),
             ),
         ),
-        lefschetz_doubling=False,
         expected_relations=exp413,
         redundancy_claims=(6,),
         deletion_checks=((2, trio543), (4, exp33)),
@@ -282,7 +256,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="double-secant",
         equation="(2x+y)(2x-y)(y+x^2)(y-x^2)",
-        shear=F(0),
         model_program=MotionProgram((-2, -1, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2, 2), (-1, 1), F(1)),
@@ -291,7 +264,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 1), 0, F(2)),
             Encircle((-2, 2), (-1, 1), F(1, 2)),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp421,
         redundancy_claims=(3,),
         deletion_checks=((1, exp32), (4, exp31)),
@@ -310,7 +282,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="vertical-tangency-line-pair",
         equation="y(x+2y)(y^2+x)(y^2-x)",
-        shear=F(0),
         model_program=MotionProgram((-2, F(-1, 2), F(1, 2), 2, 3, 4), (
             frame422,
             RotateBlock((-2, 2, 1j, -1j), 0, F(1)),
@@ -321,7 +292,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((1, -1, 1j, -1j), 0, F(1, 2)),
             Encircle((F(1, 2),), (0,), F(1, 2), 0),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp422,
         redundancy_claims=(6,),
         deletion_checks=((2, exp33), (3, exp33)),
@@ -332,7 +302,6 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="conic-line-tangency-secant-below",
         equation="y(2x+y)(y+x^2)",
-        shear=F(0),
         model_program=MotionProgram((-2, -1, 0), (
             RotateBlock((-1, 0), F(-1, 2), F(4)),
             Encircle((-2,), (-1, 0), F(1)),
@@ -341,15 +310,11 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 0), F(-1, 2), F(2)),
             Encircle((2,), (-1, 0), F(1, 2), 0),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp31,
-        redundancy_claims=(),
-        deletion_checks=(),
     ))
     out.append(Fixture(
         fixture_id="conic-line-tangency-secant-above",
         equation="y(2x-y)(y+x^2)",
-        shear=F(0),
         model_program=MotionProgram((-1, 0, 2), (
             RotateBlock((-1, 0), F(-1, 2), F(4)),
             Encircle((2,), (-1, 0), F(1)),
@@ -358,10 +323,7 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 0), F(-1, 2), F(2)),
             Encircle((-2,), (-1, 0), F(1, 2), 0),
         )),
-        lefschetz_doubling=False,
         expected_relations=exp32,
-        redundancy_claims=(),
-        deletion_checks=(),
     ))
     return out
 
@@ -396,13 +358,10 @@ def n_tangency_fixture(n: int) -> Fixture:
     return Fixture(
         fixture_id="n-tangency-%d" % n,
         equation="".join(parts),
-        shear=F(0),
         model_program=MotionProgram(pts, (RotateBlock(pts, 0, F(4)),)),
         lefschetz_program=MotionProgram(pts, (RotateBlock(pts, 0, F(2)),)),
         lefschetz_doubling=True,
         expected_relations=expected,
-        redundancy_claims=(),
-        deletion_checks=(),
     )
 
 

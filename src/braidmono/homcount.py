@@ -25,9 +25,10 @@ Inside a count_memo block a count is made once per presentation and
 group: it depends only on the rank and the set of non-empty relators.
 The elimination and the relator lists of the search do not depend on
 the group, so inside a block they are made once per presentation and
-reused across the battery.  The memo lives only as long as the
-outermost block, so nothing is cached from one verify_fixture or
-simplify call to the next.
+reused across the battery.  A count_homomorphisms call outside any
+block is its own block.  The memo lives only as long as the outermost
+block, so nothing is cached from one verify_fixture or simplify call,
+or bare count, to the next.
 """
 
 from __future__ import annotations
@@ -236,18 +237,16 @@ def count_memo() -> Iterator[None]:
 def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into `group`."""
     relators = [r.letters for r in p.relators if r.letters]
-    memo = _memo.get()
-    if memo is None:
-        return _count(p.rank, relators, group)
-    key = ((p.rank, frozenset(relators)), group)
-    if key not in memo.counts:
-        memo.counts[key] = _count(p.rank, relators, group)
-    return memo.counts[key]
+    with count_memo():
+        counts = _memo.get().counts
+        key = ((p.rank, frozenset(relators)), group)
+        if key not in counts:
+            counts[key] = _count(p.rank, relators, group)
+        return counts[key]
 
 
 def _count(rank: int, relators: list[tuple[int, ...]], group: FiniteGroupTable) -> int:
-    memo = _memo.get()
-    plans = {} if memo is None else memo.plans
+    plans = _memo.get().plans
     key = (rank, frozenset(relators))
     if key not in plans:
         plans[key] = _plan(rank, relators)

@@ -326,9 +326,7 @@ def local_braid_monodromy(
     return motion_to_braid(track_loop(curve, loop, initial_divisions=initial_divisions))
 
 
-def lefschetz_braid(
-    curve: CurveSpec, loop: LoopSpec, *, initial_divisions: int = 256
-) -> BraidWord:
+def lefschetz_braid(curve: CurveSpec, loop: LoopSpec) -> BraidWord:
     """Braid of the fiber motion along the lower half of the loop."""
     half = LoopSpec(loop.center, loop.radius, "negative-half")
-    return motion_to_braid(track_loop(curve, half, initial_divisions=initial_divisions))
+    return motion_to_braid(track_loop(curve, half))

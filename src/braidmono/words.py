@@ -89,9 +89,6 @@ class FreeWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise DimensionMismatchError(
@@ -134,12 +131,6 @@ class BraidWord:
     @classmethod
     def identity(cls, strands: int) -> "BraidWord":
         return cls(strands, ())
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
