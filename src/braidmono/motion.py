@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,11 +66,11 @@ def strand_key(z: complex | np.ndarray) -> float | np.ndarray:
 
 
 def _scale(points) -> float | np.ndarray:
-    """max(1, largest modulus) of a point list, or of each sample (column)
-    of a (strands, samples) array."""
+    """Largest modulus of a point list, or of each sample (column) of a
+    (strands, samples) array; 0 for no points."""
     if isinstance(points, np.ndarray):
-        return np.abs(points).max(axis=0, initial=1.0)
-    return max([1.0, *map(abs, points)])
+        return np.abs(points).max(axis=0, initial=0.0)
+    return max([0.0, *map(abs, points)])
 
 
 def nearest_match(
@@ -102,8 +102,10 @@ class Motion:
 
     paths is a read-only complex128 array of shape (strands, samples):
     paths[k, j] is the position of strand k at times[j].  Construction
-    copies it, checks that the times strictly increase and that no two
-    strands coincide at any sample.  Motions compare by identity, since
+    copies it, checks that the times strictly increase, that every time
+    and position is finite and that no two strands coincide at any
+    sample, relative to the sample's largest modulus.  That per-sample
+    scale is kept for motion_to_braid.  Motions compare by identity, since
     an array field cannot take part in a generated __eq__.  Motions are
     joined by compose_motions, which continues each strand with
     nearest_match.
@@ -111,6 +113,7 @@ class Motion:
 
     times: tuple[float, ...]
     paths: np.ndarray
+    _scales: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -125,11 +128,15 @@ class Motion:
             raise DegenerateMotionError(
                 "trajectory length does not match time grid"
             ) from None
-        paths.flags.writeable = False
+        if not (np.isfinite(times).all() and np.isfinite(paths).all()):
+            raise DegenerateMotionError("sample times and positions must be finite")
+        scales = _scale(paths)
+        paths.flags.writeable = scales.flags.writeable = False
         object.__setattr__(self, "times", tuple(times.tolist()))
         object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "_scales", scales)
         ia, ib, _ = _pairs(len(paths))
-        hit = np.abs(paths[ia] - paths[ib]) <= _KEY_TOL * _scale(paths)
+        hit = np.abs(paths[ia] - paths[ib]) <= _KEY_TOL * scales
         if hit.any():
             j, p = np.argwhere(hit.T)[0]
             raise DegenerateMotionError(
@@ -174,7 +181,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
     if n == 0:
         raise DegenerateMotionError("a motion needs at least one strand")
     keys = strand_key(m.paths)
-    scale = _scale(m.paths)
+    scale = m._scales
     order = np.argsort(keys[:, 0], kind="stable").tolist()
     if (np.diff(keys[order, 0]) <= _KEY_TOL * scale[0]).any():
         raise TieError("tied sheared order at the initial configuration")

@@ -152,13 +152,7 @@ def test_scaled_fixture_curves_are_accepted(fixture_id, lam):
     assert _scaled(curve, lam).degree_y == curve.degree_y
 
 
-@pytest.mark.parametrize("lam", [
-    pytest.param(2**20, id="2^20"),
-    pytest.param(2**40, id="2^40", marks=pytest.mark.xfail(
-        strict=True, raises=CriticalFiberError,
-        reason="ROADMAP item 6: Motion judges coincidence against an absolute scale, "
-               "so roots of size 2^-40 are refused as nearly coincident")),
-])
+@pytest.mark.parametrize("lam", [pytest.param(2**20, id="2^20"), pytest.param(2**40, id="2^40")])
 @pytest.mark.parametrize("fixture_id", _FIXTURE_IDS)
 def test_scaled_fixture_keeps_its_braid(tracked_braid, fixture_id, lam):
     # y -> lam*y shrinks every fiber by lam and leaves the braid alone.

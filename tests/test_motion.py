@@ -76,6 +76,18 @@ def test_ragged_paths_rejected():
         Motion((0.0, 1.0), ((0, 1, 2), (3, 4, 5)))
 
 
+@pytest.mark.parametrize("times, paths", [
+    pytest.param((0.0, 1.0), ((np.nan, np.nan), (1, 2)), id="nan"),
+    pytest.param((0.0, 1.0), ((0, np.inf), (1, 2)), id="inf"),
+    pytest.param((0.0, 1.0), ((0, complex(1, -np.inf)),), id="one-strand"),
+    pytest.param((0.0, np.nan), ((0, 1),), id="nan-time"),
+    pytest.param((0.0, np.inf), ((0, 1),), id="inf-time"),
+])
+def test_non_finite_samples_rejected(times, paths):
+    with pytest.raises(DegenerateMotionError, match="must be finite"):
+        Motion(times, paths)
+
+
 def test_paths_are_a_read_only_copy():
     src = np.array([[0, 1], [2, 3]], dtype=complex)
     m = Motion((0.0, 1.0), src)

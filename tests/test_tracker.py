@@ -86,6 +86,14 @@ def test_tangency_loop_is_double_full_twist():
     assert b.letters == (1, 1, 1, 1)
 
 
+def test_small_fibers_are_judged_relative_to_their_size():
+    # Over |x| = 1/2 the roots are +-2^-30 or so, apart by about 1.9e-9:
+    # far apart relative to their size, so the tracker keeps them.
+    curve = parse_curve("(y-x^30)(y+x^30)")
+    b = local_braid_monodromy(curve, LoopSpec(radius=Fraction(1, 2)))
+    assert b.letters == (1,) * 60
+
+
 def test_single_strand_curve():
     curve = parse_curve("(y)")
     b = local_braid_monodromy(curve, LoopSpec())
@@ -301,7 +309,7 @@ def test_step_test_equals_nearest_match(seed):
             gaps = np.abs(prev[:, None] - prev[None, :])
             gaps[np.arange(len(prev)), np.arange(len(prev))] = math.inf
             assert sep[k] == gaps.min()
-            assert scale[k] == max(1.0, np.abs(prev).max())
+            assert scale[k] == np.abs(prev).max()
             match = nearest_match(rows[k], rows[k + 1], (0.5 * gaps.min(axis=1)).tolist())
             assert bool(ok[k]) == (match is not None)
             if match is not None:
