@@ -211,6 +211,18 @@ _BRUTE_FORCE_CASES = [
         id="rank-5",
     ),
     pytest.param(_p(5, (5, 1, -5, -1, 5, 1), (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)), id="rank-5-long"),
+    # one generator, alone, beside a free one, or left by an elimination
+    pytest.param(_p(1, (1,) * 4, (1,) * 6), id="one-generator-4-6"),
+    pytest.param(_p(2, (1,) * 4, (-1,) * 6), id="one-generator-and-free"),
+    pytest.param(_p(2, (2, 1, 1, 1), (1, 2) * 4), id="one-generator-after-elimination"),
+    # exponent sums that need reduction: 4 and 6 in both orders, zero rows
+    # from commutators, and x3 free in the abelianisation
+    pytest.param(
+        _p(3, (1,) * 4 + (2,) * 6, (1,) * 6 + (-2,) * 4, (1, 2, -1, -2), (1, 3, -1, -3)),
+        id="sums-4-6",
+    ),
+    pytest.param(_p(3, (1, 2) * 6, (2, 3) * 4, (3, 1, -3, -1)), id="sums-6-4-chain"),
+    pytest.param(_p(4, (1,) * 4 + (2,) * 6, (3, 4, -3, -4)), id="sums-with-free-generator"),
 ] + [
     pytest.param(_random_presentation(random.Random(seed)), id="random-%d" % seed)
     for seed in range(40)
@@ -238,10 +250,17 @@ def _relabelled_s3():
     return load_targets(text)[0][1]
 
 
+# Abelian groups that are not cyclic: C2 x C2 on four points, C2 x C4 on six.
+_KLEIN = homcount._generated((1, 0, 2, 3), (0, 1, 3, 2))
+_C2_C4 = homcount._generated((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2))
+
+
 @pytest.mark.parametrize("group", [
     pytest.param(cyclic_group(1), id="trivial"),
     pytest.param(dihedral_group(5), id="D5"),
     pytest.param(_relabelled_s3(), id="S3-relabelled"),
+    pytest.param(_KLEIN, id="C2xC2"),
+    pytest.param(_C2_C4, id="C2xC4"),
 ])
 def test_counts_outside_the_battery_match_brute_force(group):
     for case in _BRUTE_FORCE_CASES:
@@ -399,3 +418,26 @@ def test_battery_group_isomorphism_types(name, orders, commuting):
     n = g.order
     assert Counter(_element_order(g, a) for a in range(n)) == orders
     assert sum(g.table[a][b] == g.table[b][a] for a in range(n) for b in range(n)) == commuting
+
+
+def test_abelian_targets_and_one_generator_plans_skip_the_search(monkeypatch):
+    searched = []
+    real = homcount._backtrack
+
+    def spy(s, due):
+        searched.append(len(due))
+        return real(s, due)
+
+    monkeypatch.setattr(homcount, "_backtrack", spy)
+    abelian = [g for _, g in default_targets()[:4]] + [_KLEIN, _C2_C4]
+    for case in _BRUTE_FORCE_CASES:
+        for g in abelian:
+            count_homomorphisms(case.values[0], g)
+    one_generator = [_p(1, (1,) * 4, (1,) * 6), _p(2, (2, 1, 1, 1), (1, 2) * 4)]
+    for p in one_generator:
+        for _, g in default_targets():
+            count_homomorphisms(p, g)
+    assert searched == []
+    # A non-abelian target of a two-generator presentation still searches.
+    count_homomorphisms(_p(2, (1, 2, -1, -2)), symmetric_group(3))
+    assert searched == [2]
