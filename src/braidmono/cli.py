@@ -157,6 +157,8 @@ def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
     curve = CurveSpec(factors)
     loop_arc = "negative-half" if opt["arc"] == "half" else "full"
     loop = LoopSpec(_parse_complex(opt["center"]), _parse_rational(opt["radius"]), loop_arc)
+    if not 0 < opt["steps"] <= sys.float_info.max:
+        raise ParseError("--steps must be a positive integer within floating-point range")
     return curve, track_loop(curve, loop, initial_divisions=opt["steps"])
 
 

@@ -230,7 +230,8 @@ def _split_factors(text: str) -> list[str]:
             out.extend([m.group(1)] * p)
             pos += m.end()
         else:
-            raise ParseError("unexpected character %r in curve %r" % (c, text))
+            raise ParseError("unexpected character %r in curve %r: a curve is a product of "
+                             "parenthesised factors and bare x or y powers" % (c, text))
     return out
 
 

@@ -7,37 +7,40 @@ the battery are reported Consistent; a single mismatch proves the
 groups differ and is reported Inconsistent.
 
 Generators that occur exactly once in some relator are eliminated
-first (their image is forced), and each generator left in no relator
-contributes a factor |G|.  The rest are bound one at a time by
-backtracking: the assignments that survive so far are extended by every
-image of the next generator, and each relator is tested, dropping the
-rows that fail it, as soon as its highest generator is bound.  With two
-or more generators, x1 and x2 range together over one pair of each
-orbit of G x G under simultaneous conjugation, each row weighted by the
-orbit's size: conjugating a homomorphism by g maps those with (x1, x2)
--> (a, b) one-to-one onto those with (x1, x2) -> (g a g^-1, g b g^-1),
-so the weighted sum is exact.  Products are read from flat tables at
-a*n + b.  Rows are extended in batches of a fixed size, depth first, so
-the working set stays bounded whatever the rank.  Each group's tables
-are built on first use and kept with the group.
+first (their image is forced).  Into an abelian group A there is no
+search: Hom(G, A) = Hom(G^ab, A), and G^ab is the sum of the Z/d on the
+diagonal that the exponent-sum matrix reduces to (Cohen 1993, 2.4.4);
+likewise into any group once the relators keep one generator.  Else
+each generator left in no relator contributes a factor |G|, and the
+rest are bound one at a time by backtracking: the assignments that
+survive so far are extended by every image of the next generator, and
+each relator is tested, dropping the rows that fail it, as soon as its
+highest generator is bound.  x1 and x2 range together over one pair of
+each orbit of G x G under simultaneous conjugation, each row weighted
+by the orbit's size: conjugating a homomorphism by g maps those with
+(x1, x2) -> (a, b) one-to-one onto those with (x1, x2) -> (g a g^-1,
+g b g^-1), so the weighted sum is exact.  Each group's tables and
+element orders are built on first use and kept with the group.
 
 Inside a count_memo block a count is made once per presentation and
 group: it depends only on the rank and the set of non-empty relators.
-The elimination and the relator lists of the search do not depend on
-the group, so inside a block they are made once per presentation and
-reused across the battery.  A count_homomorphisms call outside any
-block is its own block.  The memo lives only as long as the outermost
-block, so nothing is cached from one verify_fixture or simplify call,
-or bare count, to the next.
+The elimination, the diagonal and the relator lists of the search do
+not depend on the group, so inside a block they are made once per
+presentation and reused across the battery.  A count_homomorphisms
+call outside any block is its own block.  The memo lives only as long
+as the outermost block, so nothing is cached from one verify_fixture
+or simplify call, or bare count, to the next.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -91,6 +94,14 @@ class FiniteGroupTable:
 
     def inverse(self, a: int) -> int:
         return self.table[a].index(self.identity)
+
+    _abelian = cached_property(lambda self: self.table == tuple(zip(*self.table)))
+
+    @cached_property
+    def _orders(self) -> list[int]:
+        """The order of each element a: the number of distinct a^k, 1 <= k <= |G|."""
+        return [len(set(accumulate(repeat(a, self.order), lambda x, b: self.table[x][b])))
+                for a in range(self.order)]
 
     @cached_property
     def _search(self) -> _SearchTables:
@@ -201,8 +212,8 @@ def _built_targets() -> tuple[tuple[str, FiniteGroupTable], ...]:
 
 
 # A search plan: the exponent of the factor |G| for the generators in no
-# relator, and the due lists of _backtrack.
-_Plan = tuple[int, list[list[list[tuple[int, bool]]]]]
+# relator, the due lists of _backtrack, and one _diagonal entry per generator.
+_Plan = tuple[int, list[list[list[tuple[int, bool]]]], list[int]]
 _Key = tuple[int, frozenset[tuple[int, ...]]]
 
 
@@ -250,9 +261,10 @@ def _count(rank: int, relators: list[tuple[int, ...]], group: FiniteGroupTable) 
     key = (rank, frozenset(relators))
     if key not in plans:
         plans[key] = _plan(rank, relators)
-    free, due = plans[key]
-    count = group.order ** free
-    return count * _backtrack(group._search, due) if due else count
+    free, due, diag = plans[key]
+    if group._abelian or len(due) < 2:
+        return math.prod(sum(d % k == 0 for k in group._orders) for d in diag)
+    return group.order ** free * _backtrack(group._search, due)
 
 
 def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
@@ -267,8 +279,23 @@ def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
         # A relator holds iff its rotations do; end it with its last x_k.
         cut = max(i for i, (g, _) in enumerate(word) if g == k) + 1
         due[k].append(word[cut:] + word[:cut])
+    sums = [[r.count(g) - r.count(-g) for g in range(1, rank + 1)] for r in relators]
     # A generator in no relator may go anywhere: a factor |G| each.
-    return rank - len(used), due
+    return rank - len(used), due, _diagonal(sums, rank)
+
+
+def _diagonal(m: list[list[int]], width: int) -> list[int]:
+    """The diagonal, one entry per column, that unimodular row and column operations reduce m to."""
+    diag = []
+    while m := [r for r in m if any(r)]:
+        _, i, j = min((abs(v), i, j) for i, r in enumerate(m) for j, v in enumerate(r) if v)
+        # Leave residues mod the least entry in its column, then in its row.
+        m = [r if k == i else [a - r[j] // m[i][j] * b for a, b in zip(r, m[i])] for k, r in enumerate(m)]
+        qs = [0 if k == j else v // m[i][j] for k, v in enumerate(m[i])]
+        m = [[a - q * r[j] for a, q in zip(r, qs)] for r in m]
+        if sum(map(bool, m[i])) == 1 == sum(bool(r[j]) for r in m):
+            diag.append(abs(m.pop(i)[j]))  # column j stays zero from here on
+    return diag + [0] * (width - len(diag))
 
 
 # Partial assignments extended per batch: bounds the working set of each
@@ -280,9 +307,9 @@ def _backtrack(s: _SearchTables, due: list[list[list[tuple[int, bool]]]]) -> int
     """Weighted count of the assignments that satisfy every relator.
 
     due[k] holds the relators whose highest generator is bound at level
-    k, as (level, positive) letters.  With one level, x1 ranges over the
-    whole group.  Otherwise levels 0 and 1 range over the pair orbits,
-    weighted by orbit size, and each later level over the whole group.
+    k, as (level, positive) letters, for two levels or more.  Levels 0
+    and 1 range over the pair orbits, weighted by orbit size, and each
+    later level over the whole group.
     """
     n = len(s.inv)
     elems = np.arange(n, dtype=s.inv.dtype)
@@ -306,10 +333,9 @@ def _backtrack(s: _SearchTables, due: list[list[list[tuple[int, bool]]]]) -> int
         row, col = np.nonzero(ok)
         return extend([c[row] for c in cols] + [elems[col]], weight[row])
 
-    cols = list(np.divmod(s.pairs, n)) if last else [elems]
-    weight = s.weights if last else np.ones(n, dtype=np.int64)
+    cols, weight = list(np.divmod(s.pairs, n)), s.weights
     ok = np.ones(len(weight), dtype=bool)
-    for k in range(len(cols)):
+    for k in range(2):
         for word in due[k]:
             ok &= _value(s, word, cols, k) == s.identity
     cols, weight = [c[ok] for c in cols], weight[ok]

@@ -193,10 +193,10 @@ def motion_to_braid(m: Motion) -> BraidWord:
     g0, g1 = gaps[:, :-1], gaps[:, 1:]
     tol = _KEY_TOL * np.maximum(scale[:-1], scale[1:])
     # Per pair and step: gap tied at the start (z0), at the end (z1), or
-    # changing sign strictly inside the step (cross).
+    # changing sign strictly inside the step (cross; by sign bit, as g0 * g1 can underflow).
     z0 = np.abs(g0) <= tol
     z1 = np.abs(g1) <= tol
-    cross = ~(z0 | z1 | (g0 * g1 > 0))
+    cross = ~(z0 | z1) & (np.signbit(g0) != np.signbit(g1))
     # The events (z0 or cross) in step order, then pair order, each with its
     # gaps, its ties and the strand positions at both ends of its step.
     js, ps = np.nonzero((z0 | cross).T)

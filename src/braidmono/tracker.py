@@ -150,10 +150,11 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
     return out
 
 
+@np.errstate(over="ignore")
 def _polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Newton-polish each row of roots z on its row of descending coeffs.
 
-    A row stops changing once all its residuals meet their bound.
+    A row stops changing once its residuals meet their bounds; overflow is silent.
     """
     deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
     scale = np.max(np.abs(coeffs), axis=1, keepdims=True)

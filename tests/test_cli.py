@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import warnings
 
 import pytest
 
@@ -368,4 +369,14 @@ def test_steps_outside_float_range_exits_two(capsys, command):
     code, out, err = _run(capsys, command, "--curve", "(y^2-x)", "--steps", "1" + "0" * 400)
     assert code == 2
     assert out == ""
-    assert err == "error: initial_divisions is out of floating-point range\n"
+    assert err == "error: --steps must be a positive integer within floating-point range\n"
+
+
+def test_overflowing_fiber_arithmetic_warns_nothing(capsys):
+    # Roots near 1e300 overflow the residual bound and the gap arithmetic;
+    # the braid is right, and no warning may reach stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "compute", "--curve", "(y-1%sx^2)(y+x)" % ("0" * 300))
+    assert (code, err, caught) == (0, "", [])
+    assert "samples: 76\nletters: s1 s1 s1 s1\n" in out

@@ -77,6 +77,7 @@ REFUSALS = [
     ["compute", "--curve", "(y^2-x+1)"],
     ["compute", "--curve", "(y^2-x)", "--center", "1"],
     ["compute", "--curve", "(y-" + HUGE + "x)"],
+    ["compute", "--curve", "y^2-x"],
 ]
 
 

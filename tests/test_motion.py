@@ -219,6 +219,15 @@ def test_head_on_collision_is_a_tie():
         motion_to_braid(m)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e150])
+def test_crossing_test_is_scale_free(scale):
+    # A product of the two gaps would underflow at 1e-170 and overflow at
+    # 1e150; neither strand pair crosses at any scale.
+    m = Motion((0.0, 1.0), [(0j, 0j), (scale + 0j, 2 * scale + 0j)])
+    assert motion_to_braid(m).letters == ()
+
+
 def test_program_tracks_configuration_between_moves():
     prog = MotionProgram(
         (-1, 1, 3),
