@@ -13,8 +13,8 @@ A MotionProgram builds the synthetic motions used throughout from a
 sequence of moves: rigid block rotations, encircling moves, and the
 framing pair that lifts the rightmost points into a complex-conjugate
 configuration and back.  Each move sweeps its samples from the current
-configuration; the program writes them into one strand array and
-validates it once, as a single Motion.
+configuration, in configuration order; the program writes them into one
+strand array, numbers its strands once and validates it as one Motion.
 
 Which point continues which is decided by one rule, nearest_match:
 each point goes to its nearest target, and the matching stands only if
@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -40,6 +41,12 @@ from .words import BraidWord, Permutation
 
 # Shear used for the real projection; breaks the Re tie of conjugate pairs.
 EPS = 1e-3
+
+# Largest modulus of a position.  A sheared key is at most (1 + EPS) times
+# the modulus, a gap between two keys twice that, and the difference of two
+# gaps (the denominator of a crossing parameter) four times that, so below
+# this bound no key, gap or parameter overflows.
+MAX_MODULUS = sys.float_info.max / (4 * (1 + EPS))
 
 # Relative tolerances for key ties, event clustering and endpoint matching.
 _KEY_TOL = 1e-12
@@ -103,12 +110,12 @@ class Motion:
     paths is a read-only complex128 array of shape (strands, samples):
     paths[k, j] is the position of strand k at times[j].  Construction
     copies it, checks that the times strictly increase, that every time
-    and position is finite and that no two strands coincide at any
-    sample, relative to the sample's largest modulus.  That per-sample
-    scale is kept for motion_to_braid.  Motions compare by identity, since
-    an array field cannot take part in a generated __eq__.  Motions are
-    joined by compose_motions, which continues each strand with
-    nearest_match.
+    and position is finite, that no modulus exceeds MAX_MODULUS and that
+    no two strands coincide at any sample, relative to the sample's
+    largest modulus.  That per-sample scale is kept for motion_to_braid.
+    Motions compare by identity, since an array field cannot take part in
+    a generated __eq__.  Motions are joined by compose_motions, which
+    continues each strand with nearest_match.
     """
 
     times: tuple[float, ...]
@@ -131,6 +138,8 @@ class Motion:
         if not (np.isfinite(times).all() and np.isfinite(paths).all()):
             raise DegenerateMotionError("sample times and positions must be finite")
         scales = _scale(paths)
+        if (scales > MAX_MODULUS).any():
+            raise DegenerateMotionError("positions must have modulus at most %r" % MAX_MODULUS)
         paths.flags.writeable = scales.flags.writeable = False
         object.__setattr__(self, "times", tuple(times.tolist()))
         object.__setattr__(self, "paths", paths)
@@ -175,7 +184,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
     transpositions, which is order independent for layered clusters.
     The sheared-key gaps of all strand pairs are computed in one array
     pass, which lists every (step, pair) where a gap starts tied or
-    changes sign; the walk takes those events step by step.
+    changes sign; the walk takes them in order, a lone crossing directly.
     """
     n = m.strands
     if n == 0:
@@ -205,8 +214,6 @@ def motion_to_braid(m: Motion) -> BraidWord:
     cols0, cols1 = m.paths[:, js].T.tolist(), m.paths[:, js + 1].T.tolist()
     js, ps = js.tolist(), ps.tolist()
     for j, run in itertools.groupby(range(len(js)), js.__getitem__):
-        run = list(run)
-        col0, col1 = cols0[run[0]], cols1[run[0]]
         events: list[tuple[float, int, int]] = []
         for e in run:
             a, b = pairs[ps[e]]
@@ -223,7 +230,8 @@ def motion_to_braid(m: Motion) -> BraidWord:
                 events.append((0.0, a, b))
         if not events:
             continue
-        events.sort(key=lambda e: e[0])
+        events.sort()  # by parameter, then by pair as listed
+        col0, col1 = cols0[e], cols1[e]
 
         # Group events whose crossing parameters coincide.
         clusters: list[list[tuple[float, int, int]]] = []
@@ -234,10 +242,26 @@ def motion_to_braid(m: Motion) -> BraidWord:
                 clusters.append([ev])
 
         for ci, cluster in enumerate(clusters):
-            lam = sum(e[0] for e in cluster) / len(cluster)
+            lam = sum(e[0] for e in cluster) / len(cluster) if len(cluster) > 1 else cluster[0][0]
             nxt = clusters[ci + 1][0][0] if ci + 1 < len(clusters) else 1.0
             probe = lam + max((nxt - lam) * 0.5, _LAMBDA_TOL * 0.5)
             probe = min(probe, 1.0)
+
+            if len(cluster) == 1:
+                # An adjacent, layered pair swaps as below without the group
+                # bookkeeping; any other single pair falls through to be refused.
+                _, a, b = cluster[0]
+                a0, b0, a_left = col0[a], col0[b], pos[a] < pos[b]
+                za, zb = a0 + lam * (col1[a] - a0), b0 + lam * (col1[b] - b0)
+                if (abs(pos[a] - pos[b]) == 1
+                        and abs(za.imag - zb.imag) > _KEY_TOL * max(0.0, abs(za), abs(zb)) / EPS):
+                    if a_left == (strand_key(b0 + probe * (col1[b] - b0))
+                                  < strand_key(a0 + probe * (col1[a] - a0))):
+                        p = min(pos[a], pos[b])
+                        letters.append(p + 1 if (za.imag < zb.imag) == a_left else -p - 1)
+                        order[p], order[p + 1] = order[p + 1], order[p]
+                        pos[a], pos[b] = pos[b], pos[a]
+                    continue
 
             def at(k: int, t: float) -> complex:
                 return col0[k] + t * (col1[k] - col0[k])
@@ -291,6 +315,14 @@ def _still(points: Sequence[complex], steps: int) -> np.ndarray:
     return np.repeat(np.array(points, dtype=complex).reshape(-1, 1), steps + 1, axis=1)
 
 
+def _rational(value, name: str) -> Fraction:
+    """value as a Fraction, or a GeometryError that names the argument."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise GeometryError("%s must be a finite rational number, not %r" % (name, value)) from None
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _turns(angle, steps: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Sample grid on [0, 1] and unit turns exp(i*angle*pi*t) of a rotation,
@@ -298,7 +330,7 @@ def _turns(angle, steps: int | None) -> tuple[np.ndarray, np.ndarray]:
     Fraction or int, share one).  steps None takes 64 steps per quarter
     turn; an invalid steps raises on every call, as errors are not cached.
     """
-    angle = Fraction(angle)
+    angle = _rational(angle, "angle")
     quarter_turns = abs(angle) * 2
     if steps is None:
         steps = max(1, math.ceil(128 * abs(angle)))
@@ -313,28 +345,32 @@ def _turns(angle, steps: int | None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotation(movers: list[complex], center: complex, angle, steps: int | None,
-              fixed: list[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """Times and rows of a rigid counterclockwise rotation of `movers`
-    about `center` by angle*pi, followed by the rows of the `fixed` points.
-    The default sampling uses 64 steps per quarter turn.
+              still: list[complex], hit: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and rows of a rigid counterclockwise rotation by angle*pi
+    about `center`: row hit[i] turns from movers[i], row k of no mover
+    stays at still[k].  The default sampling uses 64 steps per quarter turn.
     """
+    if steps is not None and not isinstance(steps, (int, np.integer)):
+        raise GeometryError("steps must be an integer or None, not %r" % (steps,))
     tol = _KEY_TOL * _scale(movers + [center])
     if any(abs(z - center) <= tol for z in movers):
         raise DegenerateMotionError("a rotated point sits at the center")
     grid, turns = _turns(angle, steps)
-    rows = np.empty((len(movers) + len(fixed), len(grid)), dtype=complex)
-    np.multiply.outer(np.array(movers, dtype=complex) - center, turns, out=rows[:len(movers)])
-    rows[:len(movers)] += center
-    rows[len(movers):] = np.array(fixed, dtype=complex)[:, None]
+    rows = _still(still, len(grid) - 1)
+    for k, z in zip(hit, movers):
+        rows[k] = (z - center) * turns + center
     return grid, rows
 
 
 def _locate(listed: list[complex], config: list[complex]) -> list[int]:
-    """Configuration indices of the listed points, then of the others in order."""
-    hit = nearest_match(listed, config, _MATCH_TOL * _scale(config))
+    """Configuration indices of the listed points."""
+    tol = _MATCH_TOL * _scale(config)
+    hit = nearest_match(listed, config, tol)
     if hit is None:
+        if all(nearest_match([z], config, tol) for z in listed):
+            raise GeometryError("a configuration point is listed twice")
         raise GeometryError("a listed point is absent from the configuration")
-    return hit + [k for k in range(len(config)) if k not in hit]
+    return hit
 
 
 def compose_motions(*motions: Motion) -> Motion:
@@ -369,8 +405,8 @@ def compose_motions(*motions: Motion) -> Motion:
     return Motion(np.concatenate(times), np.hstack(cols))
 
 
-# A move's sweep from a configuration: its sample times on [0, 1], its
-# (strands, samples) rows, and the configuration index each row starts at.
+# A move's sweep from a configuration: its sample times on [0, 1], its rows
+# in configuration order, and the configuration index of each listed point.
 Sweep = tuple[np.ndarray, np.ndarray, list[int]]
 
 
@@ -383,11 +419,10 @@ class RotateBlock:
 
     def _sweep(self, config: list[complex]) -> Sweep:
         movers = [complex(z) for z in self.points]
-        at = _locate(movers, config)
-        rest = [config[k] for k in at[len(movers):]]
+        hit = _locate(movers, config)
         times, rows = _rotation(
-            movers, complex(self.center), self.angle, self.steps, rest)
-        return times, rows, at
+            movers, complex(self.center), self.angle, self.steps, config, hit)
+        return times, rows, hit
 
 
 @dataclass(frozen=True)
@@ -408,8 +443,7 @@ class Encircle:
     def _sweep(self, config: list[complex]) -> Sweep:
         mv = [complex(z) for z in self.movers]
         ar = [complex(z) for z in self.around]
-        at = _locate(mv + ar, config)
-        ot = [config[k] for k in at[len(mv) + len(ar):]]
+        hit = _locate(mv + ar, config)
         if not mv:
             raise GeometryError("need at least one moving point")
         if not ar:
@@ -418,14 +452,17 @@ class Encircle:
             c = sum(ar, complex(0)) / len(ar)
         else:
             c = complex(self.center)
+        listed = dict(zip(hit, mv + ar))
+        still = [listed.get(k, z) for k, z in enumerate(config)]
         radii = [abs(z - c) for z in mv]
-        pad = _KEY_TOL * _scale(mv + ar + ot + [c])
+        pad = _KEY_TOL * _scale(still + [c])
         if any(abs(z - c) >= min(radii) - pad for z in ar):
             raise GeometryError("an encircled point is not strictly inside the orbit")
-        if any(abs(z - c) <= max(radii) + pad for z in ot):
+        if any(abs(z - c) <= max(radii) + pad for k, z in enumerate(config) if k not in listed):
             raise GeometryError("a bystander point would be captured by the orbit")
-        times, rows = _rotation(mv, c, 2 * Fraction(self.turns), None, ar + ot)
-        return times, rows, at
+        angle = 2 * _rational(self.turns, "turns")
+        times, rows = _rotation(mv, c, angle, None, still, hit[:len(mv)])
+        return times, rows, hit
 
 
 @dataclass(frozen=True)
@@ -453,6 +490,8 @@ class FrameIn:
         a, b = pts[idx[-2]], pts[idx[-1]]
         if abs(a.imag) > 0 or abs(b.imag) > 0:
             raise GeometryError("frame expects a real starting configuration")
+        if abs(b - a) <= _KEY_TOL * _scale(pts):
+            raise GeometryError("the two rightmost slots coincide")
         mid = (a + b) / 2
         r = abs(b - a) / 2
         end_re = mid.real if self.pair_re is None else float(self.pair_re)
@@ -460,7 +499,7 @@ class FrameIn:
         if end_h <= 0:
             raise GeometryError("pair height must be positive")
         rest = [pts[k] for k in idx[:-2]]
-        grid, lift = _rotation([a, b], mid, Fraction(1, 2), 64, rest)
+        grid, lift = _rotation([a, b], mid, Fraction(1, 2), 64, [a, b] + rest, [0, 1])
         # Rows: a, b, then the rest; after the quarter turn b sits on
         # top and a at the bottom, and both move linearly from there to
         # end_re -/+ i*end_h.  The transport starts where the lift ends,
@@ -491,7 +530,7 @@ def _onto(times: np.ndarray, rows: np.ndarray, config: list[complex]) -> Sweep:
     at = nearest_match(start, config, _MATCH_TOL * _scale(start + config))
     if at is None or len(at) != len(config):
         raise DegenerateMotionError("the frame does not start at the configuration")
-    return times, rows, at
+    return times, rows[np.argsort(at)], at
 
 
 Move = RotateBlock | Encircle | FrameIn | FrameOut
@@ -506,8 +545,9 @@ class MotionProgram:
     A move finds its listed points in the current configuration with
     nearest_match; a frame, which lists every point, must start at it.
     `to_motion` gives move i of k the times [i/k, (i+1)/k], writes each
-    move's rows into one strand array, and validates that array once as
-    a Motion.  Strands are numbered as in the first move's rows.
+    move's rows, in configuration order, into one array and validates it
+    once as a Motion, numbering its strands as the first move lists them
+    (a frame lists all), then the others in configuration order.
     """
 
     points: tuple
@@ -522,15 +562,14 @@ class MotionProgram:
         for i, mv in enumerate(self.moves):
             if not isinstance(mv, Move):
                 raise GeometryError("unknown move kind %r" % (mv,))
-            t, rows, at = mv._sweep(config)
-            if i:
-                rows = rows[sorted(range(len(at)), key=at.__getitem__)]
-            else:
+            t, rows, listed = mv._sweep(config)
+            if not i:
+                first = listed + [s for s in range(len(config)) if s not in listed]
                 cols.append(rows[:, :1])
-            times.append((i + t[1:]) / k)
+            times.append(i + t[1:])
             cols.append(rows[:, 1:])
             config = rows[:, -1].tolist()
-        return Motion(np.concatenate(times), np.hstack(cols))
+        return Motion(np.concatenate(times) / k, np.hstack(cols)[first])
 
     def braid(self) -> BraidWord:
         return motion_to_braid(self.to_motion())

@@ -15,6 +15,7 @@ from braidmono import (
     compose_motions,
     motion_to_braid,
 )
+from braidmono import motion as motion_module
 from braidmono.errors import DegenerateMotionError, GeometryError, TieError
 from braidmono.motion import nearest_match
 
@@ -228,6 +229,32 @@ def test_crossing_test_is_scale_free(scale):
     assert motion_to_braid(m).letters == ()
 
 
+def _layered_swap(scale):
+    """Strand 1 passes above strand 0, which comes from the left: s1."""
+    return Motion((0.0, 1.0), [(-scale, scale), (scale * (0.6 + 0.6j), scale * (-0.6 + 0.6j))])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("at_bound", [False, True])
+def test_a_layered_swap_is_s1_up_to_the_modulus_bound(at_bound):
+    scale = motion_module.MAX_MODULUS if at_bound else 1.0
+    assert motion_to_braid(_layered_swap(scale)).letters == (1,)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("paths", [
+    pytest.param(lambda bound: [(1.7e308, -1.7e308), (-1.7e308, 1.7e308)], id="head-on-1.7e308"),
+    pytest.param(lambda bound: _layered_swap(8.9e307).paths, id="layered-8.9e307"),
+    pytest.param(lambda bound: [(0, 1), (2, np.nextafter(bound, np.inf))], id="one-ulp-above"),
+    pytest.param(lambda bound: [(0, 1), (2, complex(1e308, 1e308))], id="modulus-overflows"),
+])
+def test_positions_above_the_modulus_bound_are_refused(paths):
+    bound = motion_module.MAX_MODULUS
+    with pytest.raises(DegenerateMotionError) as err:
+        Motion((0.0, 1.0), paths(bound))
+    assert str(err.value) == "positions must have modulus at most %r" % bound
+
+
 def test_program_tracks_configuration_between_moves():
     prog = MotionProgram(
         (-1, 1, 3),
@@ -262,6 +289,41 @@ def test_program_takes_the_nearest_listed_point():
 def test_program_rejects_a_listed_point_absent_from_the_configuration():
     with pytest.raises(GeometryError):
         MotionProgram((-1, 1, 3), (RotateBlock((-1, 2), 0, Fraction(1)),)).to_motion()
+
+
+@pytest.mark.parametrize("points, move, message", [
+    pytest.param((1, 2, 3), RotateBlock((1, 1), 0, Fraction(1)),
+                 "a configuration point is listed twice", id="rotate-twice"),
+    pytest.param((1, 2, 3), Encircle((1,), (1,), Fraction(1)),
+                 "a configuration point is listed twice", id="mover-encircled"),
+    pytest.param((1, 2, 3), RotateBlock((1, 1, 9), 0, Fraction(1)),
+                 "a listed point is absent from the configuration", id="twice-and-absent"),
+    pytest.param((0, 1, 1), FrameIn((0, 1, 1)),
+                 "the two rightmost slots coincide", id="frame-slots-coincide"),
+])
+def test_geometry_errors_name_the_fault(points, move, message):
+    with pytest.raises(GeometryError) as err:
+        MotionProgram(points, (move,)).to_motion()
+    assert str(err.value) == message
+
+
+def test_arguments_of_the_wrong_kind_raise_geometry_errors():
+    # The first program fills the turn cache for (1, 16); 16.0 equals 16
+    # as a key, so the steps check must not hide behind the cache.
+    assert motion_to_braid(rotation([-1, 1], 0, 1, steps=16)).letters == (1,)
+    cases = [
+        ((-1, 1), RotateBlock((-1, 1), 0, Fraction(1), 16.0),
+         "steps must be an integer or None, not 16.0"),
+        ((-1, 1), RotateBlock((-1, 1), 0, float("nan")),
+         "angle must be a finite rational number, not nan"),
+        ((2, 0), Encircle((2,), (0,), float("inf")),
+         "turns must be a finite rational number, not inf"),
+    ]
+    for _ in range(2):  # errors are not cached
+        for points, move, message in cases:
+            with pytest.raises(GeometryError) as err:
+                MotionProgram(points, (move,)).to_motion()
+            assert str(err.value) == message
 
 
 def test_program_on_no_points_rejects_a_listed_point():
