@@ -194,7 +194,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
     order = np.argsort(keys[:, 0], kind="stable").tolist()
     if (np.diff(keys[order, 0]) <= _KEY_TOL * scale[0]).any():
         raise TieError("tied sheared order at the initial configuration")
-    pos = np.argsort(order).tolist()
+    pos = sorted(range(n), key=order.__getitem__)
     letters: list[int] = []
 
     ia, ib, pairs = _pairs(n)
@@ -203,8 +203,8 @@ def motion_to_braid(m: Motion) -> BraidWord:
     tol = _KEY_TOL * np.maximum(scale[:-1], scale[1:])
     # Per pair and step: gap tied at the start (z0), at the end (z1), or
     # changing sign strictly inside the step (cross; by sign bit, as g0 * g1 can underflow).
-    z0 = np.abs(g0) <= tol
-    z1 = np.abs(g1) <= tol
+    width = np.abs(gaps)
+    z0, z1 = width[:, :-1] <= tol, width[:, 1:] <= tol
     cross = ~(z0 | z1) & (np.signbit(g0) != np.signbit(g1))
     # The events (z0 or cross) in step order, then pair order, each with its
     # gaps, its ties and the strand positions at both ends of its step.
@@ -312,7 +312,7 @@ def motion_to_braid(m: Motion) -> BraidWord:
 
 def _still(points: Sequence[complex], steps: int) -> np.ndarray:
     """Paths of stationary points over steps + 1 samples."""
-    return np.repeat(np.array(points, dtype=complex).reshape(-1, 1), steps + 1, axis=1)
+    return np.array(points, dtype=complex).reshape(-1, 1).repeat(steps + 1, axis=1)
 
 
 def _rational(value, name: str) -> Fraction:
