@@ -42,10 +42,9 @@ from .words import BraidWord, Permutation
 # Shear used for the real projection; breaks the Re tie of conjugate pairs.
 EPS = 1e-3
 
-# Largest modulus of a position.  A sheared key is at most (1 + EPS) times
-# the modulus, a gap between two keys twice that, and the difference of two
-# gaps (the denominator of a crossing parameter) four times that, so below
-# this bound no key, gap or parameter overflows.
+# Largest modulus of a position.  Sheared keys are at most (1 + EPS) times
+# the modulus, key gaps twice and gap differences (the denominators of
+# crossing parameters) four times that, so below it none of them overflows.
 MAX_MODULUS = sys.float_info.max / (4 * (1 + EPS))
 
 # Relative tolerances for key ties, event clustering and endpoint matching.
@@ -525,7 +524,7 @@ class FrameOut:
 
 
 def _onto(times: np.ndarray, rows: np.ndarray, config: list[complex]) -> Sweep:
-    """A frame's sweep, its rows matched onto the configuration they start at."""
+    """A frame's sweep, its rows matched onto the configuration and put in its order."""
     start = rows[:, 0].tolist()
     at = nearest_match(start, config, _MATCH_TOL * _scale(start + config))
     if at is None or len(at) != len(config):
