@@ -354,7 +354,10 @@ def _rotation(movers: list[complex], center: complex, angle, steps: int | None,
     tol = _KEY_TOL * _scale(movers + [center])
     if any(abs(z - center) <= tol for z in movers):
         raise DegenerateMotionError("a rotated point sits at the center")
-    grid, turns = _turns(angle, steps)
+    try:
+        grid, turns = _turns(angle, steps)
+    except TypeError:  # an unhashable angle, which the cache cannot take as a key
+        raise GeometryError("angle must be a finite rational number, not %r" % (angle,)) from None
     rows = _still(still, len(grid) - 1)
     for k, z in zip(hit, movers):
         rows[k] = (z - center) * turns + center

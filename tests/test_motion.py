@@ -316,6 +316,8 @@ def test_arguments_of_the_wrong_kind_raise_geometry_errors():
          "steps must be an integer or None, not 16.0"),
         ((-1, 1), RotateBlock((-1, 1), 0, float("nan")),
          "angle must be a finite rational number, not nan"),
+        ((-1, 1), RotateBlock((-1, 1), 0, [1]),
+         "angle must be a finite rational number, not [1]"),
         ((2, 0), Encircle((2,), (0,), float("inf")),
          "turns must be a finite rational number, not inf"),
     ]
