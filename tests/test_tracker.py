@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +18,7 @@ from braidmono import (
     Polynomial2,
     braid_equal,
     braid_permutation,
+    cli,
     fiber_roots,
     fixtures,
     lefschetz_braid,
@@ -24,6 +29,7 @@ from braidmono import (
     tracker,
 )
 from braidmono.errors import (
+    BraidMonoError,
     CriticalFiberError,
     GeometryError,
     ImproperProjectionError,
@@ -238,6 +244,111 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
             samples += len(track_loop(f.curve, LoopSpec(arc=arc)).times)
     assert (work["batches"], work["fibers"], samples) == (236, 2426, 2396)
     assert matches == 15
+
+
+def _reference_walk(curve, loop, initial_divisions=256):
+    """The documented walk, one step at a time.
+
+    Returns (times, paths, rejected probes of the largest step size).  One
+    _solve_fibers call and one _step_test per step: a rejected step
+    halves the step, and eight accepted steps in a row double it, up to
+    arc/64 (or the starting step, if larger).  The tracker's runs must
+    take exactly these steps.
+    """
+    theta0, theta1 = loop.angle_range
+    arc = theta1 - theta0
+    start = fiber_roots(curve, loop.basepoint)
+    current = np.asarray(start, dtype=complex)
+    thetas, samples = [theta0], [current]
+    step = arc / float(initial_divisions)
+    min_step, max_step = arc * 2.0**-40, max(arc / 64.0, step)
+    theta, streak, probe, rejected_probes = theta0, 0, False, 0
+    while theta < theta1 - 1e-15:
+        target = theta + min(step, theta1 - theta)
+        fiber = _solve_fibers(curve.product, [loop.point(target)])[0]
+        if isinstance(fiber, Exception):
+            raise fiber
+        near, ok, sep, scale = _step_test(np.array([current, fiber]))
+        if sep[0] <= 2.0 * tracker._SEPARATION_TOL * scale[0]:
+            raise CriticalFiberError("fiber separation collapsed at loop angle %.6f" % theta)
+        probed, probe = probe, False
+        if not ok[0]:
+            rejected_probes += probed and step == max_step
+            step = min(step, theta1 - theta) / 2.0
+            if step < min_step:
+                raise TrackingFailureError(
+                    "step underflow at loop angle %.6f (fiber too unstable)" % theta
+                )
+            streak = 0
+            continue
+        current = fiber[near[0]]
+        theta = target
+        thetas.append(theta)
+        samples.append(current)
+        streak += 1
+        if streak == 8:
+            probe = step < max_step
+            step, streak = min(step * 2.0, max_step), 0
+    if loop.arc == "full" and nearest_match(
+        current.tolist(), start, 1e-6 * np.abs(current).max(initial=0.0)
+    ) is None:
+        raise TrackingFailureError("full loop did not return to the starting fiber")
+    times = [(t - theta0) / arc for t in thetas]
+    times[0], times[-1] = 0.0, 1.0
+    return tuple(times), np.array(samples).T, rejected_probes
+
+
+def _assert_walks_alike(curve, loop, initial_divisions=256):
+    times, paths, rejected = _reference_walk(curve, loop, initial_divisions)
+    motion = track_loop(curve, loop, initial_divisions=initial_divisions)
+    assert motion.times == times
+    assert motion.paths.tobytes() == paths.tobytes()
+    return rejected
+
+
+@pytest.mark.parametrize("fixture", fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)],
+                         ids=lambda f: f.fixture_id)
+def test_tracking_takes_the_steps_of_a_one_step_walk(fixture):
+    rejected = {arc: _assert_walks_alike(fixture.curve, LoopSpec(arc=arc))
+                for arc in ("full", "negative-half")}
+    if fixture.fixture_id == "n-tangency-3":
+        # The probe of the largest size is rejected again and again here.
+        assert rejected["full"] == 15
+
+
+@pytest.mark.parametrize("equation", ["(y+x^2)(y-x^2)", "y(y^2+x)(y^2-x)"])
+def test_tracking_from_a_coarse_start_takes_the_steps_of_a_one_step_walk(equation):
+    for arc in ("full", "negative-half"):
+        _assert_walks_alike(parse_curve(equation), LoopSpec(arc=arc), initial_divisions=3)
+
+
+def _refusal(call, *args, **kwargs):
+    try:
+        call(*args, **kwargs)
+    except BraidMonoError as e:
+        return type(e), str(e)
+    raise AssertionError("%s did not refuse" % call.__name__)
+
+
+def test_tracking_refusals_match_a_one_step_walk(monkeypatch):
+    # Each exit-3 case of the command-line transcript that reaches the
+    # tracker fails there with the one-step walk's exception and message.
+    cases = json.loads((Path(__file__).parent / "data" / "cli_transcript.json").read_text())
+    calls = []
+    monkeypatch.setattr(cli, "track_loop", lambda *args, **kwargs: calls.append((*args, kwargs))
+                        or track_loop(*args, **kwargs))
+    refusals = 0
+    for case in (c for c in cases if c["exit"] == 3):
+        del calls[:]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(case["argv"]) == 3
+        if calls:
+            (curve, loop, kwargs), = calls
+            refused = _refusal(_reference_walk, curve, loop, kwargs["initial_divisions"])
+            assert refused == _refusal(track_loop, curve, loop, **kwargs)
+            assert err.getvalue() == "tracking error: %s\n" % refused[1]
+            refusals += 1
+    assert refusals == 3
 
 
 def _grid_chain(rng, n, k):
