@@ -3,21 +3,24 @@
 The fiber of a curve over a point x0 is the set of y-roots of the
 product polynomial.  Tracking moves x around a circle, re-solves the
 fiber at each sample, and continues each root of the previous sample
-by the matching rule of motion.nearest_match.  The walk goes in runs:
-a run is the angles at the current step size up to the next change of
-size.  Its fibers are solved in one batch (one eigenvalue call and one
-vectorised Newton polish), and the step test of every fiber against
-its predecessor is one array pass implementing nearest_match's rule;
-the run is then walked in order, and a rejected step ends it and drops
-the rest of its fibers.  The first step at a grown size is a run of its
-own, since it is the one most often rejected.  A step is accepted only
+by the matching rule of motion.nearest_match.  A step is accepted only
 when every root of the previous fiber has a distinct nearest new root
 within half that root's distance to its nearest neighbour; otherwise
 the step is halved.  These discs are pairwise disjoint, so an accepted
 step continues each root unambiguously, and an isolated root does not
 hold the whole fiber to the pace of its closest pair.  The test sees
 only the sampled endpoints of a step, so it cannot detect two roots
-that wind round each other within one step.
+that wind round each other within one step.  Eight accepted steps in
+a row double the step, up to arc/64 (or the first step, if larger).
+The walk goes in runs: a run is the angles it would take if every
+step were accepted, up to and including the first at a grown size
+(the probe), or to the end of the loop at the largest size.  Its
+fibers, with the basepoint's in the first run, are solved in one batch
+(one eigenvalue call and one vectorised Newton polish), and the step
+test of every fiber against its predecessor is one array pass; the run
+is then walked in order, and a rejected step ends it and drops the
+rest of its fibers.  A rejected probe, the likeliest rejection, is the
+last fiber of its run, so it wastes no other.
 A full loop must end on its starting fiber: nearest_match matches the
 two within 1e-6 of the fiber scale.
 
@@ -117,8 +120,8 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
         lead = []
     for i, x0 in enumerate(xs):
         try:
-            coeffs = np.asarray(product.y_coeffs_at(x0), dtype=complex)
-            if not np.count_nonzero(coeffs):
+            coeffs = product.y_coeffs_at(x0)
+            if not any(coeffs):
                 raise CriticalFiberError("curve vanishes identically over x=%s" % x0)
             if abs(coeffs[0]) <= 1e-12 * sum(a * abs(x0) ** k for k, a in lead):
                 raise ImproperProjectionError(
@@ -132,7 +135,7 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
         polys.append(coeffs)
     if not rows:
         return out
-    coeffs = np.array(polys)
+    coeffs = np.array(polys, dtype=complex)
     d = coeffs.shape[1] - 1
     roots = np.zeros((len(rows), d), dtype=complex)
     # np.roots strips exact trailing zeros and appends zero roots for them.
@@ -220,7 +223,11 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
 
     Raises CriticalFiberError when two roots are too close to separate.
     """
-    roots = _solve_fibers(curve.product, [complex(x0)])[0]
+    return _sorted_fiber(_solve_fibers(curve.product, [complex(x0)])[0], x0)
+
+
+def _sorted_fiber(roots: np.ndarray | BraidMonoError, x0: complex) -> list[complex]:
+    """fiber_roots of a fiber _solve_fibers solved over x0, or its error raised."""
     if isinstance(roots, BraidMonoError):
         raise roots
     sep = _separations(roots[None]).min(initial=math.inf)
@@ -229,6 +236,13 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
             "fiber over x=%s has nearly coincident roots (separation %.3e)" % (x0, sep)
         )
     return sorted((complex(z) for z in roots), key=strand_key)
+
+
+def _grow(step: float, streak: int, max_step: float) -> tuple[float, int]:
+    """Step and streak after an accepted step: 8 in a row double the step, up to max_step."""
+    if streak == 7:
+        return min(step * 2.0, max_step), 0
+    return step, streak + 1
 
 
 def track_loop(
@@ -251,28 +265,29 @@ def track_loop(
     arc = theta1 - theta0
     product = curve.product
 
-    start_sorted = fiber_roots(curve, loop.basepoint)
-    current = np.asarray(start_sorted, dtype=complex)
-    thetas = [theta0]
-    samples = [current]
-
+    thetas, samples = [theta0], []
     step = arc / divisions
     min_step = arc * _MIN_STEP_FRACTION
     max_step = max(arc / 64.0, step)
-    theta = theta0
-    streak = 0
-    grown = False
+    theta, streak = theta0, 0
 
     while theta < theta1 - 1e-15:
-        # One run: the angles at this step size up to its next change.  The
-        # first step at a grown size is the likeliest to be rejected, so it
-        # is a run of its own.
-        size = 1 if grown else 8 - streak if step < max_step else math.inf
-        targets, t = [], theta
-        while len(targets) < size and t < theta1 - 1e-15:
-            t += min(step, theta1 - t)
+        # One run: the angles the walk takes if every step is accepted, up to
+        # and including the probe (the first at a grown size), or to the end
+        # at the largest size.  The first batch also solves the basepoint.
+        targets, t, size, n = [], theta, step, streak
+        while t < theta1 - 1e-15:
+            t += min(size, theta1 - t)
             targets.append(t)
-        fibers = _solve_fibers(product, [loop.point(t) for t in targets])
+            if size > step:
+                break
+            size, n = _grow(size, n, max_step)
+        xs = [loop.point(t) for t in targets]
+        fibers = _solve_fibers(product, xs if samples else [loop.basepoint, *xs])
+        if not samples:
+            start_sorted = _sorted_fiber(fibers.pop(0), loop.basepoint)
+            current = np.asarray(start_sorted, dtype=complex)
+            samples.append(current)
         # The step test of the fibers before the first error, in one pass;
         # the walk below checks each in order, as a step at a time would.
         solved = next(
@@ -294,7 +309,6 @@ def track_loop(
                         "step underflow at loop angle %.6f (fiber too unstable)" % theta
                     )
                 streak = 0
-                grown = False
                 break
             # Strand i is root perm[i] of row k; continue it to row k + 1.
             perm = near[k][perm]
@@ -302,11 +316,7 @@ def track_loop(
             theta = target
             thetas.append(theta)
             samples.append(current)
-            streak += 1
-            grown = streak >= 8 and step < max_step
-            if streak >= 8:
-                step = min(step * 2.0, max_step)
-                streak = 0
+            step, streak = _grow(step, streak, max_step)
 
     if loop.arc == "full":
         end = samples[-1]
