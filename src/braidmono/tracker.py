@@ -227,7 +227,7 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
 
 
 def _sorted_fiber(roots: np.ndarray | BraidMonoError, x0: complex) -> list[complex]:
-    """fiber_roots of a fiber _solve_fibers solved over x0, or its error raised."""
+    """fiber_roots from a _solve_fibers result over x0: raise its error, or check and sort."""
     if isinstance(roots, BraidMonoError):
         raise roots
     sep = _separations(roots[None]).min(initial=math.inf)

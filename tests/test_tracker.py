@@ -268,7 +268,7 @@ def _reference_walk(curve, loop, initial_divisions=256):
     while theta < theta1 - 1e-15:
         target = theta + min(step, theta1 - theta)
         fiber = _solve_fibers(curve.product, [loop.point(target)])[0]
-        if isinstance(fiber, Exception):
+        if isinstance(fiber, BraidMonoError):
             raise fiber
         near, ok, sep, scale = _step_test(np.array([current, fiber]))
         if sep[0] <= 2.0 * tracker._SEPARATION_TOL * scale[0]:
