@@ -136,6 +136,13 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
     if not rows:
         return out
     coeffs = np.array(polys, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # eigvals refuses a batch with inf
+        ratios = -coeffs[:, 1:] / coeffs[:, :1]
+    keep = np.isfinite(ratios).all(axis=1)
+    if not keep.all():
+        for i in np.compress(~keep, rows).tolist():
+            out[i] = TrackingFailureError("fiber polynomial at x=%s overflows once monic" % xs[i])
+        rows, coeffs, ratios = np.compress(keep, rows), coeffs[keep], ratios[keep]
     d = coeffs.shape[1] - 1
     roots = np.zeros((len(rows), d), dtype=complex)
     # np.roots strips exact trailing zeros and appends zero roots for them.
@@ -146,7 +153,7 @@ def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoErro
         if m > 0:
             companion = np.zeros((len(group), m, m), dtype=complex)
             companion[:, np.arange(1, m), np.arange(m - 1)] = 1
-            companion[:, 0, :] = -coeffs[group, 1 : m + 1] / coeffs[group, :1]
+            companion[:, 0, :] = ratios[group, :m]
             roots[group, :m] = np.linalg.eigvals(companion)
     for i, z in zip(rows, _polish(coeffs, roots)):
         out[i] = z
@@ -240,9 +247,7 @@ def _sorted_fiber(roots: np.ndarray | BraidMonoError, x0: complex) -> list[compl
 
 def _grow(step: float, streak: int, max_step: float) -> tuple[float, int]:
     """Step and streak after an accepted step: 8 in a row double the step, up to max_step."""
-    if streak == 7:
-        return min(step * 2.0, max_step), 0
-    return step, streak + 1
+    return (min(step * 2.0, max_step), 0) if streak == 7 else (step, streak + 1)
 
 
 def track_loop(
@@ -263,7 +268,6 @@ def track_loop(
         raise GeometryError("initial_divisions is out of floating-point range") from None
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
-    product = curve.product
 
     thetas, samples = [theta0], []
     step = arc / divisions
@@ -283,25 +287,21 @@ def track_loop(
                 break
             size, n = _grow(size, n, max_step)
         xs = [loop.point(t) for t in targets]
-        fibers = _solve_fibers(product, xs if samples else [loop.basepoint, *xs])
+        fibers = _solve_fibers(curve.product, xs if samples else [loop.basepoint, *xs])
         if not samples:
             start_sorted = _sorted_fiber(fibers.pop(0), loop.basepoint)
             current = np.asarray(start_sorted, dtype=complex)
             samples.append(current)
         # The step test of the fibers before the first error, in one pass;
         # the walk below checks each in order, as a step at a time would.
-        solved = next(
-            (k for k, f in enumerate(fibers) if isinstance(f, BraidMonoError)), len(fibers)
-        )
+        solved = next((k for k, f in enumerate(fibers) if isinstance(f, Exception)), len(fibers))
         near, ok, sep, scale = _step_test(np.array([current, *fibers[:solved]]))
         perm = np.arange(len(current))
         for k, target in enumerate(targets):
             if k == solved:
                 raise fibers[k]
             if sep[k] <= 2.0 * _SEPARATION_TOL * scale[k]:
-                raise CriticalFiberError(
-                    "fiber separation collapsed at loop angle %.6f" % theta
-                )
+                raise CriticalFiberError("fiber separation collapsed at loop angle %.6f" % theta)
             if not ok[k]:
                 step = min(step, theta1 - theta) / 2.0
                 if step < min_step:

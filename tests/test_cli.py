@@ -109,6 +109,9 @@ def test_out_of_range_leading_coefficient_exits_three(capsys):
     assert err.endswith(" is out of floating-point range\n")
 
 
+_MONIC_OVERFLOW = "(1/1000y^2+%dxy-%dy-x+1)" % (10**308, 10**308)
+
+
 @pytest.mark.parametrize("flags, message", [
     pytest.param(("--curve", "(y^2-2xy+x^2)"),
                  "factor y^2-2xy+x^2 is not squarefree",
@@ -127,6 +130,13 @@ def test_out_of_range_leading_coefficient_exits_three(capsys):
     pytest.param(("--curve", "(y^2-x)", "--center", "1"),
                  "step underflow at loop angle 3.141593 (fiber too unstable)",
                  id="loop-through-critical-value"),
+    pytest.param(("--curve", _MONIC_OVERFLOW),
+                 "fiber over x=(1+0j) has nearly coincident roots (separation 0.000e+00)",
+                 id="monic-overflow-after-a-critical-basepoint"),
+    pytest.param(("--curve", _MONIC_OVERFLOW, "--radius", "999/1000"),
+                 "fiber polynomial at x=(0.998699119877508+0.024516687294389376j) "
+                 "overflows once monic",
+                 id="monic-overflow-mid-loop"),
 ])
 def test_tracker_error_message_and_exit(capsys, flags, message):
     code, out, err = _run(capsys, "compute", *flags)

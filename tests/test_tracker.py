@@ -188,6 +188,8 @@ def test_batch_solve_matches_a_batch_of_one():
                  id="vanishes-identically"),
     pytest.param(parse_curve("(y^2-x^2-x)").product, 1e200, TrackingFailureError,
                  id="overflow"),
+    pytest.param(Polynomial2.from_dict({(0, 2): Fraction(1, 1000), (1, 1): 10**305, (0, 0): -1}),
+                 10.0, TrackingFailureError, id="overflow-once-monic"),
 ])
 def test_batch_returns_an_error_as_a_value(poly, bad, error):
     xs = [0.5j, -0.5, bad, 0.25]
@@ -436,3 +438,24 @@ def test_out_of_range_leading_coefficient_fails_tracking():
     poly = Polynomial2.from_dict({(0, 2): 10**400, (1, 0): -1, (0, 0): -1})
     with pytest.raises(TrackingFailureError, match="out of floating-point range"):
         track_loop(SimpleNamespace(product=poly), LoopSpec())
+
+
+# Finite coefficients whose ratios c_k / c_0 overflow away from x = 1:
+# the basepoint fiber at radius 1 is y^2, a double root.
+_MONIC_OVERFLOW = "(1/1000y^2+%dxy-%dy-x+1)" % (10**308, 10**308)
+
+
+@pytest.mark.parametrize("radius, error, message", [
+    pytest.param(1, CriticalFiberError,
+                 "fiber over x=(1+0j) has nearly coincident roots (separation 0.000e+00)",
+                 id="basepoint-first"),
+    pytest.param(Fraction(999, 1000), TrackingFailureError,
+                 "fiber polynomial at x=(0.998699119877508+0.024516687294389376j) "
+                 "overflows once monic",
+                 id="mid-loop"),
+])
+def test_an_overflow_once_monic_refuses_as_a_one_step_walk_does(radius, error, message):
+    loop = LoopSpec(radius=radius)
+    curve = parse_curve(_MONIC_OVERFLOW)
+    assert _refusal(_reference_walk, curve, loop) == (error, message)
+    assert _refusal(track_loop, curve, loop) == (error, message)
