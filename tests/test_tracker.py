@@ -20,6 +20,7 @@ from braidmono import (
     braid_permutation,
     cli,
     fiber_roots,
+    fixture_by_id,
     fixtures,
     lefschetz_braid,
     local_braid_monodromy,
@@ -160,6 +161,26 @@ def test_coarse_steps_still_converge():
     curve = parse_curve("(y+x^2)(y-x^2)")
     b = local_braid_monodromy(curve, LoopSpec(), initial_divisions=16)
     assert braid_equal(b, local_braid_monodromy(curve, LoopSpec()))
+
+
+def test_a_sheared_fixture_tracks_to_the_braid_of_the_unsheared_one():
+    # y -> y + 100x moves each fiber of vertical-tangency-line-pair by 100x,
+    # which leaves the braid as it is.  The roots of the product of the
+    # factors are too ill-conditioned there for the full loop to close.
+    sheared = parse_curve("(y+100x)(201x+2y)(y^2+200xy+10000x^2+x)(y^2+200xy+10000x^2-x)")
+    plain = fixture_by_id("vertical-tangency-line-pair").curve
+    assert braid_equal(local_braid_monodromy(sheared, LoopSpec()),
+                       local_braid_monodromy(plain, LoopSpec()))
+
+
+@pytest.mark.parametrize("arc", ["full", "negative-half"])
+@pytest.mark.parametrize("equation, radius", [
+    ("(2x+y)(y+x^2)(y-x^2)", 2),  # both basepoints lie under a meeting point
+    ("(y^2-x)(y-x)(y+2x)(y-3)", 1),  # the half loop ends under one
+])
+def test_a_loop_through_a_point_where_two_factors_meet_is_critical(equation, radius, arc):
+    with pytest.raises(CriticalFiberError, match="fiber"):
+        track_loop(parse_curve(equation), LoopSpec(radius=Fraction(radius), arc=arc))
 
 
 @pytest.mark.parametrize("radius", ["1e400", "1e-400"])
