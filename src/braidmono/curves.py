@@ -25,7 +25,6 @@ when it shares no component with df/dy.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,12 +33,9 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import (
-    CriticalFiberError,
-    ImproperProjectionError,
-    ParseError,
-    TrackingFailureError,
-)
+import numpy as np
+
+from .errors import CriticalFiberError, ImproperProjectionError, ParseError
 
 
 def _clean(coeffs: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
@@ -108,19 +104,18 @@ class Polynomial2:
             out[dy] += v * x0**dx
         return out
 
-    def y_coeffs_at(self, x0: complex) -> list[complex]:
-        """Coefficients [c_n, ..., c_0] of the fiber polynomial in y at x=x0."""
+    def y_coeffs_at(self, xs: np.ndarray) -> np.ndarray:
+        """Rows [c_n, ..., c_0] of the fiber polynomial in y over each point of
+        xs, summed term by term; a row out of float range holds an inf or nan."""
         n = self.degree_y
-        out = [0j] * (n + 1)
+        out = np.zeros((len(xs), n + 1), dtype=complex)
         try:
-            for (dx, dy), v in self._float_coeffs:
-                out[n - dy] += v * x0**dx
+            terms = self._float_coeffs
         except OverflowError:
-            out = [cmath.inf]
-        if not all(map(cmath.isfinite, out)):
-            raise TrackingFailureError(
-                "fiber polynomial at x=%s is out of floating-point range" % x0
-            )
+            return out + np.inf
+        with np.errstate(all="ignore"):
+            for (dx, dy), v in terms:
+                out[:, n - dy] += v * xs**dx
         return out
 
     @cached_property

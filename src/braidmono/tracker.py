@@ -1,7 +1,10 @@
 """Numerical fiber tracking around loops in the x-plane.
 
 The fiber of a curve over a point x0 is the set of y-roots of the
-product polynomial.  Tracking moves x around a circle, re-solves the
+product polynomial, solved factor by factor: the roots of a product are
+worse conditioned than those of its factors (Wilkinson, "The perfidious
+polynomial", 1984), and where two factors nearly meet the product's
+roots blur into noise.  Tracking moves x around a circle, re-solves the
 fiber at each sample, and continues each root of the previous sample
 by the matching rule of motion.nearest_match.  A step is accepted only
 when every root of the previous fiber has a distinct nearest new root
@@ -16,11 +19,12 @@ The walk goes in runs: a run is the angles it would take if every
 step were accepted, up to and including the first at a grown size
 (the probe), or to the end of the loop at the largest size.  Its
 fibers, with the basepoint's in the first run, are solved in one batch
-(one eigenvalue call and one vectorised Newton polish), and the step
-test of every fiber against its predecessor is one array pass; the run
-is then walked in order, and a rejected step ends it and drops the
-rest of its fibers.  A rejected probe, the likeliest rejection, is the
-last fiber of its run, so it wastes no other.
+(one division per line; one eigenvalue call and one vectorised Newton
+polish per higher y-degree), and the step test of every fiber against
+its predecessor is one array pass; the run is then walked in order,
+and a rejected step ends it and drops the rest of its fibers.  A
+rejected probe, the likeliest rejection, is the last fiber of its run,
+so it wastes no other.
 A full loop must end on its starting fiber: nearest_match matches the
 two within 1e-6 of the fiber scale.
 
@@ -100,63 +104,69 @@ class LoopSpec:
         return self.point(self.angle_range[0])
 
 
-def _solve_fibers(product, xs: list[complex]) -> list[np.ndarray | BraidMonoError]:
-    """All fiber roots over each point of xs, unsorted, polished, in one batch.
+def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]:
+    """All fiber roots over each point of xs, unsorted, in one batch.
 
-    Each fiber comes out bit-identical to np.roots and a Newton polish
-    on its own: the companion matrices are the ones np.roots builds,
-    after stripping the same exact trailing zeros, and the polish uses
-    the Horner order of np.polyval.  A point whose fiber cannot be
-    solved gets its error in place of roots.
+    The guards read the product's coefficients, and a point that fails
+    one gets its error in place of roots.  The roots are solved factor by
+    factor, and a fiber is its factors' roots in factor order.  A line's
+    root is -c0/c1, the entry of its 1x1 companion matrix.  A factor of
+    higher y-degree m comes out bit-identical to np.roots and a Newton
+    polish on its own: all rows of y-degree m go to one eigvals call per
+    count of exact trailing zeros stripped, as np.roots strips them, and
+    to one polish in the Horner order of np.polyval.  A factor row that
+    overflows once monic fails its point, so eigvals never sees an inf.
     """
-    out: list[np.ndarray | BraidMonoError] = [None] * len(xs)
-    rows, polys = [], []
+    x = np.array(xs, dtype=complex)
+    product = curve.product
+    coeffs = product.y_coeffs_at(x)
     # The leading y-coefficient a(x) = sum_k a_k x^k counts as vanishing
     # where |a(x)| is small beside sum_k |a_k| |x|^k.  A coefficient out
-    # of float range makes y_coeffs_at fail first at every point.
+    # of float range puts every point out of range first.
     try:
         lead = [(k, float(abs(a))) for k, a in product.y_coefficient(product.degree_y).items()]
     except OverflowError:
         lead = []
-    for i, x0 in enumerate(xs):
-        try:
-            coeffs = product.y_coeffs_at(x0)
-            if not any(coeffs):
-                raise CriticalFiberError("curve vanishes identically over x=%s" % x0)
-            if abs(coeffs[0]) <= 1e-12 * sum(a * abs(x0) ** k for k, a in lead):
-                raise ImproperProjectionError(
-                    "leading y-coefficient vanishes near x=%s "
-                    "(curve has a branch at infinity)" % x0
-                )
-        except BraidMonoError as e:
-            out[i] = e
-            continue
-        rows.append(i)
-        polys.append(coeffs)
-    if not rows:
-        return out
-    coeffs = np.array(polys, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # eigvals refuses a batch with inf
-        ratios = -coeffs[:, 1:] / coeffs[:, :1]
-    keep = np.isfinite(ratios).all(axis=1)
-    if not keep.all():
-        for i in np.compress(~keep, rows).tolist():
-            out[i] = TrackingFailureError("fiber polynomial at x=%s overflows once monic" % xs[i])
-        rows, coeffs, ratios = np.compress(keep, rows), coeffs[keep], ratios[keep]
-    d = coeffs.shape[1] - 1
-    roots = np.zeros((len(rows), d), dtype=complex)
-    # np.roots strips exact trailing zeros and appends zero roots for them.
-    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)
-    for t in np.unique(trailing).tolist():
-        group = np.flatnonzero(trailing == t)
-        m = d - t
-        if m > 0:
-            companion = np.zeros((len(group), m, m), dtype=complex)
-            companion[:, np.arange(1, m), np.arange(m - 1)] = 1
-            companion[:, 0, :] = ratios[group, :m]
-            roots[group, :m] = np.linalg.eigvals(companion)
-    for i, z in zip(rows, _polish(coeffs, roots)):
-        out[i] = z
+    parts = [None] * len(curve.factors)
+    with np.errstate(all="ignore"):  # a non-finite row fails a guard below
+        size = sum(a * np.abs(x) ** k for k, a in lead)
+        monic = np.isfinite(-coeffs[:, 1:] / coeffs[:, :1]).all(axis=1)
+        for m in {f.degree_y for f in curve.factors}:
+            group = [k for k, f in enumerate(curve.factors) if f.degree_y == m]
+            rows = np.concatenate([curve.factors[k].y_coeffs_at(x) for k in group])
+            ratios = -rows[:, 1:] / rows[:, :1]
+            good = np.isfinite(ratios).all(axis=1)
+            monic &= good.reshape(len(group), -1).all(axis=0)
+            if m == 1:
+                roots = ratios
+            else:
+                roots = np.zeros((len(rows), m), dtype=complex)
+                # np.roots strips exact trailing zeros and appends zero roots for them.
+                trailing = np.argmax(rows[:, ::-1] != 0, axis=1)
+                for t in np.unique(trailing[good]).tolist():
+                    solve, d = np.flatnonzero(good & (trailing == t)), m - t
+                    if d:
+                        companion = np.zeros((len(solve), d, d), dtype=complex)
+                        companion[:, np.arange(1, d), np.arange(d - 1)] = 1
+                        companion[:, 0, :] = ratios[solve, :d]
+                        roots[solve, :d] = np.linalg.eigvals(companion)
+                roots[good] = _polish(rows[good], roots[good])
+            for k, part in zip(group, roots.reshape(len(group), len(xs), m)):
+                parts[k] = part
+    fiber = np.hstack(parts)
+    out: list[np.ndarray | BraidMonoError] = list(fiber)
+    guards = (
+        (~np.isfinite(coeffs).all(axis=1), TrackingFailureError,
+         "fiber polynomial at x=%s is out of floating-point range"),
+        (~coeffs.any(axis=1), CriticalFiberError, "curve vanishes identically over x=%s"),
+        (np.abs(coeffs[:, 0]) <= 1e-12 * size, ImproperProjectionError,
+         "leading y-coefficient vanishes near x=%s (curve has a branch at infinity)"),
+        (~monic, TrackingFailureError, "fiber polynomial at x=%s overflows once monic"),
+    )
+    # The first guard a point fails names its error.
+    for bad, error, message in reversed(guards):
+        for i in np.flatnonzero(bad).tolist():
+            out[i] = error(message % xs[i])
     return out
 
 
@@ -230,7 +240,7 @@ def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
 
     Raises CriticalFiberError when two roots are too close to separate.
     """
-    return _sorted_fiber(_solve_fibers(curve.product, [complex(x0)])[0], x0)
+    return _sorted_fiber(_solve_fibers(curve, [complex(x0)])[0], x0)
 
 
 def _sorted_fiber(roots: np.ndarray | BraidMonoError, x0: complex) -> list[complex]:
@@ -287,7 +297,7 @@ def track_loop(
                 break
             size, n = _grow(size, n, max_step)
         xs = [loop.point(t) for t in targets]
-        fibers = _solve_fibers(curve.product, xs if samples else [loop.basepoint, *xs])
+        fibers = _solve_fibers(curve, xs if samples else [loop.basepoint, *xs])
         if not samples:
             start_sorted = _sorted_fiber(fibers.pop(0), loop.basepoint)
             current = np.asarray(start_sorted, dtype=complex)

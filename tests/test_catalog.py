@@ -145,17 +145,18 @@ def test_verify_pins_level_one_and_deletion_checks():
 
 
 def test_verify_reports_both_tracking_failures():
-    # At radius 2 the loop passes near the critical value of the secant,
-    # and both the full and the half loop fail to track.
+    # At radius 2 both basepoints, x = 2 and x = -2, lie under a point
+    # where the secant meets a conic, and both loops are refused there.
     report = verify_fixture(fixture_by_id("tangent-conics-secant-below"), radius=Fraction(2))
     assert not report.passed
     assert report.lines() == [
         "FAIL tangent-conics-secant-below tracked-vs-model: tracking failed: "
-        "step underflow at loop angle 0.000000 (fiber too unstable)",
+        "fiber over x=(2+0j) has nearly coincident roots (separation 0.000e+00)",
         "pass tangent-conics-secant-below model-vs-expected: hom counts Consistent",
         "pass tangent-conics-secant-below redundancy-3: relation 3 Derivable from the others",
         "FAIL tangent-conics-secant-below lefschetz: tracking failed: "
-        "step underflow at loop angle 3.141593 (fiber too unstable)",
+        "fiber over x=(-2+2.4492935982947064e-16j) has nearly coincident roots "
+        "(separation 4.899e-16)",
     ]
 
 

@@ -117,7 +117,7 @@ _MONIC_OVERFLOW = "(1/1000y^2+%dxy-%dy-x+1)" % (10**308, 10**308)
                  "factor y^2-2xy+x^2 is not squarefree",
                  id="repeated-factor"),
     pytest.param(("--curve", "(2x+y)(y+x^2)(y-x^2)", "--radius", "2"),
-                 "step underflow at loop angle 0.000000 (fiber too unstable)",
+                 "fiber over x=(2+0j) has nearly coincident roots (separation 0.000e+00)",
                  id="critical-value-on-loop"),
     pytest.param(("--curve", "(xy^2-y^2-x)"),
                  "leading y-coefficient vanishes near x=(1+0j) "

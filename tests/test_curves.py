@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from braidmono import (
@@ -52,7 +53,7 @@ def test_shear_substitution():
 
 def test_fiber_coefficients_are_descending():
     p = parse_polynomial("y^2-x")
-    assert p.y_coeffs_at(4 + 0j) == [1 + 0j, 0j, -4 + 0j]
+    assert p.y_coeffs_at(np.array([4 + 0j])).tolist() == [[1 + 0j, 0j, -4 + 0j]]
 
 
 def test_curve_product_and_factors():

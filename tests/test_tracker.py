@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import inspect
 import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -166,11 +168,13 @@ def test_coarse_steps_still_converge():
 def test_a_sheared_fixture_tracks_to_the_braid_of_the_unsheared_one():
     # y -> y + 100x moves each fiber of vertical-tangency-line-pair by 100x,
     # which leaves the braid as it is.  The roots of the product of the
-    # factors are too ill-conditioned there for the full loop to close.
+    # factors are too ill-conditioned there: the full loop did not close,
+    # and the half loop gave a wrong braid.
     sheared = parse_curve("(y+100x)(201x+2y)(y^2+200xy+10000x^2+x)(y^2+200xy+10000x^2-x)")
     plain = fixture_by_id("vertical-tangency-line-pair").curve
     assert braid_equal(local_braid_monodromy(sheared, LoopSpec()),
                        local_braid_monodromy(plain, LoopSpec()))
+    assert braid_equal(lefschetz_braid(sheared, LoopSpec()), lefschetz_braid(plain, LoopSpec()))
 
 
 @pytest.mark.parametrize("arc", ["full", "negative-half"])
@@ -194,44 +198,67 @@ def test_batch_solve_matches_a_batch_of_one():
     # with a y factor have a zero root in every fiber.
     xs = [r * cmath.exp(2j * math.pi * k / 16) for r in (0.5, 1.0) for k in range(16)]
     curves = [f.curve for f in fixtures() + [n_tangency_fixture(n) for n in range(2, 7)]]
-    assert any(c.product.y_coeffs_at(0.5)[-1] == 0 for c in curves)
+    assert any(c.product.y_coeffs_at(np.array([0.5]))[0, -1] == 0 for c in curves)
     for curve in curves:
-        batch = _solve_fibers(curve.product, xs)
+        batch = _solve_fibers(curve, xs)
         for x, roots in zip(xs, batch):
-            alone = _solve_fibers(curve.product, [x])[0]
+            alone = _solve_fibers(curve, [x])[0]
             assert roots.tobytes() == alone.tobytes(), (str(curve), x)
 
 
-@pytest.mark.parametrize("poly, bad, error", [
-    pytest.param(parse_curve("(xy^2-y^2-x)").product, 1.0, ImproperProjectionError,
+def _one_factor(poly):
+    """poly as a one-factor curve, without the checks of CurveSpec."""
+    return SimpleNamespace(product=poly, factors=(poly,))
+
+
+@pytest.mark.parametrize("curve, bad, error", [
+    pytest.param(parse_curve("(xy^2-y^2-x)"), 1.0, ImproperProjectionError,
                  id="leading-coefficient"),
-    pytest.param(Polynomial2.from_dict({(1, 1): 1, (1, 0): -1}), 0.0, CriticalFiberError,
-                 id="vanishes-identically"),
-    pytest.param(parse_curve("(y^2-x^2-x)").product, 1e200, TrackingFailureError,
+    pytest.param(_one_factor(Polynomial2.from_dict({(1, 1): 1, (1, 0): -1})), 0.0,
+                 CriticalFiberError, id="vanishes-identically"),
+    pytest.param(parse_curve("(y^2-x^2-x)"), 1e200, TrackingFailureError,
                  id="overflow"),
-    pytest.param(Polynomial2.from_dict({(0, 2): Fraction(1, 1000), (1, 1): 10**305, (0, 0): -1}),
+    pytest.param(_one_factor(Polynomial2.from_dict(
+        {(0, 2): Fraction(1, 1000), (1, 1): 10**305, (0, 0): -1})),
                  10.0, TrackingFailureError, id="overflow-once-monic"),
 ])
-def test_batch_returns_an_error_as_a_value(poly, bad, error):
+def test_batch_returns_an_error_as_a_value(curve, bad, error):
     xs = [0.5j, -0.5, bad, 0.25]
-    out = _solve_fibers(poly, xs)
+    out = _solve_fibers(curve, xs)
     assert isinstance(out[2], error)
     for k in (0, 1, 3):
-        assert out[k].tobytes() == _solve_fibers(poly, [xs[k]])[0].tobytes()
+        assert out[k].tobytes() == _solve_fibers(curve, [xs[k]])[0].tobytes()
 
 
 def test_polish_brings_roots_of_wide_magnitude_within_the_residual_bound():
-    # Each fiber has ten roots of modulus 1 and two of modulus 3.2e5.  The
-    # eigenvalues miss the residual bound, so the Newton polish must step.
-    curve = parse_curve("(y^10-x)(y^2-100000000000)")
+    # Each fiber of (y^10-x)(y^2-100000000000), expanded into one factor, has
+    # ten roots of modulus 1 and two of modulus 3.2e5.  The eigenvalues miss
+    # the residual bound, so the Newton polish must step.
+    curve = parse_curve("(y^12-100000000000y^10-xy^2+100000000000x)")
     xs = [cmath.exp(2j * math.pi * k / 6) for k in range(6)]
 
     def meets_bound(coeffs, z):
         bound = _RESIDUAL_TOL * np.abs(coeffs).max() * np.maximum(1.0, np.abs(z)) ** 12
         return bool(np.all(np.abs(np.polyval(coeffs, z)) <= bound))
 
-    for x0, roots in zip(xs, _solve_fibers(curve.product, xs)):
-        coeffs = np.asarray(curve.product.y_coeffs_at(x0), dtype=complex)
+    polish = inspect.unwrap(tracker._polish).__code__
+    source, first = inspect.getsourcelines(polish)
+    step = first + next(k for k, line in enumerate(source) if "z = z - step" in line)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is polish:
+            ran.add(frame.f_lineno)
+            return trace
+        return None
+
+    sys.settrace(trace)
+    try:
+        solved = _solve_fibers(curve, xs)
+    finally:
+        sys.settrace(None)
+    assert step in ran
+    for coeffs, roots in zip(curve.product.y_coeffs_at(np.array(xs)), solved):
         assert not meets_bound(coeffs, np.roots(coeffs))
         assert meets_bound(coeffs, roots)
 
@@ -271,6 +298,29 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
     assert matches == 15
 
 
+def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_eigenvalue_work(monkeypatch):
+    # eigvals calls and companion matrices over the same loops.  Each fiber
+    # is solved factor by factor: a line's root is a ratio, and the conics
+    # of a batch share one call of 2x2 matrices.  Solving the product, or
+    # sending a line to eigvals, changes the counts.
+    eigvals = np.linalg.eigvals
+    calls, matrices, sizes = 0, 0, set()
+
+    def counting(a):
+        nonlocal calls, matrices
+        calls += 1
+        matrices += len(a)
+        sizes.add(a.shape[1:])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
+        for arc in ("full", "negative-half"):
+            track_loop(f.curve, LoopSpec(arc=arc))
+    assert (calls, matrices) == (18, 912)
+    assert sizes == {(2, 2)}
+
+
 def _reference_walk(curve, loop, initial_divisions=256):
     """The documented walk, one step at a time.
 
@@ -290,7 +340,7 @@ def _reference_walk(curve, loop, initial_divisions=256):
     theta, streak, probe, rejected_probes = theta0, 0, False, 0
     while theta < theta1 - 1e-15:
         target = theta + min(step, theta1 - theta)
-        fiber = _solve_fibers(curve.product, [loop.point(target)])[0]
+        fiber = _solve_fibers(curve, [loop.point(target)])[0]
         if isinstance(fiber, BraidMonoError):
             raise fiber
         near, ok, sep, scale = _step_test(np.array([current, fiber]))
@@ -455,10 +505,10 @@ def test_step_test_equals_nearest_match(seed):
 
 
 def test_out_of_range_leading_coefficient_fails_tracking():
-    # CurveSpec refuses the curve on construction, so track a bare product.
+    # CurveSpec refuses the curve on construction, so track a bare one-factor curve.
     poly = Polynomial2.from_dict({(0, 2): 10**400, (1, 0): -1, (0, 0): -1})
     with pytest.raises(TrackingFailureError, match="out of floating-point range"):
-        track_loop(SimpleNamespace(product=poly), LoopSpec())
+        track_loop(_one_factor(poly), LoopSpec())
 
 
 # Finite coefficients whose ratios c_k / c_0 overflow away from x = 1:
