@@ -115,7 +115,7 @@ class Polynomial2:
             return out + np.inf
         with np.errstate(all="ignore"):
             for (dx, dy), v in terms:
-                out[:, n - dy] += v * xs**dx
+                out[:, n - dy] += v * np.power(xs, dx)
         return out
 
     @cached_property

@@ -129,7 +129,7 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
         lead = []
     parts = [None] * len(curve.factors)
     with np.errstate(all="ignore"):  # a non-finite row fails a guard below
-        size = sum(a * np.abs(x) ** k for k, a in lead)
+        size = sum(a * np.hypot(x.real, x.imag) ** k for k, a in lead)
         monic = np.isfinite(-coeffs[:, 1:] / coeffs[:, :1]).all(axis=1)
         for m in {f.degree_y for f in curve.factors}:
             group = [k for k, f in enumerate(curve.factors) if f.degree_y == m]
@@ -159,7 +159,7 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
         (~np.isfinite(coeffs).all(axis=1), TrackingFailureError,
          "fiber polynomial at x=%s is out of floating-point range"),
         (~coeffs.any(axis=1), CriticalFiberError, "curve vanishes identically over x=%s"),
-        (np.abs(coeffs[:, 0]) <= 1e-12 * size, ImproperProjectionError,
+        (np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag) <= 1e-12 * size, ImproperProjectionError,
          "leading y-coefficient vanishes near x=%s (curve has a branch at infinity)"),
         (~monic, TrackingFailureError, "fiber polynomial at x=%s overflows once monic"),
     )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +56,22 @@ def test_shear_substitution():
 def test_fiber_coefficients_are_descending():
     p = parse_polynomial("y^2-x")
     assert p.y_coeffs_at(np.array([4 + 0j])).tolist() == [[1 + 0j, 0j, -4 + 0j]]
+
+
+def test_fiber_coefficients_of_a_batch_are_the_scalar_sums():
+    # A batch adds the terms in the order of a per-point loop, with the
+    # power of a Python complex, so each coefficient is bit-identical to it.
+    xs = [r * cmath.exp(2j * math.pi * k / 13) for r in (0.1, 1.0, 3.0) for k in range(13)]
+    polys = [f.curve.product for f in fixtures()] + [
+        parse_curve("(y-x^30)(y+x^30)").product,
+        parse_polynomial("y^12-100000000000y^10-xy^2+100000000000x"),
+    ]
+    for p in polys:
+        for x0, row in zip(xs, p.y_coeffs_at(np.array(xs))):
+            ref = [0j] * (p.degree_y + 1)
+            for (dx, dy), v in p.coeffs:
+                ref[p.degree_y - dy] += float(v) * x0**dx
+            assert row.tobytes() == np.array(ref).tobytes(), (str(p), x0)
 
 
 def test_curve_product_and_factors():
