@@ -153,8 +153,7 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
                 roots[good] = _polish(rows[good], roots[good])
             for k, part in zip(group, roots.reshape(len(group), len(xs), m)):
                 parts[k] = part
-    fiber = np.hstack(parts)
-    out: list[np.ndarray | BraidMonoError] = list(fiber)
+    out: list[np.ndarray | BraidMonoError] = list(np.hstack(parts))
     guards = (
         (~np.isfinite(coeffs).all(axis=1), TrackingFailureError,
          "fiber polynomial at x=%s is out of floating-point range"),
