@@ -51,6 +51,28 @@ def test_tracked_braid_equals_the_closed_form_reference(seed):
                 branches, radius, arc)
 
 
+DIVISIONS = (1, 2, 3, 4, 8, 64, 256)
+
+# Seeds whose coarse start aliased a winding into a wrong braid (ROADMAP item 18).
+_COARSE_START_WRONG = {1000, 1002, 1007, 1017, 1023, 1026, 1027, 1032, 1033, 1034, 1035, 1039,
+                       1048, 1056, 1058, 1070, 1071, 1078, 1082, 1085, 1089, 1098, 1100, 1109,
+                       1112, 1119}
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 18"))
+    if seed in _COARSE_START_WRONG else seed for seed in range(1000, 1120)])
+def test_tracked_braid_from_a_drawn_start_equals_the_reference(seed):
+    # The full loop, with the radius and then initial_divisions drawn from
+    # the generator that drew the branches.
+    rng = random.Random(seed)
+    branches = _branches(rng)
+    radius, divisions = rng.choice(RADII), rng.choice(DIVISIONS)
+    tracked = motion_to_braid(track_loop(branch_curve(branches), LoopSpec(radius=radius),
+                                         initial_divisions=divisions))
+    assert braid_equal(tracked, reference_braid(branches, radius)), (branches, radius, divisions)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the endpoint step test aliases "
                    "the fast winding of x^100 into a wrong braid with exit 0")
 def test_fast_winding_tracks_to_the_reference():
