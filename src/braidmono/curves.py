@@ -30,12 +30,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CriticalFiberError, ImproperProjectionError, ParseError
+
+
+def _to_float(v: Fraction) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return inf if v > 0 else -inf
 
 
 def _clean(coeffs: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
@@ -53,24 +60,9 @@ class Polynomial2:
         cleaned = _clean(d)
         return cls(tuple(sorted(cleaned.items())))
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.coeffs)
-
-    @classmethod
-    def constant(cls, c: Fraction) -> "Polynomial2":
-        return cls.from_dict({(0, 0): Fraction(c)})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __mul__(self, other: "Polynomial2") -> "Polynomial2":
-        d: dict[tuple[int, int], Fraction] = {}
-        for (ax, ay), av in self.coeffs:
-            for (bx, by), bv in other.coeffs:
-                k = (ax + bx, ay + by)
-                d[k] = d.get(k, Fraction(0)) + av * bv
-        return Polynomial2.from_dict(d)
 
     @cached_property
     def degree_y(self) -> int:
@@ -109,20 +101,16 @@ class Polynomial2:
         xs, summed term by term; a row out of float range holds an inf or nan."""
         n = self.degree_y
         out = np.zeros((len(xs), n + 1), dtype=complex)
-        try:
-            terms = self._float_coeffs
-        except OverflowError:
-            return out + np.inf
         with np.errstate(all="ignore"):
-            for (dx, dy), v in terms:
+            for (dx, dy), v in self.float_coeffs:
                 out[:, n - dy] += v * np.power(xs, dx)
         return out
 
     @cached_property
-    def _float_coeffs(self) -> tuple[tuple[tuple[int, int], float], ...]:
-        """The coefficients as floats, converted on first use; a coefficient
-        out of float range raises OverflowError on every use."""
-        return tuple((k, float(v)) for k, v in self.coeffs)
+    def float_coeffs(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        """The coefficients as floats, converted on first use; one out of
+        float range becomes the infinity of its sign."""
+        return tuple((k, _to_float(v)) for k, v in self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -319,13 +307,6 @@ class CurveSpec:
                 raise CriticalFiberError("factors %d and %d share a component" % (a, b))
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "shear", shear)
-
-    @cached_property
-    def product(self) -> Polynomial2:
-        out = Polynomial2.constant(Fraction(1))
-        for f in self.factors:
-            out = out * f
-        return out
 
     @property
     def degree_y(self) -> int:

@@ -1,20 +1,21 @@
 """Numerical fiber tracking around loops in the x-plane.
 
-The fiber of a curve over a point x0 is the set of y-roots of the
-product polynomial, solved factor by factor: the roots of a product are
-worse conditioned than those of its factors (Wilkinson, "The perfidious
-polynomial", 1984), and where two factors nearly meet the product's
-roots blur into noise.  Tracking moves x around a circle, re-solves the
-fiber at each sample, and continues each root of the previous sample
-by the matching rule of motion.nearest_match.  A step is accepted only
-when every root of the previous fiber has a distinct nearest new root
-within half that root's distance to its nearest neighbour; otherwise
-the step is halved.  These discs are pairwise disjoint, so an accepted
-step continues each root unambiguously, and an isolated root does not
-hold the whole fiber to the pace of its closest pair.  The test sees
-only the sampled endpoints of a step, so it cannot detect two roots
-that wind round each other within one step.  Eight accepted steps in
-a row double the step, up to arc/64 (or the first step, if larger).
+The fiber of a curve over a point x0 is the set of y-roots of its
+factors, each solved on its own and never multiplied out: the roots of
+a product are worse conditioned than those of its factors (Wilkinson,
+"The perfidious polynomial", 1984), and where two factors nearly meet
+the product's roots blur into noise.  Tracking moves x around a circle,
+re-solves the fiber at each sample, and continues each root of the
+previous sample by the matching rule of motion.nearest_match.  A step
+is accepted only when every root of the previous fiber has a distinct
+nearest new root within half that root's distance to its nearest
+neighbour; otherwise the step is halved.  These discs are pairwise
+disjoint, so an accepted step continues each root unambiguously, and
+an isolated root does not hold the whole fiber to the pace of its
+closest pair.  The test sees only the sampled endpoints of a step, so
+it cannot detect two roots that wind round each other within one step.
+No step, the first included, exceeds arc/64, and eight accepted steps
+in a row double the step up to that cap.
 The walk goes in runs: a run is the angles it would take if every
 step were accepted, up to and including the first at a grown size
 (the probe), or to the end of the loop at the largest size.  Its
@@ -101,42 +102,40 @@ class LoopSpec:
 
     @property
     def basepoint(self) -> complex:
-        return self.point(self.angle_range[0])
+        return self.center + complex(self._radius if self.arc == "full" else -self._radius)
 
 
 def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]:
     """All fiber roots over each point of xs, unsorted, in one batch.
 
-    The guards read the product's coefficients, and a point that fails
-    one gets its error in place of roots.  The roots are solved factor by
-    factor, and a fiber is its factors' roots in factor order.  A line's
-    root is -c0/c1, the entry of its 1x1 companion matrix.  A factor of
-    higher y-degree m comes out bit-identical to np.roots and a Newton
-    polish on its own: all rows of y-degree m go to one eigvals call per
-    count of exact trailing zeros stripped, as np.roots strips them, and
-    to one polish in the Horner order of np.polyval.  A factor row that
-    overflows once monic fails its point, so eigvals never sees an inf.
+    A fiber is its factors' roots in factor order.  A point fails a guard
+    when one of its factor rows does, and gets the error of the first
+    guard it fails in place of roots.  A line's root is -c0/c1, the entry
+    of its 1x1 companion matrix.  A factor of higher y-degree m comes out
+    bit-identical to np.roots and a Newton polish on its own: all rows of
+    y-degree m go to one eigvals call per count of exact trailing zeros
+    stripped, as np.roots strips them, and to one polish in the Horner
+    order of np.polyval.  Only rows that stay finite once monic are
+    solved, so eigvals never sees an inf.
     """
     x = np.array(xs, dtype=complex)
-    product = curve.product
-    coeffs = product.y_coeffs_at(x)
-    # The leading y-coefficient a(x) = sum_k a_k x^k counts as vanishing
-    # where |a(x)| is small beside sum_k |a_k| |x|^k.  A coefficient out
-    # of float range puts every point out of range first.
-    try:
-        lead = [(k, float(abs(a))) for k, a in product.y_coefficient(product.degree_y).items()]
-    except OverflowError:
-        lead = []
     parts = [None] * len(curve.factors)
+    fails = np.zeros((4, len(xs)), dtype=bool)
     with np.errstate(all="ignore"):  # a non-finite row fails a guard below
-        size = sum(a * np.hypot(x.real, x.imag) ** k for k, a in lead)
-        monic = np.isfinite(-coeffs[:, 1:] / coeffs[:, :1]).all(axis=1)
+        modulus = np.hypot(x.real, x.imag)
         for m in {f.degree_y for f in curve.factors}:
             group = [k for k, f in enumerate(curve.factors) if f.degree_y == m]
             rows = np.concatenate([curve.factors[k].y_coeffs_at(x) for k in group])
+            # The leading y-coefficient a(x) = sum_j a_j x^j counts as
+            # vanishing where |a(x)| is small beside sum_j |a_j| |x|^j.
+            size = np.concatenate([sum(abs(v) * modulus**j for (j, d), v in
+                                       curve.factors[k].float_coeffs if d == m) for k in group])
             ratios = -rows[:, 1:] / rows[:, :1]
             good = np.isfinite(ratios).all(axis=1)
-            monic &= good.reshape(len(group), -1).all(axis=0)
+            fails |= np.array([
+                ~np.isfinite(rows).all(axis=1), ~rows.any(axis=1),
+                np.hypot(rows[:, 0].real, rows[:, 0].imag) <= 1e-12 * size, ~good,
+            ]).reshape(4, len(group), -1).any(axis=1)
             if m == 1:
                 roots = ratios
             else:
@@ -155,17 +154,15 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
                 parts[k] = part
     out: list[np.ndarray | BraidMonoError] = list(np.hstack(parts))
     guards = (
-        (~np.isfinite(coeffs).all(axis=1), TrackingFailureError,
-         "fiber polynomial at x=%s is out of floating-point range"),
-        (~coeffs.any(axis=1), CriticalFiberError, "curve vanishes identically over x=%s"),
-        (np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag) <= 1e-12 * size, ImproperProjectionError,
+        (TrackingFailureError, "fiber polynomial at x=%s is out of floating-point range"),
+        (CriticalFiberError, "curve vanishes identically over x=%s"),
+        (ImproperProjectionError,
          "leading y-coefficient vanishes near x=%s (curve has a branch at infinity)"),
-        (~monic, TrackingFailureError, "fiber polynomial at x=%s overflows once monic"),
+        (TrackingFailureError, "fiber polynomial at x=%s overflows once monic"),
     )
-    # The first guard a point fails names its error.
-    for bad, error, message in reversed(guards):
-        for i in np.flatnonzero(bad).tolist():
-            out[i] = error(message % xs[i])
+    for i in np.flatnonzero(fails.any(axis=0)).tolist():
+        error, message = guards[fails[:, i].argmax()]
+        out[i] = error(message % xs[i])
     return out
 
 
@@ -266,8 +263,8 @@ def track_loop(
 
     The motion's time axis is the loop parameter normalised to [0, 1].
     Strand k starts at the k-th root of the sorted basepoint fiber.
-    initial_divisions sets the starting step to arc/initial_divisions;
-    the tracker still adapts from there.
+    initial_divisions sets the starting step to arc/initial_divisions,
+    capped at arc/64; the tracker still adapts from there.
     """
     if initial_divisions < 1:
         raise GeometryError("initial_divisions must be positive")
@@ -279,9 +276,8 @@ def track_loop(
     arc = theta1 - theta0
 
     thetas, samples = [theta0], []
-    step = arc / divisions
-    min_step = arc * _MIN_STEP_FRACTION
-    max_step = max(arc / 64.0, step)
+    min_step, max_step = arc * _MIN_STEP_FRACTION, arc / 64.0
+    step = min(arc / divisions, max_step)
     theta, streak = theta0, 0
 
     while theta < theta1 - 1e-15:

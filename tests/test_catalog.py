@@ -155,8 +155,7 @@ def test_verify_reports_both_tracking_failures():
         "pass tangent-conics-secant-below model-vs-expected: hom counts Consistent",
         "pass tangent-conics-secant-below redundancy-3: relation 3 Derivable from the others",
         "FAIL tangent-conics-secant-below lefschetz: tracking failed: "
-        "fiber over x=(-2+2.4492935982947064e-16j) has nearly coincident roots "
-        "(separation 4.899e-16)",
+        "fiber over x=(-2+0j) has nearly coincident roots (separation 0.000e+00)",
     ]
 
 

@@ -89,8 +89,22 @@ def test_tracking_error_exits_three(capsys):
     assert "tracking error" in err
 
 
+@pytest.mark.parametrize("curve, letters", [
+    pytest.param("(y^2-x^3)", "s1 s1 s1", id="cusp"),
+    pytest.param("(y+x^2)(y-x^2)", "s1 s1 s1 s1", id="tangency"),
+])
+@pytest.mark.parametrize("radius", ["1", "1e100"])
+@pytest.mark.parametrize("steps", ["1", "2", "3", "4", "256"])
+def test_any_first_step_tracks_to_the_true_braid(capsys, curve, letters, radius, steps):
+    # No step exceeds arc/64, whatever --steps asks for first.  At radius
+    # 1e100 the tangency's product y^2 - x^4 would be out of float range,
+    # but its factors are not: the roots are +-1e200.
+    code, out, _ = _run(capsys, "compute", "--curve", curve, "--radius", radius, "--steps", steps)
+    assert code == 0
+    assert "letters: %s\n" % letters in out
+
+
 @pytest.mark.parametrize("flags", [
-    pytest.param(("--radius", "1e100"), id="radius-1e100"),
     pytest.param(("--radius", "1e200"), id="radius-1e200"),
     pytest.param(("--shear", "1e400"), id="shear-1e400"),
 ])

@@ -16,6 +16,7 @@ from braidmono import BraidWord, LoopSpec, braid_equal, motion_to_braid, track_l
 from closed_form import branch_curve, reference_braid, separation_bound
 
 RADII = (Fraction(3, 4), Fraction(1))
+DIVISIONS = (1, 2, 3, 4, 8, 64, 256)
 
 
 def _branches(rng: random.Random) -> list[tuple[Fraction, int]]:
@@ -51,17 +52,7 @@ def test_tracked_braid_equals_the_closed_form_reference(seed):
                 branches, radius, arc)
 
 
-DIVISIONS = (1, 2, 3, 4, 8, 64, 256)
-
-# Seeds whose coarse start aliased a winding into a wrong braid (ROADMAP item 18).
-_COARSE_START_WRONG = {1000, 1002, 1007, 1017, 1023, 1026, 1027, 1032, 1033, 1034, 1035, 1039,
-                       1048, 1056, 1058, 1070, 1071, 1078, 1082, 1085, 1089, 1098, 1100, 1109,
-                       1112, 1119}
-
-
-@pytest.mark.parametrize("seed", [
-    pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 18"))
-    if seed in _COARSE_START_WRONG else seed for seed in range(1000, 1120)])
+@pytest.mark.parametrize("seed", range(1000, 1120))
 def test_tracked_braid_from_a_drawn_start_equals_the_reference(seed):
     # The full loop, with the radius and then initial_divisions drawn from
     # the generator that drew the branches.

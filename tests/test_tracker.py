@@ -40,6 +40,7 @@ from braidmono.errors import (
 )
 from braidmono.motion import nearest_match
 from braidmono.tracker import _RESIDUAL_TOL, _solve_fibers, _step_test
+from polynomial_product import product
 
 
 def test_loop_spec_validation():
@@ -198,7 +199,7 @@ def test_batch_solve_matches_a_batch_of_one():
     # with a y factor have a zero root in every fiber.
     xs = [r * cmath.exp(2j * math.pi * k / 16) for r in (0.5, 1.0) for k in range(16)]
     curves = [f.curve for f in fixtures() + [n_tangency_fixture(n) for n in range(2, 7)]]
-    assert any(c.product.y_coeffs_at(np.array([0.5]))[0, -1] == 0 for c in curves)
+    assert any(product(c.factors).y_coeffs_at(np.array([0.5]))[0, -1] == 0 for c in curves)
     for curve in curves:
         batch = _solve_fibers(curve, xs)
         for x, roots in zip(xs, batch):
@@ -206,26 +207,39 @@ def test_batch_solve_matches_a_batch_of_one():
             assert roots.tobytes() == alone.tobytes(), (str(curve), x)
 
 
-def _one_factor(poly):
-    """poly as a one-factor curve, without the checks of CurveSpec."""
-    return SimpleNamespace(product=poly, factors=(poly,))
+def _unchecked(*factors):
+    """The factors as a curve, without the checks of CurveSpec."""
+    return SimpleNamespace(factors=factors)
 
 
-@pytest.mark.parametrize("curve, bad, error", [
+_VANISHING = Polynomial2.from_dict({(1, 1): 1, (1, 0): -1})
+_WIDE = Polynomial2.from_dict({(0, 2): Fraction(1, 1000), (1, 1): 10**305, (0, 0): -1})
+_LINE = Polynomial2.from_dict({(0, 1): 1, (0, 0): -3})
+
+
+# Each guard on a one-factor curve, and on a curve where only one factor fails it.
+@pytest.mark.parametrize("curve, bad, error, message", [
     pytest.param(parse_curve("(xy^2-y^2-x)"), 1.0, ImproperProjectionError,
-                 id="leading-coefficient"),
-    pytest.param(_one_factor(Polynomial2.from_dict({(1, 1): 1, (1, 0): -1})), 0.0,
-                 CriticalFiberError, id="vanishes-identically"),
+                 "leading y-coefficient vanishes", id="leading-coefficient"),
+    pytest.param(parse_curve("(xy^2-y^2-x)(y-3)"), 1.0, ImproperProjectionError,
+                 "leading y-coefficient vanishes", id="leading-coefficient-of-one-factor"),
+    pytest.param(_unchecked(_VANISHING), 0.0, CriticalFiberError,
+                 "vanishes identically", id="vanishes-identically"),
+    pytest.param(_unchecked(_LINE, _VANISHING), 0.0, CriticalFiberError,
+                 "vanishes identically", id="one-factor-vanishes-identically"),
     pytest.param(parse_curve("(y^2-x^2-x)"), 1e200, TrackingFailureError,
-                 id="overflow"),
-    pytest.param(_one_factor(Polynomial2.from_dict(
-        {(0, 2): Fraction(1, 1000), (1, 1): 10**305, (0, 0): -1})),
-                 10.0, TrackingFailureError, id="overflow-once-monic"),
+                 "out of floating-point range", id="overflow"),
+    pytest.param(parse_curve("(y-3)(y^2-x^2-x)"), 1e200, TrackingFailureError,
+                 "out of floating-point range", id="overflow-of-one-factor"),
+    pytest.param(_unchecked(_WIDE), 10.0, TrackingFailureError,
+                 "overflows once monic", id="overflow-once-monic"),
+    pytest.param(_unchecked(_WIDE, _LINE), 10.0, TrackingFailureError,
+                 "overflows once monic", id="overflow-once-monic-of-one-factor"),
 ])
-def test_batch_returns_an_error_as_a_value(curve, bad, error):
+def test_batch_returns_an_error_as_a_value(curve, bad, error, message):
     xs = [0.5j, -0.5, bad, 0.25]
     out = _solve_fibers(curve, xs)
-    assert isinstance(out[2], error)
+    assert isinstance(out[2], error) and message in str(out[2])
     for k in (0, 1, 3):
         assert out[k].tobytes() == _solve_fibers(curve, [xs[k]])[0].tobytes()
 
@@ -258,7 +272,7 @@ def test_polish_brings_roots_of_wide_magnitude_within_the_residual_bound():
     finally:
         sys.settrace(None)
     assert step in ran
-    for coeffs, roots in zip(curve.product.y_coeffs_at(np.array(xs)), solved):
+    for coeffs, roots in zip(product(curve.factors).y_coeffs_at(np.array(xs)), solved):
         assert not meets_bound(coeffs, np.roots(coeffs))
         assert meets_bound(coeffs, roots)
 
@@ -327,7 +341,7 @@ def _reference_walk(curve, loop, initial_divisions=256):
     Returns (times, paths, rejected probes of the largest step size).  One
     _solve_fibers call and one _step_test per step: a rejected step
     halves the step, and eight accepted steps in a row double it, up to
-    arc/64 (or the starting step, if larger).  The tracker's runs must
+    arc/64, which also caps the starting step.  The tracker's runs must
     take exactly these steps.
     """
     theta0, theta1 = loop.angle_range
@@ -335,8 +349,8 @@ def _reference_walk(curve, loop, initial_divisions=256):
     start = fiber_roots(curve, loop.basepoint)
     current = np.asarray(start, dtype=complex)
     thetas, samples = [theta0], [current]
-    step = arc / float(initial_divisions)
-    min_step, max_step = arc * 2.0**-40, max(arc / 64.0, step)
+    min_step, max_step = arc * 2.0**-40, arc / 64.0
+    step = min(arc / float(initial_divisions), max_step)
     theta, streak, probe, rejected_probes = theta0, 0, False, 0
     while theta < theta1 - 1e-15:
         target = theta + min(step, theta1 - theta)
@@ -508,7 +522,7 @@ def test_out_of_range_leading_coefficient_fails_tracking():
     # CurveSpec refuses the curve on construction, so track a bare one-factor curve.
     poly = Polynomial2.from_dict({(0, 2): 10**400, (1, 0): -1, (0, 0): -1})
     with pytest.raises(TrackingFailureError, match="out of floating-point range"):
-        track_loop(_one_factor(poly), LoopSpec())
+        track_loop(_unchecked(poly), LoopSpec())
 
 
 # Finite coefficients whose ratios c_k / c_0 overflow away from x = 1:
