@@ -144,7 +144,7 @@ def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--center", help="loop center a+bi (rational parts)")
     p.add_argument("--radius", help="loop radius as a fraction p/q")
     p.add_argument("--arc", choices=["full", "half"], help="full loop or the lower half")
-    p.add_argument("--steps", type=int, help="initial number of sample steps along the arc")
+    p.add_argument("--steps", type=int, help="N: the first step is arc/N, at most arc/64")
 
 
 def _tracked_motion(args) -> tuple[CurveSpec, Motion]:

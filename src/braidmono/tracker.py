@@ -160,6 +160,7 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
          "leading y-coefficient vanishes near x=%s (curve has a branch at infinity)"),
         (TrackingFailureError, "fiber polynomial at x=%s overflows once monic"),
     )
+    # fails[g, i]: a factor row over xs[i] fails guard g; the first names the error.
     for i in np.flatnonzero(fails.any(axis=0)).tolist():
         error, message = guards[fails[:, i].argmax()]
         out[i] = error(message % xs[i])

@@ -49,7 +49,8 @@ def test_loop_spec_validation():
     with pytest.raises(GeometryError):
         LoopSpec(0j, Fraction(1), "upper")
     loop = LoopSpec(1 + 0j, Fraction(1, 2), "negative-half")
-    assert loop.basepoint == pytest.approx(0.5 + 0j)
+    assert loop.basepoint == 0.5 + 0j  # center - radius exactly, not 0.5 + 6.1e-17j
+    assert LoopSpec(1 + 0j, Fraction(1, 2)).basepoint == 1.5 + 0j
     assert loop.point(2.0 * 3.141592653589793) == pytest.approx(1.5 + 0j)
 
 
