@@ -67,7 +67,6 @@ from .presentations import (
 )
 from .tracker import (
     LoopSpec,
-    fiber_roots,
     lefschetz_braid,
     local_braid_monodromy,
     track_loop,

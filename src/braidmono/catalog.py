@@ -6,13 +6,14 @@ the expected final relation set, and the bookkeeping claims that go
 with it: which raw relation is redundant and which generator deletions
 reproduce which smaller catalogue entries.
 
-verify_fixture replays everything end to end: it tracks the curve,
-compares the tracked braid with the model (equal, or else conjugate,
-decided exactly by Garside normal forms: a local braid monodromy is
-defined up to conjugation, and where the fiber has complex points the
-model works in a rearranged frame), compares induced and expected
-presentations, checks redundancy derivability, deletion consequences,
-and the half-loop against its program or the doubling identity.
+verify_fixture replays everything end to end: it tracks the full loop
+once, compares the tracked braid with the model (equal, or else
+conjugate, decided exactly by Garside normal forms: a local braid
+monodromy is defined up to conjugation, and where the fiber has complex
+points the model works in a rearranged frame), compares induced and
+expected presentations, checks redundancy derivability, deletion
+consequences, and the half-loop braid (the walk's from its half turn
+on) against its program or the doubling identity.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from typing import Sequence
 from .curves import CurveSpec, parse_curve
 from .errors import BraidMonoError, CapacityError, ParseError
 from .homcount import FiniteGroupTable, count_memo, equivalence_evidence
-from .motion import Encircle, FrameIn, FrameOut, MotionProgram, RotateBlock
+from .motion import Encircle, FrameIn, FrameOut, MotionProgram, RotateBlock, motion_to_braid
 from .presentations import (
     Presentation,
     Verdict,
     is_consequence,
     kill_generator,
 )
-from .tracker import LoopSpec, lefschetz_braid, local_braid_monodromy
+from .tracker import LoopSpec, lefschetz_braid, track_loop
 from .vankampen import induced_presentation, raw_relators
 from .words import FreeWord, braid_conjugate, braid_equal
 
@@ -400,14 +401,14 @@ def verify_fixture(
     loop = LoopSpec(radius=radius)
     model_braid = f.model_program.braid()
 
-    tracked = None
+    failure = None
     try:
-        tracked = local_braid_monodromy(f.curve, loop)
+        motion = track_loop(f.curve, loop)
+        tracked, half = motion_to_braid(motion), lefschetz_braid(motion)
     except BraidMonoError as e:
-        checks.append(CheckResult(
-            "tracked-vs-model", False, "tracking failed: %s" % e))
-
-    if tracked is not None:
+        failure = "tracking failed: %s" % e
+        checks.append(CheckResult("tracked-vs-model", False, failure))
+    else:
         if braid_equal(tracked, model_braid):
             checks.append(CheckResult(
                 "tracked-vs-model", True,
@@ -436,17 +437,14 @@ def verify_fixture(
         checks.append(CheckResult(
             "deletion-x%d" % gen, rep.consistent, "hom counts %s" % rep.verdict))
 
-    half = None
-    try:
-        half = lefschetz_braid(f.curve, loop)
-    except BraidMonoError as e:
-        checks.append(CheckResult("lefschetz", False, "tracking failed: %s" % e))
-    if half is not None:
+    if failure is not None:
+        checks.append(CheckResult("lefschetz", False, failure))
+    else:
         ok = braid_equal(half, f.lefschetz_program.braid())
         checks.append(CheckResult(
             "lefschetz-program", ok,
             "half-loop braid %s the program" % ("matches" if ok else "differs from")))
-        if f.lefschetz_doubling and tracked is not None:
+        if f.lefschetz_doubling:
             ok = braid_equal(half * half, tracked)
             checks.append(CheckResult(
                 "lefschetz-doubling", ok,

@@ -27,12 +27,15 @@ and a rejected step ends it and drops the rest of its fibers.  A
 rejected probe, the likeliest rejection, is the last fiber of its run,
 so it wastes no other.
 A full loop must end on its starting fiber: nearest_match matches the
-two within 1e-6 of the fiber scale.
+two within 1e-6 of the fiber scale.  A step that would pass the half
+turn (angle pi) by more than _HALF_TOL ends on it, so a full loop has a
+sample at time 0.5 however its steps fall.
 
 The resulting strand paths form a Motion whose braid word is the local
-monodromy of the loop.  Tracking only the lower half of the circle
-(from -radius to +radius) gives the half-loop braid used to compare a
-full degeneration against its square.
+monodromy of the loop.  The part of a full loop's motion from its half
+turn on is the lower half of the circle (from -radius to +radius): its
+braid is the half-loop braid used to compare a full degeneration
+against its square.  The "negative-half" arc tracks that half alone.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .words import BraidWord
 _RESIDUAL_TOL = 1e-12
 _SEPARATION_TOL = 1e-9
 _MIN_STEP_FRACTION = 2.0**-40
+_HALF_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -232,26 +236,6 @@ def _step_test(chain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return near, ok, gaps.min(axis=1, initial=math.inf), _scale(prev.T)
 
 
-def fiber_roots(curve: CurveSpec, x0: complex) -> list[complex]:
-    """Fiber over x0, sorted by strand_key as motion_to_braid numbers slots.
-
-    Raises CriticalFiberError when two roots are too close to separate.
-    """
-    return _sorted_fiber(_solve_fibers(curve, [complex(x0)])[0], x0)
-
-
-def _sorted_fiber(roots: np.ndarray | BraidMonoError, x0: complex) -> list[complex]:
-    """fiber_roots from a _solve_fibers result over x0: raise its error, or check and sort."""
-    if isinstance(roots, BraidMonoError):
-        raise roots
-    sep = _separations(roots[None]).min(initial=math.inf)
-    if sep <= 2.0 * _SEPARATION_TOL * _scale(roots):
-        raise CriticalFiberError(
-            "fiber over x=%s has nearly coincident roots (separation %.3e)" % (x0, sep)
-        )
-    return sorted((complex(z) for z in roots), key=strand_key)
-
-
 def _grow(step: float, streak: int, max_step: float) -> tuple[float, int]:
     """Step and streak after an accepted step: 8 in a row double the step, up to max_step."""
     return (min(step * 2.0, max_step), 0) if streak == 7 else (step, streak + 1)
@@ -287,7 +271,10 @@ def track_loop(
         # at the largest size.  The first batch also solves the basepoint.
         targets, t, size, n = [], theta, step, streak
         while t < theta1 - 1e-15:
+            before_half = t < math.pi - _HALF_TOL
             t += min(size, theta1 - t)
+            if before_half and t > math.pi + _HALF_TOL:
+                t = math.pi  # a step past the half turn ends on it
             targets.append(t)
             if size > step:
                 break
@@ -295,7 +282,14 @@ def track_loop(
         xs = [loop.point(t) for t in targets]
         fibers = _solve_fibers(curve, xs if samples else [loop.basepoint, *xs])
         if not samples:
-            start_sorted = _sorted_fiber(fibers.pop(0), loop.basepoint)
+            start = fibers.pop(0)
+            if isinstance(start, BraidMonoError):
+                raise start
+            sep = _separations(start[None]).min(initial=math.inf)
+            if sep <= 2.0 * _SEPARATION_TOL * _scale(start):
+                raise CriticalFiberError("fiber over x=%s has nearly coincident roots "
+                                         "(separation %.3e)" % (loop.basepoint, sep))
+            start_sorted = sorted((complex(z) for z in start), key=strand_key)
             current = np.asarray(start_sorted, dtype=complex)
             samples.append(current)
         # The step test of the fibers before the first error, in one pass;
@@ -343,7 +337,10 @@ def local_braid_monodromy(
     return motion_to_braid(track_loop(curve, loop, initial_divisions=initial_divisions))
 
 
-def lefschetz_braid(curve: CurveSpec, loop: LoopSpec) -> BraidWord:
-    """Braid of the fiber motion along the lower half of the loop."""
-    half = LoopSpec(loop.center, loop.radius, "negative-half")
-    return motion_to_braid(track_loop(curve, half))
+def lefschetz_braid(full: Motion) -> BraidWord:
+    """Braid of a full loop's motion from its sample at the half turn on:
+    the lower half loop, from center - radius to center + radius."""
+    k = int(np.argmin(np.abs(np.subtract(full.times, 0.5))))
+    if abs(full.times[k] - 0.5) > _HALF_TOL:
+        raise GeometryError("motion has no sample at the half turn")
+    return motion_to_braid(Motion(full.times[k:], full.paths[:, k:]))

@@ -37,6 +37,7 @@ from braidmono import (
     motion_to_braid,
     n_tangency_fixture,
     simplify,
+    track_loop,
     verify_fixture,
 )
 
@@ -157,7 +158,7 @@ def test_criterion_7_lefschetz_doubling(tracked_braid):
     with criterion(7, "half-loop braid squared equals the full monodromy"):
         for fid in ("two-tangent-conics", "triple-tangency"):
             f = fixture_by_id(fid)
-            half = lefschetz_braid(f.curve, LoopSpec())
+            half = lefschetz_braid(track_loop(f.curve, LoopSpec()))
             full = tracked_braid(fid)
             assert braid_equal(half * half, full), fid
 

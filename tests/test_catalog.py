@@ -145,8 +145,9 @@ def test_verify_pins_level_one_and_deletion_checks():
 
 
 def test_verify_reports_both_tracking_failures():
-    # At radius 2 both basepoints, x = 2 and x = -2, lie under a point
-    # where the secant meets a conic, and both loops are refused there.
+    # At radius 2 the basepoint x = 2 lies under a point where the secant
+    # meets a conic, so the one walk of the full loop is refused there, and
+    # both tracked checks report that refusal.
     report = verify_fixture(fixture_by_id("tangent-conics-secant-below"), radius=Fraction(2))
     assert not report.passed
     assert report.lines() == [
@@ -155,7 +156,7 @@ def test_verify_reports_both_tracking_failures():
         "pass tangent-conics-secant-below model-vs-expected: hom counts Consistent",
         "pass tangent-conics-secant-below redundancy-3: relation 3 Derivable from the others",
         "FAIL tangent-conics-secant-below lefschetz: tracking failed: "
-        "fiber over x=(-2+0j) has nearly coincident roots (separation 0.000e+00)",
+        "fiber over x=(2+0j) has nearly coincident roots (separation 0.000e+00)",
     ]
 
 

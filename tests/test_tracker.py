@@ -20,16 +20,18 @@ from braidmono import (
     Polynomial2,
     braid_equal,
     braid_permutation,
+    catalog,
     cli,
-    fiber_roots,
     fixture_by_id,
     fixtures,
     lefschetz_braid,
     local_braid_monodromy,
+    motion_to_braid,
     n_tangency_fixture,
     parse_curve,
     track_loop,
     tracker,
+    verify_fixture,
 )
 from braidmono.errors import (
     BraidMonoError,
@@ -38,7 +40,7 @@ from braidmono.errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from braidmono.motion import nearest_match
+from braidmono.motion import Motion, nearest_match, strand_key
 from braidmono.tracker import _RESIDUAL_TOL, _solve_fibers, _step_test
 from polynomial_product import product
 
@@ -54,23 +56,29 @@ def test_loop_spec_validation():
     assert loop.point(2.0 * 3.141592653589793) == pytest.approx(1.5 + 0j)
 
 
-def test_fiber_roots_sorted_by_real_part():
+def _basepoint_fiber(curve, loop):
+    """The strands' starting points: the basepoint fiber, sorted by strand_key."""
+    return track_loop(curve, loop).paths[:, 0].tolist()
+
+
+def test_basepoint_fiber_sorted_by_real_part():
     curve = parse_curve("(y^2-x)")
-    assert fiber_roots(curve, 1 + 0j) == pytest.approx([-1, 1])
+    assert _basepoint_fiber(curve, LoopSpec(0j, 1)) == pytest.approx([-1, 1])
 
 
-def test_fiber_roots_conjugate_pair_ordering():
+def test_basepoint_fiber_conjugate_pair_ordering():
     # Conjugate pairs share Re; the sheared key puts the lower one first.
     curve = parse_curve("(y^2+x)")
-    roots = fiber_roots(curve, 1 + 0j)
+    roots = _basepoint_fiber(curve, LoopSpec(0j, 1))
     assert roots[0] == pytest.approx(-1j)
     assert roots[1] == pytest.approx(1j)
 
 
-def test_fiber_roots_degenerate_fiber():
+def test_degenerate_basepoint_fiber_is_refused():
+    # The basepoint x = 0 of this loop is the branch point.
     curve = parse_curve("(y^2-x)")
     with pytest.raises(CriticalFiberError):
-        fiber_roots(curve, 0j)
+        _basepoint_fiber(curve, LoopSpec(-1 + 0j, 1))
 
 
 def test_branch_point_loop_is_half_twist():
@@ -114,7 +122,7 @@ def test_single_strand_curve():
 
 def test_lefschetz_half_of_tangency():
     curve = parse_curve("(y+x^2)(y-x^2)")
-    half = lefschetz_braid(curve, LoopSpec())
+    half = lefschetz_braid(track_loop(curve, LoopSpec()))
     assert half.letters == (1, 1)
     full = local_braid_monodromy(curve, LoopSpec())
     assert braid_equal(half * half, full)
@@ -176,7 +184,8 @@ def test_a_sheared_fixture_tracks_to_the_braid_of_the_unsheared_one():
     plain = fixture_by_id("vertical-tangency-line-pair").curve
     assert braid_equal(local_braid_monodromy(sheared, LoopSpec()),
                        local_braid_monodromy(plain, LoopSpec()))
-    assert braid_equal(lefschetz_braid(sheared, LoopSpec()), lefschetz_braid(plain, LoopSpec()))
+    assert braid_equal(lefschetz_braid(track_loop(sheared, LoopSpec())),
+                       lefschetz_braid(track_loop(plain, LoopSpec())))
 
 
 @pytest.mark.parametrize("arc", ["full", "negative-half"])
@@ -313,6 +322,29 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
     assert matches == 15
 
 
+def test_verifying_the_verify_fixtures_walks_each_full_loop_once(monkeypatch):
+    # verify_fixture reads the half-loop braid off its full loop's walk, so
+    # it solves the full-loop share of the work pinned above: a second walk
+    # of the lower half changes all three counts.
+    solve, walk = tracker._solve_fibers, catalog.track_loop
+    work = {"batches": 0, "fibers": 0, "walks": 0}
+
+    def counting(curve, xs):
+        work["batches"] += 1
+        work["fibers"] += len(xs)
+        return solve(curve, xs)
+
+    def counting_walks(*args, **kwargs):
+        work["walks"] += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(tracker, "_solve_fibers", counting)
+    monkeypatch.setattr(catalog, "track_loop", counting_walks)
+    for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
+        assert verify_fixture(f).passed, f.fixture_id
+    assert (work["batches"], work["fibers"], work["walks"]) == (73, 1286, 15)
+
+
 def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_eigenvalue_work(monkeypatch):
     # eigvals calls and companion matrices over the same loops.  Each fiber
     # is solved factor by factor: a line's root is a ratio, and the conics
@@ -342,12 +374,20 @@ def _reference_walk(curve, loop, initial_divisions=256):
     Returns (times, paths, rejected probes of the largest step size).  One
     _solve_fibers call and one _step_test per step: a rejected step
     halves the step, and eight accepted steps in a row double it, up to
-    arc/64, which also caps the starting step.  The tracker's runs must
-    take exactly these steps.
+    arc/64, which also caps the starting step; a step that would pass the
+    half turn by more than the tracker's _HALF_TOL ends on it.  The
+    tracker's runs must take exactly these steps.
     """
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
-    start = fiber_roots(curve, loop.basepoint)
+    current = _solve_fibers(curve, [loop.basepoint])[0]
+    if isinstance(current, BraidMonoError):
+        raise current
+    sep = tracker._separations(current[None]).min(initial=math.inf)
+    if sep <= 2.0 * tracker._SEPARATION_TOL * np.abs(current).max(initial=0.0):
+        raise CriticalFiberError("fiber over x=%s has nearly coincident roots (separation %.3e)"
+                                 % (loop.basepoint, sep))
+    start = sorted((complex(z) for z in current), key=strand_key)
     current = np.asarray(start, dtype=complex)
     thetas, samples = [theta0], [current]
     min_step, max_step = arc * 2.0**-40, arc / 64.0
@@ -355,6 +395,8 @@ def _reference_walk(curve, loop, initial_divisions=256):
     theta, streak, probe, rejected_probes = theta0, 0, False, 0
     while theta < theta1 - 1e-15:
         target = theta + min(step, theta1 - theta)
+        if theta < math.pi - tracker._HALF_TOL and target > math.pi + tracker._HALF_TOL:
+            target = math.pi
         fiber = _solve_fibers(curve, [loop.point(target)])[0]
         if isinstance(fiber, BraidMonoError):
             raise fiber
@@ -410,6 +452,26 @@ def test_tracking_takes_the_steps_of_a_one_step_walk(fixture):
 def test_tracking_from_a_coarse_start_takes_the_steps_of_a_one_step_walk(equation):
     for arc in ("full", "negative-half"):
         _assert_walks_alike(parse_curve(equation), LoopSpec(arc=arc), initial_divisions=3)
+
+
+# Steps from 96 or 100 divisions do not fall on the half turn: before a
+# step across it ended there, the nearest sample was 5.2e-3 or 1.9e-3 of
+# a turn away from it.
+@pytest.mark.parametrize("divisions", (96, 100))
+@pytest.mark.parametrize("equation", ["(y+x^2)(y-x^2)", "y(y^2+x)(y^2-x)"])
+def test_a_full_loop_has_a_sample_at_its_half_turn(equation, divisions):
+    curve = parse_curve(equation)
+    motion = track_loop(curve, LoopSpec(), initial_divisions=divisions)
+    assert 0.5 in motion.times
+    half = motion_to_braid(track_loop(curve, LoopSpec(arc="negative-half")))
+    assert braid_equal(lefschetz_braid(motion), half)
+    _assert_walks_alike(curve, LoopSpec(), initial_divisions=divisions)
+
+
+def test_lefschetz_braid_needs_a_sample_at_the_half_turn():
+    motion = Motion((0.0, 0.3, 1.0), np.array([[-1, -1j, 1], [1, 1j, -1]]))
+    with pytest.raises(GeometryError, match="half turn"):
+        lefschetz_braid(motion)
 
 
 def _refusal(call, *args, **kwargs):
