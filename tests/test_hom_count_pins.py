@@ -76,3 +76,19 @@ def test_verify_all_makes_only_the_recorded_counts(monkeypatch):
     }
     assert (len(made), len(set(made))) == (434, 284)
     assert set(made) <= recorded
+
+
+def test_verify_all_makes_a_pinned_number_of_searches(monkeypatch):
+    """Counts that the closed form cannot answer are searched: one search
+    per presentation and non-abelian battery group."""
+    searches = []
+    inner = homcount._backtrack
+
+    def spy(s, due):
+        searches.append(len(due))
+        return inner(s, due)
+
+    monkeypatch.setattr(homcount, "_backtrack", spy)
+    for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
+        verify_fixture(f)
+    assert len(searches) == 259

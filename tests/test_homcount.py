@@ -441,3 +441,55 @@ def test_abelian_targets_and_one_generator_plans_skip_the_search(monkeypatch):
     # A non-abelian target of a two-generator presentation still searches.
     count_homomorphisms(_p(2, (1, 2, -1, -2)), symmetric_group(3))
     assert searched == [2]
+
+
+# A non-abelian group outside the battery, of odd order: the Frobenius
+# group of order 21, x -> x + 1 and x -> 2x on the integers mod 7.
+_F21 = homcount._generated((1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5))
+
+# Groups of unequal orders, abelian and not, in no order of size.
+_MIXED_BATTERY = default_targets() + [("C2xC2", _KLEIN), ("C2xC4", _C2_C4), ("F21", _F21)]
+
+
+def _relator(rng, rank, draw):
+    """A relator drawn by draw(rng), freely reduced, in which no generator
+    occurs exactly once, so that no elimination removes it."""
+    while True:
+        r = FreeWord(rank, draw(rng)).letters
+        if r and all(sum(abs(a) == abs(b) for b in r) > 1 for a in r):
+            return r
+
+
+def _letters(rng, gens, length):
+    return tuple(rng.choice((-1, 1)) * rng.choice(gens) for _ in range(length))
+
+
+def _conjugation(rng, k):
+    """u x_k v x_k^-1 w, or the same with x_k^-1 first, with u, v, w in
+    x_1 .. x_k-1 and u or w often empty."""
+    u, w = (_letters(rng, range(1, k), rng.choice((0, 0, 1, 2, 3))) for _ in range(2))
+    v = _letters(rng, range(1, k), rng.randint(1, 4))
+    s = rng.choice((-1, 1))
+    return u + (s * k,) + v + (-s * k,) + w
+
+
+def _conjugation_presentation(seed):
+    """Rank 2-5: conjugation relators in x_1 .. x_k with k highest, a few
+    random relators beside them, and sometimes a last generator that
+    occurs in no relator."""
+    rng = random.Random(seed)
+    rank = rng.randint(2, 5)
+    used = rank - (rank > 2 and rng.random() < 0.4)
+    relators = [_relator(rng, rank, lambda r: _conjugation(r, r.randint(max(2, used - 1), used)))
+                for _ in range(rng.randint(1, 3))]
+    relators += [_relator(rng, rank, lambda r: _letters(r, range(1, used + 1), r.randint(2, 8)))
+                 for _ in range(rng.randint(0, 2))]
+    return _p(rank, *relators)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_battery_counts_match_one_group_counts(seed):
+    p = _conjugation_presentation(seed)
+    report = equivalence_evidence(p, p, _MIXED_BATTERY)
+    assert report.left == report.right
+    assert report.left == tuple(count_homomorphisms(p, g) for _, g in _MIXED_BATTERY), p
