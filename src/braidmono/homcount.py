@@ -11,25 +11,27 @@ first (their image is forced).  Into an abelian group A there is no
 search: Hom(G, A) = Hom(G^ab, A), and G^ab is the sum of the Z/d on the
 diagonal that the exponent-sum matrix reduces to (Cohen 1993, 2.4.4);
 likewise into any group once the relators keep one generator.  Else
-each generator left in no relator contributes a factor |G|, and the
-rest are bound one at a time by backtracking: the assignments that
-survive so far are extended by every image of the next generator, and
-each relator is tested, dropping the rows that fail it, as soon as its
-highest generator is bound.  x1 and x2 range together over one pair of
-each orbit of G x G under simultaneous conjugation, each row weighted
-by the orbit's size: conjugating a homomorphism by g maps those with
-(x1, x2) -> (a, b) one-to-one onto those with (x1, x2) -> (g a g^-1,
-g b g^-1), so the weighted sum is exact.  Each group's tables and
-element orders are built on first use and kept with the group.
+each generator left in no relator contributes a factor |G|, and one
+backtracking search counts the presentation into all the other groups
+at once, over their disjoint union: a row, a partial assignment into
+one group, takes images of the next generator from that group only.
+x1 and x2 range together over one pair of each orbit of G x G under
+simultaneous conjugation, each row weighted by the orbit's size:
+conjugating a homomorphism by g maps those with (x1, x2) -> (a, b)
+one-to-one onto those with (x1, x2) -> (g a g^-1, g b g^-1), so the
+weighted sum is exact.  A relator is due once its highest generator
+x_k is bound.  One that reads x_k u x_k^-1 = w up to rotation is solved
+by lookup in the union's conjugator table: x_k takes the conjugators
+from u to w, one per row on average.  The others are tested, dropping
+the rows that fail.
 
-Inside a count_memo block a count is made once per presentation and
-group: it depends only on the rank and the set of non-empty relators.
-The elimination, the diagonal and the relator lists of the search do
-not depend on the group, so inside a block they are made once per
-presentation and reused across the battery.  A count_homomorphisms
-call outside any block is its own block.  The memo lives only as long
-as the outermost block, so nothing is cached from one verify_fixture
-or simplify call, or bare count, to the next.
+A count depends only on the rank and the set of non-empty relators,
+and inside a count_memo block it is made once per presentation and
+group; the elimination, the diagonal and the relator lists, which do
+not depend on the group, once per presentation.  A count outside any
+block is its own block.  The memo lives as long as the outermost
+block, so no count is kept from one verify_fixture or simplify call,
+or bare count, to the next; the union tables of recent batteries are.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, repeat
+from operator import and_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -86,9 +89,7 @@ class FiniteGroupTable:
                 raise GroupTableError("element %d has no inverse" % a)
         arr = np.array(t, dtype=np.int64)
         # associativity: (a*b)*c == a*(b*c) for all triples
-        left = arr[arr, :][:, :, :]
-        right = arr[:, arr]
-        if not np.array_equal(left, right):
+        if not np.array_equal(arr[arr], arr[:, arr]):
             raise GroupTableError("table is not associative")
         object.__setattr__(self, "table", t)
 
@@ -103,32 +104,52 @@ class FiniteGroupTable:
         return [len(set(accumulate(repeat(a, self.order), lambda x, b: self.table[x][b])))
                 for a in range(self.order)]
 
-    @cached_property
-    def _search(self) -> _SearchTables:
-        """Arrays for count_homomorphisms, built on first use."""
-        n = self.order
-        table = np.array(self.table, dtype=np.min_scalar_type(n * n - 1))
-        inv = np.argmax(table == self.identity, axis=1).astype(table.dtype)
-        mul = table.ravel()
-        least = np.arange(n * n, dtype=table.dtype)
-        a, b = np.divmod(least, n)
-        # The least code over the pairs (g^-1 a g, g^-1 b g) names the orbit.
-        for g in range(n):
-            conj = mul.take(table[inv[g]] * n + g)
-            np.minimum(least, conj.take(a) * n + conj.take(b), out=least)
-        pairs, weights = np.unique(least, return_counts=True)
-        return _SearchTables(mul, table[:, inv].ravel(), inv, self.identity, pairs, weights)
 
+class _Union(NamedTuple):
+    """Search tables of groups as one: group i is block i, its elements codes
+    offset_i + a.  Arrays of codes and of keys have a dtype that holds N*N + blocks."""
 
-class _SearchTables(NamedTuple):
-    """Flat tables indexed by codes a*n + b, in a dtype that holds n*n - 1."""
-
-    mul: np.ndarray  # mul[a*n + b] = a*b
-    div: np.ndarray  # div[a*n + b] = a*b^-1
+    size: int  # N, the summed order
+    blocks: int
+    mul: np.ndarray  # mul[a*N + b] = a*b
+    div: np.ndarray  # div[a*N + b] = a*b^-1
     inv: np.ndarray
-    identity: int
-    pairs: np.ndarray  # the least code of each conjugation orbit of pairs
-    weights: np.ndarray  # the size of each orbit
+    unit: np.ndarray  # unit[a]: a is the identity of its block
+    # A row's images at key q are source[lo[q]:][:count[q]]: the j with
+    # j u j^-1 = w at q = u*N + w, and block i at q = N*N + i.
+    lo: np.ndarray
+    count: np.ndarray
+    source: np.ndarray
+    # The pair orbits of every block, sorted by block, as images of x1 and x2.
+    pairs: tuple[np.ndarray, np.ndarray]
+    weights: np.ndarray
+    block: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _union(groups: tuple[FiniteGroupTable, ...]) -> _Union:
+    orders = [g.order for g in groups]
+    n, offsets = sum(orders), np.cumsum([0] + orders[:-1])
+    dtype = np.min_scalar_type(n * n + len(groups))
+    owner = np.repeat(np.arange(len(groups)), orders)
+    same = owner[:, None] == owner
+    mul = np.zeros((n, n), dtype=dtype)
+    mul[same] = np.concatenate([np.add(g.table, o).ravel() for g, o in zip(groups, offsets)])
+    unit = mul.diagonal() == np.arange(n)  # a group's one idempotent is its identity
+    inv = np.argmax(same & (mul == np.flatnonzero(unit)[owner, None]), axis=1).astype(dtype)
+    a, b = np.nonzero(same)
+    key = b * n + mul[mul[a, b], inv[a]]  # b and its conjugate by a
+    count = np.concatenate([np.bincount(key, minlength=n * n), orders])
+    # The least code over the pairs (g^-1 a g, g^-1 b g) names the orbit.
+    least, first, order = a * n + b, offsets[owner[a]], np.take(orders, owner[a])
+    for i in range(max(orders)):
+        g = first + i % order
+        np.minimum(least, mul[mul[inv[g], a], g] * n + mul[mul[inv[g], b], g], out=least)
+    least, weights = np.unique(least, return_counts=True)
+    pairs = np.divmod(least.astype(dtype), n)
+    source = np.concatenate([a[np.argsort(key, kind="stable")], np.arange(n)]).astype(dtype)
+    return _Union(n, len(groups), mul.ravel(), mul[:, inv].ravel(), inv, unit, np.cumsum(count) - count,
+                  count, source, pairs, weights, owner[pairs[0]].astype(dtype))
 
 
 def _generated(*gens: tuple[int, ...]) -> FiniteGroupTable:
@@ -212,8 +233,10 @@ def _built_targets() -> tuple[tuple[str, FiniteGroupTable], ...]:
 
 
 # A search plan: the exponent of the factor |G| for the generators in no
-# relator, the due lists of _backtrack, and one _diagonal entry per generator.
-_Plan = tuple[int, list[list[list[tuple[int, bool]]]], list[int]]
+# relator, one _Level per bound generator, and one _diagonal entry per generator.
+_Word = list[tuple[int, bool]]
+_Level = tuple[tuple[_Word, _Word] | None, list[_Word]]
+_Plan = tuple[int, list[_Level], list[int]]
 _Key = tuple[int, frozenset[tuple[int, ...]]]
 
 
@@ -247,24 +270,34 @@ def count_memo() -> Iterator[None]:
 
 def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into `group`."""
+    return _counted(p, [group])[0]
+
+
+def _counted(p: Presentation, groups: Sequence[FiniteGroupTable]) -> list[int]:
+    """The counts into each group, those not in the memo made in one _counts call."""
     relators = [r.letters for r in p.relators if r.letters]
+    key = (p.rank, frozenset(relators))
     with count_memo():
         counts = _memo.get().counts
-        key = ((p.rank, frozenset(relators)), group)
-        if key not in counts:
-            counts[key] = _count(p.rank, relators, group)
-        return counts[key]
+        if todo := [g for g in dict.fromkeys(groups) if (key, g) not in counts]:
+            counts.update(zip([(key, g) for g in todo], _counts(p.rank, relators, todo)))
+        return [counts[key, g] for g in groups]
 
 
-def _count(rank: int, relators: list[tuple[int, ...]], group: FiniteGroupTable) -> int:
-    plans = _memo.get().plans
-    key = (rank, frozenset(relators))
-    if key not in plans:
-        plans[key] = _plan(rank, relators)
-    free, due, diag = plans[key]
-    if group._abelian or len(due) < 2:
-        return math.prod(sum(d % k == 0 for k in group._orders) for d in diag)
-    return group.order ** free * _backtrack(group._search, due)
+def _counts(rank: int, relators: list[tuple[int, ...]], groups: list[FiniteGroupTable]) -> list[int]:
+    plans, key = _memo.get().plans, (rank, frozenset(relators))
+    free, levels, diag = plans[key] if key in plans else plans.setdefault(key, _plan(rank, relators))
+    counts = {g: math.prod(sum(d % k == 0 for k in g._orders) for d in diag)
+              for g in groups if g._abelian or len(levels) < 2}
+    # One search for each run of the other groups whose orders sum to at most _UNION_ORDER.
+    runs: list[list[FiniteGroupTable]] = []
+    for g in (g for g in groups if g not in counts):
+        if not runs or sum(h.order for h in runs[-1]) + g.order > _UNION_ORDER:
+            runs.append([])
+        runs[-1].append(g)
+    for run in runs:
+        counts.update((g, g.order ** free * c) for g, c in zip(run, _search(_union(tuple(run)), levels)))
+    return [counts[g] for g in groups]
 
 
 def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
@@ -272,16 +305,25 @@ def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
     rank, relators = eliminate_generators(rank, relators)
     used = sorted({abs(a) for r in relators for a in r})
     level = {g: k for k, g in enumerate(used)}
-    due: list[list[list[tuple[int, bool]]]] = [[] for _ in used]
+    solve: list[tuple[_Word, _Word] | None] = [None] * len(used)
+    due: list[list[_Word]] = [[] for _ in used]
     for r in relators:
         word = [(level[abs(a)], a > 0) for a in r]
         k = max(g for g, _ in word)
         # A relator holds iff its rotations do; end it with its last x_k.
-        cut = max(i for i, (g, _) in enumerate(word) if g == k) + 1
-        due[k].append(word[cut:] + word[:cut])
+        at = [i for i, (g, _) in enumerate(word) if g == k]
+        word, i = word[at[-1] + 1:] + word[:at[-1] + 1], at[0] + len(word) - at[-1] - 1
+        # From level 2 on, the first to read a x^s b x^-s (x = x_k, a and b
+        # not empty) is solved for x: x b x^-1 = a^-1 if s = 1, else x a x^-1 = b^-1.
+        if k > 1 and solve[k] is None and len(at) == 2 and word[i][1] != word[-1][1] \
+                and 0 < i < len(word) - 2:
+            u, v = (word[i + 1:-1], word[:i]) if word[i][1] else (word[:i], word[i + 1:-1])
+            solve[k] = (u, [(g, not positive) for g, positive in reversed(v)])
+        else:
+            due[k].append(word)
     sums = [[r.count(g) - r.count(-g) for g in range(1, rank + 1)] for r in relators]
     # A generator in no relator may go anywhere: a factor |G| each.
-    return rank - len(used), due, _diagonal(sums, rank)
+    return rank - len(used), list(zip(solve, due)), _diagonal(sums, rank)
 
 
 def _diagonal(m: list[list[int]], width: int) -> list[int]:
@@ -298,70 +340,73 @@ def _diagonal(m: list[list[int]], width: int) -> list[int]:
     return diag + [0] * (width - len(diag))
 
 
-# Partial assignments extended per batch: bounds the working set of each
-# search level, whatever the rank.
+# The summed order of the groups one search takes together; a larger group goes alone.
+_UNION_ORDER = 128
+# Images tested per batch: bounds the working set of a search level, whatever the rank.
 _CHUNK = 1 << 16
 
 
-def _backtrack(s: _SearchTables, due: list[list[list[tuple[int, bool]]]]) -> int:
-    """Weighted count of the assignments that satisfy every relator.
+def _search(t: _Union, levels: list[_Level]) -> list[int]:
+    """Weighted count, per block, of the assignments that satisfy every relator:
+    rows, partial assignments, start from the pair orbits and take as images
+    of x_k the conjugators that its relator to solve leaves, or else every
+    element of their block; the other relators due are tested on them."""
+    last = len(levels) - 1
 
-    due[k] holds the relators whose highest generator is bound at level
-    k, as (level, positive) letters, for two levels or more.  Levels 0
-    and 1 range over the pair orbits, weighted by orbit size, and each
-    later level over the whole group.
-    """
-    n = len(s.inv)
-    elems = np.arange(n, dtype=s.inv.dtype)
-    last = len(due) - 1
-    step = max(1, _CHUNK // n)
+    def holds(tests, cols, x, rep=None):
+        return reduce(and_, (t.unit.take(_value(t, w, cols, k, x, rep)) for w, k in tests))
 
-    def extend(cols: list[np.ndarray], weight: np.ndarray) -> int:
-        if len(weight) > step:
-            return sum(
-                extend([c[i:i + step] for c in cols], weight[i:i + step])
-                for i in range(0, len(weight), step)
-            )
-        # ok[row, j]: the relators due at level k hold with x_k -> j
+    def tally(block, weight):
+        return np.bincount(block, weight, t.blocks).astype(np.int64)
+
+    def extend(cols: list[np.ndarray], block: np.ndarray, weight: np.ndarray) -> np.ndarray:
         k = len(cols)
-        images = [c[:, None] for c in cols] + [elems[None, :]]
-        ok = np.ones((len(weight), n), dtype=bool)
-        for word in due[k]:
-            ok &= _value(s, word, images, k) == s.identity
+        solve, tests = levels[k]
+        key = (block + t.size ** 2 if solve is None
+               else _value(t, solve[0], cols, k) * t.size + _value(t, solve[1], cols, k))
+        lo, count = t.lo.take(key), t.count.take(key)
+        if k == last and not tests:
+            return tally(block, weight * count)
+        if count.sum() > _CHUNK and len(weight) > 1:
+            halves = slice(len(weight) // 2), slice(len(weight) // 2, None)
+            return sum(extend([c[h] for c in cols], block[h], weight[h]) for h in halves)
+        rep = np.repeat(np.arange(len(weight)), count)
+        x = t.source.take(np.arange(len(rep)) + np.repeat(lo + count - np.cumsum(count), count))
+        if tests:
+            ok = holds([(w, k) for w in tests], cols, x, rep)
+            rep, x = rep[ok], x[ok]
         if k == last:
-            return int(weight @ ok.sum(axis=1))
-        row, col = np.nonzero(ok)
-        return extend([c[row] for c in cols] + [elems[col]], weight[row])
+            return tally(block.take(rep), weight.take(rep))
+        return extend([c.take(rep) for c in cols] + [x], block.take(rep), weight.take(rep))
 
-    cols, weight = list(np.divmod(s.pairs, n)), s.weights
-    ok = np.ones(len(weight), dtype=bool)
-    for k in range(2):
-        for word in due[k]:
-            ok &= _value(s, word, cols, k) == s.identity
-    cols, weight = [c[ok] for c in cols], weight[ok]
-    return extend(cols, weight) if last > 1 else int(weight.sum())
+    cols, weight, block = list(t.pairs), t.weights, t.block
+    if tests := [(w, k) for k in (0, 1) for w in levels[k][1]]:
+        ok = holds(tests, cols, None)
+        cols, weight, block = [c[ok] for c in cols], weight[ok], block[ok]
+    return (extend(cols, block, weight) if last > 1 else tally(block, weight)).tolist()
 
 
-def _value(s: _SearchTables, word: list[tuple[int, bool]], images: list[np.ndarray], k: int) -> np.ndarray:
-    """The value of word, which ends in an x_k letter, at x_g -> images[g]."""
-    # Runs of earlier letters are multiplied per row, and folded into the
-    # product only before each x_k letter, whose image may be wider.
+def _value(t: _Union, word: _Word, cols: list[np.ndarray], k: int,
+           x: np.ndarray | None = None, rep: np.ndarray | None = None) -> np.ndarray:
+    """The value of word at x_g -> cols[g] for g < k and x_k -> x (cols[k] if
+    None), entry i in row rep[i] of cols.  Runs of earlier letters are
+    multiplied per row and gathered only before each x_k letter."""
     acc = run = None
     for g, positive in word:
         if g < k:
-            run = _times(s, run, images[g], positive)
+            run = _times(t, run, cols[g], positive)
             continue
         if run is not None:
-            acc, run = _times(s, acc, run, True), None
-        acc = _times(s, acc, images[k], positive)
-    return acc
+            acc, run = _times(t, acc, run if rep is None else run.take(rep), True), None
+        acc = _times(t, acc, cols[k] if x is None else x, positive)
+    return acc if run is None else run
 
 
-def _times(s: _SearchTables, acc: np.ndarray | None, img: np.ndarray, positive: bool) -> np.ndarray:
+def _times(t: _Union, acc: np.ndarray | None, img: np.ndarray, positive: bool) -> np.ndarray:
     """acc * img, or acc * img^-1; a missing acc stands for the identity."""
     if acc is None:
-        return img if positive else s.inv.take(img)
-    return (s.mul if positive else s.div).take(acc * len(s.inv) + img)
+        return img if positive else t.inv.take(img)
+    return (t.mul if positive else t.div).take(acc * t.size + img)
 
 
 @dataclass(frozen=True)
@@ -389,20 +434,16 @@ def equivalence_evidence(
     """Compare hom counts of two presentations over the target battery."""
     tg = list(targets) if targets is not None else default_targets()
     names = tuple(name for name, _ in tg)
-    left = tuple(count_homomorphisms(p, g) for _, g in tg)
-    right = tuple(count_homomorphisms(q, g) for _, g in tg)
-    return HomCountReport(names, left, right)
+    groups = [g for _, g in tg]
+    return HomCountReport(names, tuple(_counted(p, groups)), tuple(_counted(q, groups)))
 
 
 def dump_targets(targets: Sequence[tuple[str, FiniteGroupTable]]) -> str:
     """Serialise a target battery: name, order, identity, then table rows."""
-    blocks = []
-    for name, g in targets:
-        lines = ["group %s" % name, "order %d" % g.order, "identity %d" % g.identity]
-        for row in g.table:
-            lines.append(" ".join(str(v) for v in row))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(
+        "\n".join(["group %s" % name, "order %d" % g.order, "identity %d" % g.identity]
+                  + [" ".join(map(str, row)) for row in g.table])
+        for name, g in targets) + "\n"
 
 
 def load_targets(text: str) -> list[tuple[str, FiniteGroupTable]]:

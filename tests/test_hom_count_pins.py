@@ -62,13 +62,13 @@ def test_recorded_counts_replay():
 def test_verify_all_makes_only_the_recorded_counts(monkeypatch):
     names = {id(table): name for name, table in default_targets()}
     made = []
-    inner = homcount._count
+    inner = homcount._counts
 
-    def spy(rank, relators, group):
-        made.append((rank, tuple(sorted(map(tuple, relators))), names[id(group)]))
-        return inner(rank, relators, group)
+    def spy(rank, relators, groups):
+        made.extend((rank, tuple(sorted(map(tuple, relators))), names[id(g)]) for g in groups)
+        return inner(rank, relators, groups)
 
-    monkeypatch.setattr(homcount, "_count", spy)
+    monkeypatch.setattr(homcount, "_counts", spy)
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         assert verify_fixture(f).passed, f.fixture_id
     recorded = {
@@ -80,15 +80,16 @@ def test_verify_all_makes_only_the_recorded_counts(monkeypatch):
 
 def test_verify_all_makes_a_pinned_number_of_searches(monkeypatch):
     """Counts that the closed form cannot answer are searched: one search
-    per presentation and non-abelian battery group."""
+    per presentation for all its non-abelian groups at once (259 searches
+    when each group had a search of its own)."""
     searches = []
-    inner = homcount._backtrack
+    inner = homcount._search
 
-    def spy(s, due):
-        searches.append(len(due))
-        return inner(s, due)
+    def spy(t, levels):
+        searches.append(len(levels))
+        return inner(t, levels)
 
-    monkeypatch.setattr(homcount, "_backtrack", spy)
+    monkeypatch.setattr(homcount, "_search", spy)
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         verify_fixture(f)
-    assert len(searches) == 259
+    assert len(searches) == 49

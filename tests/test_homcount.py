@@ -275,14 +275,15 @@ def test_counts_outside_the_battery_match_brute_force(group):
 ])
 def test_pair_orbits_of_the_battery(name, orbits):
     g = dict(default_targets())[name]
-    n, s = g.order, g._search
-    assert len(s.pairs) == orbits
-    assert sum(s.weights) == n * n
+    n, t = g.order, homcount._union((g,))
+    pairs, weights = t.pairs[0] * n + t.pairs[1], t.weights
+    assert len(pairs) == orbits
+    assert sum(weights) == n * n
     # Burnside: the orbits of G x G under conjugation number
     # (1/|G|) sum_g |C(g)|^2, and (a, b) is fixed by g iff both lie in C(g).
     centraliser = [sum(g.table[a][b] == g.table[b][a] for b in range(n)) for a in range(n)]
     assert orbits * n == sum(c * c for c in centraliser)
-    for code, size in zip(s.pairs.tolist(), s.weights.tolist()):
+    for code, size in zip(pairs.tolist(), weights.tolist()):
         a, b = divmod(code, n)
         orbit = set()
         for x in range(n):
@@ -304,13 +305,13 @@ def test_pinned_s4_counts_of_model_braids(fixture_id, count):
 def counted(monkeypatch):
     """The (rank, relator set, group) of every count actually made."""
     made = []
-    real = homcount._count
+    real = homcount._counts
 
-    def spy(rank, relators, group):
-        made.append((rank, frozenset(relators), group))
-        return real(rank, relators, group)
+    def spy(rank, relators, groups):
+        made.extend((rank, frozenset(relators), g) for g in groups)
+        return real(rank, relators, groups)
 
-    monkeypatch.setattr(homcount, "_count", spy)
+    monkeypatch.setattr(homcount, "_counts", spy)
     return made
 
 
@@ -363,11 +364,11 @@ def test_no_memo_survives_a_call(counted, call):
 def test_no_memo_survives_a_call_that_raises(monkeypatch, call):
     seen = []
 
-    def failing(rank, relators, group):
+    def failing(rank, relators, groups):
         seen.append(homcount._memo.get() is not None)
         raise RuntimeError("count failed")
 
-    monkeypatch.setattr(homcount, "_count", failing)
+    monkeypatch.setattr(homcount, "_counts", failing)
     with pytest.raises(RuntimeError, match="count failed"):
         _scoped_call(call)
     assert seen == [True]
@@ -422,13 +423,13 @@ def test_battery_group_isomorphism_types(name, orders, commuting):
 
 def test_abelian_targets_and_one_generator_plans_skip_the_search(monkeypatch):
     searched = []
-    real = homcount._backtrack
+    real = homcount._search
 
-    def spy(s, due):
-        searched.append(len(due))
-        return real(s, due)
+    def spy(t, levels):
+        searched.append(len(levels))
+        return real(t, levels)
 
-    monkeypatch.setattr(homcount, "_backtrack", spy)
+    monkeypatch.setattr(homcount, "_search", spy)
     abelian = [g for _, g in default_targets()[:4]] + [_KLEIN, _C2_C4]
     for case in _BRUTE_FORCE_CASES:
         for g in abelian:
@@ -493,3 +494,29 @@ def test_battery_counts_match_one_group_counts(seed):
     report = equivalence_evidence(p, p, _MIXED_BATTERY)
     assert report.left == report.right
     assert report.left == tuple(count_homomorphisms(p, g) for _, g in _MIXED_BATTERY), p
+
+
+def test_one_search_takes_groups_up_to_the_union_bound(monkeypatch):
+    orders = []
+    real = homcount._union
+
+    def spy(groups):
+        orders.append([g.order for g in groups])
+        return real(groups)
+
+    monkeypatch.setattr(homcount, "_union", spy)
+    battery = [("S4", symmetric_group(4)), ("A5", alternating_group(5)), ("F21", _F21),
+               ("S5", symmetric_group(5)), ("D5", dihedral_group(5))]
+    p = _p(3, (1, 2, -1, -2), (3, 1, -3, -2, -2))
+    with count_memo():
+        counts = equivalence_evidence(p, p, battery).left
+    assert orders == [[24, 60, 21], [120], [10]]
+    assert counts == tuple(count_homomorphisms(p, g) for _, g in battery)
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 6))
+def test_counts_do_not_depend_on_the_batch_size(monkeypatch, seed):
+    p = _conjugation_presentation(seed)
+    whole = equivalence_evidence(p, p, _MIXED_BATTERY).left
+    monkeypatch.setattr(homcount, "_CHUNK", 5)
+    assert equivalence_evidence(p, p, _MIXED_BATTERY).left == whole
