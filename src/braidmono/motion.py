@@ -323,13 +323,14 @@ def _rational(value, name: str) -> Fraction:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _turns(angle, steps: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Sample grid on [0, 1] and unit turns exp(i*angle*pi*t) of a rotation,
-    as read-only arrays shared by every rotation of the key (equal angles,
-    Fraction or int, share one).  steps None takes 64 steps per quarter
-    turn; an invalid steps raises on every call, as errors are not cached.
+def _turns(numerator: int, denominator: int, steps: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Sample grid on [0, 1] and unit turns exp(i*angle*pi*t) of a rotation
+    by angle = numerator/denominator (in lowest terms, so equal angles
+    share one entry), as read-only arrays shared by every rotation of the
+    key.  steps None takes 64 steps per quarter turn; an invalid steps
+    raises on every call, as errors are not cached.
     """
-    angle = _rational(angle, "angle")
+    angle = Fraction(numerator, denominator)
     quarter_turns = abs(angle) * 2
     if steps is None:
         steps = max(1, math.ceil(128 * abs(angle)))
@@ -354,10 +355,9 @@ def _rotation(movers: list[complex], center: complex, angle, steps: int | None,
     tol = _KEY_TOL * _scale(movers + [center])
     if any(abs(z - center) <= tol for z in movers):
         raise DegenerateMotionError("a rotated point sits at the center")
-    try:
-        grid, turns = _turns(angle, steps)
-    except TypeError:  # an unhashable angle, which the cache cannot take as a key
-        raise GeometryError("angle must be a finite rational number, not %r" % (angle,)) from None
+    # Keyed by integers: hashing a Fraction runs Python code on every lookup.
+    exact = angle if type(angle) in (Fraction, int) else _rational(angle, "angle")
+    grid, turns = _turns(*exact.as_integer_ratio(), steps)
     rows = _still(still, len(grid) - 1)
     for k, z in zip(hit, movers):
         rows[k] = (z - center) * turns + center
