@@ -25,13 +25,12 @@ by lookup in the union's conjugator table: x_k takes the conjugators
 from u to w, one per row on average.  The others are tested, dropping
 the rows that fail.
 
-A count depends only on the rank and the set of non-empty relators,
-and inside a count_memo block it is made once per presentation and
-group; the elimination, the diagonal and the relator lists, which do
-not depend on the group, once per presentation.  A count outside any
-block is its own block.  The memo lives as long as the outermost
-block, so no count is kept from one verify_fixture or simplify call,
-or bare count, to the next; the union tables of recent batteries are.
+A count depends only on the rank and the set of non-empty relators.
+Inside a count_memo block it is made once per group, and the plan (the
+elimination, the diagonal, the relator lists) once per presentation; a
+count outside any block is its own block.  Nothing in the memo outlives
+the outermost block, or passes from one verify_fixture or simplify call
+to the next; the union tables of recent batteries are kept.
 """
 
 from __future__ import annotations
@@ -96,6 +95,9 @@ class FiniteGroupTable:
     def inverse(self, a: int) -> int:
         return self.table[a].index(self.identity)
 
+    # Hashed once: the count memo and the union cache key on groups.
+    __hash__ = lambda self: self._hash  # noqa: E731
+    _hash = cached_property(lambda self: hash((self.order, self.identity, self.table)))
     _abelian = cached_property(lambda self: self.table == tuple(zip(*self.table)))
 
     @cached_property
@@ -107,17 +109,20 @@ class FiniteGroupTable:
 
 class _Union(NamedTuple):
     """Search tables of groups as one: group i is block i, its elements codes
-    offset_i + a.  Arrays of codes and of keys have a dtype that holds N*N + blocks."""
+    offset_i + a.  Products come as codes times N, ready to take the next
+    factor: mul[a*N + b] = a*b*N, div[a*N + b] = a*b^-1*N, inv[a] = a^-1*N,
+    and unit[a*N] says a is its block's identity.  Arrays of codes and of
+    keys have a dtype that holds N*N + blocks."""
 
     size: int  # N, the summed order
     blocks: int
-    mul: np.ndarray  # mul[a*N + b] = a*b
-    div: np.ndarray  # div[a*N + b] = a*b^-1
+    mul: np.ndarray
+    div: np.ndarray
     inv: np.ndarray
-    unit: np.ndarray  # unit[a]: a is the identity of its block
-    # A row's images at key q are source[lo[q]:][:count[q]]: the j with
-    # j u j^-1 = w at q = u*N + w, and block i at q = N*N + i.
-    lo: np.ndarray
+    unit: np.ndarray
+    # A row's images at key q are source[end[q] - count[q]:end[q]]: the j
+    # with j u j^-1 = w at q = u*N + w, and block i at q = N*N + i.
+    end: np.ndarray
     count: np.ndarray
     source: np.ndarray
     # The pair orbits of every block, sorted by block, as images of x1 and x2.
@@ -135,21 +140,22 @@ def _union(groups: tuple[FiniteGroupTable, ...]) -> _Union:
     same = owner[:, None] == owner
     mul = np.zeros((n, n), dtype=dtype)
     mul[same] = np.concatenate([np.add(g.table, o).ravel() for g, o in zip(groups, offsets)])
-    unit = mul.diagonal() == np.arange(n)  # a group's one idempotent is its identity
+    unit = mul.diagonal() == np.arange(n, dtype=dtype)  # a group's one idempotent is its identity
     inv = np.argmax(same & (mul == np.flatnonzero(unit)[owner, None]), axis=1).astype(dtype)
     a, b = np.nonzero(same)
     key = b * n + mul[mul[a, b], inv[a]]  # b and its conjugate by a
     count = np.concatenate([np.bincount(key, minlength=n * n), orders])
     # The least code over the pairs (g^-1 a g, g^-1 b g) names the orbit.
-    least, first, order = a * n + b, offsets[owner[a]], np.take(orders, owner[a])
+    least, first, order = (a * n + b).astype(dtype), offsets[owner[a]], np.take(orders, owner[a])
     for i in range(max(orders)):
         g = first + i % order
         np.minimum(least, mul[mul[inv[g], a], g] * n + mul[mul[inv[g], b], g], out=least)
     least, weights = np.unique(least, return_counts=True)
-    pairs = np.divmod(least.astype(dtype), n)
+    pairs = np.divmod(least, n)
     source = np.concatenate([a[np.argsort(key, kind="stable")], np.arange(n)]).astype(dtype)
-    return _Union(n, len(groups), mul.ravel(), mul[:, inv].ravel(), inv, unit, np.cumsum(count) - count,
-                  count, source, pairs, weights, owner[pairs[0]].astype(dtype))
+    return _Union(n, len(groups), mul.ravel() * n, mul[:, inv].ravel() * n, inv * n, unit.repeat(n),
+                  np.cumsum(count), count, source, pairs, weights,
+                  owner[pairs[0]].astype(dtype))
 
 
 def _generated(*gens: tuple[int, ...]) -> FiniteGroupTable:
@@ -343,38 +349,35 @@ def _diagonal(m: list[list[int]], width: int) -> list[int]:
 # The summed order of the groups one search takes together; a larger group goes alone.
 _UNION_ORDER = 128
 # Images tested per batch: bounds the working set of a search level, whatever the rank.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 
 def _search(t: _Union, levels: list[_Level]) -> list[int]:
     """Weighted count, per block, of the assignments that satisfy every relator:
-    rows, partial assignments, start from the pair orbits and take as images
-    of x_k the conjugators that its relator to solve leaves, or else every
-    element of their block; the other relators due are tested on them."""
+    rows, partial assignments, start from the pair orbits and take as images of
+    x_k the conjugators its relator to solve leaves, or else every element of
+    their block; the other relators due are tested on them."""
     last = len(levels) - 1
 
-    def holds(tests, cols, x, rep=None):
-        return reduce(and_, (t.unit.take(_value(t, w, cols, k, x, rep)) for w, k in tests))
-
-    def tally(block, weight):
+    def holds(tests, cols, x, count=None):  # the entries of x that satisfy every test
+        return reduce(and_, (t.unit.take(_value(t, w, cols, k, x, count)) for w, k in tests))
+    def tally(block, weight):  # the weight of each block
         return np.bincount(block, weight, t.blocks).astype(np.int64)
-
     def extend(cols: list[np.ndarray], block: np.ndarray, weight: np.ndarray) -> np.ndarray:
         k = len(cols)
         solve, tests = levels[k]
         key = (block + t.size ** 2 if solve is None
-               else _value(t, solve[0], cols, k) * t.size + _value(t, solve[1], cols, k))
-        lo, count = t.lo.take(key), t.count.take(key)
+               else _value(t, solve[0], cols, k) + _value(t, solve[1], cols, k) // t.size)
+        end, count = t.end.take(key), t.count.take(key)
         if k == last and not tests:
             return tally(block, weight * count)
         if count.sum() > _CHUNK and len(weight) > 1:
             halves = slice(len(weight) // 2), slice(len(weight) // 2, None)
             return sum(extend([c[h] for c in cols], block[h], weight[h]) for h in halves)
-        rep = np.repeat(np.arange(len(weight)), count)
-        x = t.source.take(np.arange(len(rep)) + np.repeat(lo + count - np.cumsum(count), count))
-        if tests:
-            ok = holds([(w, k) for w in tests], cols, x, rep)
-            rep, x = rep[ok], x[ok]
+        x = np.repeat(end - np.cumsum(count), count)
+        x = t.source.take(np.add(x, np.arange(len(x)), out=x))
+        ok = holds([(w, k) for w in tests], cols, x, count) if tests else slice(None)
+        rep, x = np.repeat(np.arange(len(weight)), count)[ok], x[ok]
         if k == last:
             return tally(block.take(rep), weight.take(rep))
         return extend([c.take(rep) for c in cols] + [x], block.take(rep), weight.take(rep))
@@ -387,17 +390,17 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
 
 
 def _value(t: _Union, word: _Word, cols: list[np.ndarray], k: int,
-           x: np.ndarray | None = None, rep: np.ndarray | None = None) -> np.ndarray:
-    """The value of word at x_g -> cols[g] for g < k and x_k -> x (cols[k] if
-    None), entry i in row rep[i] of cols.  Runs of earlier letters are
-    multiplied per row and gathered only before each x_k letter."""
+           x: np.ndarray | None = None, count: np.ndarray | None = None) -> np.ndarray:
+    """The value of word at x_g -> cols[g] (g < k), x_k -> x (cols[k] if None), with row
+    j of cols repeated count[j] times: runs of x_g are multiplied per row, then repeated."""
     acc = run = None
     for g, positive in word:
         if g < k:
             run = _times(t, run, cols[g], positive)
             continue
         if run is not None:
-            acc, run = _times(t, acc, run if rep is None else run.take(rep), True), None
+            run = run if count is None else run.repeat(count)
+            acc, run = (run if acc is None else _times(t, acc, run // t.size, True)), None
         acc = _times(t, acc, cols[k] if x is None else x, positive)
     return acc if run is None else run
 
@@ -405,8 +408,8 @@ def _value(t: _Union, word: _Word, cols: list[np.ndarray], k: int,
 def _times(t: _Union, acc: np.ndarray | None, img: np.ndarray, positive: bool) -> np.ndarray:
     """acc * img, or acc * img^-1; a missing acc stands for the identity."""
     if acc is None:
-        return img if positive else t.inv.take(img)
-    return (t.mul if positive else t.div).take(acc * t.size + img)
+        return img * t.size if positive else t.inv.take(img)
+    return (t.mul if positive else t.div).take(acc + img)
 
 
 @dataclass(frozen=True)

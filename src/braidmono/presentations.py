@@ -159,10 +159,8 @@ def witness(
     ⟨X | rest, word⟩ than from ⟨X | rest⟩, or None.  Some map to G kills
     every relator but not `word`, so `word` is no consequence."""
     full = Presentation(rest.rank, rest.relators + (word,))
-    for name, group in groups:
-        if count_homomorphisms(rest, group) != count_homomorphisms(full, group):
-            return name
-    return None
+    return next((name for name, g in groups
+                 if count_homomorphisms(rest, g) != count_homomorphisms(full, g)), None)
 
 
 def is_consequence(
