@@ -96,7 +96,7 @@ class FiniteGroupTable:
         return self.table[a].index(self.identity)
 
     # Hashed once: the count memo and the union cache key on groups.
-    __hash__ = lambda self: self._hash  # noqa: E731
+    __hash__ = lambda self: self._hash
     _hash = cached_property(lambda self: hash((self.order, self.identity, self.table)))
     _abelian = cached_property(lambda self: self.table == tuple(zip(*self.table)))
 
@@ -108,11 +108,10 @@ class FiniteGroupTable:
 
 
 class _Union(NamedTuple):
-    """Search tables of groups as one: group i is block i, its elements codes
-    offset_i + a.  Products come as codes times N, ready to take the next
-    factor: mul[a*N + b] = a*b*N, div[a*N + b] = a*b^-1*N, inv[a] = a^-1*N,
-    and unit[a*N] says a is its block's identity.  Arrays of codes and of
-    keys have a dtype that holds N*N + blocks."""
+    """Search tables of groups as one: group i is block i, its elements codes offset_i + a.
+    Products come as codes times N, ready for the next factor: mul[a*N + b] = a*b*N,
+    div[a*N + b] = a*b^-1*N, inv[a] = a^-1*N, and unit[a*N] says a is its block's
+    identity.  Arrays of codes and of keys have a dtype that holds N*N + blocks."""
 
     size: int  # N, the summed order
     blocks: int
@@ -129,6 +128,7 @@ class _Union(NamedTuple):
     pairs: tuple[np.ndarray, np.ndarray]
     weights: np.ndarray
     block: np.ndarray
+    free: list  # the orbits with every x3 of their block, once a search has made them
 
 
 @lru_cache(maxsize=16)
@@ -155,7 +155,7 @@ def _union(groups: tuple[FiniteGroupTable, ...]) -> _Union:
     source = np.concatenate([a[np.argsort(key, kind="stable")], np.arange(n)]).astype(dtype)
     return _Union(n, len(groups), mul.ravel() * n, mul[:, inv].ravel() * n, inv * n, unit.repeat(n),
                   np.cumsum(count), count, source, pairs, weights,
-                  owner[pairs[0]].astype(dtype))
+                  owner[pairs[0]].astype(dtype), [])
 
 
 def _generated(*gens: tuple[int, ...]) -> FiniteGroupTable:
@@ -295,14 +295,11 @@ def _counts(rank: int, relators: list[tuple[int, ...]], groups: list[FiniteGroup
     free, levels, diag = plans[key] if key in plans else plans.setdefault(key, _plan(rank, relators))
     counts = {g: math.prod(sum(d % k == 0 for k in g._orders) for d in diag)
               for g in groups if g._abelian or len(levels) < 2}
-    # One search for each run of the other groups whose orders sum to at most _UNION_ORDER.
-    runs: list[list[FiniteGroupTable]] = []
-    for g in (g for g in groups if g not in counts):
-        if not runs or sum(h.order for h in runs[-1]) + g.order > _UNION_ORDER:
-            runs.append([])
-        runs[-1].append(g)
-    for run in runs:
-        counts.update((g, g.order ** free * c) for g, c in zip(run, _search(_union(tuple(run)), levels)))
+    # One search for the other groups, or one for each if their orders sum past _UNION_ORDER.
+    searched = tuple(g for g in groups if g not in counts)
+    runs = [searched] if sum(g.order for g in searched) <= _UNION_ORDER else zip(searched)
+    for run in filter(None, runs):
+        counts.update((g, g.order ** free * c) for g, c in zip(run, _search(_union(run), levels)))
     return [counts[g] for g in groups]
 
 
@@ -311,8 +308,7 @@ def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
     rank, relators = eliminate_generators(rank, relators)
     used = sorted({abs(a) for r in relators for a in r})
     level = {g: k for k, g in enumerate(used)}
-    solve: list[tuple[_Word, _Word] | None] = [None] * len(used)
-    due: list[list[_Word]] = [[] for _ in used]
+    solve, due = [None] * len(used), [[] for _ in used]
     for r in relators:
         word = [(level[abs(a)], a > 0) for a in r]
         k = max(g for g, _ in word)
@@ -366,6 +362,8 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
     def extend(cols: list[np.ndarray], block: np.ndarray, weight: np.ndarray) -> np.ndarray:
         k = len(cols)
         solve, tests = levels[k]
+        if (free := k == 2 and not any(levels[2]) and len(weight) == len(t.weights)) and t.free:
+            return extend(*t.free)
         key = (block + t.size ** 2 if solve is None
                else _value(t, solve[0], cols, k) + _value(t, solve[1], cols, k) // t.size)
         end, count = t.end.take(key), t.count.take(key)
@@ -380,7 +378,9 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
         rep, x = np.repeat(np.arange(len(weight)), count)[ok], x[ok]
         if k == last:
             return tally(block.take(rep), weight.take(rep))
-        return extend([c.take(rep) for c in cols] + [x], block.take(rep), weight.take(rep))
+        grown = [c.take(rep) for c in cols] + [x], block.take(rep), weight.take(rep)
+        t.free[:] = grown if free else t.free
+        return extend(*grown)
 
     cols, weight, block = list(t.pairs), t.weights, t.block
     if tests := [(w, k) for k in (0, 1) for w in levels[k][1]]:

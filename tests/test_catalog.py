@@ -132,6 +132,18 @@ def test_verify_fixture_reports_checks():
     assert all(line.startswith("pass ") for line in report.lines())
 
 
+def test_verify_takes_the_model_braids_action_once(monkeypatch):
+    # The model presentation and the redundancy checks read one list of raw relators.
+    from braidmono import vankampen
+
+    acted = []
+    real = vankampen.braid_images
+    monkeypatch.setattr(vankampen, "braid_images", lambda b: acted.append(b) or real(b))
+    todo = [fixture_by_id(i) for i in ("two-tangent-conics", "vertical-tangency-line-pair")]
+    assert all(verify_fixture(f).passed for f in todo)
+    assert acted == [f.model_program.braid() for f in todo]
+
+
 def test_verify_pins_level_one_and_deletion_checks():
     report = verify_fixture(fixture_by_id("vertical-tangency-line-pair"))
     assert report.lines() == [

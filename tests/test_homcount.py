@@ -496,7 +496,7 @@ def test_battery_counts_match_one_group_counts(seed):
     assert report.left == tuple(count_homomorphisms(p, g) for _, g in _MIXED_BATTERY), p
 
 
-def test_one_search_takes_groups_up_to_the_union_bound(monkeypatch):
+def test_a_battery_past_the_union_bound_is_searched_group_by_group(monkeypatch):
     orders = []
     real = homcount._union
 
@@ -510,7 +510,11 @@ def test_one_search_takes_groups_up_to_the_union_bound(monkeypatch):
     p = _p(3, (1, 2, -1, -2), (3, 1, -3, -2, -2))
     with count_memo():
         counts = equivalence_evidence(p, p, battery).left
-    assert orders == [[24, 60, 21], [120], [10]]
+    assert orders == [[24], [60], [21], [120], [10]]
+    del orders[:]
+    with count_memo():
+        assert equivalence_evidence(p, p, battery[:3]).left == counts[:3]
+    assert orders == [[24, 60, 21]]
     assert counts == tuple(count_homomorphisms(p, g) for _, g in battery)
 
 

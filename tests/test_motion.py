@@ -328,6 +328,21 @@ def test_arguments_of_the_wrong_kind_raise_geometry_errors():
             assert str(err.value) == message
 
 
+def test_equal_angles_share_one_turn_table(monkeypatch):
+    # The table cache is keyed by the angle's integer ratio, so a Fraction,
+    # an int, a float and a string that name the same angle share an entry.
+    monkeypatch.setattr(motion_module, "_turns", motion_module._turns.__wrapped__)
+    cached = motion_module.functools.lru_cache(maxsize=8)(motion_module._turns)
+    monkeypatch.setattr(motion_module, "_turns", cached)
+    for angle in (Fraction(2, 2), 1, 1.0, "4/4"):
+        braid = MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, angle),)).braid()
+        assert braid.letters == (1,)
+    for angle in (Fraction(-1, 2), -0.5):
+        MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, angle, 64),)).braid()
+    info = cached.cache_info()
+    assert (info.hits, info.misses) == (4, 2)
+
+
 def test_program_on_no_points_rejects_a_listed_point():
     with pytest.raises(GeometryError):
         MotionProgram((), (RotateBlock((1,), 0, Fraction(1)),)).braid()
