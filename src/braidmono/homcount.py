@@ -21,16 +21,14 @@ conjugating a homomorphism by g maps those with (x1, x2) -> (a, b)
 one-to-one onto those with (x1, x2) -> (g a g^-1, g b g^-1), so the
 weighted sum is exact.  A relator is due once its highest generator
 x_k is bound.  One that reads x_k u x_k^-1 = w up to rotation is solved
-by lookup in the union's conjugator table: x_k takes the conjugators
-from u to w, one per row on average.  The others are tested, dropping
-the rows that fail.
+by lookup: x_k takes the conjugators from u to w, one per row on
+average; the others are tested, dropping the rows that fail.
 
 A count depends only on the rank and the set of non-empty relators.
 Inside a count_memo block it is made once per group, and the plan (the
 elimination, the diagonal, the relator lists) once per presentation; a
 count outside any block is its own block.  Nothing in the memo outlives
-the outermost block, or passes from one verify_fixture or simplify call
-to the next; the union tables of recent batteries are kept.
+the outermost block; the union tables of recent batteries are kept.
 """
 
 from __future__ import annotations
@@ -315,8 +313,8 @@ def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
         # A relator holds iff its rotations do; end it with its last x_k.
         at = [i for i, (g, _) in enumerate(word) if g == k]
         word, i = word[at[-1] + 1:] + word[:at[-1] + 1], at[0] + len(word) - at[-1] - 1
-        # From level 2 on, the first to read a x^s b x^-s (x = x_k, a and b
-        # not empty) is solved for x: x b x^-1 = a^-1 if s = 1, else x a x^-1 = b^-1.
+        # From level 2 on, the first a x^s b x^-s (a, b not empty) is solved for x: for
+        # s = 1 it says x b x^-1 = a^-1, for s = -1 x a x^-1 = b^-1.
         if k > 1 and solve[k] is None and len(at) == 2 and word[i][1] != word[-1][1] \
                 and 0 < i < len(word) - 2:
             u, v = (word[i + 1:-1], word[:i]) if word[i][1] else (word[:i], word[i + 1:-1])
@@ -355,8 +353,6 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
     their block; the other relators due are tested on them."""
     last = len(levels) - 1
 
-    def holds(tests, cols, x, count=None):  # the entries of x that satisfy every test
-        return reduce(and_, (t.unit.take(_value(t, w, cols, k, x, count)) for w, k in tests))
     def tally(block, weight):  # the weight of each block
         return np.bincount(block, weight, t.blocks).astype(np.int64)
     def extend(cols: list[np.ndarray], block: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -374,17 +370,21 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
             return sum(extend([c[h] for c in cols], block[h], weight[h]) for h in halves)
         x = np.repeat(end - np.cumsum(count), count)
         x = t.source.take(np.add(x, np.arange(len(x)), out=x))
-        ok = holds([(w, k) for w in tests], cols, x, count) if tests else slice(None)
+        ok = reduce(and_, (t.unit.take(_value(t, w, cols, k, x, count)) for w in tests)) \
+            if tests else slice(None)
         rep, x = np.repeat(np.arange(len(weight)), count)[ok], x[ok]
         if k == last:
             return tally(block.take(rep), weight.take(rep))
         grown = [c.take(rep) for c in cols] + [x], block.take(rep), weight.take(rep)
-        t.free[:] = grown if free else t.free
-        return extend(*grown)
+        del rep, x
+        sums = extend(*grown)
+        if free:  # copied once the search's arrays are freed: kept as made, they held the heap up
+            t.free[:] = [c.copy() for c in grown[0]], grown[1].copy(), grown[2].copy()
+        return sums
 
     cols, weight, block = list(t.pairs), t.weights, t.block
     if tests := [(w, k) for k in (0, 1) for w in levels[k][1]]:
-        ok = holds(tests, cols, None)
+        ok = reduce(and_, (t.unit.take(_value(t, w, cols, k)) for w, k in tests))
         cols, weight, block = [c[ok] for c in cols], weight[ok], block[ok]
     return (extend(cols, block, weight) if last > 1 else tally(block, weight)).tolist()
 
