@@ -236,8 +236,8 @@ def _built_targets() -> tuple[tuple[str, FiniteGroupTable], ...]:
     )
 
 
-# A search plan: the exponent of the factor |G| for the generators in no
-# relator, one _Level per bound generator, and one _diagonal entry per generator.
+# A search plan: the exponent of |G| for the generators in no relator, a _Level per bound
+# generator (u, w with x u x^-1 = w to solve, or None; the relators to test), the _diagonal.
 _Word = list[tuple[int, bool]]
 _Level = tuple[tuple[_Word, _Word] | None, list[_Word]]
 _Plan = tuple[int, list[_Level], list[int]]
@@ -378,7 +378,7 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
         grown = [c.take(rep) for c in cols] + [x], block.take(rep), weight.take(rep)
         del rep, x
         sums = extend(*grown)
-        if free:  # copied once the search's arrays are freed: kept as made, they held the heap up
+        if free:  # copied after the search: kept amid its temporaries, they raised peak memory
             t.free[:] = [c.copy() for c in grown[0]], grown[1].copy(), grown[2].copy()
         return sums
 
