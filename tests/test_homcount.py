@@ -511,7 +511,7 @@ def test_a_battery_past_the_union_bound_is_searched_group_by_group(monkeypatch):
     with count_memo():
         counts = equivalence_evidence(p, p, battery).left
     assert orders == [[24], [60], [21], [120], [10]]
-    del orders[:]
+    orders.clear()
     with count_memo():
         assert equivalence_evidence(p, p, battery[:3]).left == counts[:3]
     assert orders == [[24, 60, 21]]

@@ -331,8 +331,7 @@ def test_arguments_of_the_wrong_kind_raise_geometry_errors():
 def test_equal_angles_share_one_turn_table(monkeypatch):
     # The table cache is keyed by the angle's integer ratio, so a Fraction,
     # an int, a float and a string that name the same angle share an entry.
-    monkeypatch.setattr(motion_module, "_turns", motion_module._turns.__wrapped__)
-    cached = motion_module.functools.lru_cache(maxsize=8)(motion_module._turns)
+    cached = motion_module.functools.lru_cache(maxsize=8)(motion_module._turns.__wrapped__)
     monkeypatch.setattr(motion_module, "_turns", cached)
     for angle in (Fraction(2, 2), 1, 1.0, "4/4"):
         braid = MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, angle),)).braid()
