@@ -10,8 +10,10 @@ Its donor search is the one words.eliminate_generators runs.
 Derivability (membership in the normal closure) gets one of three
 verdicts.  Independent is proved by a finite quotient that kills the
 relators but not the word; Derivable by a derivation, found by a
-best-first search on cyclic words.  Unknown proves nothing: the search
-ran out of budget.
+best-first search on cyclic words that stops when it generates a
+rotation of a relator or its inverse.  Unknown proves nothing: the
+search ran out of budget, and a verdict can move only from Unknown to
+Derivable.
 """
 
 from __future__ import annotations
@@ -125,12 +127,7 @@ class Presentation:
 
 
 def _word_str(letters: Sequence[int]) -> str:
-    if not letters:
-        return "1"
-    parts = []
-    for a in letters:
-        parts.append("x%d" % a if a > 0 else "x%d^-1" % -a)
-    return " ".join(parts)
+    return " ".join("x%d" % a if a > 0 else "x%d^-1" % -a for a in letters) or "1"
 
 
 class Verdict(Enum):
@@ -181,8 +178,12 @@ def is_consequence(
     Successors multiply by a cyclic rotation of a relator or its
     inverse; a successor longer than `max_len` once cyclically reduced
     is discarded, mostly before it is built (_cyclic_product).
-    Best-first on length, so a Derivable answer is a genuine derivation;
-    Unknown only means the budget ran out and no group told.
+    Best-first on length; the goal test is made on generating a state,
+    so the search stops at the start word or the first successor that is
+    a rotation of a relator or its inverse, one multiplication from the
+    empty word.  A Derivable answer is a genuine derivation; Unknown
+    only means the budget ran out and no group told, and a verdict can
+    move only from Unknown to Derivable.
     """
     # Raises DimensionMismatchError unless every rank is the word's.
     rest = Presentation(word.rank, tuple(relators))
@@ -196,18 +197,17 @@ def is_consequence(
     seen_m = set()
     for r in relators:
         core = _cyclic_reduce(r.letters)
-        if not core:
-            continue
         for rot in _rotations(core) + _rotations(invert(core)):
             if rot not in seen_m:
                 seen_m.add(rot)
                 by_first.setdefault(rot[0], []).append(rot)
+    if target in seen_m:
+        return Verdict.DERIVABLE
 
     start = _least_rotation(target)
     seen = {start}
     heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
-    expanded = 0
-    tick = 0
+    expanded = tick = 0
     while heap and expanded < budget:
         _, _, state = heapq.heappop(heap)
         expanded += 1
@@ -221,12 +221,11 @@ def is_consequence(
             if not mults:
                 continue
             rot_state = state[end + 1 :] + state[: end + 1]
-            n = len(rot_state)
             for m in mults:
                 core = _cyclic_product(rot_state, m, max_len)
                 if core is None:
                     continue
-                if not core:
+                if core in seen_m:
                     return Verdict.DERIVABLE
                 nxt = _least_rotation(core)
                 if nxt in seen:

@@ -96,12 +96,15 @@ def _w(*letters):
 @pytest.mark.parametrize(
     "relators, word, verdict",
     [
-        ([_w(1), _w(2)], _w(1, 2), Verdict.UNKNOWN),
-        ([_w(1, 1), _w(2, 2, 2)], _w(1, 2, 2, 2, 1), Verdict.UNKNOWN),
+        ([_w(1), _w(2)], _w(1, 2), Verdict.DERIVABLE),
+        ([_w(1, 1), _w(2, 2, 2)], _w(1, 2, 2, 2, 1), Verdict.DERIVABLE),
         ([_w(1, 2, -1, -2)], _w(2, 1, -2, -1), Verdict.DERIVABLE),
     ],
 )
 def test_budget_one(relators, word, verdict):
+    """The first two generate a rotation of a relator on the first
+    expansion; with the goal test at expansion they needed a second one
+    and were Unknown."""
     assert is_consequence(relators, word, budget=1) is verdict
 
 
@@ -152,10 +155,10 @@ def test_search_against_the_reference(products):
 def test_redundancy_checks_of_verify_all_make_pinned_products(products):
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         assert verify_fixture(f).passed, f.fixture_id
-    assert len(products) == 1898
+    assert len(products) == 1266  # 1,898 with the goal test at expansion
 
 
 def test_simplify_of_the_tietze_pins_makes_pinned_products(products):
     for rec in TIETZE:
         simplify(Presentation(rec["rank"], tuple(rec["relators"])), max_len=24, budget=200)
-    assert len(products) == 33693
+    assert len(products) == 32451  # 33,693 with the goal test at expansion
