@@ -24,10 +24,10 @@ from .errors import (
 )
 from .homcount import TARGET_HEADER, load_targets
 from .motion import Motion, motion_to_braid
-from .presentations import simplify
+from .presentations import Presentation, simplify
 from .tracker import LoopSpec, track_loop
-from .vankampen import braid_images, induced_presentation
-from .words import BraidWord, braid_permutation, exponent_sum
+from .vankampen import raw_relators
+from .words import BraidWord, FreeWord, braid_permutation, exponent_sum
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -193,13 +193,11 @@ def cmd_vankampen(args) -> int:
         braid = motion_to_braid(motion)
     else:
         raise ParseError("vankampen needs --braid or --curve")
-    pres = induced_presentation(braid)
-    pairs: list[tuple[str, str]] = [
-        ("strands", str(braid.strands)),
-        ("braid", _braid_text(braid)),
-    ]
-    images = braid_images(braid)
-    for j, img in enumerate(images, start=1):
+    raws = raw_relators(braid)  # x_j^-1 times the image of x_j: one Artin action
+    pres = Presentation(braid.strands, tuple(r for r in raws if r.letters))
+    pairs = [("strands", str(braid.strands)), ("braid", _braid_text(braid))]
+    for j, raw in enumerate(raws, start=1):
+        img = FreeWord.generator(braid.strands, j) * raw
         pairs.append(("image-x%d" % j, ",".join(str(a) for a in img.letters) or "x%d" % j))
     if not pres.relators:
         pairs.append(("presentation", "free group of rank %d" % braid.strands))

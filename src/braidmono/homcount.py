@@ -429,12 +429,14 @@ class HomCountReport:
         return "Consistent" if self.consistent else "Inconsistent"
 
 
+@count_memo()
 def equivalence_evidence(
     p: Presentation,
     q: Presentation,
     targets: Sequence[tuple[str, FiniteGroupTable]] | None = None,
 ) -> HomCountReport:
-    """Compare hom counts of two presentations over the target battery."""
+    """Compare hom counts of two presentations over the target battery,
+    counting each presentation once per group (count_memo)."""
     tg = list(targets) if targets is not None else default_targets()
     names = tuple(name for name, _ in tg)
     groups = [g for _, g in tg]

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from braidmono import default_targets, dump_targets
+from braidmono import default_targets, dump_targets, vankampen
 from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
 from braidmono.words import MAX_IMAGE_LETTERS
 
@@ -177,6 +177,23 @@ def test_vankampen_from_braid(capsys):
     assert code == 0
     assert "raw:" in out
     assert "final:" in out
+
+
+def test_vankampen_takes_the_artin_action_once(capsys, monkeypatch):
+    """The image lines and the presentation come from one action per
+    generator (8 calls on 4 strands when each took its own)."""
+    calls = []
+    real = vankampen.artin_action
+
+    def spy(b, w):
+        calls.append(w.letters)
+        return real(b, w)
+
+    monkeypatch.setattr(vankampen, "artin_action", spy)
+    code, out, _ = _run(capsys, "vankampen", "--braid", "s1 s2 s1 s3")
+    assert code == 0
+    assert calls == [(1,), (2,), (3,), (4,)]
+    assert "image-x1: 4\n" in out
 
 
 def test_vankampen_signed_integer_letters(capsys):

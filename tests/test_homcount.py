@@ -518,6 +518,28 @@ def test_a_battery_past_the_union_bound_is_searched_group_by_group(monkeypatch):
     assert counts == tuple(count_homomorphisms(p, g) for _, g in battery)
 
 
+def test_equivalence_evidence_searches_each_union_once(monkeypatch):
+    """Outside any count_memo block, both sides share one memo: one search
+    per union of the battery (per group past the union bound), not two."""
+    searched = []
+    real = homcount._search
+
+    def spy(t, levels):
+        searched.append(t)
+        return real(t, levels)
+
+    monkeypatch.setattr(homcount, "_search", spy)
+    p = _p(3, (1, 2, -1, -2), (3, 1, -3, -2, -2))
+    report = equivalence_evidence(p, p)
+    assert report.consistent
+    assert len(searched) == 1
+    battery = [("S4", symmetric_group(4)), ("A5", alternating_group(5)), ("F21", _F21)]
+    for groups, searches in ((battery, 1), (battery + [("S5", symmetric_group(5))], 4)):
+        searched.clear()
+        assert equivalence_evidence(p, p, groups).consistent
+        assert len(searched) == searches
+
+
 @pytest.mark.parametrize("seed", range(0, 60, 6))
 def test_counts_do_not_depend_on_the_batch_size(monkeypatch, seed):
     p = _conjugation_presentation(seed)
