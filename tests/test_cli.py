@@ -180,8 +180,7 @@ def test_vankampen_from_braid(capsys):
 
 
 def test_vankampen_takes_the_artin_action_once(capsys, monkeypatch):
-    """The image lines and the presentation come from one action per
-    generator (8 calls on 4 strands when each took its own)."""
+    """The image lines and the presentation share one action per generator."""
     calls = []
     real = vankampen.artin_action
 

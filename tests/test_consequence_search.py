@@ -9,8 +9,9 @@ only means the budget ran out, so it may become Derivable and nothing
 else.  No instance may make more `_cyclic_product` calls than the
 reference does.
 
-The work pins count `_cyclic_product` calls on two fixed corpora, so a
-change in search work shows up here and is changed on purpose.
+The work pins count `_cyclic_product` calls on two fixed corpora, made
+by is_consequence and by `_reference`, so a change in search work shows
+up here and is changed on purpose.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import braidmono.catalog as catalog
 import braidmono.presentations as P
 from braidmono import (
     FreeWord,
@@ -40,7 +42,7 @@ TIETZE = json.loads(
 )
 
 
-def _reference(relators, word, max_len, budget):
+def _reference(relators, word, *, max_len=P.DEFAULT_MAX_LEN, budget=P.DEFAULT_BUDGET):
     """The goal test at expansion: stop on a popped state whose product
     with a multiplier cyclically reduces to the empty word."""
     rest = Presentation(word.rank, tuple(relators))
@@ -103,8 +105,7 @@ def _w(*letters):
 )
 def test_budget_one(relators, word, verdict):
     """The first two generate a rotation of a relator on the first
-    expansion; with the goal test at expansion they needed a second one
-    and were Unknown."""
+    expansion; `_reference` needs a second one and answers Unknown."""
     assert is_consequence(relators, word, budget=1) is verdict
 
 
@@ -141,7 +142,7 @@ def test_search_against_the_reference(products):
     for i in range(240):
         rels, word, max_len, budget = _instance(rng)
         del products[:]
-        before = _reference(rels, word, max_len, budget)
+        before = _reference(rels, word, max_len=max_len, budget=budget)
         ref_calls = len(products)
         del products[:]
         now = is_consequence(rels, word, max_len=max_len, budget=budget)
@@ -152,13 +153,21 @@ def test_search_against_the_reference(products):
         assert tally.get((v, v), 0) >= 10, tally
 
 
-def test_redundancy_checks_of_verify_all_make_pinned_products(products):
+@pytest.mark.parametrize("search, pinned", [(is_consequence, 1266), (_reference, 1898)])
+def test_redundancy_checks_of_verify_all_make_pinned_products(
+    products, monkeypatch, search, pinned
+):
+    monkeypatch.setattr(catalog, "is_consequence", search)
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         assert verify_fixture(f).passed, f.fixture_id
-    assert len(products) == 1266  # 1,898 with the goal test at expansion
+    assert len(products) == pinned
 
 
-def test_simplify_of_the_tietze_pins_makes_pinned_products(products):
+@pytest.mark.parametrize("search, pinned", [(is_consequence, 32451), (_reference, 33693)])
+def test_simplify_of_the_tietze_pins_makes_pinned_products(
+    products, monkeypatch, search, pinned
+):
+    monkeypatch.setattr(P, "is_consequence", search)
     for rec in TIETZE:
         simplify(Presentation(rec["rank"], tuple(rec["relators"])), max_len=24, budget=200)
-    assert len(products) == 32451  # 33,693 with the goal test at expansion
+    assert len(products) == pinned
