@@ -118,10 +118,6 @@ def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
             print("%s: %s" % (k, v))
 
 
-def _perm_text(images: tuple[int, ...]) -> str:
-    return " ".join(str(v) for v in images)
-
-
 def _braid_text(b: BraidWord) -> str:
     if not b.letters:
         return "(empty)"
@@ -172,7 +168,7 @@ def cmd_compute(args) -> int:
         ("strands", str(motion.strands)),
         ("samples", str(len(motion.times))),
         ("letters", _braid_text(braid)),
-        ("permutation", _perm_text(braid_permutation(braid).images)),
+        ("permutation", " ".join(str(v) for v in braid_permutation(braid).images)),
         ("exponent-sum", str(exponent_sum(braid))),
     ], args.format)
     return EXIT_OK
@@ -221,8 +217,7 @@ def cmd_verify(args) -> int:
             with open(args.targets, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
-            print("error: cannot read targets file: %s" % e, file=sys.stderr)
-            return EXIT_PARSE
+            raise ParseError("cannot read targets file: %s" % e) from None
         headers = (TARGET_HEADER.fullmatch(ln.strip()) for ln in text.splitlines())
         try:
             orders = [int(m[2]) for m in headers if m and m[1] == "order"]
@@ -285,9 +280,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_PARSE
     except _TRACKING_ERRORS as e:
         print("tracking error: %s" % e, file=sys.stderr)
         return EXIT_TRACKING

@@ -45,10 +45,6 @@ def _to_float(v: Fraction) -> float:
         return inf if v > 0 else -inf
 
 
-def _clean(coeffs: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
-    return {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-
-
 @dataclass(frozen=True)
 class Polynomial2:
     """Bivariate polynomial with rational coefficients, keyed by (deg_x, deg_y)."""
@@ -57,12 +53,7 @@ class Polynomial2:
 
     @classmethod
     def from_dict(cls, d: Mapping[tuple[int, int], Fraction]) -> "Polynomial2":
-        cleaned = _clean(d)
-        return cls(tuple(sorted(cleaned.items())))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls(tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0)))
 
     @cached_property
     def degree_y(self) -> int:
@@ -174,11 +165,9 @@ def parse_polynomial(text: str) -> Polynomial2:
         key = (dx, dy)
         d[key] = d.get(key, Fraction(0)) + coeff
         pos = m.end()
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
         first = False
     poly = Polynomial2.from_dict(d)
-    if poly.is_zero:
+    if not poly.coeffs:
         raise ParseError("polynomial %r is zero" % text)
     return poly
 

@@ -325,8 +325,6 @@ def simplify(
     for r in p.relators:
         c = canonical_relator(r).letters
         if not c:
-            if r.letters:
-                moves.append("drop trivial relator %s" % _word_str(r.letters))
             continue
         if c in rels:
             moves.append("drop duplicate relator %s" % _word_str(r.letters))

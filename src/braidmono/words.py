@@ -166,12 +166,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
-
     def __len__(self) -> int:
         return len(self.images)
 
@@ -436,11 +430,12 @@ def braid_conjugate(a: BraidWord, b: BraidWord) -> bool:
 
 def braid_permutation(b: BraidWord) -> Permutation:
     """Underlying symmetric-group image: s_i maps to the transposition (i, i+1)."""
-    perm = Permutation.identity(b.strands)
+    images = list(range(1, b.strands + 1))
     for a in b.letters:
         i = abs(a)
-        perm = perm * Permutation.transposition(b.strands, i, i + 1)
-    return perm
+        p, q = images.index(i), images.index(i + 1)
+        images[p], images[q] = i + 1, i
+    return Permutation(tuple(images))
 
 
 def exponent_sum(b: BraidWord) -> int:

@@ -50,13 +50,30 @@ def test_compute_structured_format(capsys):
     assert ": " not in out
 
 
-def test_compute_center_and_radius(capsys):
-    code, out, _ = _run(
-        capsys, "compute", "--curve", "(y^2-x)",
-        "--center", "5", "--radius", "1/2",
-    )
+# (y^2-x^2-1) is critical over x = i and x = -i; a center whose imaginary
+# part were dropped would enclose neither.
+@pytest.mark.parametrize("flags, line", [
+    pytest.param(("--curve", "(y^2-x)", "--center", "5", "--radius", "1/2"),
+                 "letters: (empty)", id="center-5"),
+    pytest.param(("--curve", "(y^2-x^2-1)", "--center", "i", "--radius", "1/2"),
+                 "letters: s1", id="center-i"),
+    pytest.param(("--curve", "(y^2-x^2-1)", "--center=-1/2-i"), "letters: s1",
+                 id="center-minus-half-minus-i"),
+    pytest.param(("--curve", "(y^2-x)", "--shear=-1/100"), "curve: (y^2+1/100y-x)",
+                 id="negative-shear"),
+])
+def test_compute_center_radius_and_shear(capsys, flags, line):
+    code, out, _ = _run(capsys, "compute", *flags)
     assert code == 0
-    assert "letters: (empty)" in out
+    assert line + "\n" in out
+
+
+@pytest.mark.parametrize("flag", ["--shear", "--center"])
+def test_a_negative_value_must_follow_equals(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "--curve", "(y^2-x)", flag, "-1/2"])
+    assert info.value.code == 2
+    assert "argument %s: expected one argument" % flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [
@@ -81,6 +98,25 @@ def test_missing_input_is_an_error(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("compute", "--curve", "((y-x))"),
+                 "cannot parse polynomial '(y-x)' at offset 0", id="nested-parentheses"),
+    pytest.param(("compute", "--curve", "(y^2-x)", "--center", ""),
+                 "empty complex number", id="empty-center"),
+    pytest.param(("compute", "--curve", "(y^2-x)", "--center", "abc"),
+                 "cannot parse complex number 'abc'", id="center-abc"),
+    pytest.param(("vankampen", "--braid", "s0"),
+                 "braid letter index must be positive in 's0'", id="letter-s0"),
+    pytest.param(("verify", "n-tangency-x"),
+                 "unknown fixture id 'n-tangency-x'", id="n-tangency-x"),
+])
+def test_input_error_message_and_exit(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_tracking_error_exits_three(capsys):
@@ -151,6 +187,13 @@ _MONIC_OVERFLOW = "(1/1000y^2+%dxy-%dy-x+1)" % (10**308, 10**308)
                  "fiber polynomial at x=(0.998699119877508+0.024516687294389376j) "
                  "overflows once monic",
                  id="monic-overflow-mid-loop"),
+    pytest.param(("--curve", "(xy+x)"), "factor xy+x contains a vertical-line component",
+                 id="vertical-line-component"),
+    # The critical value 1 - 1e-10 lies so near the basepoint x = 1 that the
+    # float gap between the loop's end, exp(2*pi*i), and 1 moves the roots.
+    pytest.param(("--curve", "(y^2-x+9999999999/10000000000)"),
+                 "full loop did not return to the starting fiber",
+                 id="end-fiber-off-the-start"),
 ])
 def test_tracker_error_message_and_exit(capsys, flags, message):
     code, out, err = _run(capsys, "compute", *flags)

@@ -46,6 +46,7 @@ def test_parse_rejects_garbage():
 def test_polynomial_str_round_trip():
     p = parse_polynomial("y^2-2xy+x^2")
     assert parse_polynomial(str(p)) == p
+    assert str(Polynomial2(())) == "0"
 
 
 def test_shear_substitution():

@@ -1,0 +1,97 @@
+"""Library refusals that no other test reaches: each names its error class
+and its exact message."""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from braidmono import (
+    BraidWord,
+    CurveSpec,
+    FiniteGroupTable,
+    FrameIn,
+    LoopSpec,
+    Motion,
+    MotionProgram,
+    Permutation,
+    Presentation,
+    alternating_group,
+    compose_motions,
+    cyclic_group,
+    dihedral_group,
+    fixture_by_id,
+    parse_curve,
+    parse_polynomial,
+    symmetric_group,
+    track_loop,
+)
+from braidmono.errors import (
+    DegenerateMotionError,
+    DimensionMismatchError,
+    GeometryError,
+    GroupTableError,
+    MalformedWordError,
+    ParseError,
+)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: parse_polynomial("x-x"), ParseError,
+                 "polynomial 'x-x' is zero", id="zero-polynomial"),
+    pytest.param(lambda: parse_polynomial("x+"), ParseError,
+                 "empty term in 'x+'", id="empty-term"),
+    pytest.param(lambda: CurveSpec(()), ParseError,
+                 "a curve needs at least one factor", id="curve-without-factors"),
+    pytest.param(lambda: dataclasses.replace(fixture_by_id("two-tangent-conics"),
+                                             expected_relations=Presentation(1, ())),
+                 ParseError,
+                 "fixture two-tangent-conics: 2 strands but expected relations have rank 1",
+                 id="fixture-relations-of-wrong-rank"),
+    pytest.param(lambda: FiniteGroupTable(0, 0, ()), GroupTableError,
+                 "group order must be positive", id="table-order-0"),
+    pytest.param(lambda: FiniteGroupTable(2, 0, ((0, 1), (1, 2))), GroupTableError,
+                 "table entries must be elements 0..1", id="table-entry-out-of-range"),
+    pytest.param(lambda: FiniteGroupTable(1, 1, ((0,),)), GroupTableError,
+                 "identity out of range", id="table-identity-out-of-range"),
+    pytest.param(lambda: FiniteGroupTable(3, 0, ((0, 1, 2), (1, 0, 0), (2, 0, 1))),
+                 GroupTableError, "table is not associative", id="table-not-associative"),
+    pytest.param(lambda: cyclic_group(0), GroupTableError,
+                 "cyclic group needs order >= 1", id="cyclic-0"),
+    pytest.param(lambda: dihedral_group(1), GroupTableError,
+                 "dihedral group needs n >= 2", id="dihedral-1"),
+    pytest.param(lambda: symmetric_group(6), GroupTableError,
+                 "symmetric group supported for 1 <= n <= 5", id="symmetric-6"),
+    pytest.param(lambda: alternating_group(2), GroupTableError,
+                 "alternating group supported for 3 <= n <= 5", id="alternating-2"),
+    pytest.param(lambda: compose_motions(), DegenerateMotionError,
+                 "nothing to compose", id="compose-nothing"),
+    pytest.param(lambda: compose_motions(Motion.stationary([0j, 1 + 0j]),
+                                         Motion.stationary([0j, 1 + 0j, 2 + 0j])), DegenerateMotionError,
+                 "strand counts differ", id="compose-different-strand-counts"),
+    pytest.param(lambda: MotionProgram((0,), (FrameIn((0,)),)).to_motion(), GeometryError,
+                 "need at least two points to frame", id="frame-one-slot"),
+    pytest.param(lambda: MotionProgram((0, 1), (FrameIn((0, 1), pair_height=0),)).to_motion(),
+                 GeometryError, "pair height must be positive", id="frame-pair-height-0"),
+    pytest.param(lambda: MotionProgram((0, 1), ("swap",)).to_motion(), GeometryError,
+                 "unknown move kind 'swap'", id="unknown-move-kind"),
+    pytest.param(lambda: Presentation(-1, ()), MalformedWordError,
+                 "rank must be nonnegative", id="presentation-rank-minus-1"),
+    pytest.param(lambda: BraidWord(0), MalformedWordError,
+                 "strand count must be positive, got 0", id="braid-on-0-strands"),
+    pytest.param(lambda: BraidWord(2) * BraidWord(3), DimensionMismatchError,
+                 "cannot concatenate braids on 2 and 3 strands", id="braid-product-sizes"),
+    pytest.param(lambda: Permutation((1, 2)) * Permutation((1, 2, 3)), DimensionMismatchError,
+                 "cannot compose permutations of sizes 2 and 3", id="permutation-product-sizes"),
+    pytest.param(lambda: track_loop(parse_curve("(y^2-x)"), LoopSpec(0, Fraction(1)),
+                                    initial_divisions=10**400),
+                 GeometryError, "initial_divisions is out of floating-point range",
+                 id="divisions-past-float-range"),
+])
+def test_refusal_names_its_class_and_reason(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -276,11 +276,12 @@ def test_polish_brings_roots_of_wide_magnitude_within_the_residual_bound():
             return trace
         return None
 
+    outer = sys.gettrace()
     sys.settrace(trace)
     try:
         solved = _solve_fibers(curve, xs)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     assert step in ran
     for coeffs, roots in zip(product(curve.factors).y_coeffs_at(np.array(xs)), solved):
         assert not meets_bound(coeffs, np.roots(coeffs))

@@ -147,8 +147,8 @@ def test_permutation_validation():
 
 
 def test_permutation_composition_order():
-    p = Permutation.transposition(3, 1, 2)
-    q = Permutation.transposition(3, 2, 3)
+    p = Permutation((2, 1, 3))
+    q = Permutation((1, 3, 2))
     assert (p * q).images == (3, 1, 2)
     assert (p * q)(1) == q(p(1))
     assert (p * p.inverse()).images == (1, 2, 3)
