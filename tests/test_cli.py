@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from braidmono import default_targets, dump_targets, vankampen
+from braidmono import braid_equal, default_targets, dump_targets, vankampen
 from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
 from braidmono.words import MAX_IMAGE_LETTERS
 
@@ -189,17 +189,41 @@ _MONIC_OVERFLOW = "(1/1000y^2+%dxy-%dy-x+1)" % (10**308, 10**308)
                  id="monic-overflow-mid-loop"),
     pytest.param(("--curve", "(xy+x)"), "factor xy+x contains a vertical-line component",
                  id="vertical-line-component"),
-    # The critical value 1 - 1e-10 lies so near the basepoint x = 1 that the
-    # float gap between the loop's end, exp(2*pi*i), and 1 moves the roots.
-    pytest.param(("--curve", "(y^2-x+9999999999/10000000000)"),
-                 "full loop did not return to the starting fiber",
-                 id="end-fiber-off-the-start"),
 ])
 def test_tracker_error_message_and_exit(capsys, flags, message):
     code, out, err = _run(capsys, "compute", *flags)
     assert code == 3
     assert out == ""
     assert err == "tracking error: %s\n" % message
+
+
+# A critical value 1e-10 from the basepoint x = 1, inside the unit loop
+# (s1) and outside it (the identity).  The float gap between the loop's
+# end, exp(2*pi*i), and 1 moves these roots more than 1e-6 of their size,
+# so a loop that ends on exp(2*pi*i) and not on its basepoint fails to close.
+@pytest.mark.parametrize("curve, braid", [
+    pytest.param("(y^2-x+9999999999/10000000000)", "s1", id="end-fiber-off-the-start"),
+    pytest.param("(y^2-x+10000000001/10000000000)", "", id="end-fiber-off-the-start-outside"),
+])
+def test_a_critical_value_next_to_the_basepoint_tracks_to_its_braid(capsys, curve, braid):
+    code, out, err = _run(capsys, "compute", "--curve", curve)
+    assert (code, err) == (0, "")
+    letters = out.split("letters: ")[1].split("\n")[0].replace("(empty)", "")
+    assert braid_equal(_parse_braid(letters, 2), _parse_braid(braid, 2))
+    if braid:
+        assert letters == braid
+
+
+# Nearer still, the walk cannot leave the basepoint: the first steps are
+# refused until the step underflows.
+@pytest.mark.parametrize("curve", [
+    "(y^2-x+999999999999/1000000000000)", "(y^2-x+1000000000001/1000000000000)",
+    "(y^2-x+99999999999999/100000000000000)", "(y^2-x+100000000000001/100000000000000)",
+])
+def test_a_critical_value_nearer_the_basepoint_is_a_tracking_error(capsys, curve):
+    code, out, err = _run(capsys, "compute", "--curve", curve)
+    assert (code, out) == (3, "")
+    assert err.startswith("tracking error: ")
 
 
 @pytest.mark.parametrize("curve, letters", [

@@ -288,6 +288,16 @@ def test_polish_brings_roots_of_wide_magnitude_within_the_residual_bound():
         assert meets_bound(coeffs, roots)
 
 
+@pytest.mark.parametrize("fixture", fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)],
+                         ids=lambda f: f.fixture_id)
+def test_a_full_loop_ends_on_a_permutation_of_its_starting_fiber(fixture):
+    # The last step of a full loop ends on the basepoint and reuses its
+    # fiber, so the last column holds the first column's roots bit for bit.
+    paths = track_loop(fixture.curve, LoopSpec()).paths
+    first, last = ([z.tobytes() for z in column] for column in (paths[:, 0], paths[:, -1]))
+    assert sorted(first) == sorted(last)
+
+
 def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch):
     # Work counts of the 15 `verify all` fixtures at radius 1, both arcs:
     # batches and fibers passed to _solve_fibers, and samples kept.  The
