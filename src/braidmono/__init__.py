@@ -68,7 +68,6 @@ from .presentations import (
 from .tracker import (
     LoopSpec,
     lefschetz_braid,
-    local_braid_monodromy,
     track_loop,
 )
 from .vankampen import braid_images, induced_presentation, raw_relators

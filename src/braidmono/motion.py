@@ -19,9 +19,8 @@ strand array, numbers its strands once and validates it as one Motion.
 Which point continues which is decided by one rule, nearest_match:
 each point goes to its nearest target, and the matching stands only if
 every point lies within a tolerance of its target and no two points
-share one.  The moves, compose_motions and the tracker's closure check
-call it; the tracker's step test applies the same rule to a whole run
-of fibers in one array pass.
+share one.  The moves and compose_motions call it; the tracker's step
+test applies the same rule to a whole run of fibers in one array pass.
 """
 
 from __future__ import annotations

@@ -26,10 +26,12 @@ its predecessor is one array pass; the run is then walked in order,
 and a rejected step ends it and drops the rest of its fibers.  A
 rejected probe, the likeliest rejection, is the last fiber of its run,
 so it wastes no other.
-A full loop must end on its starting fiber: nearest_match matches the
-two within 1e-6 of the fiber scale.  A step that would pass the half
-turn (angle pi) by more than _HALF_TOL ends on it, so a full loop has a
-sample at time 0.5 however its steps fall.
+The last step of a full loop ends on the basepoint itself, and its new
+fiber is the basepoint's fiber solved at the start, not solved again:
+its step test closes the loop, which thus ends on a permutation of its
+starting fiber.  A step that would pass the half turn (angle pi) by
+more than _HALF_TOL ends on it, so a full loop has a sample at time 0.5
+however its steps fall.
 
 The resulting strand paths form a Motion whose braid word is the local
 monodromy of the loop.  The part of a full loop's motion from its half
@@ -56,7 +58,7 @@ from .errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from .motion import Motion, _scale, motion_to_braid, nearest_match, strand_key
+from .motion import Motion, _scale, motion_to_braid, strand_key
 from .words import BraidWord
 
 _RESIDUAL_TOL = 1e-12
@@ -279,7 +281,9 @@ def track_loop(
             if size > step:
                 break
             size, n = _grow(size, n, max_step)
-        xs = [loop.point(t) for t in targets]
+        # A full loop's last step ends on the basepoint and reuses its fiber.
+        closing = loop.arc == "full" and targets[-1] >= theta1 - 1e-15
+        xs = [loop.point(t) for t in targets[:len(targets) - closing]]
         fibers = _solve_fibers(curve, xs if samples else [loop.basepoint, *xs])
         if not samples:
             start = fibers.pop(0)
@@ -292,6 +296,7 @@ def track_loop(
             start_sorted = sorted((complex(z) for z in start), key=strand_key)
             current = np.asarray(start_sorted, dtype=complex)
             samples.append(current)
+        fibers += [start] * closing
         # The step test of the fibers before the first error, in one pass;
         # the walk below checks each in order, as a step at a time would.
         solved = next((k for k, f in enumerate(fibers) if isinstance(f, Exception)), len(fibers))
@@ -318,23 +323,9 @@ def track_loop(
             samples.append(current)
             step, streak = _grow(step, streak, max_step)
 
-    if loop.arc == "full":
-        end = samples[-1]
-        if nearest_match(end.tolist(), start_sorted, 1e-6 * _scale(end)) is None:
-            raise TrackingFailureError("full loop did not return to the starting fiber")
-
     times = [(t - theta0) / arc for t in thetas]
     times[0], times[-1] = 0.0, 1.0
     return Motion(tuple(times), np.array(samples).T)
-
-
-def local_braid_monodromy(
-    curve: CurveSpec, loop: LoopSpec, *, initial_divisions: int = 256
-) -> BraidWord:
-    """Braid of the fiber motion around a full loop."""
-    if loop.arc != "full":
-        raise GeometryError("local_braid_monodromy needs a full loop")
-    return motion_to_braid(track_loop(curve, loop, initial_divisions=initial_divisions))
 
 
 def lefschetz_braid(full: Motion) -> BraidWord:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from braidmono import LoopSpec, fixture_by_id, local_braid_monodromy
+from braidmono import LoopSpec, fixture_by_id, motion_to_braid, track_loop
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +13,7 @@ def tracked_braid():
     def get(fixture_id: str):
         if fixture_id not in memo:
             f = fixture_by_id(fixture_id)
-            memo[fixture_id] = local_braid_monodromy(f.curve, LoopSpec())
+            memo[fixture_id] = motion_to_braid(track_loop(f.curve, LoopSpec()))
         return memo[fixture_id]
 
     return get

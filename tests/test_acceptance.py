@@ -33,7 +33,6 @@ from braidmono import (
     is_consequence,
     kill_generator,
     lefschetz_braid,
-    local_braid_monodromy,
     motion_to_braid,
     n_tangency_fixture,
     simplify,
@@ -269,7 +268,7 @@ def _suite_step_doubling(tracked) -> None:
     todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     for f in todo:
         coarse = tracked(f.fixture_id)
-        fine = local_braid_monodromy(f.curve, LoopSpec(), initial_divisions=512)
+        fine = motion_to_braid(track_loop(f.curve, LoopSpec(), initial_divisions=512))
         assert braid_equal(coarse, fine), f.fixture_id
 
 

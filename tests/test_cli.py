@@ -198,9 +198,9 @@ def test_tracker_error_message_and_exit(capsys, flags, message):
 
 
 # A critical value 1e-10 from the basepoint x = 1, inside the unit loop
-# (s1) and outside it (the identity).  The float gap between the loop's
-# end, exp(2*pi*i), and 1 moves these roots more than 1e-6 of their size,
-# so a loop that ends on exp(2*pi*i) and not on its basepoint fails to close.
+# (s1) and outside it (the identity).  exp(2*pi*i) differs from 1 by
+# 2.4e-16i, which moves these roots by about 1.2e-6 of their size, so
+# the loop must end on its basepoint, not on exp(2*pi*i).
 @pytest.mark.parametrize("curve, braid", [
     pytest.param("(y^2-x+9999999999/10000000000)", "s1", id="end-fiber-off-the-start"),
     pytest.param("(y^2-x+10000000001/10000000000)", "", id="end-fiber-off-the-start-outside"),

@@ -14,9 +14,10 @@ from braidmono import (
     braid_equal,
     fixture_by_id,
     fixtures,
-    local_braid_monodromy,
+    motion_to_braid,
     parse_curve,
     parse_polynomial,
+    track_loop,
 )
 from braidmono.errors import CriticalFiberError, ImproperProjectionError, ParseError
 from polynomial_product import product
@@ -178,4 +179,4 @@ def test_scaled_fixture_curves_are_accepted(fixture_id, lam):
 def test_scaled_fixture_keeps_its_braid(tracked_braid, fixture_id, lam):
     # y -> lam*y shrinks every fiber by lam and leaves the braid alone.
     curve = _scaled(fixture_by_id(fixture_id).curve, lam)
-    assert braid_equal(local_braid_monodromy(curve, LoopSpec()), tracked_braid(fixture_id))
+    assert braid_equal(motion_to_braid(track_loop(curve, LoopSpec())), tracked_braid(fixture_id))

@@ -29,8 +29,9 @@ from braidmono import (
     default_targets,
     fixtures,
     induced_presentation,
-    local_braid_monodromy,
+    motion_to_braid,
     n_tangency_fixture,
+    track_loop,
 )
 from braidmono.words import left_normal_form
 
@@ -196,8 +197,8 @@ def test_catalogue_tracked_braids_never_need_the_closure(monkeypatch):
     for f in todo:
         model = f.model_program.braid()
         for r in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4), Fraction(3, 2)):
-            assert braid_conjugate(local_braid_monodromy(f.curve, LoopSpec(radius=r)), model), (
-                f.fixture_id, r)
+            tracked = motion_to_braid(track_loop(f.curve, LoopSpec(radius=r)))
+            assert braid_conjugate(tracked, model), (f.fixture_id, r)
 
 
 def test_reversed_tracked_braid_is_conjugate(tracked_braid):

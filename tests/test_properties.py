@@ -20,8 +20,9 @@ from braidmono import (
     default_targets,
     exponent_sum,
     is_consequence,
-    local_braid_monodromy,
+    motion_to_braid,
     parse_curve,
+    track_loop,
 )
 from braidmono.errors import CapacityError
 from braidmono.presentations import witness
@@ -178,5 +179,5 @@ def test_relabelling_generators_preserves_hom_counts():
 def test_tracking_radius_independence():
     curve = parse_curve("(y+x^2)(y-x^2)")
     for radius in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        b = local_braid_monodromy(curve, LoopSpec(0j, radius))
+        b = motion_to_braid(track_loop(curve, LoopSpec(0j, radius)))
         assert b.letters == (1, 1, 1, 1), radius

@@ -25,7 +25,6 @@ from braidmono import (
     fixture_by_id,
     fixtures,
     lefschetz_braid,
-    local_braid_monodromy,
     motion_to_braid,
     n_tangency_fixture,
     parse_curve,
@@ -83,25 +82,25 @@ def test_degenerate_basepoint_fiber_is_refused():
 
 def test_branch_point_loop_is_half_twist():
     curve = parse_curve("(y^2-x)")
-    b = local_braid_monodromy(curve, LoopSpec())
+    b = motion_to_braid(track_loop(curve, LoopSpec()))
     assert b.letters == (1,)
 
 
 def test_smooth_loop_is_trivial():
     curve = parse_curve("(y-x)(y+x)")
-    b = local_braid_monodromy(curve, LoopSpec(5 + 0j, Fraction(1)))
+    b = motion_to_braid(track_loop(curve, LoopSpec(5 + 0j, Fraction(1))))
     assert b.letters == ()
 
 
 def test_node_loop_is_full_twist():
     curve = parse_curve("(y-x)(y+x)")
-    b = local_braid_monodromy(curve, LoopSpec())
+    b = motion_to_braid(track_loop(curve, LoopSpec()))
     assert b.letters == (1, 1)
 
 
 def test_tangency_loop_is_double_full_twist():
     curve = parse_curve("(y+x^2)(y-x^2)")
-    b = local_braid_monodromy(curve, LoopSpec())
+    b = motion_to_braid(track_loop(curve, LoopSpec()))
     assert b.letters == (1, 1, 1, 1)
 
 
@@ -109,13 +108,13 @@ def test_small_fibers_are_judged_relative_to_their_size():
     # Over |x| = 1/2 the roots are +-2^-30 or so, apart by about 1.9e-9:
     # far apart relative to their size, so the tracker keeps them.
     curve = parse_curve("(y-x^30)(y+x^30)")
-    b = local_braid_monodromy(curve, LoopSpec(radius=Fraction(1, 2)))
+    b = motion_to_braid(track_loop(curve, LoopSpec(radius=Fraction(1, 2))))
     assert b.letters == (1,) * 60
 
 
 def test_single_strand_curve():
     curve = parse_curve("(y)")
-    b = local_braid_monodromy(curve, LoopSpec())
+    b = motion_to_braid(track_loop(curve, LoopSpec()))
     assert b.strands == 1
     assert b.letters == ()
 
@@ -124,14 +123,14 @@ def test_lefschetz_half_of_tangency():
     curve = parse_curve("(y+x^2)(y-x^2)")
     half = lefschetz_braid(track_loop(curve, LoopSpec()))
     assert half.letters == (1, 1)
-    full = local_braid_monodromy(curve, LoopSpec())
+    full = motion_to_braid(track_loop(curve, LoopSpec()))
     assert braid_equal(half * half, full)
 
 
 def test_tracking_is_deterministic():
     curve = parse_curve("y(y^2+x)(y^2-x)")
-    a = local_braid_monodromy(curve, LoopSpec())
-    b = local_braid_monodromy(curve, LoopSpec())
+    a = motion_to_braid(track_loop(curve, LoopSpec()))
+    b = motion_to_braid(track_loop(curve, LoopSpec()))
     assert a.letters == b.letters
     assert braid_permutation(a).images == (5, 4, 3, 2, 1)
 
@@ -147,32 +146,26 @@ def test_motion_time_axis_is_normalised():
 def test_loop_through_branch_point_fails():
     curve = parse_curve("(y^2-x)")
     with pytest.raises((TrackingFailureError, CriticalFiberError)):
-        local_braid_monodromy(curve, LoopSpec(1 + 0j, Fraction(1)))
+        motion_to_braid(track_loop(curve, LoopSpec(1 + 0j, Fraction(1))))
 
 
 def test_branch_at_infinity_rejected():
     # The leading y-coefficient x-1 vanishes on the unit circle.
     curve = parse_curve("(x y^2 - y^2 - x)")
     with pytest.raises((ImproperProjectionError, TrackingFailureError)):
-        local_braid_monodromy(curve, LoopSpec())
+        motion_to_braid(track_loop(curve, LoopSpec()))
 
 
 def test_steps_validation():
     curve = parse_curve("(y^2-x)")
     with pytest.raises(GeometryError):
-        local_braid_monodromy(curve, LoopSpec(), initial_divisions=0)
-
-
-def test_half_arc_rejected_for_full_monodromy():
-    curve = parse_curve("(y^2-x)")
-    with pytest.raises(GeometryError):
-        local_braid_monodromy(curve, LoopSpec(0j, Fraction(1), "negative-half"))
+        motion_to_braid(track_loop(curve, LoopSpec(), initial_divisions=0))
 
 
 def test_coarse_steps_still_converge():
     curve = parse_curve("(y+x^2)(y-x^2)")
-    b = local_braid_monodromy(curve, LoopSpec(), initial_divisions=16)
-    assert braid_equal(b, local_braid_monodromy(curve, LoopSpec()))
+    b = motion_to_braid(track_loop(curve, LoopSpec(), initial_divisions=16))
+    assert braid_equal(b, motion_to_braid(track_loop(curve, LoopSpec())))
 
 
 def test_a_sheared_fixture_tracks_to_the_braid_of_the_unsheared_one():
@@ -182,8 +175,8 @@ def test_a_sheared_fixture_tracks_to_the_braid_of_the_unsheared_one():
     # and the half loop gave a wrong braid.
     sheared = parse_curve("(y+100x)(201x+2y)(y^2+200xy+10000x^2+x)(y^2+200xy+10000x^2-x)")
     plain = fixture_by_id("vertical-tangency-line-pair").curve
-    assert braid_equal(local_braid_monodromy(sheared, LoopSpec()),
-                       local_braid_monodromy(plain, LoopSpec()))
+    assert braid_equal(motion_to_braid(track_loop(sheared, LoopSpec())),
+                       motion_to_braid(track_loop(plain, LoopSpec())))
     assert braid_equal(lefschetz_braid(track_loop(sheared, LoopSpec())),
                        lefschetz_braid(track_loop(plain, LoopSpec())))
 
@@ -302,9 +295,10 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
     # Work counts of the 15 `verify all` fixtures at radius 1, both arcs:
     # batches and fibers passed to _solve_fibers, and samples kept.  The
     # basepoint shares the first run's batch and each run ends at its
-    # probe, the first step at a grown size.  Solving fibers one at a time,
-    # making the basepoint or a probe a batch of its own, or planning runs
-    # past the probe changes the first two.
+    # probe, the first step at a grown size; a full loop's last step reuses
+    # the basepoint's fiber.  Solving fibers one at a time, making the
+    # basepoint or a probe a batch of its own, planning runs past the probe
+    # or solving the basepoint again at the end changes the first two.
     solve = tracker._solve_fibers
     work = {"batches": 0, "fibers": 0}
 
@@ -314,23 +308,11 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
         return solve(product, xs)
 
     monkeypatch.setattr(tracker, "_solve_fibers", counting)
-    # The steps are matched in one array pass per run; nearest_match only
-    # checks that each of the 15 full loops closes.
-    match = tracker.nearest_match
-    matches = 0
-
-    def counting_matches(points, targets, tol):
-        nonlocal matches
-        matches += 1
-        return match(points, targets, tol)
-
-    monkeypatch.setattr(tracker, "nearest_match", counting_matches)
     samples = 0
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         for arc in ("full", "negative-half"):
             samples += len(track_loop(f.curve, LoopSpec(arc=arc)).times)
-    assert (work["batches"], work["fibers"], samples) == (118, 2426, 2396)
-    assert matches == 15
+    assert (work["batches"], work["fibers"], samples) == (118, 2411, 2396)
 
 
 def test_verifying_the_verify_fixtures_walks_each_full_loop_once(monkeypatch):
@@ -353,7 +335,7 @@ def test_verifying_the_verify_fixtures_walks_each_full_loop_once(monkeypatch):
     monkeypatch.setattr(catalog, "track_loop", counting_walks)
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         assert verify_fixture(f).passed, f.fixture_id
-    assert (work["batches"], work["fibers"], work["walks"]) == (73, 1286, 15)
+    assert (work["batches"], work["fibers"], work["walks"]) == (73, 1271, 15)
 
 
 def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_eigenvalue_work(monkeypatch):
@@ -375,7 +357,7 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_eigenvalue_work(
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         for arc in ("full", "negative-half"):
             track_loop(f.curve, LoopSpec(arc=arc))
-    assert (calls, matrices) == (18, 912)
+    assert (calls, matrices) == (18, 906)
     assert sizes == {(2, 2)}
 
 
@@ -386,20 +368,21 @@ def _reference_walk(curve, loop, initial_divisions=256):
     _solve_fibers call and one _step_test per step: a rejected step
     halves the step, and eight accepted steps in a row double it, up to
     arc/64, which also caps the starting step; a step that would pass the
-    half turn by more than the tracker's _HALF_TOL ends on it.  The
-    tracker's runs must take exactly these steps.
+    half turn by more than the tracker's _HALF_TOL ends on it.  The last
+    step of a full loop ends on the basepoint and takes the basepoint's
+    fiber as solved, unsorted, as its new fiber.  The tracker's runs must
+    take exactly these steps.
     """
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
-    current = _solve_fibers(curve, [loop.basepoint])[0]
-    if isinstance(current, BraidMonoError):
-        raise current
-    sep = tracker._separations(current[None]).min(initial=math.inf)
-    if sep <= 2.0 * tracker._SEPARATION_TOL * np.abs(current).max(initial=0.0):
+    base = _solve_fibers(curve, [loop.basepoint])[0]
+    if isinstance(base, BraidMonoError):
+        raise base
+    sep = tracker._separations(base[None]).min(initial=math.inf)
+    if sep <= 2.0 * tracker._SEPARATION_TOL * np.abs(base).max(initial=0.0):
         raise CriticalFiberError("fiber over x=%s has nearly coincident roots (separation %.3e)"
                                  % (loop.basepoint, sep))
-    start = sorted((complex(z) for z in current), key=strand_key)
-    current = np.asarray(start, dtype=complex)
+    current = np.asarray(sorted((complex(z) for z in base), key=strand_key), dtype=complex)
     thetas, samples = [theta0], [current]
     min_step, max_step = arc * 2.0**-40, arc / 64.0
     step = min(arc / float(initial_divisions), max_step)
@@ -408,7 +391,10 @@ def _reference_walk(curve, loop, initial_divisions=256):
         target = theta + min(step, theta1 - theta)
         if theta < math.pi - tracker._HALF_TOL and target > math.pi + tracker._HALF_TOL:
             target = math.pi
-        fiber = _solve_fibers(curve, [loop.point(target)])[0]
+        if loop.arc == "full" and target >= theta1 - 1e-15:
+            fiber = base
+        else:
+            fiber = _solve_fibers(curve, [loop.point(target)])[0]
         if isinstance(fiber, BraidMonoError):
             raise fiber
         near, ok, sep, scale = _step_test(np.array([current, fiber]))
@@ -432,10 +418,6 @@ def _reference_walk(curve, loop, initial_divisions=256):
         if streak == 8:
             probe = step < max_step
             step, streak = min(step * 2.0, max_step), 0
-    if loop.arc == "full" and nearest_match(
-        current.tolist(), start, 1e-6 * np.abs(current).max(initial=0.0)
-    ) is None:
-        raise TrackingFailureError("full loop did not return to the starting fiber")
     times = [(t - theta0) / arc for t in thetas]
     times[0], times[-1] = 0.0, 1.0
     return tuple(times), np.array(samples).T, rejected_probes
