@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import cmath
 import contextlib
-import inspect
 import io
 import json
 import math
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,7 +38,7 @@ from braidmono.errors import (
     TrackingFailureError,
 )
 from braidmono.motion import Motion, nearest_match, strand_key
-from braidmono.tracker import _RESIDUAL_TOL, _solve_fibers, _step_test
+from braidmono.tracker import _solve_fibers, _step_test
 from polynomial_product import product
 
 
@@ -247,38 +245,31 @@ def test_batch_returns_an_error_as_a_value(curve, bad, error, message):
         assert out[k].tobytes() == _solve_fibers(curve, [xs[k]])[0].tobytes()
 
 
-def test_polish_brings_roots_of_wide_magnitude_within_the_residual_bound():
+def test_a_factor_of_wide_magnitude_tracks_to_its_recorded_braid():
     # Each fiber of (y^10-x)(y^2-100000000000), expanded into one factor, has
-    # ten roots of modulus 1 and two of modulus 3.2e5.  The eigenvalues miss
-    # the residual bound, so the Newton polish must step.
+    # ten roots of modulus 1 and two of modulus 3.2e5: one companion matrix
+    # solves both sizes well enough to track them.
     curve = parse_curve("(y^12-100000000000y^10-xy^2+100000000000x)")
-    xs = [cmath.exp(2j * math.pi * k / 6) for k in range(6)]
+    full = track_loop(curve, LoopSpec())
+    assert motion_to_braid(full).letters == (3, 5, 7, 9, 2, 4, 6, 8, 10)
+    assert len(full.times) == 76
+    half = track_loop(curve, LoopSpec(arc="negative-half"))
+    assert motion_to_braid(half).letters == (2, 4, 6, 8, 10)
 
-    def meets_bound(coeffs, z):
-        bound = _RESIDUAL_TOL * np.abs(coeffs).max() * np.maximum(1.0, np.abs(z)) ** 12
-        return bool(np.all(np.abs(np.polyval(coeffs, z)) <= bound))
 
-    polish = inspect.unwrap(tracker._polish).__code__
-    source, first = inspect.getsourcelines(polish)
-    step = first + next(k for k, line in enumerate(source) if "z = z - step" in line)
-    ran = set()
-
-    def trace(frame, event, arg):
-        if frame.f_code is polish:
-            ran.add(frame.f_lineno)
-            return trace
-        return None
-
-    outer = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        solved = _solve_fibers(curve, xs)
-    finally:
-        sys.settrace(outer)
-    assert step in ran
-    for coeffs, roots in zip(product(curve.factors).y_coeffs_at(np.array(xs)), solved):
-        assert not meets_bound(coeffs, np.roots(coeffs))
-        assert meets_bound(coeffs, roots)
+@pytest.mark.parametrize("arc", ["full", "negative-half"])
+@pytest.mark.parametrize("radius", [Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+@pytest.mark.parametrize("joined, split", [
+    ("(y^2+xy)", "(y)(y+x)"),
+    ("(y^3-6xy+7y^2)", "(y)(y^2+7y-6x)"),
+    ("(y^4+3xy+xy^2+5x^2y^3)(y-2x-1/4)", "(y)(y^3+5x^2y^2+xy+3x)(y-2x-1/4)"),
+])
+def test_a_factor_that_y_divides_tracks_as_its_split_form(joined, split, radius, arc):
+    # Every fiber of the joined factor has a zero constant term, so a root
+    # at 0: the root the split form takes from its line y.
+    loop = LoopSpec(radius=radius, arc=arc)
+    assert (motion_to_braid(track_loop(parse_curve(joined), loop)).letters
+            == motion_to_braid(track_loop(parse_curve(split), loop)).letters)
 
 
 @pytest.mark.parametrize("fixture", fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)],
