@@ -20,12 +20,11 @@ The walk goes in runs: a run is the angles it would take if every
 step were accepted, up to and including the first at a grown size
 (the probe), or to the end of the loop at the largest size.  Its
 fibers, with the basepoint's in the first run, are solved in one batch
-(one division per line; one eigenvalue call and one vectorised Newton
-polish per higher y-degree), and the step test of every fiber against
-its predecessor is one array pass; the run is then walked in order,
-and a rejected step ends it and drops the rest of its fibers.  A
-rejected probe, the likeliest rejection, is the last fiber of its run,
-so it wastes no other.
+(one division per line, one eigenvalue call per higher y-degree), and
+the step test of every fiber against its predecessor is one array
+pass; the run is then walked in order, and a rejected step ends it and
+drops the rest of its fibers.  A rejected probe, the likeliest
+rejection, is the last fiber of its run, so it wastes no other.
 The last step of a full loop ends on the basepoint itself, and its new
 fiber is the basepoint's fiber solved at the start, not solved again:
 its step test closes the loop, which thus ends on a permutation of its
@@ -61,7 +60,6 @@ from .errors import (
 from .motion import Motion, _scale, motion_to_braid, strand_key
 from .words import BraidWord
 
-_RESIDUAL_TOL = 1e-12
 _SEPARATION_TOL = 1e-9
 _MIN_STEP_FRACTION = 2.0**-40
 _HALF_TOL = 1e-9
@@ -117,12 +115,11 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
     A fiber is its factors' roots in factor order.  A point fails a guard
     when one of its factor rows does, and gets the error of the first
     guard it fails in place of roots.  A line's root is -c0/c1, the entry
-    of its 1x1 companion matrix.  A factor of higher y-degree m comes out
-    bit-identical to np.roots and a Newton polish on its own: all rows of
-    y-degree m go to one eigvals call per count of exact trailing zeros
-    stripped, as np.roots strips them, and to one polish in the Horner
-    order of np.polyval.  Only rows that stay finite once monic are
-    solved, so eigvals never sees an inf.
+    of its 1x1 companion matrix.  The roots of a factor of higher
+    y-degree m are the eigenvalues of its companion matrix, the one
+    np.roots builds, and all rows of y-degree m go to one eigvals call.
+    Only rows that stay finite once monic are solved, so eigvals never
+    sees an inf.
     """
     x = np.array(xs, dtype=complex)
     parts = [None] * len(curve.factors)
@@ -146,16 +143,10 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
                 roots = ratios
             else:
                 roots = np.zeros((len(rows), m), dtype=complex)
-                # np.roots strips exact trailing zeros and appends zero roots for them.
-                trailing = np.argmax(rows[:, ::-1] != 0, axis=1)
-                for t in np.unique(trailing[good]).tolist():
-                    solve, d = np.flatnonzero(good & (trailing == t)), m - t
-                    if d:
-                        companion = np.zeros((len(solve), d, d), dtype=complex)
-                        companion[:, np.arange(1, d), np.arange(d - 1)] = 1
-                        companion[:, 0, :] = ratios[solve, :d]
-                        roots[solve, :d] = np.linalg.eigvals(companion)
-                roots[good] = _polish(rows[good], roots[good])
+                companion = np.zeros((np.count_nonzero(good), m, m), dtype=complex)
+                companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+                companion[:, 0, :] = ratios[good]
+                roots[good] = np.linalg.eigvals(companion)
             for k, part in zip(group, roots.reshape(len(group), len(xs), m)):
                 parts[k] = part
     out: list[np.ndarray | BraidMonoError] = list(np.hstack(parts))
@@ -171,37 +162,6 @@ def _solve_fibers(curve, xs: list[complex]) -> list[np.ndarray | BraidMonoError]
         error, message = guards[fails[:, i].argmax()]
         out[i] = error(message % xs[i])
     return out
-
-
-@np.errstate(over="ignore")
-def _polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Newton-polish each row of roots z on its row of descending coeffs.
-
-    A row stops changing once its residuals meet their bounds; overflow is silent.
-    """
-    deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
-    scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
-    active = np.ones(len(z), dtype=bool)
-    for _ in range(50):
-        vals = _horner(coeffs, z)
-        bound = _RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(z)) ** (coeffs.shape[1] - 1)
-        active &= ~np.all(np.abs(vals) <= bound, axis=1)
-        if not active.any():
-            break
-        dvals = _horner(deriv, z)
-        safe = (np.abs(dvals) > 0) & active[:, None]
-        step = np.zeros_like(z)
-        step[safe] = vals[safe] / dvals[safe]
-        z = z - step
-    return z
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each row of coeffs evaluated at its row of z, as np.polyval does."""
-    y = np.zeros_like(z)
-    for c in coeffs.T:
-        y = y * z + c[:, None]
-    return y
 
 
 def _separations(fibers: np.ndarray) -> np.ndarray:
