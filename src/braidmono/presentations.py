@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
 from .homcount import FiniteGroupTable, count_homomorphisms, count_memo, default_targets
-from .words import FreeWord, delete_generator, donors, invert, substitute
+from .words import FreeWord, delete_generator, donors, invert, reduce_onto, substitute
 
 DEFAULT_MAX_LEN = 64
 DEFAULT_BUDGET = 100_000
@@ -358,5 +358,5 @@ def kill_generator(p: Presentation, gen: int) -> Presentation:
     """Set generator `gen` to the identity and renumber the rest."""
     if not 1 <= gen <= p.rank:
         raise DimensionMismatchError("no generator x%d in rank %d" % (gen, p.rank))
-    rels = (delete_generator(r.letters, gen) for r in p.relators)
+    rels = (reduce_onto([], delete_generator(r.letters, gen)) for r in p.relators)
     return Presentation(p.rank - 1, tuple(r for r in rels if r))

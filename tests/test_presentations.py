@@ -248,3 +248,10 @@ def test_kill_generator_renumbers():
 def test_kill_generator_on_the_last_generator():
     q = kill_generator(Presentation(1, (_w(1, 1, 1),)), 1)
     assert q == Presentation(0, ())
+
+
+def test_kill_generator_drops_a_relator_that_reduces_to_one():
+    # Killing x2 leaves x1 x1^-1 of the first relator, which is 1.
+    q = kill_generator(Presentation(2, (_w(2, 1, 2, -1), _w(2, 1, 1, 2))), 2)
+    assert q == Presentation(1, (_w(1, 1, 1),))
+    assert str(q) == "< x1 | x1 x1 >"
