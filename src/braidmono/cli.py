@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import fixture_by_id, fixtures, n_tangency_fixture, verify_fixture
-from .curves import CurveSpec, _split_factors, parse_polynomial
+from .curves import CurveSpec, Polynomial2, _split_factors, parse_polynomial
 from .errors import (
     BraidMonoError,
     CapacityError,
@@ -143,14 +143,24 @@ def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, help="N: the first step is arc/N, at most arc/64")
 
 
+def _sheared_degree_y(f: Polynomial2, q: Fraction) -> int:
+    """The y-degree of f.shear_x(q), found without the shear unless it
+    kills f's top form h_D: it is f's total degree D where h_D(q, 1) != 0."""
+    top = max(dx + dy for (dx, dy), _ in f.coeffs)
+    if sum(v * q**dx for (dx, dy), v in f.coeffs if dx + dy == top):
+        return top
+    return f.shear_x(q).degree_y
+
+
 def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
     """The curve named by the tracking flags and its fiber motion along the loop."""
     opt = {k: d if getattr(args, k) is None else getattr(args, k)
            for k, d in _TRACKING_DEFAULTS.items()}
     shear = _parse_rational(opt["shear"])
-    factors = tuple(parse_polynomial(t).shear_x(shear) for t in _split_factors(args.curve))
-    _check_limit("the curve's y-degree", sum(f.degree_y for f in factors), MAX_STRANDS)
-    curve = CurveSpec(factors)
+    powers = [(parse_polynomial(t), n) for t, n in _split_factors(args.curve)]
+    degree = sum(n * _sheared_degree_y(f, shear) for f, n in powers)
+    _check_limit("the curve's y-degree", degree, MAX_STRANDS)
+    curve = CurveSpec(tuple(g for f, n in powers for g in [f.shear_x(shear)] * n))
     loop_arc = "negative-half" if opt["arc"] == "half" else "full"
     loop = LoopSpec(_parse_complex(opt["center"]), _parse_rational(opt["radius"]), loop_arc)
     if not 0 < opt["steps"] <= sys.float_info.max:

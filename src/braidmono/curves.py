@@ -172,11 +172,13 @@ def parse_polynomial(text: str) -> Polynomial2:
     return poly
 
 
-def _split_factors(text: str) -> list[str]:
+def _split_factors(text: str) -> list[tuple[str, int]]:
+    """The factor texts of a curve, each with its power: 1 for a
+    parenthesised factor, the exponent for a bare x or y power."""
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty curve expression")
-    out: list[str] = []
+    out: list[tuple[str, int]] = []
     pos = 0
     while pos < len(s):
         c = s[pos]
@@ -191,15 +193,13 @@ def _split_factors(text: str) -> list[str]:
                 j += 1
             if depth:
                 raise ParseError("unbalanced parentheses in %r" % text)
-            out.append(s[pos + 1 : j - 1])
+            out.append((s[pos + 1 : j - 1], 1))
             pos = j
         elif c in "xy":
-            # Bare variable, possibly with an exponent: split into
-            # single-variable factors so each curve component is its
-            # own factor.
+            # Bare variable, possibly with an exponent: a power of a
+            # single-variable factor, each of whose copies is a factor.
             m = re.match(r"([xy])(?:\^(\d+))?", s[pos:])
-            p = int(m.group(2)) if m.group(2) else 1
-            out.extend([m.group(1)] * p)
+            out.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
             pos += m.end()
         else:
             raise ParseError("unexpected character %r in curve %r: a curve is a product of "
@@ -259,19 +259,12 @@ def _share_component(f: Polynomial2, g: Polynomial2) -> bool:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Squarefree product of proper (non-vertical) polynomial factors.
-
-    An optional shear x -> x + shear*y is applied to every factor on
-    construction; validation happens after the shear, so equations with
-    a vertical line become acceptable once sheared.
-    """
+    """Squarefree product of proper (non-vertical) polynomial factors."""
 
     factors: tuple[Polynomial2, ...]
-    shear: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        shear = Fraction(self.shear)
-        factors = tuple(f.shear_x(shear) for f in self.factors)
+        factors = tuple(self.factors)
         if not factors:
             raise ParseError("a curve needs at least one factor")
         for f in factors:
@@ -295,7 +288,6 @@ class CurveSpec:
             if _share_component(f, g):
                 raise CriticalFiberError("factors %d and %d share a component" % (a, b))
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "shear", shear)
 
     @property
     def degree_y(self) -> int:
@@ -311,5 +303,8 @@ def _normalize(p: Polynomial2) -> tuple:
 
 
 def parse_curve(text: str, shear: Fraction | int = 0) -> CurveSpec:
-    """Parse a product of factors, e.g. "(2x+y)(y+x^2)(y-x^2)" or "y(y^2+x)(y^2-x)"."""
-    return CurveSpec(tuple(parse_polynomial(t) for t in _split_factors(text)), Fraction(shear))
+    """Parse a product of factors, e.g. "(2x+y)(y+x^2)(y-x^2)" or "y(y^2+x)(y^2-x)",
+    and shear each by x -> x + shear*y before it is validated, so that an
+    equation with a vertical line becomes acceptable once sheared."""
+    return CurveSpec(tuple(f for t, n in _split_factors(text)
+                           for f in [parse_polynomial(t).shear_x(shear)] * n))

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from braidmono import braid_equal, default_targets, dump_targets, vankampen
+from braidmono import Polynomial2, braid_equal, cli, default_targets, dump_targets, vankampen
 from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
 from braidmono.words import MAX_IMAGE_LETTERS
 
@@ -420,6 +420,30 @@ def test_input_over_a_size_limit_exits_two(tmp_path, capsys, argv, limit):
     tail = limit if isinstance(limit, str) else "over the limit of %d\n" % limit
     assert err.startswith("error: ") and err.endswith(tail)
     assert "Traceback" not in err
+
+
+def test_a_bare_power_is_parsed_once_before_the_degree_limit(monkeypatch, capsys):
+    parsed, parse = [], cli.parse_polynomial
+    monkeypatch.setattr(cli, "parse_polynomial", lambda text: parsed.append(text) or parse(text))
+    assert _run(capsys, "compute", "--curve", "y^1000") == (
+        2, "", "error: the curve's y-degree is 1000, over the limit of %d\n" % MAX_STRANDS)
+    assert _run(capsys, "compute", "--curve", "x^1000") == (
+        3, "", "tracking error: factor x does not depend on y (vertical or constant)\n")
+    assert parsed == ["y", "x"]
+
+
+@pytest.mark.parametrize("curve, shear, degree, sheared_first", [
+    pytest.param("(y-x^300)", "1/100", 300, False, id="top-form-kept"),
+    # x -> x + y kills the top form x^40 - y^40, so the y-degree is 39.
+    pytest.param("(x^40-y^40+y)", "1", 39, True, id="top-form-killed"),
+])
+def test_a_factor_is_sheared_only_once_its_degree_is_within_the_limit(
+        monkeypatch, capsys, curve, shear, degree, sheared_first):
+    sheared, shear_x = [], Polynomial2.shear_x
+    monkeypatch.setattr(Polynomial2, "shear_x", lambda f, q: sheared.append(f) or shear_x(f, q))
+    assert _run(capsys, "compute", "--curve", curve, "--shear", shear) == (
+        2, "", "error: the curve's y-degree is %d, over the limit of %d\n" % (degree, MAX_STRANDS))
+    assert len(sheared) == sheared_first
 
 
 def test_inputs_at_the_size_limits_run(tmp_path, capsys):

@@ -118,7 +118,6 @@ def test_vertical_line_rejected_without_shear():
 def test_vertical_line_allowed_after_shear():
     c = parse_curve("(x)(y)(x+y^2)(x-y^2)", Fraction(1, 100))
     assert c.degree_y == 6
-    assert c.shear == Fraction(1, 100)
 
 
 def test_unbalanced_parentheses():
