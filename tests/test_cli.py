@@ -393,6 +393,8 @@ def _cyclic_table_text(n, order=None):
                  id="braid-power"),
     pytest.param(("compute", "--curve", "(y^99999)"), MAX_STRANDS,
                  id="compute-curve-degree"),
+    pytest.param(("compute", "--curve", "y^99999999999999999999"), MAX_STRANDS,
+                 id="compute-bare-power-past-an-index"),
     pytest.param(("vankampen", "--curve", "(y^33-x)"), MAX_STRANDS,
                  id="vankampen-curve-degree"),
     pytest.param(("verify", "two-tangent-conics", "--targets"), MAX_TARGET_ORDER,
