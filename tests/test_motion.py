@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,72 @@ def test_compose_keeps_first_motion_start_and_order():
     m = compose_motions(a, b)
     assert m.start == a.start == (1, 3, -1)
     assert all(abs(z - w) < 1e-12 for z, w in zip(m.end, (3, -1, 1)))
+
+
+def _reference_compose(*motions):
+    """The junction loop, one motion at a time.
+
+    Motion i of k is rescaled onto [i/k, (i+1)/k] as (i + (t - t0)/span)/k;
+    at each junction nearest_match continues every end point of one
+    motion by a start point of the next, within _MATCH_TOL (relative), and
+    strands keep the numbering of the first motion.  compose_motions must
+    give exactly this motion.
+    """
+    k = len(motions)
+    times, cols = [np.zeros(1)], [motions[0].paths[:, :1]]
+    cur = list(range(motions[0].strands))
+    for i, m in enumerate(motions):
+        if i:
+            ends = motions[i - 1].end
+            tol = motion_module._MATCH_TOL * motion_module._scale(ends + m.start)
+            link = nearest_match(ends, m.start, tol)
+            assert link is not None
+            cur = [link[s] for s in cur]
+        t0 = m.times[0]
+        times.append((i + (np.array(m.times[1:]) - t0) / (m.times[-1] - t0)) / k)
+        cols.append(m.paths[cur, 1:])
+    return Motion(np.concatenate(times), np.hstack(cols))
+
+
+def _drawn_pieces(rng):
+    """1-5 motions that continue one another on 1-6 real points: rotations
+    of an adjacent pair about its midpoint or of every point about a
+    centre off the axis (angles -2..3), stationary motions and, now and
+    then, a one-sample motion; each lists its strands in a shuffled order
+    and has its times shifted by t0 and scaled by span."""
+    config = [complex(z) for z in rng.sample(range(-9, 10), rng.randint(1, 6))]
+    pieces = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(["pair", "all", "still", "still", "one"])
+        if kind == "pair" and len(config) > 1:
+            a, b = sorted(config, key=lambda z: z.real)[rng.randrange(len(config) - 1):][:2]
+            move = RotateBlock((a, b), (a + b) / 2, rng.randint(-2, 3),
+                               rng.choice([None, 48, 64, 99]))
+            m = MotionProgram(tuple(config), (move,)).to_motion()
+        elif kind == "all":
+            move = RotateBlock(tuple(config), 0.5 + 0.5j, rng.randint(-2, 3),
+                               rng.choice([None, 48, 64, 99]))
+            m = MotionProgram(tuple(config), (move,)).to_motion()
+        elif kind == "one":
+            m = Motion((0.0,), [(z,) for z in config])
+        else:
+            m = Motion.stationary(config)
+        t0, span = rng.choice([0.0, 0.25, 3.0]), rng.choice([1.0, 0.5, 7.0])
+        order = rng.sample(range(len(config)), len(config))
+        m = Motion(tuple(t0 + span * t for t in m.times), m.paths[order])
+        pieces.append(m)
+        config = list(m.end)
+    return pieces
+
+
+def test_compose_motions_joins_as_the_reference_loop_does():
+    rng = random.Random(33)
+    for _ in range(300):
+        pieces = _drawn_pieces(rng)
+        got, want = compose_motions(*pieces), _reference_compose(*pieces)
+        assert got.times == want.times
+        assert got.paths.tobytes() == want.paths.tobytes()
+        assert motion_to_braid(got).letters == motion_to_braid(want).letters
 
 
 def test_empty_program_is_identity_braid():
