@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import fixture_by_id, fixtures, n_tangency_fixture, verify_fixture
-from .curves import CurveSpec, Polynomial2, _split_factors, parse_polynomial
+from .curves import CurveSpec, Polynomial2, _parse_rational, _split_factors, parse_polynomial
 from .errors import (
     BraidMonoError,
     CapacityError,
@@ -45,13 +45,6 @@ MAX_TARGET_ORDER = 128
 def _check_limit(what: str, value: int, limit: int) -> None:
     if value > limit:
         raise CapacityError("%s is %d, over the limit of %d" % (what, value, limit))
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("cannot parse rational %r" % text) from None
 
 
 def _parse_complex(text: str) -> complex:
@@ -87,16 +80,12 @@ def _parse_braid(text: str, strands: int | None) -> BraidWord:
     written = []  # one letter per token, a zero power included
     for tok in text.replace(",", " ").split():
         m = re.fullmatch(r"s(\d+)(?:\^(-?\d+))?", tok)
-        if m:
-            base = int(m.group(1))
-            power = int(m.group(2)) if m.group(2) else 1
-        else:
-            try:
-                base, power = int(tok), 1
-            except ValueError:
-                raise ParseError("cannot parse braid letter %r" % tok) from None
-            if base < 0:
-                base, power = -base, -1
+        try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+            base, power = (int(m.group(1)), int(m.group(2) or 1)) if m else (int(tok), 1)
+        except ValueError:
+            raise ParseError("cannot parse braid letter %r" % tok) from None
+        if base < 0:
+            base, power = -base, -1
         if base < 1:
             raise ParseError("braid letter index must be positive in %r" % tok)
         _check_limit("the braid's letter count", len(letters) + abs(power), MAX_LETTERS)

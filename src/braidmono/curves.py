@@ -45,6 +45,15 @@ def _to_float(v: Fraction) -> float:
         return inf if v > 0 else -inf
 
 
+def _parse_rational(text: str) -> Fraction:
+    """text as a Fraction; a zero denominator, or more digits than int()
+    converts (sys.get_int_max_str_digits()), is a ParseError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("cannot parse rational %r" % text) from None
+
+
 @dataclass(frozen=True)
 class Polynomial2:
     """Bivariate polynomial with rational coefficients, keyed by (deg_x, deg_y)."""
@@ -150,12 +159,12 @@ def parse_polynomial(text: str) -> Polynomial2:
         sign_s = m.group("sign")
         if not first and not sign_s:
             raise ParseError("missing +/- between terms in %r" % text)
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = _parse_rational(m.group("coeff") or "1")
         if sign_s == "-":
             coeff = -coeff
         dx = dy = 0
         for vm in re.finditer(r"([xy])(?:\^(\d+))?", m.group("vars")):
-            p = int(vm.group(2)) if vm.group(2) else 1
+            p = int(_parse_rational(vm.group(2) or "1"))
             if vm.group(1) == "x":
                 dx += p
             else:
@@ -199,7 +208,7 @@ def _split_factors(text: str) -> list[tuple[str, int]]:
             # Bare variable, possibly with an exponent: a power of a
             # single-variable factor, each of whose copies is a factor.
             m = re.match(r"([xy])(?:\^(\d+))?", s[pos:])
-            out.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
+            out.append((m.group(1), int(_parse_rational(m.group(2) or "1"))))
             pos += m.end()
         else:
             raise ParseError("unexpected character %r in curve %r: a curve is a product of "

@@ -12,15 +12,16 @@ of two adjacent points yields a positive Artin generator.
 A MotionProgram builds the synthetic motions used throughout from a
 sequence of moves: rigid block rotations, encircling moves, and the
 framing pair that lifts the rightmost points into a complex-conjugate
-configuration and back.  Each move sweeps its samples from the current
-configuration, in configuration order; the program writes them into one
-strand array, numbers its strands once and validates it as one Motion.
+configuration and back; a recorded Motion is a move too.  Each move
+sweeps its samples from the current configuration, in configuration
+order; the program writes them into one strand array, numbers its
+strands once and validates it as one Motion.
 
 Which point continues which is decided by one rule, nearest_match:
 each point goes to its nearest target, and the matching stands only if
 every point lies within a tolerance of its target and no two points
-share one.  The moves and compose_motions call it; the tracker's step
-test applies the same rule to a whole run of fibers in one array pass.
+share one.  The moves call it; the tracker's step test applies the
+same rule to a whole run of fibers in one array pass.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class Motion:
     no two strands coincide at any sample, relative to the sample's
     largest modulus.  That per-sample scale is kept for motion_to_braid.
     Motions compare by identity, since an array field cannot take part in
-    a generated __eq__.  Motions are joined by compose_motions, which
-    continues each strand with nearest_match.
+    a generated __eq__.  A motion is also a move, and compose_motions
+    joins motions as the MotionProgram of those moves.
     """
 
     times: tuple[float, ...]
@@ -165,6 +166,12 @@ class Motion:
     @classmethod
     def stationary(cls, points: Sequence[complex]) -> "Motion":
         return cls((0.0, 1.0), [(complex(z),) * 2 for z in points])
+
+    def _sweep(self, config: list[complex]) -> Sweep:
+        """The motion as a move: times rescaled onto [0, 1], rows matched onto config."""
+        t = np.array(self.times)
+        span = (t[-1] - t[0]) or 1.0  # one sample: no span, and t[1:] is empty
+        return _onto((t - t[0]) / span, self.paths, config)
 
     def matching_permutation(self) -> Permutation:
         """Slot-to-slot matching: where the strand starting in slot i ends."""
@@ -317,7 +324,7 @@ def _rational(value, name: str) -> Fraction:
     """value as a Fraction, or a GeometryError that names the argument."""
     try:
         return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise GeometryError("%s must be a finite rational number, not %r" % (name, value)) from None
 
 
@@ -372,38 +379,6 @@ def _locate(listed: list[complex], config: list[complex]) -> list[int]:
             raise GeometryError("a configuration point is listed twice")
         raise GeometryError("a listed point is absent from the configuration")
     return hit
-
-
-def compose_motions(*motions: Motion) -> Motion:
-    """Concatenation in time of one or more motions.
-
-    Motion i of k is rescaled onto [i/k, (i+1)/k].  At each junction
-    nearest_match continues every end point of one motion by a start
-    point of the next, within _MATCH_TOL (relative).  Strands keep the
-    numbering of the first motion.
-    """
-    if not motions:
-        raise DegenerateMotionError("nothing to compose")
-    if len({m.strands for m in motions}) != 1:
-        raise DegenerateMotionError("strand counts differ")
-    k = len(motions)
-    times = [np.zeros(1)]
-    cols = [motions[0].paths[:, :1]]
-    cur = list(range(motions[0].strands))
-    for i, m in enumerate(motions):
-        if i:
-            ends = motions[i - 1].end
-            link = nearest_match(ends, m.start, _MATCH_TOL * _scale(ends + m.start))
-            if link is None:
-                raise DegenerateMotionError(
-                    "motion %d does not start where motion %d ends" % (i, i - 1)
-                )
-            cur = [link[s] for s in cur]
-        t0 = m.times[0]
-        span = m.times[-1] - t0
-        times.append((i + (np.array(m.times[1:]) - t0) / span) / k)
-        cols.append(m.paths[cur, 1:])
-    return Motion(np.concatenate(times), np.hstack(cols))
 
 
 # A move's sweep from a configuration: its sample times on [0, 1], its rows
@@ -526,15 +501,15 @@ class FrameOut:
 
 
 def _onto(times: np.ndarray, rows: np.ndarray, config: list[complex]) -> Sweep:
-    """A frame's sweep, its rows matched onto the configuration and put in its order."""
+    """A sweep of every point, its rows matched onto the configuration and put in its order."""
     start = rows[:, 0].tolist()
     at = nearest_match(start, config, _MATCH_TOL * _scale(start + config))
     if at is None or len(at) != len(config):
-        raise DegenerateMotionError("the frame does not start at the configuration")
+        raise DegenerateMotionError("a move does not start at the configuration")
     return times, rows[np.argsort(at)], at
 
 
-Move = RotateBlock | Encircle | FrameIn | FrameOut
+Move = Motion | RotateBlock | Encircle | FrameIn | FrameOut
 
 
 @dataclass(frozen=True)
@@ -544,11 +519,11 @@ class MotionProgram:
     `points` is the full starting configuration; each move names its
     own participants, and every other point stays put during that move.
     A move finds its listed points in the current configuration with
-    nearest_match; a frame, which lists every point, must start at it.
-    `to_motion` gives move i of k the times [i/k, (i+1)/k], writes each
-    move's rows, in configuration order, into one array and validates it
-    once as a Motion, numbering its strands as the first move lists them
-    (a frame lists all), then the others in configuration order.
+    nearest_match; a frame or a recorded Motion lists every point and
+    must start at it.  `to_motion` gives move i of k the times [i/k,
+    (i+1)/k], writes each move's rows, in configuration order, into one
+    array and validates it once as a Motion, numbering its strands as the
+    first move lists them, then the others in configuration order.
     """
 
     points: tuple
@@ -574,3 +549,13 @@ class MotionProgram:
 
     def braid(self) -> BraidWord:
         return motion_to_braid(self.to_motion())
+
+
+def compose_motions(*motions: Motion) -> Motion:
+    """Concatenation in time of one or more motions: the program whose
+    moves they are, from the first one's start (see MotionProgram)."""
+    if not motions:
+        raise DegenerateMotionError("nothing to compose")
+    if len({m.strands for m in motions}) != 1:
+        raise DegenerateMotionError("strand counts differ")
+    return MotionProgram(motions[0].start, motions).to_motion()

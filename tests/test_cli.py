@@ -7,6 +7,7 @@ import pytest
 
 from braidmono import Polynomial2, braid_equal, cli, default_targets, dump_targets, vankampen
 from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
+from braidmono.presentations import SimplifyResult
 from braidmono.words import MAX_IMAGE_LETTERS
 
 
@@ -513,3 +514,41 @@ def test_overflowing_fiber_arithmetic_warns_nothing(capsys):
         code, out, err = _run(capsys, "compute", "--curve", "(y-1%sx^2)(y+x)" % ("0" * 300))
     assert (code, err, caught) == (0, "", [])
     assert "samples: 76\nletters: s1 s1 s1 s1\n" in out
+
+
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("compute", "--curve", "y^" + _DIGITS), id="curve-bare-power"),
+    pytest.param(("compute", "--curve", "(y^%s-x)" % _DIGITS), id="curve-y-exponent"),
+    pytest.param(("compute", "--curve", "(%sy-x)" % _DIGITS), id="curve-coefficient"),
+    pytest.param(("compute", "--curve", "(y-x)(y+x^%s)" % _DIGITS), id="curve-x-exponent"),
+    pytest.param(("vankampen", "--braid", "s" + _DIGITS), id="braid-index"),
+    pytest.param(("vankampen", "--braid", "s1^" + _DIGITS), id="braid-power"),
+    pytest.param(("vankampen", "--braid", _DIGITS), id="braid-integer"),
+    pytest.param(("compute", "--curve", "(y^2-x)", "--radius", _DIGITS), id="radius"),
+])
+def test_a_number_of_more_digits_than_int_reads_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_steps_of_more_digits_than_int_reads_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "--curve", "(y^2-x)", "--steps", _DIGITS])
+    assert info.value.code == 2
+    assert "argument --steps: invalid int value" in capsys.readouterr().err
+
+
+def test_vankampen_reports_a_truncated_simplification(capsys, monkeypatch):
+    def truncated(p):
+        return SimplifyResult(p, ("a move",), True)
+
+    monkeypatch.setattr(cli, "simplify", truncated)
+    code, out, _ = _run(capsys, "vankampen", "--braid", "s1 s1")
+    assert code == 0
+    assert "simplify-1: a move\nsimplify-truncated: true\nfinal: " in out

@@ -260,6 +260,34 @@ def test_compose_motions_joins_as_the_reference_loop_does():
         assert motion_to_braid(got).letters == motion_to_braid(want).letters
 
 
+def test_a_program_takes_a_recorded_motion_as_a_move():
+    turn = RotateBlock((-1, 1), 0, Fraction(1))
+    recorded = rotation([1, 3], 2, -1, others=[-1])
+    # The same motion with its strands listed (-1, 1, 3) and its times on [3, 5].
+    listed = Motion(tuple(3 + 2 * t for t in recorded.times), recorded.paths[[2, 0, 1]])
+    m = MotionProgram((-1, 1, 3), (turn, listed)).to_motion()
+    alone = MotionProgram((-1, 1, 3), (turn,)).to_motion()
+    assert motion_to_braid(m).letters == (1, -2)
+    assert motion_to_braid(m).letters == (
+        motion_to_braid(alone).letters + motion_to_braid(recorded).letters)
+    assert m.start == (-1, 1, 3)
+    assert len(m.times) == len(alone.times) + len(recorded.times) - 1
+    assert m.times[0] == 0.0 and m.times[-1] == 1.0
+    # As the first move, the recorded motion numbers the strands.
+    assert MotionProgram((3, -1, 1), (listed,)).to_motion().start == listed.start
+
+
+@pytest.mark.parametrize("moves", [
+    pytest.param((Motion.stationary([-1, 1, 4]),), id="first-move"),
+    pytest.param((RotateBlock((-1, 1), 0, Fraction(1)), Motion.stationary([-1, 1, 4])),
+                 id="after-a-rotation"),
+    pytest.param((Motion.stationary([-1, 1]),), id="fewer-strands"),
+])
+def test_a_recorded_motion_must_start_at_the_configuration(moves):
+    with pytest.raises(DegenerateMotionError):
+        MotionProgram((-1, 1, 3), moves).to_motion()
+
+
 def test_empty_program_is_identity_braid():
     b = MotionProgram((-1, 0, 2), ()).braid()
     assert b.strands == 3

@@ -14,6 +14,7 @@ from braidmono import (
     kill_generator,
     simplify,
 )
+from braidmono import presentations
 from braidmono.errors import DimensionMismatchError
 from braidmono.presentations import _least_rotation, witness
 
@@ -234,6 +235,21 @@ def test_simplify_records_moves():
     r = _w(2, 1, 1)
     result = simplify(Presentation(2, (r, r)))
     assert any("duplicate" in mv for mv in result.moves)
+
+
+def test_simplify_stops_after_its_round_limit(monkeypatch):
+    # The commutator has no donor and, alone, no drop search, so every
+    # round reaches the product phase, which here offers a no-op forever.
+    def no_op(rels):
+        while True:
+            yield "no-op", 0, rels[0]
+
+    monkeypatch.setattr(presentations, "_products", no_op)
+    result = simplify(Presentation(2, (_w(2, 1, 2, -1, -2),)))
+    assert result.truncated
+    assert result.moves == ("canonicalise x1 x2 x1^-1 x2^-1 -> x2^-1 x1^-1 x2 x1",
+                            *("no-op",) * 10_000)
+    assert result.presentation.relators == (_w(2, -2, -1, 2, 1),)
 
 
 def test_kill_generator_renumbers():

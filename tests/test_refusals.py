@@ -12,12 +12,14 @@ from braidmono import (
     BraidWord,
     CurveSpec,
     FiniteGroupTable,
+    Encircle,
     FrameIn,
     LoopSpec,
     Motion,
     MotionProgram,
     Permutation,
     Presentation,
+    RotateBlock,
     alternating_group,
     compose_motions,
     cyclic_group,
@@ -77,6 +79,17 @@ from braidmono.errors import (
                  GeometryError, "pair height must be positive", id="frame-pair-height-0"),
     pytest.param(lambda: MotionProgram((0, 1), ("swap",)).to_motion(), GeometryError,
                  "unknown move kind 'swap'", id="unknown-move-kind"),
+    pytest.param(lambda: MotionProgram((1, 2, 3), (RotateBlock((1, 2), 1.5, "1/0"),)).braid(),
+                 GeometryError, "angle must be a finite rational number, not '1/0'",
+                 id="rotate-angle-over-zero"),
+    pytest.param(lambda: MotionProgram((1, 5), (Encircle((5,), (1,), "1/0"),)).braid(),
+                 GeometryError, "turns must be a finite rational number, not '1/0'",
+                 id="encircle-turns-over-zero"),
+    pytest.param(lambda: MotionProgram((0, 1), (Motion.stationary([0, 2]),)).to_motion(),
+                 DegenerateMotionError, "a move does not start at the configuration",
+                 id="recorded-motion-off-the-configuration"),
+    pytest.param(lambda: parse_curve("(1/0y-x)"), ParseError,
+                 "cannot parse rational '1/0'", id="curve-coefficient-over-zero"),
     pytest.param(lambda: Presentation(-1, ()), MalformedWordError,
                  "rank must be nonnegative", id="presentation-rank-minus-1"),
     pytest.param(lambda: BraidWord(0), MalformedWordError,
@@ -95,3 +108,19 @@ def test_refusal_names_its_class_and_reason(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# A number of more digits than int() converts (sys.get_int_max_str_digits()).
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("y^" + _DIGITS, id="bare-power"),
+    pytest.param("(y^%s-x)" % _DIGITS, id="y-exponent"),
+    pytest.param("(%sy-x)" % _DIGITS, id="coefficient"),
+    pytest.param("(y-x)(y+x^%s)" % _DIGITS, id="x-exponent"),
+])
+def test_a_curve_number_of_too_many_digits_is_a_parse_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_curve(text)
+    assert str(info.value) == "cannot parse rational %r" % _DIGITS
