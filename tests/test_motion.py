@@ -278,7 +278,6 @@ def test_a_program_takes_a_recorded_motion_as_a_move():
 
 
 @pytest.mark.parametrize("moves", [
-    pytest.param((Motion.stationary([-1, 1, 4]),), id="first-move"),
     pytest.param((RotateBlock((-1, 1), 0, Fraction(1)), Motion.stationary([-1, 1, 4])),
                  id="after-a-rotation"),
     pytest.param((Motion.stationary([-1, 1]),), id="fewer-strands"),

@@ -39,6 +39,9 @@ from braidmono.errors import (
     ParseError,
 )
 
+# A number of more digits than int() converts (sys.get_int_max_str_digits()).
+_DIGITS = "9" * 5000
+
 
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: parse_polynomial("x-x"), ParseError,
@@ -90,6 +93,12 @@ from braidmono.errors import (
                  id="recorded-motion-off-the-configuration"),
     pytest.param(lambda: parse_curve("(1/0y-x)"), ParseError,
                  "cannot parse rational '1/0'", id="curve-coefficient-over-zero"),
+    *[pytest.param(lambda text=text: parse_curve(text), ParseError,
+                   "cannot parse rational %r" % _DIGITS, id="curve-digits-" + name)
+      for name, text in [("bare-power", "y^" + _DIGITS),
+                         ("y-exponent", "(y^%s-x)" % _DIGITS),
+                         ("coefficient", "(%sy-x)" % _DIGITS),
+                         ("x-exponent", "(y-x)(y+x^%s)" % _DIGITS)]],
     pytest.param(lambda: Presentation(-1, ()), MalformedWordError,
                  "rank must be nonnegative", id="presentation-rank-minus-1"),
     pytest.param(lambda: BraidWord(0), MalformedWordError,
@@ -108,19 +117,3 @@ def test_refusal_names_its_class_and_reason(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
-
-
-# A number of more digits than int() converts (sys.get_int_max_str_digits()).
-_DIGITS = "9" * 5000
-
-
-@pytest.mark.parametrize("text", [
-    pytest.param("y^" + _DIGITS, id="bare-power"),
-    pytest.param("(y^%s-x)" % _DIGITS, id="y-exponent"),
-    pytest.param("(%sy-x)" % _DIGITS, id="coefficient"),
-    pytest.param("(y-x)(y+x^%s)" % _DIGITS, id="x-exponent"),
-])
-def test_a_curve_number_of_too_many_digits_is_a_parse_error(text):
-    with pytest.raises(ParseError) as info:
-        parse_curve(text)
-    assert str(info.value) == "cannot parse rational %r" % _DIGITS
