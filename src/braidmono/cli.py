@@ -83,11 +83,11 @@ def _parse_braid(text: str, strands: int | None) -> BraidWord:
         try:  # int() also refuses more digits than sys.get_int_max_str_digits()
             base, power = (int(m.group(1)), int(m.group(2) or 1)) if m else (int(tok), 1)
         except ValueError:
-            raise ParseError("cannot parse braid letter %r" % tok) from None
+            raise ParseError("cannot parse braid letter %r" % tok[:40]) from None
         if base < 0:
             base, power = -base, -1
         if base < 1:
-            raise ParseError("braid letter index must be positive in %r" % tok)
+            raise ParseError("braid letter index must be positive in %r" % tok[:40])
         _check_limit("the braid's letter count", len(letters) + abs(power), MAX_LETTERS)
         letters.extend([base if power > 0 else -base] * abs(power))
         written.append(-base if power < 0 else base)

@@ -51,7 +51,7 @@ def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError("cannot parse rational %r" % text) from None
+        raise ParseError("cannot parse rational %r" % text[:40]) from None
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def _normalize(p: Polynomial2) -> tuple:
 
 def parse_curve(text: str, shear: Fraction | int = 0) -> CurveSpec:
     """Parse a product of factors, e.g. "(2x+y)(y+x^2)(y-x^2)" or "y(y^2+x)(y^2-x)",
-    and shear each by x -> x + shear*y before it is validated, so that an
-    equation with a vertical line becomes acceptable once sheared."""
+    each sheared by x -> x + shear*y before it is validated, so that a vertical line
+    becomes acceptable.  A power of 2 or more is two copies, refused as repeated."""
     return CurveSpec(tuple(f for t, n in _split_factors(text)
-                           for f in [parse_polynomial(t).shear_x(shear)] * n))
+                           for f in [parse_polynomial(t).shear_x(shear)] * min(n, 2)))

@@ -10,14 +10,26 @@ argument, with relations read off over the basepoint fiber.
 
 from __future__ import annotations
 
+from .errors import CapacityError
 from .presentations import Presentation
-from .words import BraidWord, FreeWord, artin_action
+from .words import MAX_IMAGE_LETTERS, BraidWord, FreeWord, invert, reduce_onto
 
 
 def braid_images(b: BraidWord) -> list[FreeWord]:
-    """Images of the generators x_1, ..., x_n under the braid action."""
-    n = b.strands
-    return [artin_action(b, FreeWord.generator(n, k)) for k in range(1, n + 1)]
+    """Images of the generators x_1, ..., x_n under the braid action; CapacityError
+    once an image under a suffix of b (b itself included) has more than
+    MAX_IMAGE_LETTERS letters."""
+    images = [(k,) for k in range(b.strands + 1)]  # x_k's image under the letters after a
+    for a in reversed(b.letters):
+        # The letters from a on send x_k to a's own image of x_k (module words) with
+        # each letter replaced by its image in images; a moves only x_i and x_{i+1}.
+        u, v = images[abs(a)], images[abs(a) + 1]
+        new = ((v, reduce_onto(reduce_onto(list(v), u), invert(v))) if a > 0
+               else (reduce_onto(reduce_onto(list(invert(u)), v), u), u))
+        if max(map(len, new)) > MAX_IMAGE_LETTERS:
+            raise CapacityError("braid image has more than %d letters" % MAX_IMAGE_LETTERS)
+        images[abs(a)], images[abs(a) + 1] = new
+    return [FreeWord(b.strands, w) for w in images[1:]]
 
 
 def raw_relators(b: BraidWord) -> list[FreeWord]:

@@ -234,9 +234,9 @@ NormalForm = tuple[int, tuple[tuple[int, ...], ...]]
 # built holds more than MAX_SUPER_SUMMIT braids.
 MAX_CLOSURE_STRANDS = 6
 MAX_SUPER_SUMMIT = 1000
-# artin_action raises CapacityError once the image outgrows this: an image
-# can grow exponentially in the braid's length, and simplify's time on
-# the induced relators grows about cubically in theirs.
+# CapacityError once an image under a prefix (artin_action) or a suffix
+# (braid_images) of the braid outgrows this: images can grow exponentially in
+# its length, and simplify's time on the induced relators about cubically in theirs.
 MAX_IMAGE_LETTERS = 500
 
 

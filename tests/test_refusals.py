@@ -31,6 +31,7 @@ from braidmono import (
     track_loop,
 )
 from braidmono.errors import (
+    CriticalFiberError,
     DegenerateMotionError,
     DimensionMismatchError,
     GeometryError,
@@ -93,8 +94,11 @@ _DIGITS = "9" * 5000
                  id="recorded-motion-off-the-configuration"),
     pytest.param(lambda: parse_curve("(1/0y-x)"), ParseError,
                  "cannot parse rational '1/0'", id="curve-coefficient-over-zero"),
+    pytest.param(lambda: parse_curve("y^99999999999999999999"), CriticalFiberError,
+                 "repeated factor y (product not squarefree)", id="curve-bare-power-past-an-index"),
+    # The message echoes the first 40 characters of the number.
     *[pytest.param(lambda text=text: parse_curve(text), ParseError,
-                   "cannot parse rational %r" % _DIGITS, id="curve-digits-" + name)
+                   "cannot parse rational %r" % _DIGITS[:40], id="curve-digits-" + name)
       for name, text in [("bare-power", "y^" + _DIGITS),
                          ("y-exponent", "(y^%s-x)" % _DIGITS),
                          ("coefficient", "(%sy-x)" % _DIGITS),

@@ -86,7 +86,7 @@ def test_braid_images_are_the_action_on_each_generator():
     # Draws that one route refuses and the other answers: braid_images
     # bounds the images of the braid's suffixes by MAX_IMAGE_LETTERS,
     # artin_action those of its prefixes.
-    assert (only_images, only_action) == (0, 0)
+    assert (only_images, only_action) == (10, 15)
 
 
 def test_images_of_a_product_substitute_the_second_into_the_first():
