@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     TrackingFailureError,
 )
-from .homcount import TARGET_HEADER, load_targets
+from .homcount import TARGET_HEADER, count_memo, load_targets
 from .motion import Motion, motion_to_braid
 from .presentations import Presentation, simplify
 from .tracker import LoopSpec, track_loop
@@ -56,7 +56,7 @@ def _parse_complex(text: str) -> complex:
         r"(?P<re>[+-]?\d+(?:/\d+)?)?(?P<im>[+-]?(?:\d+(?:/\d+)?)?i)?", s
     )
     if not m or (m.group("re") is None and m.group("im") is None):
-        raise ParseError("cannot parse complex number %r" % text)
+        raise ParseError("cannot parse complex number %r" % text[:40])
     re_part = _parse_rational(m.group("re")) if m.group("re") else Fraction(0)
     im_txt = m.group("im")
     if im_txt:
@@ -229,17 +229,18 @@ def cmd_verify(args) -> int:
     else:
         todo = [fixture_by_id(args.fixture)]
     all_pass = True
-    for f in todo:
-        rep = verify_fixture(f, targets=targets)
-        all_pass &= rep.passed
-        if args.format == "structured":
-            for c in rep.checks:
-                print("fixture=%s check=%s passed=%s detail=%s"
-                      % (rep.fixture_id, c.name, "true" if c.passed else "false",
-                         c.detail))
-        else:
-            for line in rep.lines():
-                print(line)
+    with count_memo():  # fixtures share expected relations and deletion targets
+        for f in todo:
+            rep = verify_fixture(f, targets=targets)
+            all_pass &= rep.passed
+            if args.format == "structured":
+                for c in rep.checks:
+                    print("fixture=%s check=%s passed=%s detail=%s"
+                          % (rep.fixture_id, c.name, "true" if c.passed else "false",
+                             c.detail))
+            else:
+                for line in rep.lines():
+                    print(line)
     if args.format == "structured":
         print("all-passed=%s" % ("true" if all_pass else "false"))
     else:

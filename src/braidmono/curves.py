@@ -155,10 +155,10 @@ def parse_polynomial(text: str) -> Polynomial2:
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos:
-            raise ParseError("cannot parse polynomial %r at offset %d" % (text, pos))
+            raise ParseError("cannot parse polynomial %r at offset %d" % (text[:40], pos))
         sign_s = m.group("sign")
         if not first and not sign_s:
-            raise ParseError("missing +/- between terms in %r" % text)
+            raise ParseError("missing +/- between terms in %r" % text[:40])
         coeff = _parse_rational(m.group("coeff") or "1")
         if sign_s == "-":
             coeff = -coeff
@@ -170,14 +170,14 @@ def parse_polynomial(text: str) -> Polynomial2:
             else:
                 dy += p
         if m.group("coeff") is None and dx == 0 and dy == 0:
-            raise ParseError("empty term in %r" % text)
+            raise ParseError("empty term in %r" % text[:40])
         key = (dx, dy)
         d[key] = d.get(key, Fraction(0)) + coeff
         pos = m.end()
         first = False
     poly = Polynomial2.from_dict(d)
     if not poly.coeffs:
-        raise ParseError("polynomial %r is zero" % text)
+        raise ParseError("polynomial %r is zero" % text[:40])
     return poly
 
 
@@ -201,7 +201,7 @@ def _split_factors(text: str) -> list[tuple[str, int]]:
                     depth -= 1
                 j += 1
             if depth:
-                raise ParseError("unbalanced parentheses in %r" % text)
+                raise ParseError("unbalanced parentheses in %r" % text[:40])
             out.append((s[pos + 1 : j - 1], 1))
             pos = j
         elif c in "xy":
@@ -212,7 +212,7 @@ def _split_factors(text: str) -> list[tuple[str, int]]:
             pos += m.end()
         else:
             raise ParseError("unexpected character %r in curve %r: a curve is a product of "
-                             "parenthesised factors and bare x or y powers" % (c, text))
+                             "parenthesised factors and bare x or y powers" % (c, text[:40]))
     return out
 
 
@@ -229,9 +229,12 @@ def _primitive(p: Sequence[Fraction | int]) -> list[int]:
 def _gcd(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[int]:
     """Gcd of polynomials as ascending coefficient lists, up to a constant:
     [] is zero, a one-entry list a constant.  Euclid by pseudo-division over
-    the integers, which is far cheaper than reducing fractions at each step."""
+    the integers, which is far cheaper than reducing fractions at each step.
+    A nonzero constant divisor ends it: the gcd is then a constant."""
     a, b = _primitive(a), _primitive(b)
     while b:
+        if len(b) == 1:
+            return b
         while len(a) >= len(b):
             lead, shift = a[-1], len(a) - len(b)
             a = [b[-1] * c for c in a]

@@ -245,9 +245,11 @@ class SimplifyResult:
 
 
 # A relator as a letter tuple, and a move: its text, the index of the
-# relator it changes, and the new relator or None to delete that one.
+# relator it changes, the new relator or None to delete that one, and
+# the index of the relator it used (the donor or the multiplier; a drop
+# uses only the relator it deletes).
 _Rel = tuple[int, ...]
-_Move = tuple[str, int, _Rel | None]
+_Move = tuple[str, int, _Rel | None, int]
 
 
 def _shorter(s: _Rel, word: Sequence[int], rels: list[_Rel]) -> _Rel | None:
@@ -258,17 +260,27 @@ def _shorter(s: _Rel, word: Sequence[int], rels: list[_Rel]) -> _Rel | None:
     return None if cand in rels else cand
 
 
-def _drops(rank: int, rels: list[_Rel], max_len: int, budget: int) -> Iterator[_Move]:
-    """Relators derivable from the others, longest first.  The searches
-    get a small budget and a tight length cap: genuine dependencies
-    resolve in a handful of expansions, and hopeless ones fail fast."""
-    drop_len = min(max_len, 2 * max((len(r) for r in rels), default=0) + 4)
+def _drops(
+    rank: int, rels: list[_Rel], max_len: int, budget: int, independent: set[_Rel]
+) -> Iterator[_Move]:
+    """Relators derivable from the others, longest first, skipping those
+    in `independent` and adding those proved Independent to it.  The
+    searches get a small budget and a tight length cap: genuine
+    dependencies resolve in a handful of expansions, and hopeless ones
+    fail fast."""
+    if len(rels) < 2:
+        return
+    drop_len = min(max_len, 2 * max(map(len, rels)) + 4)
+    words = [FreeWord(rank, r) for r in rels]
     for k in sorted(range(len(rels)), key=lambda k: (-len(rels[k]), -k)):
-        rest = [FreeWord(rank, r) for i, r in enumerate(rels) if i != k]
-        if rest and is_consequence(
-            rest, FreeWord(rank, rels[k]), max_len=drop_len, budget=min(budget, 2000)
-        ) is Verdict.DERIVABLE:
-            yield "drop derivable relator %s" % _word_str(rels[k]), k, None
+        if rels[k] in independent:
+            continue
+        verdict = is_consequence(words[:k] + words[k + 1 :], words[k],
+                                 max_len=drop_len, budget=min(budget, 2000))
+        if verdict is Verdict.INDEPENDENT:
+            independent.add(rels[k])
+        elif verdict is Verdict.DERIVABLE:
+            yield "drop derivable relator %s" % _word_str(rels[k]), k, None, k
 
 
 def _substitutions(rank: int, rels: list[_Rel]) -> Iterator[_Move]:
@@ -281,7 +293,7 @@ def _substitutions(rank: int, rels: list[_Rel]) -> Iterator[_Move]:
             cand = _shorter(s, substitute(s, rule), rels)
             if cand:
                 text = "substitute x%d from %s into %s"
-                yield text % (g, _word_str(rels[k]), _word_str(s)), j, cand
+                yield text % (g, _word_str(rels[k]), _word_str(s)), j, cand, k
 
 
 def _products(rels: list[_Rel]) -> Iterator[_Move]:
@@ -297,7 +309,7 @@ def _products(rels: list[_Rel]) -> Iterator[_Move]:
                 cand = _canonical(core) if core else None
                 if cand and cand not in rels:
                     text = "multiply %s by a conjugate of %s"
-                    yield text % (_word_str(s), _word_str(r)), j, cand
+                    yield text % (_word_str(s), _word_str(r)), j, cand, i
 
 
 @count_memo()
@@ -319,6 +331,13 @@ def simplify(
     before they are canonicalised, products before they are built.  The
     witness tests of one call count each presentation once per group
     (homcount.count_memo).
+
+    A relator proved Independent stays so until a move rewrites it or
+    uses it, and is not searched again: a drop only shrinks the normal
+    closure of the others, and a substitution or product rewrites one
+    relator by others, which keeps the normal closure of every rest that
+    holds both.  The witness that proved it still kills the new rest,
+    so the search it skips would end Independent again.
     """
     moves: list[str] = []
     rels: list[_Rel] = []
@@ -333,18 +352,20 @@ def simplify(
             moves.append("canonicalise %s -> %s" % (_word_str(r.letters), _word_str(c)))
         rels.append(c)
 
+    independent: set[_Rel] = set()
     truncated = False
     for _ in range(10_000):
         phases = chain(
-            _drops(p.rank, rels, max_len, budget),
+            _drops(p.rank, rels, max_len, budget, independent),
             _substitutions(p.rank, rels),
             _products(rels),
         )
         move = next(phases, None)
         if move is None:
             break
-        text, k, new = move
+        text, k, new, used = move
         moves.append(text)
+        independent.difference_update((rels[k], rels[used]))
         if new is None:
             del rels[k]
         else:

@@ -38,11 +38,8 @@ def raw_relators(b: BraidWord) -> list[FreeWord]:
     Trivial relators (generators fixed by the action) are kept, so the
     relator of x_j sits at index j - 1.
     """
-    n = b.strands
-    return [
-        FreeWord.generator(n, j).inverse() * img
-        for j, img in enumerate(braid_images(b), start=1)
-    ]
+    return [FreeWord(b.strands, (-j,) + img.letters)
+            for j, img in enumerate(braid_images(b), start=1)]
 
 
 def induced_presentation(b: BraidWord) -> Presentation:

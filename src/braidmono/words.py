@@ -443,29 +443,23 @@ def exponent_sum(b: BraidWord) -> int:
     return sum(1 if a > 0 else -1 for a in b.letters)
 
 
-def _solve_for(letters: tuple[int, ...], gen: int) -> dict[int, tuple[int, ...]] | None:
-    """If gen occurs exactly once in the relator, the substitution that
-    writes gen and its inverse as words in the remaining generators."""
-    hits = [k for k, a in enumerate(letters) if abs(a) == gen]
-    if len(hits) != 1:
-        return None
-    k = hits[0]
-    u, s, v = letters[:k], letters[k], letters[k + 1 :]
-    # u g v = 1  =>  g = (v u)^-1 ; u g^-1 v = 1  =>  g = v u.
-    vu = tuple(reduce_onto(list(v), u))
-    expr = vu if s < 0 else invert(vu)
-    return {gen: expr, -gen: invert(expr)}
-
-
 def donors(rank: int, rels: list[tuple[int, ...]]) -> Iterator[tuple[int, int, dict]]:
     """Each (k, g, rule) such that relator k contains generator g exactly
-    once and `rule` solves it for g, relator by relator: the donor search
-    of eliminate_generators and of presentations.simplify."""
+    once and `rule` writes g and its inverse as words in the remaining
+    generators, relator by relator and generator by generator: the donor
+    search of eliminate_generators and of presentations.simplify.  One
+    pass over a relator's letters finds where each generator occurs
+    once, None where it recurs."""
     for k, r in enumerate(rels):
-        for g in range(1, rank + 1):
-            rule = _solve_for(r, g)
-            if rule is not None:
-                yield k, g, rule
+        at: dict[int, int | None] = {}
+        for i, a in enumerate(r):
+            at[abs(a)] = None if abs(a) in at else i
+        for g in sorted(at):
+            if (i := at[g]) is not None and g <= rank:
+                # u g v = 1  =>  g = (v u)^-1 ; u g^-1 v = 1  =>  g = v u.
+                vu = tuple(reduce_onto(list(r[i + 1 :]), r[:i]))
+                expr = vu if r[i] < 0 else invert(vu)
+                yield k, g, {g: expr, -g: invert(expr)}
 
 
 def delete_generator(letters: Sequence[int], gen: int) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from braidmono import BraidWord, Polynomial2, braid_equal, cli, default_targets, dump_targets, vankampen
+from braidmono import homcount
 from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
 from braidmono.presentations import SimplifyResult
 from braidmono.words import MAX_IMAGE_LETTERS
@@ -420,6 +421,16 @@ def _cyclic_table_text(n, order=None):
                         ("integer", _DIGITS)]],
     pytest.param(("compute", "--curve", "(y^2-x)", "--radius", _DIGITS),
                  "cannot parse rational %r\n" % _DIGITS[:40], id="radius-digits"),
+    pytest.param(("compute", "--curve", "(y^2-x)", "--center", "a" * 5000),
+                 "cannot parse complex number %r\n" % ("a" * 40), id="center-letters"),
+    pytest.param(("compute", "--curve", "(" + "y" * 4999),
+                 "unbalanced parentheses in %r\n" % ("(" + "y" * 39), id="curve-unbalanced"),
+    pytest.param(("compute", "--curve", "y" * 4999 + "?"),
+                 "unexpected character '?' in curve %r: a curve is a product of parenthesised "
+                 "factors and bare x or y powers\n" % ("y" * 40), id="curve-character"),
+    pytest.param(("compute", "--curve", "(%s)" % ("x" * 4997 + "?")),
+                 "cannot parse polynomial %r at offset 4997\n" % ("x" * 40),
+                 id="curve-polynomial"),
 ])
 def test_input_over_a_size_limit_exits_two(tmp_path, capsys, argv, limit):
     """limit is the limit the error names, or the error's own ending."""
@@ -543,3 +554,20 @@ def test_vankampen_reports_a_truncated_simplification(capsys, monkeypatch):
     code, out, _ = _run(capsys, "vankampen", "--braid", "s1 s1")
     assert code == 0
     assert "simplify-1: a move\nsimplify-truncated: true\nfinal: " in out
+
+
+def test_verify_all_counts_each_presentation_once_per_group(monkeypatch, capsys):
+    # One count memo for the whole command: the fixtures that share
+    # expected relations or deletion targets are counted once (56 calls
+    # with one memo per fixture).
+    calls = []
+    inner = homcount._counts
+
+    def spy(rank, relators, groups):
+        calls.append(relators)
+        return inner(rank, relators, groups)
+
+    monkeypatch.setattr(homcount, "_counts", spy)
+    code, out, _ = _run(capsys, "verify", "all")
+    assert code == 0 and out.endswith("result: all checks passed\n")
+    assert len(calls) == 41

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from braidmono import (
     parse_polynomial,
     track_loop,
 )
+from braidmono.curves import _gcd
 from braidmono.errors import CriticalFiberError, ImproperProjectionError, ParseError
 from polynomial_product import product
 
@@ -125,6 +127,19 @@ def test_unbalanced_parentheses():
         parse_curve("(y+x^2")
     with pytest.raises(ParseError):
         parse_curve("")
+
+
+def test_a_long_factor_is_checked_for_vertical_content_quickly():
+    # The x-content gcd meets the constant coefficient of y and stops
+    # there, in about 0.1 s; a full pseudo-division of x^30000 by that
+    # constant takes 16-21 s (2-CPU x86 VM).
+    start = time.perf_counter()
+    curve = parse_curve("(y-x^30000)")
+    assert time.perf_counter() - start < 2.0
+    assert curve.factors[0].degree_x == 30000
+    assert _gcd([0] * 30000 + [3], [-2]) == [-1]
+    assert _gcd([1, 0, -1], [1, 1]) == [1, 1]
+    assert _gcd([1, 0, 1], [1, 1]) == [1]
 
 
 def test_transverse_intersections_are_fine():

@@ -242,7 +242,7 @@ def test_simplify_stops_after_its_round_limit(monkeypatch):
     # round reaches the product phase, which here offers a no-op forever.
     def no_op(rels):
         while True:
-            yield "no-op", 0, rels[0]
+            yield "no-op", 0, rels[0], 0
 
     monkeypatch.setattr(presentations, "_products", no_op)
     result = simplify(Presentation(2, (_w(2, 1, 2, -1, -2),)))

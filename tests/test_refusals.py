@@ -103,6 +103,20 @@ _DIGITS = "9" * 5000
                          ("y-exponent", "(y^%s-x)" % _DIGITS),
                          ("coefficient", "(%sy-x)" % _DIGITS),
                          ("x-exponent", "(y-x)(y+x^%s)" % _DIGITS)]],
+    # A 5,000-character text is echoed by its first 40 characters.
+    *[pytest.param(lambda call=call, text=text: call(text), ParseError, message % text[:40],
+                   id="long-" + name)
+      for name, call, text, message in [
+          ("unparseable-polynomial", parse_polynomial, "x" * 4999 + "?",
+           "cannot parse polynomial %r at offset 4999"),
+          ("missing-sign", parse_polynomial, "x" * 4998 + "2y",
+           "missing +/- between terms in %r"),
+          ("empty-term", parse_polynomial, "x" * 4999 + "+", "empty term in %r"),
+          ("zero-polynomial", parse_polynomial, "0x+" * 1666 + "0y", "polynomial %r is zero"),
+          ("unbalanced", parse_curve, "(" + "y" * 4999, "unbalanced parentheses in %r"),
+          ("unexpected-character", parse_curve, "y" * 4999 + "?",
+           "unexpected character '?' in curve %r: a curve is a product of parenthesised "
+           "factors and bare x or y powers")]],
     pytest.param(lambda: Presentation(-1, ()), MalformedWordError,
                  "rank must be nonnegative", id="presentation-rank-minus-1"),
     pytest.param(lambda: BraidWord(0), MalformedWordError,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from braidmono import (
@@ -12,7 +14,7 @@ from braidmono import (
     exponent_sum,
 )
 from braidmono.errors import CapacityError, DimensionMismatchError, MalformedWordError
-from braidmono.words import MAX_IMAGE_LETTERS
+from braidmono.words import MAX_IMAGE_LETTERS, donors, invert, reduce_onto
 
 
 def test_free_word_reduces_on_construction():
@@ -164,3 +166,30 @@ def test_exponent_sum_counts_signs():
     assert exponent_sum(BraidWord(3, (1, 2, -1, -1))) == 0
     assert exponent_sum(BraidWord(2, (1, 1, 1, 1))) == 4
 
+
+
+def _reference_donors(rank, rels):
+    """The donor search as it was: one scan of the relator per generator."""
+    for k, r in enumerate(rels):
+        for g in range(1, rank + 1):
+            hits = [i for i, a in enumerate(r) if abs(a) == g]
+            if len(hits) == 1:
+                u, s, v = r[: hits[0]], r[hits[0]], r[hits[0] + 1 :]
+                vu = tuple(reduce_onto(list(v), u))
+                expr = vu if s < 0 else invert(vu)
+                yield k, g, {g: expr, -g: invert(expr)}
+
+
+@pytest.mark.parametrize("seed", [460, 4601])
+def test_donors_as_the_reference_scan_finds_them(seed):
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(400):
+        rank = rng.randint(1, 6)
+        rels = [tuple(rng.choice([1, -1]) * rng.randint(1, rank)
+                      for _ in range(rng.randint(0, 3 * rank)))
+                for _ in range(rng.randint(0, 5))]
+        got = list(donors(rank, rels))
+        assert got == list(_reference_donors(rank, rels)), rels
+        found += len(got)
+    assert found > 400
