@@ -13,21 +13,21 @@ import sys
 from fractions import Fraction
 
 from .catalog import fixture_by_id, fixtures, n_tangency_fixture, verify_fixture
-from .curves import CurveSpec, Polynomial2, _parse_rational, _split_factors, parse_polynomial
+from .curves import MAX_STRANDS, CurveSpec, _parse_rational, parse_curve
 from .errors import (
     BraidMonoError,
-    CapacityError,
     CriticalFiberError,
     ImproperProjectionError,
     ParseError,
     TrackingFailureError,
+    check_limit,
 )
-from .homcount import TARGET_HEADER, count_memo, load_targets
+from .homcount import count_memo, load_targets
 from .motion import Motion, motion_to_braid
 from .presentations import Presentation, simplify
 from .tracker import LoopSpec, track_loop
 from .vankampen import raw_relators
-from .words import BraidWord, FreeWord, braid_permutation, exponent_sum
+from .words import BraidWord, FreeWord, braid_permutation, exponent_sum, reduce_onto
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,16 +35,9 @@ EXIT_TRACKING = 3
 
 _TRACKING_ERRORS = (TrackingFailureError, CriticalFiberError, ImproperProjectionError)
 
-# Input size limits, checked before any work that grows with the input.
-# A curve of y-degree d gives a braid on d strands.
-MAX_STRANDS = 32
+# The size limit of braid text, checked before any work that grows with it.
+# parse_curve and load_targets check the curve and target limits.
 MAX_LETTERS = 1000
-MAX_TARGET_ORDER = 128
-
-
-def _check_limit(what: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise CapacityError("%s is %d, over the limit of %d" % (what, value, limit))
 
 
 def _parse_complex(text: str) -> complex:
@@ -72,7 +65,7 @@ def _parse_complex(text: str) -> complex:
     try:
         return complex(float(re_part), float(im_part))
     except OverflowError:
-        raise ParseError("complex number %r is out of floating-point range" % text) from None
+        raise ParseError("complex number %r is out of floating-point range" % text[:40]) from None
 
 
 def _parse_braid(text: str, strands: int | None) -> BraidWord:
@@ -88,12 +81,12 @@ def _parse_braid(text: str, strands: int | None) -> BraidWord:
             base, power = -base, -1
         if base < 1:
             raise ParseError("braid letter index must be positive in %r" % tok[:40])
-        _check_limit("the braid's letter count", len(letters) + abs(power), MAX_LETTERS)
+        check_limit("the braid's letter count", len(letters) + abs(power), MAX_LETTERS)
         letters.extend([base if power > 0 else -base] * abs(power))
         written.append(-base if power < 0 else base)
     if strands is None:
         strands = max(map(abs, written), default=0) + 1
-    _check_limit("the braid's strand count", strands, MAX_STRANDS)
+    check_limit("the braid's strand count", strands, MAX_STRANDS)
     BraidWord(strands, tuple(written))  # range-checks every written letter
     return BraidWord(strands, tuple(letters))
 
@@ -132,36 +125,25 @@ def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, help="N: the first step is arc/N, at most arc/64")
 
 
-def _sheared_degree_y(f: Polynomial2, q: Fraction) -> int:
-    """The y-degree of f.shear_x(q), found without the shear unless it
-    kills f's top form h_D: it is f's total degree D where h_D(q, 1) != 0."""
-    top = max(dx + dy for (dx, dy), _ in f.coeffs)
-    if sum(v * q**dx for (dx, dy), v in f.coeffs if dx + dy == top):
-        return top
-    return f.shear_x(q).degree_y
-
-
-def _tracked_motion(args) -> tuple[CurveSpec, Motion]:
-    """The curve named by the tracking flags and its fiber motion along the loop."""
+def _tracked_braid(args) -> tuple[CurveSpec, Motion, BraidWord]:
+    """The curve named by the tracking flags, its fiber motion along the loop
+    and the motion's braid, freely reduced."""
     opt = {k: d if getattr(args, k) is None else getattr(args, k)
            for k, d in _TRACKING_DEFAULTS.items()}
-    shear = _parse_rational(opt["shear"])
-    powers = [(parse_polynomial(t), n) for t, n in _split_factors(args.curve)]
-    degree = sum(n * _sheared_degree_y(f, shear) for f, n in powers)
-    _check_limit("the curve's y-degree", degree, MAX_STRANDS)
-    curve = CurveSpec(tuple(g for f, n in powers for g in [f.shear_x(shear)] * n))
+    curve = parse_curve(args.curve, _parse_rational(opt["shear"]))
     loop_arc = "negative-half" if opt["arc"] == "half" else "full"
     loop = LoopSpec(_parse_complex(opt["center"]), _parse_rational(opt["radius"]), loop_arc)
     if not 0 < opt["steps"] <= sys.float_info.max:
         raise ParseError("--steps must be a positive integer within floating-point range")
-    return curve, track_loop(curve, loop, initial_divisions=opt["steps"])
+    motion = track_loop(curve, loop, initial_divisions=opt["steps"])
+    letters = reduce_onto([], motion_to_braid(motion).letters)
+    return curve, motion, BraidWord(motion.strands, tuple(letters))
 
 
 def cmd_compute(args) -> int:
     if not args.curve:
         raise ParseError("compute needs --curve")
-    curve, motion = _tracked_motion(args)
-    braid = motion_to_braid(motion)
+    curve, motion, braid = _tracked_braid(args)
     _emit([
         ("curve", str(curve)),
         ("strands", str(motion.strands)),
@@ -184,8 +166,7 @@ def cmd_vankampen(args) -> int:
     elif args.curve is not None and args.strands is not None:
         raise ParseError("--strands applies only to --braid input")
     elif args.curve:
-        _, motion = _tracked_motion(args)
-        braid = motion_to_braid(motion)
+        _, _, braid = _tracked_braid(args)
     else:
         raise ParseError("vankampen needs --braid or --curve")
     raws = raw_relators(braid)  # x_j^-1 times the image of x_j: one Artin action
@@ -217,12 +198,6 @@ def cmd_verify(args) -> int:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             raise ParseError("cannot read targets file: %s" % e) from None
-        headers = (TARGET_HEADER.fullmatch(ln.strip()) for ln in text.splitlines())
-        try:
-            orders = [int(m[2]) for m in headers if m and m[1] == "order"]
-        except ValueError:
-            raise ParseError("a target group's order has too many digits") from None
-        _check_limit("a target group's order", max(orders, default=0), MAX_TARGET_ORDER)
         targets = load_targets(text)
     if args.fixture == "all":
         todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]

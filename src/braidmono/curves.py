@@ -35,7 +35,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CriticalFiberError, ImproperProjectionError, ParseError
+from .errors import CriticalFiberError, ImproperProjectionError, ParseError, check_limit
+
+# Input size limits, checked by parse_curve before the shear and validation
+# whose work grows with them.  A curve of y-degree d gives a braid on d strands.
+MAX_STRANDS = 32
+MAX_DEGREE_X = 100_000
 
 
 def _to_float(v: Fraction) -> float:
@@ -314,9 +319,21 @@ def _normalize(p: Polynomial2) -> tuple:
     return tuple((k, v / lead) for k, v in p.coeffs)
 
 
+def _sheared_degree_y(f: Polynomial2, q: Fraction) -> int:
+    """The y-degree of f.shear_x(q), found without the shear unless it
+    kills f's top form h_D: it is f's total degree D where h_D(q, 1) != 0."""
+    top = max(dx + dy for (dx, dy), _ in f.coeffs)
+    if sum(v * q**dx for (dx, dy), v in f.coeffs if dx + dy == top):
+        return top
+    return f.shear_x(q).degree_y
+
+
 def parse_curve(text: str, shear: Fraction | int = 0) -> CurveSpec:
     """Parse a product of factors, e.g. "(2x+y)(y+x^2)(y-x^2)" or "y(y^2+x)(y^2-x)",
     each sheared by x -> x + shear*y before it is validated, so that a vertical line
     becomes acceptable.  A power of 2 or more is two copies, refused as repeated."""
-    return CurveSpec(tuple(f for t, n in _split_factors(text)
-                           for f in [parse_polynomial(t).shear_x(shear)] * min(n, 2)))
+    powers = [(parse_polynomial(t), n) for t, n in _split_factors(text)]
+    check_limit("a curve factor's x-degree", max(f.degree_x for f, _ in powers), MAX_DEGREE_X)
+    degree = sum(n * _sheared_degree_y(f, shear) for f, n in powers)
+    check_limit("the curve's y-degree", degree, MAX_STRANDS)
+    return CurveSpec(tuple(g for f, n in powers for g in [f.shear_x(shear)] * min(n, 2)))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size-limit check."""
 
 
 class BraidMonoError(Exception):
@@ -47,3 +47,9 @@ class CapacityError(BraidMonoError):
 
 class GroupTableError(BraidMonoError):
     """A multiplication table fails the group axioms."""
+
+
+def check_limit(what: str, value: int, limit: int) -> None:
+    """Refuse an input whose size `value` is over `limit`, before any work grows with it."""
+    if value > limit:
+        raise CapacityError("%s is %d, over the limit of %d" % (what, value, limit))

@@ -45,14 +45,15 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GroupTableError
+from .errors import CapacityError, GroupTableError, check_limit
 from .words import eliminate_generators
 
 if TYPE_CHECKING:
     from .presentations import Presentation
 
-# A header line of a target block, "order N" or "identity N", once stripped.
-TARGET_HEADER = re.compile(r"(order|identity)\s+([0-9]+)")
+# load_targets refuses a block of larger order before it reads the block's
+# rows: the associativity check alone makes two order^3 arrays.
+MAX_TARGET_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -461,6 +462,7 @@ def load_targets(text: str) -> list[tuple[str, FiniteGroupTable]]:
         name = lines[0].split(None, 1)[1]
         try:
             order = _header(lines[1], "order")
+            check_limit("a target group's order", order, MAX_TARGET_ORDER)
             identity = _header(lines[2], "identity")
             rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[3:])
             out.append((name, FiniteGroupTable(order, identity, rows)))
@@ -470,7 +472,10 @@ def load_targets(text: str) -> list[tuple[str, FiniteGroupTable]]:
 
 
 def _header(line: str, key: str) -> int:
-    m = TARGET_HEADER.fullmatch(line)
+    m = re.fullmatch(r"(order|identity)\s+([0-9]+)", line)
     if not m or m[1] != key:
         raise ValueError("expected '%s N', got %r" % (key, line))
-    return int(m[2])
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        return int(m[2])
+    except ValueError:
+        raise CapacityError("a target group's %s has too many digits" % key) from None

@@ -6,8 +6,10 @@ import warnings
 import pytest
 
 from braidmono import BraidWord, Polynomial2, braid_equal, cli, default_targets, dump_targets, vankampen
-from braidmono import homcount
-from braidmono.cli import MAX_LETTERS, MAX_STRANDS, MAX_TARGET_ORDER, _parse_braid, main
+from braidmono import curves, homcount
+from braidmono.cli import MAX_LETTERS, _parse_braid, main
+from braidmono.curves import MAX_DEGREE_X, MAX_STRANDS
+from braidmono.homcount import MAX_TARGET_ORDER
 from braidmono.presentations import SimplifyResult
 from braidmono.words import MAX_IMAGE_LETTERS
 
@@ -220,6 +222,18 @@ def test_a_critical_value_next_to_the_basepoint_tracks_to_its_braid(capsys, curv
         assert letters == braid
 
 
+# A critical value 1e-8 outside the unit loop: the walk crosses s1 and
+# back, and the printed braid is freely reduced.
+@pytest.mark.parametrize("command, line", [
+    pytest.param("compute", "letters: (empty)\n", id="compute"),
+    pytest.param("vankampen", "braid: (empty)\n", id="vankampen"),
+])
+def test_the_tracked_braid_is_printed_freely_reduced(capsys, command, line):
+    code, out, err = _run(capsys, command, "--curve", "(y^2-x+100000001/100000000)")
+    assert (code, err) == (0, "")
+    assert line in out
+
+
 # Nearer still, the walk cannot leave the basepoint: the first steps are
 # refused until the step underflows.
 @pytest.mark.parametrize("curve", [
@@ -375,7 +389,7 @@ def test_center_outside_float_range_exits_two(capsys, command, center):
     code, out, err = _run(capsys, command, "--curve", "(y^2-x)", "--center", center)
     assert code == 2
     assert out == ""
-    assert err == "error: complex number %r is out of floating-point range\n" % center
+    assert err == "error: complex number %r is out of floating-point range\n" % center[:40]
 
 
 def _cyclic_table_text(n, order=None):
@@ -398,6 +412,12 @@ def _cyclic_table_text(n, order=None):
                  id="compute-bare-power-past-an-index"),
     pytest.param(("vankampen", "--curve", "(y^33-x)"), MAX_STRANDS,
                  id="vankampen-curve-degree"),
+    pytest.param(("compute", "--curve", "(y-x)(y-x^%d)" % (MAX_DEGREE_X + 1)), MAX_DEGREE_X,
+                 id="curve-x-degree"),
+    pytest.param(("compute", "--curve", "(y-x^99999999999999999999)", "--shear", "1/2"),
+                 MAX_DEGREE_X, id="curve-x-degree-before-the-shear"),
+    pytest.param(("compute", "--curve", "(2x^10000000y)"), MAX_DEGREE_X,
+                 id="curve-x-degree-before-validation"),
     pytest.param(("verify", "two-tangent-conics", "--targets"), MAX_TARGET_ORDER,
                  id="target-order"),
     # Order headers that int() reads but the targets format refuses; a
@@ -449,8 +469,8 @@ def test_input_over_a_size_limit_exits_two(tmp_path, capsys, argv, limit):
 
 
 def test_a_bare_power_is_parsed_once_before_the_degree_limit(monkeypatch, capsys):
-    parsed, parse = [], cli.parse_polynomial
-    monkeypatch.setattr(cli, "parse_polynomial", lambda text: parsed.append(text) or parse(text))
+    parsed, parse = [], curves.parse_polynomial
+    monkeypatch.setattr(curves, "parse_polynomial", lambda text: parsed.append(text) or parse(text))
     assert _run(capsys, "compute", "--curve", "y^1000") == (
         2, "", "error: the curve's y-degree is 1000, over the limit of %d\n" % MAX_STRANDS)
     assert _run(capsys, "compute", "--curve", "x^1000") == (

@@ -25,13 +25,15 @@ from braidmono import (
     cyclic_group,
     dihedral_group,
     fixture_by_id,
+    load_targets,
     parse_curve,
     parse_polynomial,
     symmetric_group,
     track_loop,
 )
+from braidmono import curves, homcount
 from braidmono.errors import (
-    CriticalFiberError,
+    CapacityError,
     DegenerateMotionError,
     DimensionMismatchError,
     GeometryError,
@@ -94,8 +96,18 @@ _DIGITS = "9" * 5000
                  id="recorded-motion-off-the-configuration"),
     pytest.param(lambda: parse_curve("(1/0y-x)"), ParseError,
                  "cannot parse rational '1/0'", id="curve-coefficient-over-zero"),
-    pytest.param(lambda: parse_curve("y^99999999999999999999"), CriticalFiberError,
-                 "repeated factor y (product not squarefree)", id="curve-bare-power-past-an-index"),
+    pytest.param(lambda: parse_curve("y^99999999999999999999"), CapacityError,
+                 "the curve's y-degree is 99999999999999999999, over the limit of 32",
+                 id="curve-bare-power-past-an-index"),
+    pytest.param(lambda: parse_curve("(y-x)(y-x^100001)"), CapacityError,
+                 "a curve factor's x-degree is 100001, over the limit of 100000",
+                 id="curve-x-degree"),
+    pytest.param(lambda: parse_curve("(2x^99999999999999999999y)"), CapacityError,
+                 "a curve factor's x-degree is 99999999999999999999, over the limit of 100000",
+                 id="curve-x-degree-past-an-index"),
+    pytest.param(lambda: load_targets("group G\norder %s\nidentity 0\n0\n" % _DIGITS),
+                 CapacityError, "a target group's order has too many digits",
+                 id="target-order-digits"),
     # The message echoes the first 40 characters of the number.
     *[pytest.param(lambda text=text: parse_curve(text), ParseError,
                    "cannot parse rational %r" % _DIGITS[:40], id="curve-digits-" + name)
@@ -135,3 +147,36 @@ def test_refusal_names_its_class_and_reason(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def _spy(monkeypatch, owner, name):
+    """The list of calls that owner.name gets from now on."""
+    calls, method = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or method(*a))
+    return calls
+
+
+@pytest.mark.parametrize("text, shear", [
+    pytest.param("(y^33-x)", 0, id="unsheared"),
+    pytest.param("(y^20-x)(y^13+x)", Fraction(1, 2), id="sheared"),
+])
+def test_parse_curve_refuses_the_y_degree_before_any_shear_or_validation(
+        monkeypatch, text, shear):
+    sheared = _spy(monkeypatch, curves.Polynomial2, "shear_x")
+    validated = _spy(monkeypatch, curves.CurveSpec, "__post_init__")
+    with pytest.raises(CapacityError) as info:
+        parse_curve(text, shear)
+    assert type(info.value) is CapacityError
+    assert str(info.value) == "the curve's y-degree is 33, over the limit of 32"
+    assert (sheared, validated) == ([], [])
+
+
+def test_load_targets_refuses_the_order_before_any_table_is_built(monkeypatch):
+    built = _spy(monkeypatch, homcount.FiniteGroupTable, "__post_init__")
+    rows = "\n".join(" ".join(str((i + j) % 129) for j in range(129)) for i in range(129))
+    with pytest.raises(CapacityError) as info:
+        load_targets("group C129\norder 129\nidentity 0\n%s\n\ngroup C1\norder 1\n"
+                     "identity 0\n0\n" % rows)
+    assert type(info.value) is CapacityError
+    assert str(info.value) == "a target group's order is 129, over the limit of 128"
+    assert built == []
