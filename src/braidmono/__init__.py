@@ -76,7 +76,6 @@ from .words import (
     FreeWord,
     Permutation,
     artin_action,
-    braid_conjugate,
     braid_equal,
     braid_permutation,
     exponent_sum,

@@ -197,6 +197,7 @@ def cmd_verify(args) -> int:
             with open(args.targets, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
+            e.filename = args.targets[:40]  # else an OSError's text repeats the whole path
             raise ParseError("cannot read targets file: %s" % e) from None
         targets = load_targets(text)
     if args.fixture == "all":

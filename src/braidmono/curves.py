@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, gcd, inf, lcm
 from typing import Mapping, Sequence
 
@@ -320,12 +320,27 @@ def _normalize(p: Polynomial2) -> tuple:
 
 
 def _sheared_degree_y(f: Polynomial2, q: Fraction) -> int:
-    """The y-degree of f.shear_x(q), found without the shear unless it
-    kills f's top form h_D: it is f's total degree D where h_D(q, 1) != 0."""
-    top = max(dx + dy for (dx, dy), _ in f.coeffs)
-    if sum(v * q**dx for (dx, dy), v in f.coeffs if dx + dy == top):
-        return top
-    return f.shear_x(q).degree_y
+    """The y-degree of f.shear_x(q), found without the shear.  f's form of degree
+    d, sum v x^i y^(d-i), shears to y-degree d - m, where m is the multiplicity of
+    q = a/b as a root of sum v t^i: the least k where its k-th Taylor coefficient
+    at q, times a^(k-j) b^(e-k) with i falling from e to j, is nonzero."""
+    if not q:
+        return f.degree_y
+    a, b = Fraction(q).as_integer_ratio()
+    forms: dict[int, list[tuple[int, Fraction]]] = {}
+    for (dx, dy), v in sorted(f.coeffs, reverse=True):
+        forms.setdefault(dx + dy, []).append((dx, v))
+    best = -1
+    for d, h in forms.items():
+        for k in count():  # sum v C(i, k) a^(i-j) b^(e-i) by Horner's rule
+            acc, bs, prev = 0, 1, h[0][0]
+            for i, v in h:
+                bs *= b ** (prev - i)
+                acc, prev = acc * a ** (prev - i) + v * comb(i, k) * bs, i
+            if acc:
+                best = max(best, d - k)
+                break
+    return best
 
 
 def parse_curve(text: str, shear: Fraction | int = 0) -> CurveSpec:

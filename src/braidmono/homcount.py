@@ -467,14 +467,14 @@ def load_targets(text: str) -> list[tuple[str, FiniteGroupTable]]:
             rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[3:])
             out.append((name, FiniteGroupTable(order, identity, rows)))
         except (ValueError, GroupTableError) as e:
-            raise GroupTableError("group %s: %s" % (name, e)) from None
+            raise GroupTableError("group %s: %s" % (name[:40], e)) from None
     return out
 
 
 def _header(line: str, key: str) -> int:
     m = re.fullmatch(r"(order|identity)\s+([0-9]+)", line)
     if not m or m[1] != key:
-        raise ValueError("expected '%s N', got %r" % (key, line))
+        raise ValueError("expected '%s N', got %r" % (key, line[:40]))
     try:  # int() refuses more digits than sys.get_int_max_str_digits()
         return int(m[2])
     except ValueError:

@@ -20,7 +20,6 @@ from braidmono import (
     RotateBlock,
     Verdict,
     artin_action,
-    braid_conjugate,
     braid_equal,
     braid_images,
     braid_permutation,
@@ -39,6 +38,7 @@ from braidmono import (
     track_loop,
     verify_fixture,
 )
+from garside_conjugacy import braid_conjugate
 
 
 # The fixtures with complex points over the basepoint, whose model

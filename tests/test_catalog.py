@@ -6,19 +6,25 @@ from fractions import Fraction
 import pytest
 
 from braidmono import (
+    BraidWord,
     Encircle,
     Fixture,
+    LoopSpec,
     MotionProgram,
     RotateBlock,
+    braid_equal,
     braid_images,
     braid_permutation,
     exponent_sum,
     fixture_by_id,
     fixtures,
+    motion_to_braid,
     n_tangency_fixture,
+    track_loop,
     verify_fixture,
 )
-from braidmono.errors import CapacityError, CriticalFiberError, ParseError
+from braidmono.errors import CapacityError, CriticalFiberError, MalformedWordError, ParseError
+from garside_conjugacy import braid_conjugate
 
 ALL_IDS = [
     "two-tangent-conics",
@@ -76,6 +82,46 @@ def test_fixture_parses_its_curve_once():
     for _ in range(2):
         with pytest.raises(CriticalFiberError, match="repeated factor"):
             bad.curve
+
+
+# The fixtures with complex points over the basepoint, and the radii
+# that the benchmark's verify workload draws.
+FRAMED_IDS = ["vertical-tangency", "triple-tangency-vertical-line", "vertical-tangency-line-pair"]
+BENCH_RADII = [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("fixture_id", FRAMED_IDS)
+def test_stated_conjugator_carries_the_tracked_braid_to_the_model(fixture_id):
+    f = fixture_by_id(fixture_id)
+    model = f.model_program.braid()
+    c = BraidWord(model.strands, f.conjugator)
+    for r in BENCH_RADII:
+        tracked = motion_to_braid(track_loop(f.curve, LoopSpec(radius=r)))
+        assert not braid_equal(tracked, model), r
+        assert braid_equal(c * tracked * c.inverse(), model), r
+        assert braid_conjugate(tracked, model), r
+
+
+def test_only_the_framed_fixtures_state_a_conjugator():
+    todo = fixtures() + [n_tangency_fixture(n) for n in range(2, 7)]
+    stated = [f.fixture_id for f in todo if f.conjugator]
+    assert stated == [i for i in ALL_IDS if i in FRAMED_IDS]
+
+
+@pytest.mark.parametrize("letter", [5, -5, 0])
+def test_fixture_refuses_a_conjugator_letter_out_of_range(letter):
+    f = fixture_by_id("vertical-tangency")  # 5 strands
+    with pytest.raises(MalformedWordError, match="letter %d out of range for 5 strands" % letter):
+        dataclasses.replace(f, conjugator=(-3, letter))
+
+
+@pytest.mark.parametrize("conjugator, line", [
+    ((), "FAIL vertical-tangency tracked-vs-model: tracked braid differs from the model"),
+    ((-3, -2), "FAIL vertical-tangency tracked-vs-model: conjugated braid differs from the model"),
+])
+def test_verify_fails_without_the_right_conjugator(conjugator, line):
+    f = dataclasses.replace(fixture_by_id("vertical-tangency"), conjugator=conjugator)
+    assert verify_fixture(f).lines()[0] == line
 
 
 def test_fixture_strand_counts():
@@ -172,8 +218,9 @@ def test_verify_reports_both_tracking_failures():
     ]
 
 
-def _fixture_with_model(fixture_id, like, model_program):
-    """A fixture with the curve and expectations of `like` and its own model."""
+def _fixture_with_model(fixture_id, like, model_program, conjugator=()):
+    """A fixture with the curve and expectations of `like`, its own model
+    and its own conjugator."""
     base = fixture_by_id(like)
     return Fixture(
         fixture_id=fixture_id,
@@ -185,6 +232,7 @@ def _fixture_with_model(fixture_id, like, model_program):
         expected_relations=base.expected_relations,
         redundancy_claims=(),
         deletion_checks=(),
+        conjugator=conjugator,
     )
 
 
@@ -193,7 +241,7 @@ def test_verify_reports_a_wrong_model_program():
     wrong = MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, Fraction(1)),))
     report = verify_fixture(_fixture_with_model("wrong-model", "two-tangent-conics", wrong))
     assert report.lines() == [
-        "FAIL wrong-model tracked-vs-model: braids are not conjugate",
+        "FAIL wrong-model tracked-vs-model: tracked braid differs from the model",
         "FAIL wrong-model model-vs-expected: hom counts Inconsistent",
         "pass wrong-model lefschetz-program: half-loop braid matches the program",
         "pass wrong-model lefschetz-doubling: half squared equals the full loop",
@@ -201,7 +249,8 @@ def test_verify_reports_a_wrong_model_program():
 
 
 def test_verify_accepts_a_conjugate_model_program():
-    # The catalogue model of the secant-below fixture, conjugated by s1.
+    # The catalogue model of the secant-below fixture, conjugated by s1:
+    # s1 tracked s1^-1 is the model.
     swap = ((-2, -1), Fraction(-3, 2))
     conjugate = MotionProgram((-2, -1, 1), (
         RotateBlock(*swap, Fraction(1)),
@@ -210,7 +259,7 @@ def test_verify_accepts_a_conjugate_model_program():
         RotateBlock(*swap, Fraction(-1)),
     ))
     report = verify_fixture(
-        _fixture_with_model("conjugate-model", "tangent-conics-secant-below", conjugate)
+        _fixture_with_model("conjugate-model", "tangent-conics-secant-below", conjugate, (1,))
     )
     assert report.passed
     assert report.lines()[0] == "pass conjugate-model tracked-vs-model: braids are conjugate"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import os
 import time
 import warnings
 
@@ -119,12 +121,36 @@ def test_missing_input_is_an_error(capsys, argv):
                  "braid letter index must be positive in 's0'", id="letter-s0"),
     pytest.param(("verify", "n-tangency-x"),
                  "unknown fixture id 'n-tangency-x'", id="n-tangency-x"),
+    # int() reads each of these as 3, but only n-tangency-3 names the fixture.
+    *[pytest.param(("verify", "n-tangency-" + n), "unknown fixture id 'n-tangency-%s'" % n,
+                   id="n-tangency-" + n) for n in ("-3", " 3", "+3", "03")],
+    pytest.param(("verify", "n-tangency-" + _DIGITS),
+                 "unknown fixture id %r" % ("n-tangency-" + _DIGITS)[:40], id="n-tangency-digits"),
+    pytest.param(("verify", "n-tangency-10"),
+                 "n-tangency fixtures support 2 <= n <= 6", id="n-tangency-10"),
+    pytest.param(("verify", "z" * 5000), "unknown fixture id %r" % ("z" * 40), id="long-id"),
+    pytest.param(("verify", "all", "--targets", "t" * 3000),
+                 "cannot read targets file: [Errno %d] %s: %r" % (
+                     errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), "t" * 40),
+                 id="long-targets-path"),
 ])
 def test_input_error_message_and_exit(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("group %s\norder 2\nidentity 0\n0 1\n1\n" % ("G" * 5000),
+                 "group %s: table must be 2 x 2" % ("G" * 40), id="group-name"),
+    pytest.param("group G\norder %s\nidentity 0\n0\n" % ("x" * 4994),
+                 "group G: expected 'order N', got %r" % ("order " + "x" * 34), id="order-line"),
+])
+def test_a_targets_file_is_echoed_in_40_characters(tmp_path, capsys, text, message):
+    path = tmp_path / "targets.txt"
+    path.write_text(text, encoding="utf-8")
+    assert _run(capsys, "verify", "all", "--targets", str(path)) == (2, "", "error: %s\n" % message)
 
 
 def test_tracking_error_exits_three(capsys):
@@ -478,18 +504,19 @@ def test_a_bare_power_is_parsed_once_before_the_degree_limit(monkeypatch, capsys
     assert parsed == ["y", "x"]
 
 
-@pytest.mark.parametrize("curve, shear, degree, sheared_first", [
-    pytest.param("(y-x^300)", "1/100", 300, False, id="top-form-kept"),
-    # x -> x + y kills the top form x^40 - y^40, so the y-degree is 39.
-    pytest.param("(x^40-y^40+y)", "1", 39, True, id="top-form-killed"),
+@pytest.mark.parametrize("curve, shear, degree", [
+    pytest.param("(y-x^300)", "1/100", 300, id="top-form-kept"),
+    # x -> x + y kills the top form x^40 - y^40, so the y-degree is 39: the
+    # multiplicity of the root 1 of t^40 - 1 tells, with no shear.
+    pytest.param("(x^40-y^40+y)", "1", 39, id="top-form-killed"),
 ])
 def test_a_factor_is_sheared_only_once_its_degree_is_within_the_limit(
-        monkeypatch, capsys, curve, shear, degree, sheared_first):
+        monkeypatch, capsys, curve, shear, degree):
     sheared, shear_x = [], Polynomial2.shear_x
     monkeypatch.setattr(Polynomial2, "shear_x", lambda f, q: sheared.append(f) or shear_x(f, q))
     assert _run(capsys, "compute", "--curve", curve, "--shear", shear) == (
         2, "", "error: the curve's y-degree is %d, over the limit of %d\n" % (degree, MAX_STRANDS))
-    assert len(sheared) == sheared_first
+    assert sheared == []
 
 
 def test_inputs_at_the_size_limits_run(tmp_path, capsys):

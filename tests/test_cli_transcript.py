@@ -11,9 +11,11 @@ stderr of `braidmono.cli.main`, run in-process, for:
 - one case for each documented exit-2 and exit-3 message.
 
 No output known to be wrong is pinned: such cases stay strict xfails
-where they are tested.  Files that a case reads are written to a
-temporary directory, which reads `<tmp>` in the data.  Regenerate the
-data only on purpose, and list each changed line in CHANGES.md:
+where they are tested.  Files that a case reads are written to the
+directory `cli-inputs` of a temporary working directory, and the cases
+name them by that short relative path, which reads `<tmp>` in the data:
+an error message echoes at most 40 characters of a path.  Regenerate
+the data only on purpose, and list each changed line in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from braidmono import cli, fixtures, n_tangency_fixture
 
 DATA = Path(__file__).parent / "data" / "cli_transcript.json"
 TMP = "<tmp>"
+INPUTS = "cli-inputs"
 
 # Past the largest float, about 1.8e308.
 HUGE = "1" + "0" * 309
@@ -102,25 +106,27 @@ def cases() -> list[list[str]]:
     return out + REFUSALS
 
 
-def run(argv: list[str], tmp: str) -> dict:
-    """One in-process CLI run, with the temporary directory read as <tmp>."""
+def run(argv: list[str]) -> dict:
+    """One in-process CLI run, with the input directory read as <tmp>."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main([a.replace(TMP, tmp) for a in argv])
+            code = cli.main([a.replace(TMP, INPUTS) for a in argv])
         except SystemExit as e:
             code = e.code
     return {
         "argv": argv,
         "exit": code,
-        "stdout": out.getvalue().replace(tmp, TMP),
-        "stderr": err.getvalue().replace(tmp, TMP),
+        "stdout": out.getvalue().replace(INPUTS, TMP),
+        "stderr": err.getvalue().replace(INPUTS, TMP),
     }
 
 
-def _write_target_files(tmp: Path) -> None:
+def _write_target_files() -> None:
+    """Write the target files to INPUTS under the working directory."""
+    Path(INPUTS).mkdir()
     for name, data in TARGET_FILES.items():
-        (tmp / name).write_bytes(data)
+        (Path(INPUTS) / name).write_bytes(data)
 
 
 RECORDED = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
@@ -133,13 +139,17 @@ def test_transcript_covers_every_case():
 
 @pytest.mark.parametrize("i", range(len(RECORDED)),
                          ids=["%03d-%s" % (i, r["argv"][0]) for i, r in enumerate(RECORDED)])
-def test_cli_output_is_pinned(i, tmp_path):
-    _write_target_files(tmp_path)
-    assert run(RECORDED[i]["argv"], str(tmp_path)) == RECORDED[i]
+def test_cli_output_is_pinned(i, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_target_files()
+    assert run(RECORDED[i]["argv"]) == RECORDED[i]
 
 
 if __name__ == "__main__":
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        _write_target_files(Path(tmp))
-        records = [run(argv, tmp) for argv in cases()]
+        os.chdir(tmp)
+        _write_target_files()
+        records = [run(argv) for argv in cases()]
+        os.chdir(home)
     DATA.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

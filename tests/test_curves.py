@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from braidmono import (
     parse_polynomial,
     track_loop,
 )
-from braidmono.curves import _gcd
-from braidmono.errors import CriticalFiberError, ImproperProjectionError, ParseError
+from braidmono.curves import MAX_STRANDS, _gcd, _sheared_degree_y
+from braidmono.errors import CapacityError, CriticalFiberError, ImproperProjectionError, ParseError
 from polynomial_product import product
 
 
@@ -140,6 +141,37 @@ def test_a_long_factor_is_checked_for_vertical_content_quickly():
     assert _gcd([0] * 30000 + [3], [-2]) == [-1]
     assert _gcd([1, 0, -1], [1, 1]) == [1, 1]
     assert _gcd([1, 0, 1], [1, 1]) == [1]
+
+
+def test_sheared_degree_agrees_with_the_shear():
+    # Each draw is a random f times (x - q y)^r for r = 0..3, so the shear
+    # x -> x + q y kills up to three orders of its forms.
+    rng = random.Random(20261020)
+    killed = 0
+    for _ in range(600):
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        f = Polynomial2.from_dict({
+            (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 5))})
+        if not f.coeffs:
+            continue
+        line = Polynomial2.from_dict({(1, 0): 1, (0, 1): -q})
+        f = product([f] + [line] * rng.randint(0, 3))
+        sheared = f.shear_x(q).degree_y
+        assert _sheared_degree_y(f, q) == sheared, (f.coeffs, q)
+        killed += sheared < max(dx + dy for (dx, dy), _ in f.coeffs)
+    assert killed >= 200
+
+
+def test_a_shear_that_kills_a_long_top_form_is_refused_quickly():
+    # x -> x + y kills the top form x^100000 - y^100000; its y-degree, one
+    # less, comes from the multiplicity of the root 1 of t^100000 - 1.
+    # Shearing the factor took 14 s at x-degree 10^4 (2-CPU x86 VM).
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as e:
+        parse_curve("(x^100000-y^100000+y)", 1)
+    assert time.perf_counter() - start < 2.0
+    assert str(e.value) == "the curve's y-degree is 99999, over the limit of %d" % MAX_STRANDS
 
 
 def test_transverse_intersections_are_fine():

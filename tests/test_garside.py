@@ -1,11 +1,12 @@
-"""Garside normal forms, braid equality and the conjugacy test.
+"""Garside normal forms, braid equality and the conjugacy oracle.
 
 The reference for equality is the faithful Artin action: two braids are
-equal iff they send every free generator to the same word.  Conjugacy is
-checked on conjugates built by hand, on fixed pairs that reach the
-closure of the super summit set (each with its proof: a conjugator, or a
-hom count that differs, since conjugate braids induce isomorphic
-groups), and on the tracked braids of the catalogue.
+equal iff they send every free generator to the same word.  The oracle
+braid_conjugate of garside_conjugacy is checked on conjugates built by
+hand, on fixed pairs that reach the closure of the super summit set
+(each with its proof: a conjugator, or a hom count that differs, since
+conjugate braids induce isomorphic groups), and on the tracked braids
+of the catalogue.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import braidmono.words as words
+import garside_conjugacy as conjugacy
 from braidmono import (
     BraidWord,
     CapacityError,
@@ -23,7 +25,6 @@ from braidmono import (
     FreeWord,
     LoopSpec,
     artin_action,
-    braid_conjugate,
     braid_equal,
     count_homomorphisms,
     default_targets,
@@ -34,6 +35,7 @@ from braidmono import (
     track_loop,
 )
 from braidmono.words import left_normal_form
+from garside_conjugacy import braid_conjugate
 
 
 def _artin_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -146,13 +148,13 @@ NOT_CONJUGATE_BY_COUNT = [
 @pytest.fixture
 def closure_calls(monkeypatch):
     calls = []
-    inner = words._closure_meets
+    inner = conjugacy._closure_meets
 
     def spy(*args):
         calls.append(inner(*args))
         return calls[-1]
 
-    monkeypatch.setattr(words, "_closure_meets", spy)
+    monkeypatch.setattr(conjugacy, "_closure_meets", spy)
     return calls
 
 
@@ -181,7 +183,7 @@ def test_closure_beyond_its_strand_bound_raises():
 
 
 def test_closure_beyond_its_size_bound_raises(monkeypatch):
-    monkeypatch.setattr(words, "MAX_SUPER_SUMMIT", 1)
+    monkeypatch.setattr(conjugacy, "MAX_SUPER_SUMMIT", 1)
     n, a, b, group = NOT_CONJUGATE_BY_COUNT[0]
     with pytest.raises(CapacityError, match="more than 1 braids"):
         braid_conjugate(BraidWord(n, a), BraidWord(n, b))
@@ -192,7 +194,7 @@ def test_catalogue_tracked_braids_never_need_the_closure(monkeypatch):
     def refuse(*args):
         raise AssertionError("closure reached")
 
-    monkeypatch.setattr(words, "_closure_meets", refuse)
+    monkeypatch.setattr(conjugacy, "_closure_meets", refuse)
     todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     for f in todo:
         model = f.model_program.braid()
