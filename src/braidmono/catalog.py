@@ -428,14 +428,14 @@ def verify_fixture(
             detail = "braid words agree (%d letters)" % len(model_braid.letters)
         checks.append(CheckResult("tracked-vs-model", ok, detail))
 
-    raws = raw_relators(model_braid)  # the induced presentation keeps the non-trivial ones
-    model = Presentation(model_braid.strands, tuple(r for r in raws if r.letters))
+    raws = raw_relators(model_braid)  # entry k - 1 is relation k, trivial or not
+    model = Presentation(model_braid.strands, tuple(raws))
     rep = equivalence_evidence(model, f.expected_relations, targets)
     checks.append(CheckResult(
         "model-vs-expected", rep.consistent, "hom counts %s" % rep.verdict))
 
     for k in f.redundancy_claims:
-        rest = [r for j, r in enumerate(raws, start=1) if j != k and r.letters]
+        rest = raws[: k - 1] + raws[k:]
         verdict = is_consequence(rest, raws[k - 1])
         checks.append(CheckResult(
             "redundancy-%d" % k, verdict is Verdict.DERIVABLE,

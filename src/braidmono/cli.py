@@ -170,7 +170,7 @@ def cmd_vankampen(args) -> int:
     else:
         raise ParseError("vankampen needs --braid or --curve")
     raws = raw_relators(braid)  # x_j^-1 times the image of x_j: one Artin action
-    pres = Presentation(braid.strands, tuple(r for r in raws if r.letters))
+    pres = Presentation(braid.strands, tuple(raws))
     pairs = [("strands", str(braid.strands)), ("braid", _braid_text(braid))]
     for j, raw in enumerate(raws, start=1):
         img = FreeWord.generator(braid.strands, j) * raw

@@ -24,7 +24,7 @@ x_k is bound.  One that reads x_k u x_k^-1 = w up to rotation is solved
 by lookup: x_k takes the conjugators from u to w, one per row on
 average; the others are tested, dropping the rows that fail.
 
-A count depends only on the rank and the set of non-empty relators.
+A count depends only on the rank and the set of relators.
 Inside a count_memo block it is made once per group, and the plan (the
 elimination, the diagonal, the relator lists) once per presentation; a
 count outside any block is its own block.  Nothing in the memo outlives
@@ -280,7 +280,7 @@ def count_homomorphisms(p: Presentation, group: FiniteGroupTable) -> int:
 
 def _counted(p: Presentation, groups: Sequence[FiniteGroupTable]) -> list[int]:
     """The counts into each group, those not in the memo made in one _counts call."""
-    relators = [r.letters for r in p.relators if r.letters]
+    relators = [r.letters for r in p.relators]
     key = (p.rank, frozenset(relators))
     with count_memo():
         counts = _memo.get().counts

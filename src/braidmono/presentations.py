@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
 from .homcount import FiniteGroupTable, count_homomorphisms, count_memo, default_targets
-from .words import FreeWord, delete_generator, donors, invert, reduce_onto, substitute
+from .words import FreeWord, delete_generator, donors, invert, substitute
 
 DEFAULT_MAX_LEN = 64
 DEFAULT_BUDGET = 100_000
@@ -95,7 +95,8 @@ def canonical_relator(w: FreeWord) -> FreeWord:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Group presentation with generators x1..x_rank and explicit relators."""
+    """Group presentation with generators x1..x_rank and explicit relators;
+    those that freely reduce to 1 are dropped, the rest keep their order."""
 
     rank: int
     relators: tuple[FreeWord, ...]
@@ -112,13 +113,12 @@ class Presentation:
                     "relator rank %d does not match presentation rank %d"
                     % (r.rank, self.rank)
                 )
-            rels.append(r)
+            if r.letters:
+                rels.append(r)
         object.__setattr__(self, "relators", tuple(rels))
 
     def canonical_relator_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(
-            canonical_relator(r).letters for r in self.relators if r.letters
-        )
+        return frozenset(canonical_relator(r).letters for r in self.relators)
 
     def __str__(self) -> str:
         gens = ", ".join("x%d" % (i + 1) for i in range(self.rank))
@@ -195,7 +195,7 @@ def is_consequence(
         return Verdict.INDEPENDENT
     by_first: dict[int, list[tuple[int, ...]]] = {}
     seen_m = set()
-    for r in relators:
+    for r in rest.relators:
         core = _cyclic_reduce(r.letters)
         for rot in _rotations(core) + _rotations(invert(core)):
             if rot not in seen_m:
@@ -343,8 +343,6 @@ def simplify(
     rels: list[_Rel] = []
     for r in p.relators:
         c = canonical_relator(r).letters
-        if not c:
-            continue
         if c in rels:
             moves.append("drop duplicate relator %s" % _word_str(r.letters))
             continue
@@ -379,5 +377,6 @@ def kill_generator(p: Presentation, gen: int) -> Presentation:
     """Set generator `gen` to the identity and renumber the rest."""
     if not 1 <= gen <= p.rank:
         raise DimensionMismatchError("no generator x%d in rank %d" % (gen, p.rank))
-    rels = (reduce_onto([], delete_generator(r.letters, gen)) for r in p.relators)
-    return Presentation(p.rank - 1, tuple(r for r in rels if r))
+    rels = (delete_generator(r.letters, gen) for r in p.relators)
+    # Killing the only generator kills every relator, and FreeWord refuses rank 0.
+    return Presentation(p.rank - 1, tuple(rels) if p.rank > 1 else ())

@@ -2,10 +2,11 @@
 
 A braid on n strands acts on the free group generated by one loop per
 strand.  The induced presentation has those n loops as generators and
-one relator per generator, saying the braid action fixes it.  For the
-local braid of a curve singularity this is exactly the presentation of
-the complement's fundamental group given by the classical projection
-argument, with relations read off over the basepoint fiber.
+one relator per generator the braid moves, saying the action fixes it.
+For the local braid of a curve singularity this is exactly the
+presentation of the complement's fundamental group given by the
+classical projection argument, with relations read off over the
+basepoint fiber.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ def raw_relators(b: BraidWord) -> list[FreeWord]:
 
 
 def induced_presentation(b: BraidWord) -> Presentation:
-    """Presentation with the nontrivial raw relators.
-
-    Generators are never dropped, even those the action fixes.
+    """Presentation with the raw relators, of which Presentation keeps the
+    nontrivial ones.  Generators are never dropped, even those the action fixes.
     """
-    rels = tuple(r for r in raw_relators(b) if r.letters)
-    return Presentation(b.strands, rels)
+    return Presentation(b.strands, tuple(raw_relators(b)))

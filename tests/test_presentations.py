@@ -9,6 +9,7 @@ from braidmono import (
     Presentation,
     Verdict,
     canonical_relator,
+    count_homomorphisms,
     default_targets,
     is_consequence,
     kill_generator,
@@ -125,7 +126,26 @@ def test_least_rotation_and_canonical_relator_match_brute_force():
 def test_presentation_relator_set_drops_trivial():
     p = Presentation(2, (_w(2, 1, -1), _w(2, 2, 1, -2)))
     assert p.canonical_relator_set() == frozenset({(-1,)})
-    assert str(p) == "< x1, x2 | 1; x2 x1 x2^-1 >"
+    assert str(p) == "< x1, x2 | x2 x1 x2^-1 >"
+
+
+def test_presentation_keeps_only_nontrivial_relators_in_order():
+    # Trivial as a FreeWord, and as tuples that freely reduce to 1.
+    p = Presentation(3, (_w(3, 2, 3), FreeWord(3, ()), (1, -1), _w(3, -1),
+                         (2, 3, -3, -2), (), (3, 3)))
+    assert [r.letters for r in p.relators] == [(2, 3), (-1,), (3, 3)]
+    assert all(isinstance(r, FreeWord) for r in p.relators)
+
+
+def test_a_trivial_relator_changes_neither_equality_nor_hom_counts():
+    w = _w(2, 1, 2, -1, -2)
+    p = Presentation(2, (w, FreeWord(2, ())))
+    assert p == Presentation(2, (w,))
+    # The counts plan on the relators as given, and a plan needs each non-empty.
+    loose = Presentation(2, (w.letters, (1, 2, -2, -1)))
+    bare, with_p, with_loose = ([count_homomorphisms(q, g) for _, g in TARGETS]
+                                for q in (Presentation(2, (w,)), p, loose))
+    assert bare == with_p == with_loose
 
 
 def test_same_relators_up_to_conjugacy():
