@@ -174,7 +174,7 @@ def cmd_vankampen(args) -> int:
     pairs = [("strands", str(braid.strands)), ("braid", _braid_text(braid))]
     for j, raw in enumerate(raws, start=1):
         img = FreeWord.generator(braid.strands, j) * raw
-        pairs.append(("image-x%d" % j, ",".join(str(a) for a in img.letters) or "x%d" % j))
+        pairs.append(("image-x%d" % j, ",".join(str(a) for a in img.letters)))
     if not pres.relators:
         pairs.append(("presentation", "free group of rank %d" % braid.strands))
         _emit(pairs, args.format)

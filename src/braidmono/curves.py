@@ -287,20 +287,21 @@ class CurveSpec:
         for f in factors:
             if f.degree_y < 1:
                 raise ImproperProjectionError(
-                    "factor %s does not depend on y (vertical or constant)" % f
+                    "factor %s does not depend on y (vertical or constant)" % str(f)[:40]
                 )
             if _vertical_content(f):
                 raise ImproperProjectionError(
-                    "factor %s contains a vertical-line component" % f
+                    "factor %s contains a vertical-line component" % str(f)[:40]
                 )
         norms = [_normalize(f) for f in factors]
         for k, f in enumerate(factors):
             if norms[k] in norms[:k]:
-                raise CriticalFiberError("repeated factor %s (product not squarefree)" % f)
+                raise CriticalFiberError(
+                    "repeated factor %s (product not squarefree)" % str(f)[:40])
         for f in factors:
             df = Polynomial2.from_dict({(dx, dy - 1): dy * v for (dx, dy), v in f.coeffs if dy})
             if _share_component(f, df):
-                raise CriticalFiberError("factor %s is not squarefree" % f)
+                raise CriticalFiberError("factor %s is not squarefree" % str(f)[:40])
         for (a, f), (b, g) in combinations(enumerate(factors, 1), 2):
             if _share_component(f, g):
                 raise CriticalFiberError("factors %d and %d share a component" % (a, b))

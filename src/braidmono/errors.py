@@ -50,6 +50,17 @@ class GroupTableError(BraidMonoError):
 
 
 def check_limit(what: str, value: int, limit: int) -> None:
-    """Refuse an input whose size `value` is over `limit`, before any work grows with it."""
+    """Refuse an input whose size `value` is over `limit`, before any work grows with it.
+    A value of more than 40 digits is named by its digit count."""
     if value > limit:
-        raise CapacityError("%s is %d, over the limit of %d" % (what, value, limit))
+        shown = "%d" % value if value < 10**40 else "a %d-digit number" % _digits(value)
+        raise CapacityError("%s is %s, over the limit of %d" % (what, shown, limit))
+
+
+def _digits(value: int) -> int:
+    """The decimal digits of a positive int, counted without str(), which
+    refuses more than sys.get_int_max_str_digits()."""
+    d = (value.bit_length() - 1) * 3 // 10  # 10^d <= 2^(bits - 1) <= value
+    while 10 ** (d + 1) <= value:
+        d += 1
+    return d + 1

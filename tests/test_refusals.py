@@ -31,19 +31,24 @@ from braidmono import (
     symmetric_group,
     track_loop,
 )
-from braidmono import curves, homcount
+from braidmono import cli, curves, homcount
 from braidmono.errors import (
     CapacityError,
+    CriticalFiberError,
     DegenerateMotionError,
     DimensionMismatchError,
     GeometryError,
     GroupTableError,
+    ImproperProjectionError,
     MalformedWordError,
     ParseError,
+    check_limit,
 )
 
 # A number of more digits than int() converts (sys.get_int_max_str_digits()).
 _DIGITS = "9" * 5000
+# A factor without y whose text runs to 4,685 characters.
+_POWERS = "+".join("x^%d" % k for k in range(799, 0, -1))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -105,6 +110,30 @@ _DIGITS = "9" * 5000
     pytest.param(lambda: parse_curve("(2x^99999999999999999999y)"), CapacityError,
                  "a curve factor's x-degree is 99999999999999999999, over the limit of 100000",
                  id="curve-x-degree-past-an-index"),
+    # A value of more than 40 digits is named by its digit count, also past
+    # the digits that str() converts.
+    pytest.param(lambda: parse_curve("(y-x^%s)" % _DIGITS[:4000]), CapacityError,
+                 "a curve factor's x-degree is a 4000-digit number, over the limit of 100000",
+                 id="curve-x-degree-of-4000-digits"),
+    pytest.param(lambda: parse_curve("(x^%sx^%s)" % (_DIGITS[:4300], _DIGITS[:4300])),
+                 CapacityError,
+                 "a curve factor's x-degree is a 4301-digit number, over the limit of 100000",
+                 id="curve-x-degree-past-str-digits"),
+    pytest.param(lambda: check_limit("a size", 10**40 - 1, 1), CapacityError,
+                 "a size is %d, over the limit of 1" % (10**40 - 1), id="limit-of-40-digits"),
+    pytest.param(lambda: check_limit("a size", 10**40, 1), CapacityError,
+                 "a size is a 41-digit number, over the limit of 1", id="limit-of-41-digits"),
+    # A refused factor is echoed by its first 40 characters.
+    *[pytest.param(lambda text=text: parse_curve(text), error, message, id="long-factor-" + name)
+      for name, text, error, message in [
+          ("without-y", "(%s)" % _POWERS, ImproperProjectionError,
+           "factor %s does not depend on y (vertical or constant)" % _POWERS[:40]),
+          ("vertical-content", "(xy+%s)" % _POWERS, ImproperProjectionError,
+           "factor %s contains a vertical-line component" % ("xy+" + _POWERS)[:40]),
+          ("repeated", "(y+%s)(y+%s)" % (_POWERS, _POWERS), CriticalFiberError,
+           "repeated factor %s (product not squarefree)" % ("y+" + _POWERS)[:40]),
+          ("not-squarefree", "(y^2-2%sy+1%s)" % ("0" * 30, "0" * 60), CriticalFiberError,
+           "factor y^2-2%sy+100 is not squarefree" % ("0" * 30))]],
     pytest.param(lambda: load_targets("group G\norder %s\nidentity 0\n0\n" % _DIGITS),
                  CapacityError, "a target group's order has too many digits",
                  id="target-order-digits"),
@@ -180,3 +209,16 @@ def test_load_targets_refuses_the_order_before_any_table_is_built(monkeypatch):
     assert type(info.value) is CapacityError
     assert str(info.value) == "a target group's order is 129, over the limit of 128"
     assert built == []
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["compute", "--curve", "(y-x^%s)" % _DIGITS[:4000]],
+                 "error: a curve factor's x-degree is a 4000-digit number, over the limit of 100000",
+                 id="compute-x-degree"),
+    pytest.param(["vankampen", "--braid", "s1^%s" % _DIGITS[:3000]],
+                 "error: the braid's letter count is a 3000-digit number, over the limit of 1000",
+                 id="vankampen-letter-count"),
+])
+def test_the_cli_names_a_long_value_by_its_digit_count(capsys, argv, line):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
