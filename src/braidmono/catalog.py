@@ -52,15 +52,25 @@ def _chain(rank: int, *words: Sequence[int]) -> list[FreeWord]:
 
 @dataclass(frozen=True)
 class Fixture:
-    """One catalogued singularity with everything needed to verify it.  Where
-    the model works in a rearranged frame, `conjugator` holds the letters of a
-    braid c with c * tracked * c^-1 equal to the model braid."""
+    """One catalogued singularity with everything needed to verify it.
+
+    `model_letters` and `lefschetz_letters` state the model braid and the
+    half-loop braid as words in the Artin generators; the tests derive each
+    from a motion program, letter for letter.  Their strand count, one more
+    than the model word's largest generator, is the rank of
+    `expected_relations`.  Where the model works in a rearranged frame,
+    `conjugator` holds the letters of a braid c with c * tracked * c^-1 equal
+    to the model braid.  verify_fixture reads the words; `model_program`, the
+    motion program of the model braid, serves the benchmark's present
+    workload."""
 
     fixture_id: str
     equation: str
-    model_program: MotionProgram
-    lefschetz_program: MotionProgram
+    model_letters: tuple[int, ...]
+    lefschetz_letters: tuple[int, ...]
     expected_relations: Presentation
+    model_program: MotionProgram | None = None
+    lefschetz_program: MotionProgram | None = None
     shear: Fraction = Fraction(0)
     lefschetz_doubling: bool = False
     redundancy_claims: tuple[int, ...] = ()
@@ -68,13 +78,14 @@ class Fixture:
     conjugator: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        n = len(self.model_program.points)
+        n = max(map(abs, self.model_letters), default=0) + 1
         if self.expected_relations.rank != n:
             raise ParseError(
                 "fixture %s: %d strands but expected relations have rank %d"
                 % (self.fixture_id, n, self.expected_relations.rank)
             )
-        BraidWord(n, self.conjugator)  # refuses a letter out of range
+        for word in (self.model_letters, self.lefschetz_letters, self.conjugator):
+            BraidWord(n, word)  # refuses a letter out of range
 
     @cached_property
     def curve(self) -> CurveSpec:
@@ -90,6 +101,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="two-tangent-conics",
         equation="(y+x^2)(y-x^2)",
+        model_letters=(1, 1, 1, 1),
+        lefschetz_letters=(1, 1),
         model_program=MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, F(4)),)),
         lefschetz_program=MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, F(2)),)),
         lefschetz_doubling=True,
@@ -104,6 +117,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="tangent-conics-secant-below",
         equation="(2x+y)(y+x^2)(y-x^2)",
+        model_letters=(2, 2, 2, 2, 1, 2, 2, 1),
+        lefschetz_letters=(1, 1, 2, 1),
         model_program=MotionProgram((-2, -1, 1), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2,), (-1, 1), F(1)),
@@ -124,6 +139,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="tangent-conics-secant-above",
         equation="(2x-y)(y+x^2)(y-x^2)",
+        model_letters=(1, 1, 1, 1, 2, 1, 1, 2),
+        lefschetz_letters=(2, 2, 1, 2),
         model_program=MotionProgram((-1, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((2,), (-1, 1), F(1)),
@@ -149,6 +166,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="vertical-tangency",
         equation="y(y^2+x)(y^2-x)",
+        model_letters=(-3, 4, -2, 2, 3, 2, 4, 1, 2, 3, 2, 4, 1, 2, -4, 3),
+        lefschetz_letters=(2, 3, 2, 4, 1),
         model_program=MotionProgram((-2, -1, 0, 1, 2), (
             frame33,
             RotateBlock((-2, 0, complex(-1, 0.5), complex(-1, -0.5)), -1, F(1)),
@@ -169,6 +188,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="triple-tangency",
         equation="y(y+x^2)(y-x^2)",
+        model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1),
+        lefschetz_letters=(1, 2, 1, 1, 2, 1),
         model_program=MotionProgram((-1, 0, 1), (RotateBlock((-1, 1), 0, F(4)),)),
         lefschetz_program=MotionProgram((-1, 0, 1), (RotateBlock((-1, 1), 0, F(2)),)),
         lefschetz_doubling=True,
@@ -184,6 +205,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="triple-tangency-secant-below",
         equation="y(2x+y)(y+x^2)(y-x^2)",
+        model_letters=(2, 3, 2, 2, 3, 2, 2, 3, 2, 2, 3, 2, 1, 2, 3, 3, 2, 1),
+        lefschetz_letters=(1, 2, 1, 1, 2, 1, 3, 2, 1),
         model_program=MotionProgram((-2, -1, 0, 1), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2,), (-1, 0, 1), F(1)),
@@ -205,6 +228,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="triple-tangency-secant-above",
         equation="y(2x-y)(y+x^2)(y-x^2)",
+        model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 3, 2, 1, 1, 2, 3),
+        lefschetz_letters=(2, 3, 2, 2, 3, 2, 1, 2, 3),
         model_program=MotionProgram((-1, 0, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((2,), (-1, 0, 1), F(1)),
@@ -237,6 +262,11 @@ def fixtures() -> list[Fixture]:
         fixture_id="triple-tangency-vertical-line",
         equation="(x)(y)(x+y^2)(x-y^2)",
         shear=F(1, 100),
+        model_letters=(
+            -4, 5, -3, 4, -2, 5, 4, 3, 2, 1, 1, 2, 3, 4, 5,
+            2, 3, 2, 4, 1, 2, 3, 2, 4, 1, 2, -4, 3, -5, 4,
+        ),
+        lefschetz_letters=(3, 2, 4, 1, 3, 5, 4, 3, 2, 1),
         model_program=MotionProgram((-2, -1, 0, 1, 2, 3), (
             frame413,
             Encircle((1,), (-2, -1, 0, complex(-1, 0.5), complex(-1, -0.5)), F(1), -1),
@@ -264,6 +294,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="double-secant",
         equation="(2x+y)(2x-y)(y+x^2)(y-x^2)",
+        model_letters=(2, 2, 2, 2, 1, 3, 2, 1, 3, 1, 3, 2, 1, 3),
+        lefschetz_letters=(2, 2, 1, 3, 2, 1, 3),
         model_program=MotionProgram((-2, -1, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2, 2), (-1, 1), F(1)),
@@ -290,6 +322,11 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="vertical-tangency-line-pair",
         equation="y(x+2y)(y^2+x)(y^2-x)",
+        model_letters=(
+            -4, 5, -3, 4, 3, 4, 2, 5, 1, 2, 4, 3, 4, 2, 5, 1,
+            4, 2, -4, -2, 3, 4, 2, -4, -2, 3, 4, 2, -4, 3, -5, 4,
+        ),
+        lefschetz_letters=(2, 3, 2, 4, 5, 1, 4, -4, 3, 2),
         model_program=MotionProgram((-2, F(-1, 2), F(1, 2), 2, 3, 4), (
             frame422,
             RotateBlock((-2, 2, 1j, -1j), 0, F(1)),
@@ -311,6 +348,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="conic-line-tangency-secant-below",
         equation="y(2x+y)(y+x^2)",
+        model_letters=(2, 2, 2, 2, 1, 2, 2, 1),
+        lefschetz_letters=(1, 1, 2, 1),
         model_program=MotionProgram((-2, -1, 0), (
             RotateBlock((-1, 0), F(-1, 2), F(4)),
             Encircle((-2,), (-1, 0), F(1)),
@@ -324,6 +363,8 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="conic-line-tangency-secant-above",
         equation="y(2x-y)(y+x^2)",
+        model_letters=(1, 1, 1, 1, 2, 1, 1, 2),
+        lefschetz_letters=(2, 2, 1, 2),
         model_program=MotionProgram((-1, 0, 2), (
             RotateBlock((-1, 0), F(-1, 2), F(4)),
             Encircle((2,), (-1, 0), F(1)),
@@ -364,10 +405,14 @@ def n_tangency_fixture(n: int) -> Fixture:
         prev = cyc[-1]
         cyc.append((prev[-1],) + prev[:-1])
     expected = Presentation(n, tuple(_chain(n, *[w + w for w in cyc])))
+    # The half twist: (s1 .. s_{n-1})(s1 .. s_{n-2}) .. (s1).
+    delta = tuple(a for top in range(n - 1, 0, -1) for a in range(1, top + 1))
     pts = tuple(range(1, n + 1))
     return Fixture(
         fixture_id="n-tangency-%d" % n,
         equation="".join(parts),
+        model_letters=delta * 4,
+        lefschetz_letters=delta * 2,
         model_program=MotionProgram(pts, (RotateBlock(pts, 0, F(4)),)),
         lefschetz_program=MotionProgram(pts, (RotateBlock(pts, 0, F(2)),)),
         lefschetz_doubling=True,
@@ -408,7 +453,8 @@ def verify_fixture(
 ) -> VerificationReport:
     checks: list[CheckResult] = []
     loop = LoopSpec(radius=radius)
-    model_braid = f.model_program.braid()
+    n = f.expected_relations.rank  # the words' strand count
+    model_braid = BraidWord(n, f.model_letters)
 
     failure = None
     try:
@@ -418,7 +464,7 @@ def verify_fixture(
         failure = "tracking failed: %s" % e
         checks.append(CheckResult("tracked-vs-model", False, failure))
     else:
-        c = BraidWord(model_braid.strands, f.conjugator)
+        c = BraidWord(n, f.conjugator)
         ok = braid_equal(c * tracked * c.inverse(), model_braid)
         if not ok:
             detail = "%s braid differs from the model" % ("conjugated" if f.conjugator else "tracked")
@@ -429,7 +475,7 @@ def verify_fixture(
         checks.append(CheckResult("tracked-vs-model", ok, detail))
 
     raws = raw_relators(model_braid)  # entry k - 1 is relation k, trivial or not
-    model = Presentation(model_braid.strands, tuple(raws))
+    model = Presentation(n, tuple(raws))
     rep = equivalence_evidence(model, f.expected_relations, targets)
     checks.append(CheckResult(
         "model-vs-expected", rep.consistent, "hom counts %s" % rep.verdict))
@@ -450,7 +496,7 @@ def verify_fixture(
     if failure is not None:
         checks.append(CheckResult("lefschetz", False, failure))
     else:
-        ok = braid_equal(half, f.lefschetz_program.braid())
+        ok = braid_equal(half, BraidWord(n, f.lefschetz_letters))
         checks.append(CheckResult(
             "lefschetz-program", ok,
             "half-loop braid %s the program" % ("matches" if ok else "differs from")))

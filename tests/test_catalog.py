@@ -115,6 +115,34 @@ def test_fixture_refuses_a_conjugator_letter_out_of_range(letter):
         dataclasses.replace(f, conjugator=(-3, letter))
 
 
+@pytest.mark.parametrize("letter", [5, -5, 0])
+def test_fixture_refuses_a_half_loop_letter_out_of_range(letter):
+    f = fixture_by_id("vertical-tangency")  # 5 strands
+    with pytest.raises(MalformedWordError, match="letter %d out of range for 5 strands" % letter):
+        dataclasses.replace(f, lefschetz_letters=(2, letter))
+
+
+@pytest.mark.parametrize("letters, error, message", [
+    ((2, 0, 4), MalformedWordError, "letter 0 out of range for 5 strands"),
+    ((2, -5, 4), ParseError, "vertical-tangency: 6 strands but expected relations have rank 5"),
+    ((1, 2, 3), ParseError, "vertical-tangency: 4 strands but expected relations have rank 5"),
+])
+def test_fixture_reads_its_strand_count_from_the_model_word(letters, error, message):
+    f = fixture_by_id("vertical-tangency")
+    with pytest.raises(error, match=message):
+        dataclasses.replace(f, model_letters=letters)
+
+
+def test_verify_samples_no_motion_program(monkeypatch):
+    # verify_fixture reads the stated words: it builds no program motion.
+    sampled = []
+    real = MotionProgram.to_motion
+    monkeypatch.setattr(MotionProgram, "to_motion", lambda p: sampled.append(p) or real(p))
+    for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
+        assert verify_fixture(f, radius=Fraction(1)).passed, f.fixture_id
+    assert sampled == []
+
+
 @pytest.mark.parametrize("conjugator, line", [
     ((), "FAIL vertical-tangency tracked-vs-model: tracked braid differs from the model"),
     ((-3, -2), "FAIL vertical-tangency tracked-vs-model: conjugated braid differs from the model"),
@@ -218,15 +246,16 @@ def test_verify_reports_both_tracking_failures():
     ]
 
 
-def _fixture_with_model(fixture_id, like, model_program, conjugator=()):
+def _fixture_with_model(fixture_id, like, model_letters, conjugator=()):
     """A fixture with the curve and expectations of `like`, its own model
-    and its own conjugator."""
+    word and its own conjugator."""
     base = fixture_by_id(like)
     return Fixture(
         fixture_id=fixture_id,
         equation=base.equation,
         shear=base.shear,
-        model_program=model_program,
+        model_letters=model_letters,
+        lefschetz_letters=base.lefschetz_letters,
         lefschetz_program=base.lefschetz_program,
         lefschetz_doubling=base.lefschetz_doubling,
         expected_relations=base.expected_relations,
@@ -238,8 +267,7 @@ def _fixture_with_model(fixture_id, like, model_program, conjugator=()):
 
 def test_verify_reports_a_wrong_model_program():
     # A single half twist is not the monodromy of two tangent conics.
-    wrong = MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, Fraction(1)),))
-    report = verify_fixture(_fixture_with_model("wrong-model", "two-tangent-conics", wrong))
+    report = verify_fixture(_fixture_with_model("wrong-model", "two-tangent-conics", (1,)))
     assert report.lines() == [
         "FAIL wrong-model tracked-vs-model: tracked braid differs from the model",
         "FAIL wrong-model model-vs-expected: hom counts Inconsistent",
@@ -251,13 +279,7 @@ def test_verify_reports_a_wrong_model_program():
 def test_verify_accepts_a_conjugate_model_program():
     # The catalogue model of the secant-below fixture, conjugated by s1:
     # s1 tracked s1^-1 is the model.
-    swap = ((-2, -1), Fraction(-3, 2))
-    conjugate = MotionProgram((-2, -1, 1), (
-        RotateBlock(*swap, Fraction(1)),
-        RotateBlock((-1, 1), 0, Fraction(4)),
-        Encircle((-2,), (-1, 1), Fraction(1)),
-        RotateBlock(*swap, Fraction(-1)),
-    ))
+    conjugate = (1, 2, 2, 2, 2, 1, 2, 2, 1, -1)
     report = verify_fixture(
         _fixture_with_model("conjugate-model", "tangent-conics-secant-below", conjugate, (1,))
     )

@@ -5,7 +5,9 @@ program of each of the twelve fixtures and of n-tangency-2..6, the
 braid letters, the strand and sample counts of `to_motion`, and its
 matching permutation.  The values were recorded before motion
 composition was rewritten to run in one pass, so any change in how a
-program's moves are joined shows here.
+program's moves are joined shows here.  Each fixture states its model
+and half-loop braid words; they are checked here against the braids of
+the programs, letter for letter.
 """
 
 from __future__ import annotations
@@ -38,3 +40,12 @@ def test_program_braid_is_pinned(fixture_id, kind):
     assert list(braid.letters) == rec["letters"]
     assert len(motion.times) == rec["samples"]
     assert list(motion.matching_permutation().images) == rec["permutation"]
+
+
+@pytest.mark.parametrize("kind", ["model", "lefschetz"])
+@pytest.mark.parametrize("fixture_id", sorted(PINNED))
+def test_stated_word_is_the_program_braid(fixture_id, kind):
+    f = fixture_by_id(fixture_id)
+    braid = getattr(f, kind + "_program").braid()
+    assert braid.letters == getattr(f, kind + "_letters")
+    assert braid.strands == f.expected_relations.rank
