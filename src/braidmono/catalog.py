@@ -1,10 +1,11 @@
 """Executable fixtures for the catalogued tangential singularities.
 
-Each fixture bundles a local equation, a declarative model motion
-program for the expected braid, a half-loop (degeneration) program,
-the expected final relation set, and the bookkeeping claims that go
-with it: which raw relation is redundant and which generator deletions
-reproduce which smaller catalogue entries.
+Each fixture bundles a local equation, the model braid and the half-loop
+(degeneration) braid stated as words in the Artin generators, the
+expected final relation set, and the bookkeeping claims that go with it:
+which raw relation is redundant and which generator deletions reproduce
+which smaller catalogue entries.  The tests derive each stated word from
+a declarative motion program, letter for letter.
 
 verify_fixture replays everything end to end: it tracks the full loop
 once, compares the tracked braid, conjugated by the fixture's stated
@@ -13,7 +14,7 @@ local braid monodromy is defined up to conjugation, and where the fiber
 has complex points the model works in a rearranged frame), compares
 induced and expected presentations, checks redundancy derivability,
 deletion consequences, and the half-loop braid (the walk's from its
-half turn on) against its program or the doubling identity.
+half turn on) against its stated word or the doubling identity.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class Fixture:
     lefschetz_letters: tuple[int, ...]
     expected_relations: Presentation
     model_program: MotionProgram | None = None
-    lefschetz_program: MotionProgram | None = None
     shear: Fraction = Fraction(0)
     lefschetz_doubling: bool = False
     redundancy_claims: tuple[int, ...] = ()
@@ -104,7 +104,6 @@ def fixtures() -> list[Fixture]:
         model_letters=(1, 1, 1, 1),
         lefschetz_letters=(1, 1),
         model_program=MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, F(4)),)),
-        lefschetz_program=MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, F(2)),)),
         lefschetz_doubling=True,
         expected_relations=Presentation(2, (_eq(2, (1, 2, 1, 2), (2, 1, 2, 1)),)),
     ))
@@ -123,10 +122,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2,), (-1, 1), F(1)),
         )),
-        lefschetz_program=MotionProgram((-1, 1, 2), (
-            RotateBlock((-1, 1), 0, F(2)),
-            Encircle((2,), (-1, 1), F(1, 2)),
-        )),
         expected_relations=exp31,
         redundancy_claims=(3,),
     ))
@@ -144,10 +139,6 @@ def fixtures() -> list[Fixture]:
         model_program=MotionProgram((-1, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((2,), (-1, 1), F(1)),
-        )),
-        lefschetz_program=MotionProgram((-2, -1, 1), (
-            RotateBlock((-1, 1), 0, F(2)),
-            Encircle((-2,), (-1, 1), F(1, 2)),
         )),
         expected_relations=exp32,
     ))
@@ -173,9 +164,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-2, 0, complex(-1, 0.5), complex(-1, -0.5)), -1, F(1)),
             FrameOut(frame33),
         )),
-        lefschetz_program=MotionProgram((-1, -1j, 0, 1j, 1), (
-            RotateBlock((1, -1, 1j, -1j), 0, F(1, 2)),
-        )),
         expected_relations=exp33,
         redundancy_claims=(5,),
         conjugator=(-3, -2, -1),
@@ -191,7 +179,6 @@ def fixtures() -> list[Fixture]:
         model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1),
         lefschetz_letters=(1, 2, 1, 1, 2, 1),
         model_program=MotionProgram((-1, 0, 1), (RotateBlock((-1, 1), 0, F(4)),)),
-        lefschetz_program=MotionProgram((-1, 0, 1), (RotateBlock((-1, 1), 0, F(2)),)),
         lefschetz_doubling=True,
         expected_relations=trio,
         redundancy_claims=(3,),
@@ -210,10 +197,6 @@ def fixtures() -> list[Fixture]:
         model_program=MotionProgram((-2, -1, 0, 1), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2,), (-1, 0, 1), F(1)),
-        )),
-        lefschetz_program=MotionProgram((-1, 0, 1, 2), (
-            RotateBlock((-1, 1), 0, F(2)),
-            Encircle((2,), (-1, 0, 1), F(1, 2)),
         )),
         expected_relations=exp411,
         redundancy_claims=(4,),
@@ -234,10 +217,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((2,), (-1, 0, 1), F(1)),
         )),
-        lefschetz_program=MotionProgram((-2, -1, 0, 1), (
-            RotateBlock((-1, 1), 0, F(2)),
-            Encircle((-2,), (-1, 0, 1), F(1, 2)),
-        )),
         expected_relations=exp412,
     ))
 
@@ -255,9 +234,6 @@ def fixtures() -> list[Fixture]:
         3, (3, 2, 1, 3, 2, 1), (2, 1, 3, 2, 1, 3), (1, 3, 2, 1, 3, 2)
     )))
     frame413 = FrameIn((-2, -1, 0, 1, 2, 3), F(-1), F(1, 2))
-    quartet413 = (F(-201, 200), F(199, 200), F(1, 200) - 1j, F(1, 200) + 1j)
-    c413 = complex(F(-1, 200))
-    turned413 = tuple(c413 + 1j * (complex(z) - c413) for z in quartet413)
     out.append(Fixture(
         fixture_id="triple-tangency-vertical-line",
         equation="(x)(y)(x+y^2)(x-y^2)",
@@ -273,13 +249,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-2, 0, complex(-1, 0.5), complex(-1, -0.5)), -1, F(1)),
             FrameOut(frame413),
         )),
-        lefschetz_program=MotionProgram(
-            (F(-201, 200), 0, F(1, 200) - 1j, F(1, 200) + 1j, F(199, 200), 100),
-            (
-                RotateBlock(quartet413, F(-1, 200), F(1, 2)),
-                Encircle((100,), turned413 + (0,), F(1, 2), 0),
-            ),
-        ),
         expected_relations=exp413,
         redundancy_claims=(6,),
         deletion_checks=((2, trio543), (4, exp33)),
@@ -299,10 +268,6 @@ def fixtures() -> list[Fixture]:
         model_program=MotionProgram((-2, -1, 1, 2), (
             RotateBlock((-1, 1), 0, F(4)),
             Encircle((-2, 2), (-1, 1), F(1)),
-        )),
-        lefschetz_program=MotionProgram((-2, -1, 1, 2), (
-            RotateBlock((-1, 1), 0, F(2)),
-            Encircle((-2, 2), (-1, 1), F(1, 2)),
         )),
         expected_relations=exp421,
         redundancy_claims=(3,),
@@ -333,10 +298,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((F(-1, 2), F(1, 2)), 0, F(2)),
             FrameOut(frame422),
         )),
-        lefschetz_program=MotionProgram((-1, -1j, 0, 1j, F(1, 2), 1), (
-            RotateBlock((1, -1, 1j, -1j), 0, F(1, 2)),
-            Encircle((F(1, 2),), (0,), F(1, 2), 0),
-        )),
         expected_relations=exp422,
         redundancy_claims=(6,),
         deletion_checks=((2, exp33), (3, exp33)),
@@ -354,10 +315,6 @@ def fixtures() -> list[Fixture]:
             RotateBlock((-1, 0), F(-1, 2), F(4)),
             Encircle((-2,), (-1, 0), F(1)),
         )),
-        lefschetz_program=MotionProgram((-1, 0, 2), (
-            RotateBlock((-1, 0), F(-1, 2), F(2)),
-            Encircle((2,), (-1, 0), F(1, 2), 0),
-        )),
         expected_relations=exp31,
     ))
     out.append(Fixture(
@@ -368,10 +325,6 @@ def fixtures() -> list[Fixture]:
         model_program=MotionProgram((-1, 0, 2), (
             RotateBlock((-1, 0), F(-1, 2), F(4)),
             Encircle((2,), (-1, 0), F(1)),
-        )),
-        lefschetz_program=MotionProgram((-2, -1, 0), (
-            RotateBlock((-1, 0), F(-1, 2), F(2)),
-            Encircle((-2,), (-1, 0), F(1, 2), 0),
         )),
         expected_relations=exp32,
     ))
@@ -414,7 +367,6 @@ def n_tangency_fixture(n: int) -> Fixture:
         model_letters=delta * 4,
         lefschetz_letters=delta * 2,
         model_program=MotionProgram(pts, (RotateBlock(pts, 0, F(4)),)),
-        lefschetz_program=MotionProgram(pts, (RotateBlock(pts, 0, F(2)),)),
         lefschetz_doubling=True,
         expected_relations=expected,
     )

@@ -256,7 +256,6 @@ def _fixture_with_model(fixture_id, like, model_letters, conjugator=()):
         shear=base.shear,
         model_letters=model_letters,
         lefschetz_letters=base.lefschetz_letters,
-        lefschetz_program=base.lefschetz_program,
         lefschetz_doubling=base.lefschetz_doubling,
         expected_relations=base.expected_relations,
         redundancy_claims=(),

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from braidmono import Encircle, FrameIn, FrameOut, MotionProgram, RotateBlock, fixture_by_id
+from braidmono import Encircle, FrameIn, FrameOut, MotionProgram, RotateBlock
+from catalog_programs import program
 
 DATA = Path(__file__).parent / "data" / "motion_bytes.json"
 CATALOGUE = Path(__file__).parent / "data" / "program_braids.json"
@@ -100,9 +101,8 @@ def seeded_programs() -> dict[str, MotionProgram]:
 def catalogue_programs() -> dict[str, MotionProgram]:
     out = {}
     for fid in sorted(json.loads(CATALOGUE.read_text(encoding="utf-8"))):
-        fixture = fixture_by_id(fid)
         for kind in ("model", "lefschetz"):
-            out["%s/%s" % (fid, kind)] = getattr(fixture, kind + "_program")
+            out["%s/%s" % (fid, kind)] = program(fid, kind)
     return out
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from braidmono import fixture_by_id
+from catalog_programs import program
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "program_braids.json").read_text(encoding="utf-8")
@@ -33,9 +34,9 @@ def test_pins_cover_the_catalogue():
 @pytest.mark.parametrize("fixture_id", sorted(PINNED))
 def test_program_braid_is_pinned(fixture_id, kind):
     rec = PINNED[fixture_id][kind]
-    program = getattr(fixture_by_id(fixture_id), kind + "_program")
-    motion = program.to_motion()
-    braid = program.braid()
+    p = program(fixture_id, kind)
+    motion = p.to_motion()
+    braid = p.braid()
     assert braid.strands == rec["strands"]
     assert list(braid.letters) == rec["letters"]
     assert len(motion.times) == rec["samples"]
@@ -46,6 +47,6 @@ def test_program_braid_is_pinned(fixture_id, kind):
 @pytest.mark.parametrize("fixture_id", sorted(PINNED))
 def test_stated_word_is_the_program_braid(fixture_id, kind):
     f = fixture_by_id(fixture_id)
-    braid = getattr(f, kind + "_program").braid()
+    braid = program(fixture_id, kind).braid()
     assert braid.letters == getattr(f, kind + "_letters")
     assert braid.strands == f.expected_relations.rank
