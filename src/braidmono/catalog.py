@@ -55,15 +55,12 @@ def _chain(rank: int, *words: Sequence[int]) -> list[FreeWord]:
 class Fixture:
     """One catalogued singularity with everything needed to verify it.
 
-    `model_letters` and `lefschetz_letters` state the model braid and the
-    half-loop braid as words in the Artin generators; the tests derive each
-    from a motion program, letter for letter.  Their strand count, one more
-    than the model word's largest generator, is the rank of
+    `model_letters` and `lefschetz_letters` state the model and half-loop
+    braids (the tests derive each from a motion program, letter for letter),
+    on one more strand than the model's largest generator: the rank of
     `expected_relations`.  Where the model works in a rearranged frame,
     `conjugator` holds the letters of a braid c with c * tracked * c^-1 equal
-    to the model braid.  verify_fixture reads the words; `model_program`, the
-    motion program of the model braid, serves the benchmark's present
-    workload."""
+    to the model braid.  `model_program` serves the benchmark alone."""
 
     fixture_id: str
     equation: str
@@ -349,21 +346,15 @@ def n_tangency_fixture(n: int) -> Fixture:
     """n smooth branches sharing a tangent: y = k*x^2 for k = 1..n."""
     if not 2 <= n <= 6:
         raise CapacityError("n-tangency fixtures support 2 <= n <= 6")
-    parts = []
-    for k in range(1, n + 1):
-        parts.append("(y-x^2)" if k == 1 else "(y-%dx^2)" % k)
     base = tuple(range(n, 0, -1))
-    cyc = [base]
-    for _ in range(n - 1):
-        prev = cyc[-1]
-        cyc.append((prev[-1],) + prev[:-1])
+    cyc = [base[-k:] + base[:-k] for k in range(n)]  # base rotated right k times
     expected = Presentation(n, tuple(_chain(n, *[w + w for w in cyc])))
     # The half twist: (s1 .. s_{n-1})(s1 .. s_{n-2}) .. (s1).
     delta = tuple(a for top in range(n - 1, 0, -1) for a in range(1, top + 1))
     pts = tuple(range(1, n + 1))
     return Fixture(
         fixture_id="n-tangency-%d" % n,
-        equation="".join(parts),
+        equation="(y-x^2)" + "".join("(y-%dx^2)" % k for k in range(2, n + 1)),
         model_letters=delta * 4,
         lefschetz_letters=delta * 2,
         model_program=MotionProgram(pts, (RotateBlock(pts, 0, F(4)),)),
@@ -404,13 +395,12 @@ def verify_fixture(
     targets: Sequence[tuple[str, FiniteGroupTable]] | None = None,
 ) -> VerificationReport:
     checks: list[CheckResult] = []
-    loop = LoopSpec(radius=radius)
     n = f.expected_relations.rank  # the words' strand count
     model_braid = BraidWord(n, f.model_letters)
 
     failure = None
     try:
-        motion = track_loop(f.curve, loop)
+        motion = track_loop(f.curve, LoopSpec(radius=radius))
         tracked, half = motion_to_braid(motion), lefschetz_braid(motion)
     except BraidMonoError as e:
         failure = "tracking failed: %s" % e

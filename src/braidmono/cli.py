@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from .catalog import fixture_by_id, fixtures, n_tangency_fixture, verify_fixture
 from .curves import MAX_STRANDS, CurveSpec, _parse_rational, parse_curve
@@ -50,18 +49,9 @@ def _parse_complex(text: str) -> complex:
     )
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ParseError("cannot parse complex number %r" % text[:40])
-    re_part = _parse_rational(m.group("re")) if m.group("re") else Fraction(0)
-    im_txt = m.group("im")
-    if im_txt:
-        body = im_txt[:-1]
-        if body in ("", "+"):
-            im_part = Fraction(1)
-        elif body == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = _parse_rational(body)
-    else:
-        im_part = Fraction(0)
+    re_part = _parse_rational(m.group("re") or "0")
+    body = (m.group("im") or "0i")[:-1]  # a bare i, +i or -i has coefficient 1
+    im_part = _parse_rational(body + "1" if body in ("", "+", "-") else body)
     try:
         return complex(float(re_part), float(im_part))
     except OverflowError:
@@ -92,18 +82,38 @@ def _parse_braid(text: str, strands: int | None) -> BraidWord:
 
 
 def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
-    if fmt == "structured":
-        for k, v in pairs:
-            print("%s=%s" % (k, v))
-    else:
-        for k, v in pairs:
-            print("%s: %s" % (k, v))
+    sep = "=" if fmt == "structured" else ": "
+    for k, v in pairs:
+        print("%s%s%s" % (k, sep, v))
 
 
 def _braid_text(b: BraidWord) -> str:
     if not b.letters:
         return "(empty)"
     return " ".join("s%d" % a if a > 0 else "s%d^-1" % -a for a in b.letters)
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own refusal would echo the whole text
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text[:40]) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error lines echo at most 40 characters of a
+    refused choice or of the unrecognized arguments."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            value = value[:40]  # still no choice: every choice is shorter
+        super()._check_value(action, value)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: %s" % " ".join(extra)[:40])
+        return parsed
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -122,7 +132,7 @@ def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--center", help="loop center a+bi (rational parts)")
     p.add_argument("--radius", help="loop radius as a fraction p/q")
     p.add_argument("--arc", choices=["full", "half"], help="full loop or the lower half")
-    p.add_argument("--steps", type=int, help="N: the first step is arc/N, at most arc/64")
+    p.add_argument("--steps", type=_int, help="N: the first step is arc/N, at most arc/64")
 
 
 def _tracked_braid(args) -> tuple[CurveSpec, Motion, BraidWord]:
@@ -225,7 +235,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidmono",
         description="Braid monodromy of plane curve singularities by root tracking.",
     )
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vk = sub.add_parser("vankampen", help="presentation induced by a braid or curve")
     _add_tracking_flags(p_vk)
     p_vk.add_argument("--braid", help="braid word, e.g. \"s1 s1 s2^-1\"")
-    p_vk.add_argument("--strands", type=int, help="strand count for --braid input")
+    p_vk.add_argument("--strands", type=_int, help="strand count for --braid input")
     _add_common_flags(p_vk)
     p_vk.set_defaults(func=cmd_vankampen)
 

@@ -6,11 +6,12 @@ among the terms (10^20, a zero denominator, literals of 4,000 and 5,000
 digits, a 4,685-character factor and 5,000 characters of garbage).
 Each call must keep the contract:
 
-- it exits 0, 2 or 3, or stops in argparse (whose usage text is not
-  checked);
+- it exits 0, 2 or 3, or stops in argparse;
 - no exception other than BraidMonoError leaves the program, so none
   leaves `cli.main` at all;
-- stderr is empty or holds one line of at most 200 characters;
+- stderr is empty or holds one line of at most 200 characters, and
+  when argparse stops the call (usage text and an `error:` line), each
+  of its lines has at most 200 characters;
 - it finishes within 10 s.
 
 The draw's bounds: DRAWS calls from seed SEED.  A curve has at most
@@ -169,9 +170,9 @@ def _broken(outcome: str, stderr: str, seconds: float) -> list[str]:
     broken = []
     if outcome not in ("0", "2", "3", "argparse"):
         broken.append("outcome %s" % outcome)
-    if outcome != "argparse" and stderr:
+    if stderr:
         lines = stderr.splitlines()
-        if len(lines) != 1 or not stderr.endswith("\n"):
+        if outcome != "argparse" and (len(lines) != 1 or not stderr.endswith("\n")):
             broken.append("%d stderr lines" % len(lines))
         if max(map(len, lines)) > MAX_LINE:
             broken.append("a %d-character stderr line" % max(map(len, lines)))
@@ -198,3 +199,38 @@ def test_every_draw_keeps_the_contract(ledger):
 def test_the_ledger_of_outcomes(ledger):
     assert Counter(result[0] for _, result in ledger) == {
         "0": 78, "2": 142, "3": 52, "argparse": 28}
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["compute", "--curve=y", "--steps=" + "9" * 5000],
+                 "braidmono compute: error: argument --steps: invalid int value: '%s'" % ("9" * 40),
+                 id="long-int"),
+    pytest.param(["vankampen", "--braid=s1", "--strands=" + "x" * 3000],
+                 "braidmono vankampen: error: argument --strands: invalid int value: '%s'"
+                 % ("x" * 40), id="long-strands"),
+    pytest.param(["compute", "--curve=y", "--format=" + "a" * 3000],
+                 "braidmono compute: error: argument --format: invalid choice: '%s' "
+                 "(choose from 'text', 'structured')" % ("a" * 40), id="long-format"),
+    pytest.param(["compute", "--curve=y", "--arc=" + "a" * 3000],
+                 "braidmono compute: error: argument --arc: invalid choice: '%s' "
+                 "(choose from 'full', 'half')" % ("a" * 40), id="long-arc"),
+    pytest.param(["c" * 3000],
+                 "braidmono: error: argument command: invalid choice: '%s' "
+                 "(choose from 'compute', 'vankampen', 'verify')" % ("c" * 40), id="long-command"),
+    pytest.param(["compute", "--curve=y"] + ["z"] * 3000,
+                 "braidmono: error: unrecognized arguments: " + "z " * 20,
+                 id="many-unrecognized"),
+    # Short values are echoed whole, as argparse writes them.
+    pytest.param(["compute", "--curve=y", "--steps=x"],
+                 "braidmono compute: error: argument --steps: invalid int value: 'x'",
+                 id="short-int"),
+    pytest.param(["compute", "--curve=y", "--arc=quarter"],
+                 "braidmono compute: error: argument --arc: invalid choice: 'quarter' "
+                 "(choose from 'full', 'half')", id="short-arc"),
+    pytest.param(["compute", "--curve=y", "z", "w"],
+                 "braidmono: error: unrecognized arguments: z w", id="short-unrecognized"),
+])
+def test_argparse_echoes_at_most_40_characters_of_a_value(argv, line):
+    outcome, stderr, _ = _call(argv)
+    assert outcome == "argparse"
+    assert stderr.splitlines()[-1] == line
