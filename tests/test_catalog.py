@@ -7,11 +7,9 @@ import pytest
 
 from braidmono import (
     BraidWord,
-    Encircle,
     Fixture,
     LoopSpec,
     MotionProgram,
-    RotateBlock,
     braid_equal,
     braid_images,
     braid_permutation,
