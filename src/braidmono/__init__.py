@@ -47,9 +47,6 @@ from .homcount import (
     symmetric_group,
 )
 from .motion import (
-    Encircle,
-    FrameIn,
-    FrameOut,
     Motion,
     MotionProgram,
     RotateBlock,

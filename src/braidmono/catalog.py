@@ -5,7 +5,8 @@ Each fixture bundles a local equation, the model braid and the half-loop
 expected final relation set, and the bookkeeping claims that go with it:
 which raw relation is redundant and which generator deletions reproduce
 which smaller catalogue entries.  The tests derive each stated word from
-a declarative motion program, letter for letter.
+a geometric motion program, letter for letter; `Fixture.model_program`
+encodes the model word back into a program of adjacent half-twists.
 
 verify_fixture replays everything end to end: it tracks the full loop
 once, compares the tracked braid, conjugated by the fixture's stated
@@ -28,7 +29,7 @@ from typing import Sequence
 from .curves import CurveSpec, parse_curve
 from .errors import BraidMonoError, CapacityError, ParseError
 from .homcount import FiniteGroupTable, count_memo, equivalence_evidence
-from .motion import Encircle, FrameIn, FrameOut, MotionProgram, RotateBlock, motion_to_braid
+from .motion import MotionProgram, RotateBlock, motion_to_braid
 from .presentations import (
     Presentation,
     Verdict,
@@ -60,14 +61,13 @@ class Fixture:
     on one more strand than the model's largest generator: the rank of
     `expected_relations`.  Where the model works in a rearranged frame,
     `conjugator` holds the letters of a braid c with c * tracked * c^-1 equal
-    to the model braid.  `model_program` serves the benchmark alone."""
+    to the model braid."""
 
     fixture_id: str
     equation: str
     model_letters: tuple[int, ...]
     lefschetz_letters: tuple[int, ...]
     expected_relations: Presentation
-    model_program: MotionProgram | None = None
     shear: Fraction = Fraction(0)
     lefschetz_doubling: bool = False
     redundancy_claims: tuple[int, ...] = ()
@@ -89,6 +89,15 @@ class Fixture:
         """The parsed equation; a parse error is raised again on each use."""
         return parse_curve(self.equation, self.shear)
 
+    @property
+    def model_program(self) -> MotionProgram:
+        """`model_letters` as a program on the points 1..n: a letter a is a
+        half-twist of the points |a| and |a| + 1, counterclockwise for a > 0,
+        in 16 steps, the fewest a half turn takes."""
+        return MotionProgram(tuple(range(1, self.expected_relations.rank + 1)), tuple(
+            RotateBlock((abs(a), abs(a) + 1), abs(a) + F(1, 2), F(1 if a > 0 else -1), 16)
+            for a in self.model_letters))
+
 
 def fixtures() -> list[Fixture]:
     """The ten principal fixtures plus the two remark variants."""
@@ -100,7 +109,6 @@ def fixtures() -> list[Fixture]:
         equation="(y+x^2)(y-x^2)",
         model_letters=(1, 1, 1, 1),
         lefschetz_letters=(1, 1),
-        model_program=MotionProgram((-1, 1), (RotateBlock((-1, 1), 0, F(4)),)),
         lefschetz_doubling=True,
         expected_relations=Presentation(2, (_eq(2, (1, 2, 1, 2), (2, 1, 2, 1)),)),
     ))
@@ -115,10 +123,6 @@ def fixtures() -> list[Fixture]:
         equation="(2x+y)(y+x^2)(y-x^2)",
         model_letters=(2, 2, 2, 2, 1, 2, 2, 1),
         lefschetz_letters=(1, 1, 2, 1),
-        model_program=MotionProgram((-2, -1, 1), (
-            RotateBlock((-1, 1), 0, F(4)),
-            Encircle((-2,), (-1, 1), F(1)),
-        )),
         expected_relations=exp31,
         redundancy_claims=(3,),
     ))
@@ -133,10 +137,6 @@ def fixtures() -> list[Fixture]:
         equation="(2x-y)(y+x^2)(y-x^2)",
         model_letters=(1, 1, 1, 1, 2, 1, 1, 2),
         lefschetz_letters=(2, 2, 1, 2),
-        model_program=MotionProgram((-1, 1, 2), (
-            RotateBlock((-1, 1), 0, F(4)),
-            Encircle((2,), (-1, 1), F(1)),
-        )),
         expected_relations=exp32,
     ))
 
@@ -150,17 +150,11 @@ def fixtures() -> list[Fixture]:
         _eq(5, (1,), (4, 3, -4)),
         _eq(5, (4,), (5,)),
     ))
-    frame33 = FrameIn((-2, -1, 0, 1, 2), F(-1), F(1, 2))
     out.append(Fixture(
         fixture_id="vertical-tangency",
         equation="y(y^2+x)(y^2-x)",
         model_letters=(-3, 4, -2, 2, 3, 2, 4, 1, 2, 3, 2, 4, 1, 2, -4, 3),
         lefschetz_letters=(2, 3, 2, 4, 1),
-        model_program=MotionProgram((-2, -1, 0, 1, 2), (
-            frame33,
-            RotateBlock((-2, 0, complex(-1, 0.5), complex(-1, -0.5)), -1, F(1)),
-            FrameOut(frame33),
-        )),
         expected_relations=exp33,
         redundancy_claims=(5,),
         conjugator=(-3, -2, -1),
@@ -175,7 +169,6 @@ def fixtures() -> list[Fixture]:
         equation="y(y+x^2)(y-x^2)",
         model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1),
         lefschetz_letters=(1, 2, 1, 1, 2, 1),
-        model_program=MotionProgram((-1, 0, 1), (RotateBlock((-1, 1), 0, F(4)),)),
         lefschetz_doubling=True,
         expected_relations=trio,
         redundancy_claims=(3,),
@@ -191,10 +184,6 @@ def fixtures() -> list[Fixture]:
         equation="y(2x+y)(y+x^2)(y-x^2)",
         model_letters=(2, 3, 2, 2, 3, 2, 2, 3, 2, 2, 3, 2, 1, 2, 3, 3, 2, 1),
         lefschetz_letters=(1, 2, 1, 1, 2, 1, 3, 2, 1),
-        model_program=MotionProgram((-2, -1, 0, 1), (
-            RotateBlock((-1, 1), 0, F(4)),
-            Encircle((-2,), (-1, 0, 1), F(1)),
-        )),
         expected_relations=exp411,
         redundancy_claims=(4,),
         deletion_checks=((1, trio), (3, exp31)),
@@ -210,10 +199,6 @@ def fixtures() -> list[Fixture]:
         equation="y(2x-y)(y+x^2)(y-x^2)",
         model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 3, 2, 1, 1, 2, 3),
         lefschetz_letters=(2, 3, 2, 2, 3, 2, 1, 2, 3),
-        model_program=MotionProgram((-1, 0, 1, 2), (
-            RotateBlock((-1, 1), 0, F(4)),
-            Encircle((2,), (-1, 0, 1), F(1)),
-        )),
         expected_relations=exp412,
     ))
 
@@ -230,7 +215,6 @@ def fixtures() -> list[Fixture]:
     trio543 = Presentation(3, tuple(_chain(
         3, (3, 2, 1, 3, 2, 1), (2, 1, 3, 2, 1, 3), (1, 3, 2, 1, 3, 2)
     )))
-    frame413 = FrameIn((-2, -1, 0, 1, 2, 3), F(-1), F(1, 2))
     out.append(Fixture(
         fixture_id="triple-tangency-vertical-line",
         equation="(x)(y)(x+y^2)(x-y^2)",
@@ -240,12 +224,6 @@ def fixtures() -> list[Fixture]:
             2, 3, 2, 4, 1, 2, 3, 2, 4, 1, 2, -4, 3, -5, 4,
         ),
         lefschetz_letters=(3, 2, 4, 1, 3, 5, 4, 3, 2, 1),
-        model_program=MotionProgram((-2, -1, 0, 1, 2, 3), (
-            frame413,
-            Encircle((1,), (-2, -1, 0, complex(-1, 0.5), complex(-1, -0.5)), F(1), -1),
-            RotateBlock((-2, 0, complex(-1, 0.5), complex(-1, -0.5)), -1, F(1)),
-            FrameOut(frame413),
-        )),
         expected_relations=exp413,
         redundancy_claims=(6,),
         deletion_checks=((2, trio543), (4, exp33)),
@@ -262,10 +240,6 @@ def fixtures() -> list[Fixture]:
         equation="(2x+y)(2x-y)(y+x^2)(y-x^2)",
         model_letters=(2, 2, 2, 2, 1, 3, 2, 1, 3, 1, 3, 2, 1, 3),
         lefschetz_letters=(2, 2, 1, 3, 2, 1, 3),
-        model_program=MotionProgram((-2, -1, 1, 2), (
-            RotateBlock((-1, 1), 0, F(4)),
-            Encircle((-2, 2), (-1, 1), F(1)),
-        )),
         expected_relations=exp421,
         redundancy_claims=(3,),
         deletion_checks=((1, exp32), (4, exp31)),
@@ -280,7 +254,6 @@ def fixtures() -> list[Fixture]:
         _eq(6, (1,), (5, 4, -5)),
         _eq(6, (5,), (6,)),
     ))
-    frame422 = FrameIn((-2, F(-1, 2), F(1, 2), 2, 3, 4), F(0), F(1))
     out.append(Fixture(
         fixture_id="vertical-tangency-line-pair",
         equation="y(x+2y)(y^2+x)(y^2-x)",
@@ -289,12 +262,6 @@ def fixtures() -> list[Fixture]:
             4, 2, -4, -2, 3, 4, 2, -4, -2, 3, 4, 2, -4, 3, -5, 4,
         ),
         lefschetz_letters=(2, 3, 2, 4, 5, 1, 4, -4, 3, 2),
-        model_program=MotionProgram((-2, F(-1, 2), F(1, 2), 2, 3, 4), (
-            frame422,
-            RotateBlock((-2, 2, 1j, -1j), 0, F(1)),
-            RotateBlock((F(-1, 2), F(1, 2)), 0, F(2)),
-            FrameOut(frame422),
-        )),
         expected_relations=exp422,
         redundancy_claims=(6,),
         deletion_checks=((2, exp33), (3, exp33)),
@@ -308,10 +275,6 @@ def fixtures() -> list[Fixture]:
         equation="y(2x+y)(y+x^2)",
         model_letters=(2, 2, 2, 2, 1, 2, 2, 1),
         lefschetz_letters=(1, 1, 2, 1),
-        model_program=MotionProgram((-2, -1, 0), (
-            RotateBlock((-1, 0), F(-1, 2), F(4)),
-            Encircle((-2,), (-1, 0), F(1)),
-        )),
         expected_relations=exp31,
     ))
     out.append(Fixture(
@@ -319,10 +282,6 @@ def fixtures() -> list[Fixture]:
         equation="y(2x-y)(y+x^2)",
         model_letters=(1, 1, 1, 1, 2, 1, 1, 2),
         lefschetz_letters=(2, 2, 1, 2),
-        model_program=MotionProgram((-1, 0, 2), (
-            RotateBlock((-1, 0), F(-1, 2), F(4)),
-            Encircle((2,), (-1, 0), F(1)),
-        )),
         expected_relations=exp32,
     ))
     return out
@@ -351,13 +310,11 @@ def n_tangency_fixture(n: int) -> Fixture:
     expected = Presentation(n, tuple(_chain(n, *[w + w for w in cyc])))
     # The half twist: (s1 .. s_{n-1})(s1 .. s_{n-2}) .. (s1).
     delta = tuple(a for top in range(n - 1, 0, -1) for a in range(1, top + 1))
-    pts = tuple(range(1, n + 1))
     return Fixture(
         fixture_id="n-tangency-%d" % n,
         equation="(y-x^2)" + "".join("(y-%dx^2)" % k for k in range(2, n + 1)),
         model_letters=delta * 4,
         lefschetz_letters=delta * 2,
-        model_program=MotionProgram(pts, (RotateBlock(pts, 0, F(4)),)),
         lefschetz_doubling=True,
         expected_relations=expected,
     )

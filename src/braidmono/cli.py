@@ -102,7 +102,18 @@ def _int(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose error lines echo at most 40 characters of a
-    refused choice or of the unrecognized arguments."""
+    refused choice, of the unrecognized arguments, or of the value given to
+    an ambiguous option or to a flag that takes none."""
+
+    def _parse_optional(self, arg_string):
+        option, sep, value = arg_string.partition("=")
+        if sep and option.startswith("--"):
+            exact = self._option_string_actions.get(option)
+            actions = [exact] if exact else [t[0] for t in self._get_option_tuples(arg_string)]
+            if len(actions) > 1 or [a.nargs for a in actions] == [0]:
+                # An ambiguous option or a flag: argparse only echoes the value.
+                arg_string = option + sep + value[:40]
+        return super()._parse_optional(arg_string)
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:

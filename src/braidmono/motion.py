@@ -9,13 +9,12 @@ letter is positive when the strand of smaller imaginary part (the one
 passing in front) comes from the left, so a counterclockwise half-twist
 of two adjacent points yields a positive Artin generator.
 
-A MotionProgram builds the synthetic motions used throughout from a
-sequence of moves: rigid block rotations, encircling moves, and the
-framing pair that lifts the rightmost points into a complex-conjugate
-configuration and back; a recorded Motion is a move too.  Each move
-sweeps its samples from the current configuration, in configuration
-order; the program writes them into one strand array, numbers its
-strands once and validates it as one Motion.
+A MotionProgram builds a synthetic motion from a sequence of moves:
+rigid block rotations (RotateBlock) and recorded Motions, or any other
+object with a `_sweep` method.  Each move sweeps its samples from the
+current configuration, in configuration order; the program writes them
+into one strand array, numbers its strands once and validates it as one
+Motion.
 
 Which point continues which is decided by one rule, nearest_match:
 each point goes to its nearest target, and the matching stands only if
@@ -401,105 +400,6 @@ class RotateBlock:
         return times, rows, hit
 
 
-@dataclass(frozen=True)
-class Encircle:
-    """Movers wind `turns` times counterclockwise about the around-set.
-
-    The mover cluster rotates rigidly about `center` (default: centroid
-    of the around-set).  Every around-point must lie strictly inside the
-    innermost mover orbit and every other point strictly outside the
-    outermost one, so the loop captures exactly the around-set.
-    """
-
-    movers: tuple
-    around: tuple
-    turns: Fraction
-    center: object | None = None
-
-    def _sweep(self, config: list[complex]) -> Sweep:
-        mv = [complex(z) for z in self.movers]
-        ar = [complex(z) for z in self.around]
-        hit = _locate(mv + ar, config)
-        if not mv:
-            raise GeometryError("need at least one moving point")
-        if not ar:
-            raise GeometryError("need at least one encircled point")
-        if self.center is None:
-            c = sum(ar, complex(0)) / len(ar)
-        else:
-            c = complex(self.center)
-        listed = dict(zip(hit, mv + ar))
-        still = [listed.get(k, z) for k, z in enumerate(config)]
-        radii = [abs(z - c) for z in mv]
-        pad = _KEY_TOL * _scale(still + [c])
-        if any(abs(z - c) >= min(radii) - pad for z in ar):
-            raise GeometryError("an encircled point is not strictly inside the orbit")
-        if any(abs(z - c) <= max(radii) + pad for k, z in enumerate(config) if k not in listed):
-            raise GeometryError("a bystander point would be captured by the orbit")
-        angle = 2 * _rational(self.turns, "turns")
-        times, rows = _rotation(mv, c, angle, None, still, hit[:len(mv)])
-        return times, rows, hit
-
-
-@dataclass(frozen=True)
-class FrameIn:
-    """Moves the two rightmost of `slots` off the axis.
-
-    The two rightmost points rotate 90 degrees counterclockwise about
-    their midpoint (right point up, left point down) and then move
-    linearly to real part `pair_re`, with the half-height rescaled to
-    `pair_height`; each part takes 64 steps.  FrameOut is the exact
-    reverse, so a FrameIn followed by its FrameOut induces the empty
-    braid.
-    """
-
-    slots: tuple
-    pair_re: object | None = None
-    pair_height: object | None = None
-
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times and rows of the move, started at the slots."""
-        pts = [complex(z) for z in self.slots]
-        if len(pts) < 2:
-            raise GeometryError("need at least two points to frame")
-        idx = sorted(range(len(pts)), key=lambda k: strand_key(pts[k]))
-        a, b = pts[idx[-2]], pts[idx[-1]]
-        if abs(a.imag) > 0 or abs(b.imag) > 0:
-            raise GeometryError("frame expects a real starting configuration")
-        if abs(b - a) <= _KEY_TOL * _scale(pts):
-            raise GeometryError("the two rightmost slots coincide")
-        mid = (a + b) / 2
-        r = abs(b - a) / 2
-        end_re = mid.real if self.pair_re is None else float(self.pair_re)
-        end_h = r if self.pair_height is None else float(self.pair_height)
-        if end_h <= 0:
-            raise GeometryError("pair height must be positive")
-        rest = [pts[k] for k in idx[:-2]]
-        grid, lift = _rotation([a, b], mid, Fraction(1, 2), 64, [a, b] + rest, [0, 1])
-        # Rows: a, b, then the rest; after the quarter turn b sits on
-        # top and a at the bottom, and both move linearly from there to
-        # end_re -/+ i*end_h.  The transport starts where the lift ends,
-        # so the lift's last sample stands for both.
-        start = np.array([mid - complex(0.0, r), mid + complex(0.0, r)])
-        shift = np.array([complex(end_re, -end_h), complex(end_re, end_h)]) - start
-        moved = start[:, None] + grid * shift[:, None]
-        transport = np.vstack([moved, _still(rest, 64)])
-        times = np.concatenate([grid, 1 + grid[1:]]) / 2
-        return times, np.hstack([lift, transport[:, 1:]])
-
-    def _sweep(self, config: list[complex]) -> Sweep:
-        return _onto(*self._rows(), config)
-
-
-@dataclass(frozen=True)
-class FrameOut:
-    frame: FrameIn
-
-    def _sweep(self, config: list[complex]) -> Sweep:
-        times, rows = self.frame._rows()
-        return _onto(1.0 - times[::-1], rows[:, ::-1], config)
-
-
 def _onto(times: np.ndarray, rows: np.ndarray, config: list[complex]) -> Sweep:
     """A sweep of every point, its rows matched onto the configuration and put in its order."""
     start = rows[:, 0].tolist()
@@ -509,25 +409,24 @@ def _onto(times: np.ndarray, rows: np.ndarray, config: list[complex]) -> Sweep:
     return times, rows[np.argsort(at)], at
 
 
-Move = Motion | RotateBlock | Encircle | FrameIn | FrameOut
-
-
 @dataclass(frozen=True)
 class MotionProgram:
     """Declarative move sequence over a fixed point configuration.
 
-    `points` is the full starting configuration; each move names its
-    own participants, and every other point stays put during that move.
-    A move finds its listed points in the current configuration with
-    nearest_match; a frame or a recorded Motion lists every point and
-    must start at it.  `to_motion` gives move i of k the times [i/k,
+    `points` is the full starting configuration.  A move is any object
+    whose type has a `_sweep(config)` method giving its Sweep: a
+    RotateBlock, a recorded Motion, or a move defined outside this module.
+    Each move names its own participants, and every other point stays put
+    during that move.  A move finds its listed points in the current
+    configuration with nearest_match; a recorded Motion lists every point
+    and must start at it.  `to_motion` gives move i of k the times [i/k,
     (i+1)/k], writes each move's rows, in configuration order, into one
     array and validates it once as a Motion, numbering its strands as the
     first move lists them, then the others in configuration order.
     """
 
     points: tuple
-    moves: tuple[Move, ...]
+    moves: tuple
 
     def to_motion(self) -> Motion:
         config = [complex(z) for z in self.points]
@@ -536,9 +435,10 @@ class MotionProgram:
         k = len(self.moves)
         times, cols = [np.zeros(1)], []
         for i, mv in enumerate(self.moves):
-            if not isinstance(mv, Move):
+            sweep = getattr(type(mv), "_sweep", None)
+            if sweep is None:
                 raise GeometryError("unknown move kind %r" % (mv,))
-            t, rows, listed = mv._sweep(config)
+            t, rows, listed = sweep(mv, config)
             if not i:
                 first = listed + [s for s in range(len(config)) if s not in listed]
                 cols.append(rows[:, :1])

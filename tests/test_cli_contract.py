@@ -220,6 +220,12 @@ def test_the_ledger_of_outcomes(ledger):
     pytest.param(["compute", "--curve=y"] + ["z"] * 3000,
                  "braidmono: error: unrecognized arguments: " + "z " * 20,
                  id="many-unrecognized"),
+    pytest.param(["compute", "--s=" + "a" * 3000],
+                 "braidmono compute: error: ambiguous option: --s=%s could match --shear, --steps"
+                 % ("a" * 40), id="long-ambiguous"),
+    pytest.param(["compute", "--help=" + "a" * 3000],
+                 "braidmono compute: error: argument -h/--help: ignored explicit argument '%s'"
+                 % ("a" * 40), id="long-ignored-explicit"),
     # Short values are echoed whole, as argparse writes them.
     pytest.param(["compute", "--curve=y", "--steps=x"],
                  "braidmono compute: error: argument --steps: invalid int value: 'x'",
@@ -229,6 +235,12 @@ def test_the_ledger_of_outcomes(ledger):
                  "(choose from 'full', 'half')", id="short-arc"),
     pytest.param(["compute", "--curve=y", "z", "w"],
                  "braidmono: error: unrecognized arguments: z w", id="short-unrecognized"),
+    pytest.param(["compute", "--s=abc"],
+                 "braidmono compute: error: ambiguous option: --s=abc could match --shear, --steps",
+                 id="short-ambiguous"),
+    pytest.param(["compute", "--help=abc"],
+                 "braidmono compute: error: argument -h/--help: ignored explicit argument 'abc'",
+                 id="short-ignored-explicit"),
 ])
 def test_argparse_echoes_at_most_40_characters_of_a_value(argv, line):
     outcome, stderr, _ = _call(argv)

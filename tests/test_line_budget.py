@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-# Physical lines of src/braidmono/*.py at the start of the round.
-LINE_BUDGET = 3524
+# Physical lines of src/braidmono/*.py: the round's target.
+LINE_BUDGET = 3431
 
 
 def test_package_source_is_within_the_line_budget():

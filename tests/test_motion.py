@@ -7,9 +7,6 @@ import numpy as np
 import pytest
 
 from braidmono import (
-    Encircle,
-    FrameIn,
-    FrameOut,
     Motion,
     MotionProgram,
     RotateBlock,
@@ -19,6 +16,7 @@ from braidmono import (
 from braidmono import motion as motion_module
 from braidmono.errors import DegenerateMotionError, GeometryError, TieError
 from braidmono.motion import nearest_match
+from catalog_programs import Encircle, FrameIn, FrameOut
 
 
 def rotation(points, center, angle, steps=None, others=()):

@@ -3,7 +3,9 @@
 tests/data/motion_bytes.json holds the sha256 of `paths.tobytes()` and
 of the times as float64 bytes for the model and the Lefschetz program of
 each catalogue fixture and for a seeded set of RotateBlock, Encircle and
-frame programs.  Letters, sample counts and permutations are pinned in
+frame programs; the geometric catalogue programs and the Encircle and
+FrameIn/FrameOut moves come from tests/catalog_programs.py.  Letters,
+sample counts and permutations are pinned in
 program_braids.json; these pins add every sampled position and time, so
 a change in how moves are sampled or joined must leave each bit as it
 was.  Regenerate the data only on purpose:
@@ -22,8 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from braidmono import Encircle, FrameIn, FrameOut, MotionProgram, RotateBlock
-from catalog_programs import program
+from braidmono import MotionProgram, RotateBlock
+from catalog_programs import Encircle, FrameIn, FrameOut, program
 
 DATA = Path(__file__).parent / "data" / "motion_bytes.json"
 CATALOGUE = Path(__file__).parent / "data" / "program_braids.json"

@@ -1,13 +1,15 @@
 """The package surface that code outside the package uses.
 
 The benchmark under perfbench/ and the README's library quick start call
-braidmono by name.  This test reads those files, without running the
-benchmark, and fails when a name they use is gone from the package.
+braidmono by name.  These tests read those files, without running the
+benchmark, and fail when a name they use is gone from the package or
+when the model braids the benchmark reads are not the stated words.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -67,3 +69,17 @@ def test_outside_consumers_find_every_name(monkeypatch):
     assert imports
     for name in imports:
         assert hasattr(braidmono, name), "the README's quick start imports %s" % name
+
+
+def test_the_benchmark_reads_each_stated_model_word(monkeypatch):
+    # model_program is derived from model_letters, not a second statement.
+    assert "model_program" not in {f.name for f in dataclasses.fields(braidmono.Fixture)}
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    catalogue = {f.fixture_id: f for f in workloads.catalogue()}
+    braids = workloads._present_setup()["braids"]
+    assert len(catalogue) == 15
+    assert braids == {
+        fid: braidmono.BraidWord(f.expected_relations.rank, f.model_letters)
+        for fid, f in catalogue.items()
+    }

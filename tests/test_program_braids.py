@@ -7,7 +7,8 @@ matching permutation.  The values were recorded before motion
 composition was rewritten to run in one pass, so any change in how a
 program's moves are joined shows here.  Each fixture states its model
 and half-loop braid words; they are checked here against the braids of
-the programs, letter for letter.
+the programs, letter for letter, and `Fixture.model_program`, which
+encodes the model word as adjacent half-twists, must give it back.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from braidmono import fixture_by_id
+from braidmono import BraidWord, fixture_by_id
 from catalog_programs import program
 
 PINNED = json.loads(
@@ -50,3 +51,11 @@ def test_stated_word_is_the_program_braid(fixture_id, kind):
     braid = program(fixture_id, kind).braid()
     assert braid.letters == getattr(f, kind + "_letters")
     assert braid.strands == f.expected_relations.rank
+
+
+@pytest.mark.parametrize("fixture_id", sorted(PINNED))
+def test_model_program_gives_back_the_stated_word(fixture_id):
+    f = fixture_by_id(fixture_id)
+    program = f.model_program
+    assert program.points == tuple(range(1, f.expected_relations.rank + 1))
+    assert program.braid() == BraidWord(f.expected_relations.rank, f.model_letters)

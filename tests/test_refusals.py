@@ -12,8 +12,6 @@ from braidmono import (
     BraidWord,
     CurveSpec,
     FiniteGroupTable,
-    Encircle,
-    FrameIn,
     LoopSpec,
     Motion,
     MotionProgram,
@@ -44,6 +42,7 @@ from braidmono.errors import (
     ParseError,
     check_limit,
 )
+from catalog_programs import Encircle, FrameIn
 
 # A number of more digits than int() converts (sys.get_int_max_str_digits()).
 _DIGITS = "9" * 5000
