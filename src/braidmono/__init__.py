@@ -40,9 +40,7 @@ from .homcount import (
     cyclic_group,
     default_targets,
     dihedral_group,
-    dump_targets,
     equivalence_evidence,
-    load_targets,
     quaternion_group,
     symmetric_group,
 )

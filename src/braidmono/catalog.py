@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .curves import CurveSpec, parse_curve
 from .errors import BraidMonoError, CapacityError, ParseError
-from .homcount import FiniteGroupTable, count_memo, equivalence_evidence
+from .homcount import count_memo, equivalence_evidence
 from .motion import MotionProgram, RotateBlock, motion_to_braid
 from .presentations import (
     Presentation,
@@ -345,12 +345,7 @@ class VerificationReport:
 
 
 @count_memo()
-def verify_fixture(
-    f: Fixture,
-    *,
-    radius: Fraction = F(1),
-    targets: Sequence[tuple[str, FiniteGroupTable]] | None = None,
-) -> VerificationReport:
+def verify_fixture(f: Fixture, *, radius: Fraction = F(1)) -> VerificationReport:
     checks: list[CheckResult] = []
     n = f.expected_relations.rank  # the words' strand count
     model_braid = BraidWord(n, f.model_letters)
@@ -375,7 +370,7 @@ def verify_fixture(
 
     raws = raw_relators(model_braid)  # entry k - 1 is relation k, trivial or not
     model = Presentation(n, tuple(raws))
-    rep = equivalence_evidence(model, f.expected_relations, targets)
+    rep = equivalence_evidence(model, f.expected_relations)
     checks.append(CheckResult(
         "model-vs-expected", rep.consistent, "hom counts %s" % rep.verdict))
 
@@ -388,7 +383,7 @@ def verify_fixture(
 
     for gen, expected_small in f.deletion_checks:
         rep = equivalence_evidence(
-            kill_generator(f.expected_relations, gen), expected_small, targets)
+            kill_generator(f.expected_relations, gen), expected_small)
         checks.append(CheckResult(
             "deletion-x%d" % gen, rep.consistent, "hom counts %s" % rep.verdict))
 

@@ -1,13 +1,14 @@
 """Command-line interface: compute, vankampen, verify.
 
 Exit codes: 0 on success, 1 when `verify` ran and a check failed, 2 for
-unparseable input, unknown fixture ids, an unreadable targets file or an
-input over a size limit, 3 for numerical tracking failures.
+unparseable input, unknown fixture ids or an input over a size limit, 3
+for numerical tracking failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 
@@ -21,7 +22,7 @@ from .errors import (
     TrackingFailureError,
     check_limit,
 )
-from .homcount import count_memo, load_targets
+from .homcount import count_memo
 from .motion import Motion, motion_to_braid
 from .presentations import Presentation, simplify
 from .tracker import LoopSpec, track_loop
@@ -35,7 +36,7 @@ EXIT_TRACKING = 3
 _TRACKING_ERRORS = (TrackingFailureError, CriticalFiberError, ImproperProjectionError)
 
 # The size limit of braid text, checked before any work that grows with it.
-# parse_curve and load_targets check the curve and target limits.
+# parse_curve checks the curve limits.
 MAX_LETTERS = 1000
 
 
@@ -107,13 +108,18 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         option, sep, value = arg_string.partition("=")
-        if sep and option.startswith("--"):
-            exact = self._option_string_actions.get(option)
-            actions = [exact] if exact else [t[0] for t in self._get_option_tuples(arg_string)]
-            if len(actions) > 1 or [a.nargs for a in actions] == [0]:
-                # An ambiguous option or a flag: argparse only echoes the value.
-                arg_string = option + sep + value[:40]
+        if sep and option.startswith("--") and option not in self._option_string_actions \
+                and len(self._get_option_tuples(arg_string)) > 1:
+            arg_string = option + sep + value[:40]  # argparse only echoes an ambiguous option
         return super()._parse_optional(arg_string)
+
+    def error(self, message):
+        # argparse reads a value attached to -h as more one-letter flags (-hhhb
+        # is -h -h -h -b), so the value it refuses is cut only in the report.
+        head, sep, value = message.partition("ignored explicit argument ")
+        if sep:
+            message = head + sep + repr(ast.literal_eval(value)[:40])
+        super().error(message)
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -212,15 +218,6 @@ def cmd_vankampen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    targets = None
-    if args.targets:
-        try:
-            with open(args.targets, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            e.filename = args.targets[:40]  # else an OSError's text repeats the whole path
-            raise ParseError("cannot read targets file: %s" % e) from None
-        targets = load_targets(text)
     if args.fixture == "all":
         todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     else:
@@ -228,7 +225,7 @@ def cmd_verify(args) -> int:
     all_pass = True
     with count_memo():  # fixtures share expected relations and deletion targets
         for f in todo:
-            rep = verify_fixture(f, targets=targets)
+            rep = verify_fixture(f)
             all_pass &= rep.passed
             if args.format == "structured":
                 for c in rep.checks:
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run catalogue fixture checks")
     p_verify.add_argument("fixture", help="fixture id or 'all'")
-    p_verify.add_argument("--targets", help="file with finite group tables")
     _add_common_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -34,7 +34,6 @@ the outermost block; the union tables of recent batteries are kept.
 from __future__ import annotations
 
 import math
-import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -45,15 +44,11 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, GroupTableError, check_limit
+from .errors import GroupTableError
 from .words import eliminate_generators
 
 if TYPE_CHECKING:
     from .presentations import Presentation
-
-# load_targets refuses a block of larger order before it reads the block's
-# rows: the associativity check alone makes two order^3 arrays.
-MAX_TARGET_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -443,39 +438,3 @@ def equivalence_evidence(
     groups = [g for _, g in tg]
     return HomCountReport(names, tuple(_counted(p, groups)), tuple(_counted(q, groups)))
 
-
-def dump_targets(targets: Sequence[tuple[str, FiniteGroupTable]]) -> str:
-    """Serialise a target battery: name, order, identity, then table rows."""
-    return "\n\n".join(
-        "\n".join(["group %s" % name, "order %d" % g.order, "identity %d" % g.identity]
-                  + [" ".join(map(str, row)) for row in g.table])
-        for name, g in targets) + "\n"
-
-
-def load_targets(text: str) -> list[tuple[str, FiniteGroupTable]]:
-    """Parse what dump_targets writes; blank lines separate the blocks."""
-    out = []
-    for block in re.split(r"\n\s*\n", text.strip()):
-        lines = [ln.strip() for ln in block.splitlines() if ln.strip()]
-        if len(lines) < 4 or not lines[0].startswith("group "):
-            raise GroupTableError("malformed target block: %r" % block[:40])
-        name = lines[0].split(None, 1)[1]
-        try:
-            order = _header(lines[1], "order")
-            check_limit("a target group's order", order, MAX_TARGET_ORDER)
-            identity = _header(lines[2], "identity")
-            rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[3:])
-            out.append((name, FiniteGroupTable(order, identity, rows)))
-        except (ValueError, GroupTableError) as e:
-            raise GroupTableError("group %s: %s" % (name[:40], e)) from None
-    return out
-
-
-def _header(line: str, key: str) -> int:
-    m = re.fullmatch(r"(order|identity)\s+([0-9]+)", line)
-    if not m or m[1] != key:
-        raise ValueError("expected '%s N', got %r" % (key, line[:40]))
-    try:  # int() refuses more digits than sys.get_int_max_str_digits()
-        return int(m[2])
-    except ValueError:
-        raise CapacityError("a target group's %s has too many digits" % key) from None

@@ -1,17 +1,14 @@
 from __future__ import annotations
 
-import errno
-import os
 import time
 import warnings
 
 import pytest
 
-from braidmono import BraidWord, Polynomial2, braid_equal, cli, default_targets, dump_targets, vankampen
+from braidmono import BraidWord, Polynomial2, braid_equal, cli, vankampen
 from braidmono import curves, homcount
 from braidmono.cli import MAX_LETTERS, _parse_braid, main
 from braidmono.curves import MAX_DEGREE_X, MAX_STRANDS
-from braidmono.homcount import MAX_TARGET_ORDER
 from braidmono.presentations import SimplifyResult
 from braidmono.words import MAX_IMAGE_LETTERS
 
@@ -129,28 +126,12 @@ def test_missing_input_is_an_error(capsys, argv):
     pytest.param(("verify", "n-tangency-10"),
                  "n-tangency fixtures support 2 <= n <= 6", id="n-tangency-10"),
     pytest.param(("verify", "z" * 5000), "unknown fixture id %r" % ("z" * 40), id="long-id"),
-    pytest.param(("verify", "all", "--targets", "t" * 3000),
-                 "cannot read targets file: [Errno %d] %s: %r" % (
-                     errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), "t" * 40),
-                 id="long-targets-path"),
 ])
 def test_input_error_message_and_exit(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
-
-
-@pytest.mark.parametrize("text, message", [
-    pytest.param("group %s\norder 2\nidentity 0\n0 1\n1\n" % ("G" * 5000),
-                 "group %s: table must be 2 x 2" % ("G" * 40), id="group-name"),
-    pytest.param("group G\norder %s\nidentity 0\n0\n" % ("x" * 4994),
-                 "group G: expected 'order N', got %r" % ("order " + "x" * 34), id="order-line"),
-])
-def test_a_targets_file_is_echoed_in_40_characters(tmp_path, capsys, text, message):
-    path = tmp_path / "targets.txt"
-    path.write_text(text, encoding="utf-8")
-    assert _run(capsys, "verify", "all", "--targets", str(path)) == (2, "", "error: %s\n" % message)
 
 
 def test_tracking_error_exits_three(capsys):
@@ -364,39 +345,19 @@ def test_verify_structured_output(capsys):
     assert "check=tracked-vs-model passed=true" in out
 
 
-def test_verify_with_targets_file(tmp_path, capsys):
-    path = tmp_path / "targets.txt"
-    path.write_text(dump_targets(default_targets()[:3]), encoding="utf-8")
-    code, out, _ = _run(
-        capsys, "verify", "two-tangent-conics", "--targets", str(path)
-    )
-    assert code == 0
+def test_verify_takes_no_targets_option(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "two-tangent-conics", "--targets", "x"])
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "braidmono: error: unrecognized arguments: --targets x"
 
 
 def test_verify_is_deterministic(capsys):
     first = _run(capsys, "verify", "two-tangent-conics")
     second = _run(capsys, "verify", "two-tangent-conics")
     assert first == second
-
-
-@pytest.mark.parametrize("content", [
-    pytest.param(None, id="missing"),
-    pytest.param("group X\norder two\nidentity 0\n0\n", id="malformed"),
-    pytest.param(b"\xff\xfe", id="not-utf8"),
-])
-def test_verify_bad_targets_file_exits_two(tmp_path, capsys, content):
-    path = tmp_path / "targets.txt"
-    if isinstance(content, str):
-        path.write_text(content, encoding="utf-8")
-    elif content is not None:
-        path.write_bytes(content)
-    code, out, err = _run(
-        capsys, "verify", "two-tangent-conics", "--targets", str(path)
-    )
-    assert code == 2
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
-    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["compute", "vankampen"])
@@ -416,12 +377,6 @@ def test_center_outside_float_range_exits_two(capsys, command, center):
     assert code == 2
     assert out == ""
     assert err == "error: complex number %r is out of floating-point range\n" % center[:40]
-
-
-def _cyclic_table_text(n, order=None):
-    tokens = [str(k) for k in range(n)]
-    rows = (" ".join(tokens[i:] + tokens[:i]) for i in range(n))
-    return "group C%d\norder %s\nidentity 0\n%s\n" % (n, order or n, "\n".join(rows))
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -444,16 +399,6 @@ def _cyclic_table_text(n, order=None):
                  MAX_DEGREE_X, id="curve-x-degree-before-the-shear"),
     pytest.param(("compute", "--curve", "(2x^10000000y)"), MAX_DEGREE_X,
                  id="curve-x-degree-before-validation"),
-    pytest.param(("verify", "two-tangent-conics", "--targets"), MAX_TARGET_ORDER,
-                 id="target-order"),
-    # Order headers that int() reads but the targets format refuses; a
-    # 200-element table behind either header must not get past the limit.
-    pytest.param(("verify", "two-tangent-conics", "--targets", "+200"),
-                 "got 'order +200'\n", id="target-order-signed"),
-    pytest.param(("verify", "two-tangent-conics", "--targets", "2_00"),
-                 "got 'order 2_00'\n", id="target-order-underscored"),
-    pytest.param(("verify", "two-tangent-conics", "--targets", "9" * 5000),
-                 "order has too many digits\n", id="target-order-digits"),
     # The messages echo the first 40 characters of the offending text.
     *[pytest.param(("compute", "--curve", text), "cannot parse rational %r\n" % _DIGITS[:40],
                    id="curve-digits-" + name)
@@ -478,14 +423,8 @@ def _cyclic_table_text(n, order=None):
                  "cannot parse polynomial %r at offset 4997\n" % ("x" * 40),
                  id="curve-polynomial"),
 ])
-def test_input_over_a_size_limit_exits_two(tmp_path, capsys, argv, limit):
+def test_input_over_a_size_limit_exits_two(capsys, argv, limit):
     """limit is the limit the error names, or the error's own ending."""
-    if "--targets" in argv:
-        header = argv[3:]
-        path = tmp_path / "targets.txt"
-        text = _cyclic_table_text(200, header[0]) if header else _cyclic_table_text(1500)
-        path.write_text(text, encoding="utf-8")
-        argv = argv[:3] + (str(path),)
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -519,14 +458,10 @@ def test_a_factor_is_sheared_only_once_its_degree_is_within_the_limit(
     assert sheared == []
 
 
-def test_inputs_at_the_size_limits_run(tmp_path, capsys):
+def test_inputs_at_the_size_limits_run(capsys):
     code, out, _ = _run(capsys, "vankampen", "--braid", "s%d" % (MAX_STRANDS - 1))
     assert code == 0
     assert "strands: %d\n" % MAX_STRANDS in out
-    path = tmp_path / "targets.txt"
-    path.write_text(_cyclic_table_text(MAX_TARGET_ORDER), encoding="utf-8")
-    code, _, _ = _run(capsys, "verify", "two-tangent-conics", "--targets", str(path))
-    assert code == 0
     # The letter limit holds across tokens.  A CLI run on this braid stops
     # at the image limit (test_braid_image_over_the_limit_exits_two).
     word = _parse_braid("s1^600 s2^-%d" % (MAX_LETTERS - 600), None)

@@ -226,6 +226,15 @@ def test_the_ledger_of_outcomes(ledger):
     pytest.param(["compute", "--help=" + "a" * 3000],
                  "braidmono compute: error: argument -h/--help: ignored explicit argument '%s'"
                  % ("a" * 40), id="long-ignored-explicit"),
+    pytest.param(["compute", "-h" + "a" * 3000],
+                 "braidmono compute: error: argument -h/--help: ignored explicit argument '%s'"
+                 % ("a" * 40), id="long-attached-to-h"),
+    pytest.param(["compute", "-h=" + "a" * 3000],
+                 "braidmono compute: error: argument -h/--help: ignored explicit argument '%s'"
+                 % ("a" * 40), id="long-after-h-equals"),
+    pytest.param(["-h" + "a" * 3000],
+                 "braidmono: error: argument -h/--help: ignored explicit argument '%s'"
+                 % ("a" * 40), id="long-attached-to-top-level-h"),
     # Short values are echoed whole, as argparse writes them.
     pytest.param(["compute", "--curve=y", "--steps=x"],
                  "braidmono compute: error: argument --steps: invalid int value: 'x'",
@@ -241,8 +250,24 @@ def test_the_ledger_of_outcomes(ledger):
     pytest.param(["compute", "--help=abc"],
                  "braidmono compute: error: argument -h/--help: ignored explicit argument 'abc'",
                  id="short-ignored-explicit"),
+    # argparse reads -hhhb as -h -h -h -b and refuses the b.
+    pytest.param(["compute", "-hhhb"],
+                 "braidmono compute: error: argument -h/--help: ignored explicit argument 'b'",
+                 id="short-after-repeated-h"),
 ])
 def test_argparse_echoes_at_most_40_characters_of_a_value(argv, line):
     outcome, stderr, _ = _call(argv)
     assert outcome == "argparse"
     assert stderr.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("argv, usage", [
+    pytest.param(["-h"], "usage: braidmono [-h]", id="top-level"),
+    pytest.param(["compute", "-h"], "usage: braidmono compute [-h]", id="compute"),
+])
+def test_a_bare_h_prints_help(argv, usage):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 0
+    assert out.getvalue().startswith(usage)

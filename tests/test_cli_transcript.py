@@ -11,11 +11,8 @@ stderr of `braidmono.cli.main`, run in-process, for:
 - one case for each documented exit-2 and exit-3 message.
 
 No output known to be wrong is pinned: such cases stay strict xfails
-where they are tested.  Files that a case reads are written to the
-directory `cli-inputs` of a temporary working directory, and the cases
-name them by that short relative path, which reads `<tmp>` in the data:
-an error message echoes at most 40 characters of a path.  Regenerate
-the data only on purpose, and list each changed line in CHANGES.md:
+where they are tested.  Regenerate the data only on purpose, and list
+each changed line in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 """
@@ -25,8 +22,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -34,18 +29,9 @@ import pytest
 from braidmono import cli, fixtures, n_tangency_fixture
 
 DATA = Path(__file__).parent / "data" / "cli_transcript.json"
-TMP = "<tmp>"
-INPUTS = "cli-inputs"
 
 # Past the largest float, about 1.8e308.
 HUGE = "1" + "0" * 309
-
-# Target files that the verify cases read; missing.txt is never written.
-TARGET_FILES = {
-    "garbage.txt": b"garbage\n",
-    "order-129.txt": b"group G\norder 129\nidentity 0\n0\n",
-    "latin-1.txt": b"\xff\xfe\n",
-}
 
 # One case per documented exit-2 and exit-3 message.
 REFUSALS = [
@@ -70,10 +56,6 @@ REFUSALS = [
     ["vankampen", "--braid", "s1^600 s2^-400"],
     ["verify", "nosuch"],
     ["verify", "n-tangency-7"],
-    ["verify", "all", "--targets", TMP + "/missing.txt"],
-    ["verify", "all", "--targets", TMP + "/latin-1.txt"],
-    ["verify", "all", "--targets", TMP + "/garbage.txt"],
-    ["verify", "all", "--targets", TMP + "/order-129.txt"],
     ["compute", "--curve", "(y-x)(y-x)"],
     ["compute", "--curve", "(y^2-2xy+x^2)"],
     ["compute", "--curve", "(y^2-x^2)(y-x)"],
@@ -107,26 +89,19 @@ def cases() -> list[list[str]]:
 
 
 def run(argv: list[str]) -> dict:
-    """One in-process CLI run, with the input directory read as <tmp>."""
+    """One in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main([a.replace(TMP, INPUTS) for a in argv])
+            code = cli.main(argv)
         except SystemExit as e:
             code = e.code
     return {
         "argv": argv,
         "exit": code,
-        "stdout": out.getvalue().replace(INPUTS, TMP),
-        "stderr": err.getvalue().replace(INPUTS, TMP),
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
     }
-
-
-def _write_target_files() -> None:
-    """Write the target files to INPUTS under the working directory."""
-    Path(INPUTS).mkdir()
-    for name, data in TARGET_FILES.items():
-        (Path(INPUTS) / name).write_bytes(data)
 
 
 RECORDED = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
@@ -139,17 +114,10 @@ def test_transcript_covers_every_case():
 
 @pytest.mark.parametrize("i", range(len(RECORDED)),
                          ids=["%03d-%s" % (i, r["argv"][0]) for i, r in enumerate(RECORDED)])
-def test_cli_output_is_pinned(i, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write_target_files()
+def test_cli_output_is_pinned(i):
     assert run(RECORDED[i]["argv"]) == RECORDED[i]
 
 
 if __name__ == "__main__":
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        _write_target_files()
-        records = [run(argv) for argv in cases()]
-        os.chdir(home)
+    records = [run(argv) for argv in cases()]
     DATA.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

@@ -15,11 +15,9 @@ from braidmono import (
     cyclic_group,
     default_targets,
     dihedral_group,
-    dump_targets,
     equivalence_evidence,
     fixture_by_id,
     induced_presentation,
-    load_targets,
     quaternion_group,
     simplify,
     symmetric_group,
@@ -130,43 +128,6 @@ def test_equivalence_report():
     assert len(diff.targets) == len(diff.left) == len(diff.right) == 10
 
 
-def test_dump_load_round_trip():
-    targets = default_targets()[:3]
-    back = load_targets(dump_targets(targets))
-    assert [(n, g.order, g.identity, g.table) for n, g in back] == [
-        (n, g.order, g.identity, g.table) for n, g in targets
-    ]
-
-
-def test_load_rejects_malformed_blocks():
-    with pytest.raises(GroupTableError):
-        load_targets("group X\norder 2\n")
-
-
-@pytest.mark.parametrize("text, where", [
-    pytest.param("group X\norder\nidentity 0\n0\n", "X", id="order-missing"),
-    pytest.param("group X\norder two\nidentity 0\n0\n", "X", id="order-not-integer"),
-    pytest.param("group X\norder 1\nidentity\n0\n", "X", id="identity-missing"),
-    pytest.param("group X\norder 1\nunit 0\n0\n", "X", id="identity-misnamed"),
-    pytest.param("group X\norder 1\nidentity 0\nzero\n", "X", id="row-not-integer"),
-    pytest.param("group X\norder 2\nidentity 0\n0 1\n1\n", "X", id="row-short"),
-    pytest.param(
-        "group C1\norder 1\nidentity 0\n0\n\ngroup Y\nsize 1\nidentity 0\n0\n",
-        "Y", id="second-block",
-    ),
-])
-def test_load_names_the_malformed_block(text, where):
-    with pytest.raises(GroupTableError, match="group %s" % where):
-        load_targets(text)
-
-
-def test_load_accepts_any_run_of_blank_lines():
-    text = dump_targets(default_targets()[:3])
-    back = load_targets(text.replace("\n\n", "\n\n\n  \n\n"))
-    assert [n for n, _ in back] == ["C2", "C3", "C4"]
-    assert [g.table for _, g in back] == [g.table for _, g in default_targets()[:3]]
-
-
 def _brute_force(p, g):
     """Reference count: try every assignment of the generators."""
 
@@ -237,7 +198,7 @@ def test_counts_match_brute_force(p):
 
 
 def _relabelled_s3():
-    """S3 through load_targets, its labels permuted so the identity is 5."""
+    """S3 with its labels permuted so that the identity is 5."""
     g = symmetric_group(3)
     label = [5, 3, 0, 4, 1, 2]
     assert label[g.identity] == 5
@@ -245,9 +206,7 @@ def _relabelled_s3():
     for a in range(6):
         for b in range(6):
             table[label[a]][label[b]] = label[g.table[a][b]]
-    text = "group S3\norder 6\nidentity 5\n" + "\n".join(
-        " ".join(map(str, row)) for row in table)
-    return load_targets(text)[0][1]
+    return FiniteGroupTable(6, 5, table)
 
 
 # Abelian groups that are not cyclic: C2 x C2 on four points, C2 x C4 on six.

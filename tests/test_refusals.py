@@ -23,13 +23,12 @@ from braidmono import (
     cyclic_group,
     dihedral_group,
     fixture_by_id,
-    load_targets,
     parse_curve,
     parse_polynomial,
     symmetric_group,
     track_loop,
 )
-from braidmono import cli, curves, homcount
+from braidmono import cli, curves
 from braidmono.errors import (
     CapacityError,
     CriticalFiberError,
@@ -64,6 +63,8 @@ _POWERS = "+".join("x^%d" % k for k in range(799, 0, -1))
                  id="fixture-relations-of-wrong-rank"),
     pytest.param(lambda: FiniteGroupTable(0, 0, ()), GroupTableError,
                  "group order must be positive", id="table-order-0"),
+    pytest.param(lambda: FiniteGroupTable(2, 0, ((0, 1), (1,))), GroupTableError,
+                 "table must be 2 x 2", id="table-row-short"),
     pytest.param(lambda: FiniteGroupTable(2, 0, ((0, 1), (1, 2))), GroupTableError,
                  "table entries must be elements 0..1", id="table-entry-out-of-range"),
     pytest.param(lambda: FiniteGroupTable(1, 1, ((0,),)), GroupTableError,
@@ -133,9 +134,6 @@ _POWERS = "+".join("x^%d" % k for k in range(799, 0, -1))
            "repeated factor %s (product not squarefree)" % ("y+" + _POWERS)[:40]),
           ("not-squarefree", "(y^2-2%sy+1%s)" % ("0" * 30, "0" * 60), CriticalFiberError,
            "factor y^2-2%sy+100 is not squarefree" % ("0" * 30))]],
-    pytest.param(lambda: load_targets("group G\norder %s\nidentity 0\n0\n" % _DIGITS),
-                 CapacityError, "a target group's order has too many digits",
-                 id="target-order-digits"),
     # The message echoes the first 40 characters of the number.
     *[pytest.param(lambda text=text: parse_curve(text), ParseError,
                    "cannot parse rational %r" % _DIGITS[:40], id="curve-digits-" + name)
@@ -197,17 +195,6 @@ def test_parse_curve_refuses_the_y_degree_before_any_shear_or_validation(
     assert type(info.value) is CapacityError
     assert str(info.value) == "the curve's y-degree is 33, over the limit of 32"
     assert (sheared, validated) == ([], [])
-
-
-def test_load_targets_refuses_the_order_before_any_table_is_built(monkeypatch):
-    built = _spy(monkeypatch, homcount.FiniteGroupTable, "__post_init__")
-    rows = "\n".join(" ".join(str((i + j) % 129) for j in range(129)) for i in range(129))
-    with pytest.raises(CapacityError) as info:
-        load_targets("group C129\norder 129\nidentity 0\n%s\n\ngroup C1\norder 1\n"
-                     "identity 0\n0\n" % rows)
-    assert type(info.value) is CapacityError
-    assert str(info.value) == "a target group's order is 129, over the limit of 128"
-    assert built == []
 
 
 @pytest.mark.parametrize("argv, line", [
