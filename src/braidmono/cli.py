@@ -106,19 +106,18 @@ class _Parser(argparse.ArgumentParser):
     refused choice, of the unrecognized arguments, or of the value given to
     an ambiguous option or to a flag that takes none."""
 
-    def _parse_optional(self, arg_string):
-        option, sep, value = arg_string.partition("=")
-        if sep and option.startswith("--") and option not in self._option_string_actions \
-                and len(self._get_option_tuples(arg_string)) > 1:
-            arg_string = option + sep + value[:40]  # argparse only echoes an ambiguous option
-        return super()._parse_optional(arg_string)
-
     def error(self, message):
-        # argparse reads a value attached to -h as more one-letter flags (-hhhb
-        # is -h -h -h -b), so the value it refuses is cut only in the report.
-        head, sep, value = message.partition("ignored explicit argument ")
-        if sep:
-            message = head + sep + repr(ast.literal_eval(value)[:40])
+        # Each rule matches the head argparse writes, never text that the user
+        # typed. argparse reads a value attached to -h as more one-letter flags
+        # (-hhhb is -h -h -h -b), so that value is cut only in the report.
+        head = "argument -h/--help: ignored explicit argument "
+        if message.startswith(head):  # the rest is the repr of a str
+            message = head + repr(ast.literal_eval(message[len(head):])[:40])
+        head = "ambiguous option: "
+        if message.startswith(head):  # the matches are option strings
+            word, sep, matches = message[len(head):].rpartition(" could match ")
+            option, eq, value = word.partition("=")
+            message = head + option + eq + value[:40] + sep + matches
         super().error(message)
 
     def _check_value(self, action, value):

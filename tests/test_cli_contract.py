@@ -254,6 +254,24 @@ def test_the_ledger_of_outcomes(ledger):
     pytest.param(["compute", "-hhhb"],
                  "braidmono compute: error: argument -h/--help: ignored explicit argument 'b'",
                  id="short-after-repeated-h"),
+    # A value that quotes the phrases of argparse's own messages is echoed as
+    # any other value is.
+    pytest.param(["compute", "--curve=y", "ignored explicit argument x"],
+                 "braidmono: error: unrecognized arguments: ignored explicit argument x",
+                 id="unrecognized-quotes-ignored-explicit"),
+    pytest.param(["compute", "--curve=y", "ignored explicit argument 5"],
+                 "braidmono: error: unrecognized arguments: ignored explicit argument 5",
+                 id="unrecognized-quotes-ignored-explicit-number"),
+    pytest.param(["ignored explicit argument 5"],
+                 "braidmono: error: argument command: invalid choice: "
+                 "'ignored explicit argument 5' (choose from 'compute', 'vankampen', 'verify')",
+                 id="choice-quotes-ignored-explicit"),
+    pytest.param(["compute", "--curve=y", "--steps", "ignored explicit argument 1"],
+                 "braidmono compute: error: argument --steps: invalid int value: "
+                 "'ignored explicit argument 1'", id="int-quotes-ignored-explicit"),
+    pytest.param(["compute", "--s=x could match --y=" + "a" * 3000],
+                 "braidmono compute: error: ambiguous option: --s=%s could match --shear, --steps"
+                 % ("x could match --y=" + "a" * 22), id="ambiguous-quotes-could-match"),
 ])
 def test_argparse_echoes_at_most_40_characters_of_a_value(argv, line):
     outcome, stderr, _ = _call(argv)
