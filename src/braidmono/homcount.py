@@ -8,21 +8,26 @@ groups differ and is reported Inconsistent.
 
 Generators that occur exactly once in some relator are eliminated
 first (their image is forced).  Into an abelian group A there is no
-search: Hom(G, A) = Hom(G^ab, A), and G^ab is the sum of the Z/d on the
-diagonal that the exponent-sum matrix reduces to (Cohen 1993, 2.4.4);
-likewise into any group once the relators keep one generator.  Else
-each generator left in no relator contributes a factor |G|, and one
-backtracking search counts the presentation into all the other groups
-at once, over their disjoint union: a row, a partial assignment into
-one group, takes images of the next generator from that group only.
-x1 and x2 range together over one pair of each orbit of G x G under
-simultaneous conjugation, each row weighted by the orbit's size:
-conjugating a homomorphism by g maps those with (x1, x2) -> (a, b)
-one-to-one onto those with (x1, x2) -> (g a g^-1, g b g^-1), so the
-weighted sum is exact.  A relator is due once its highest generator
-x_k is bound.  One that reads x_k u x_k^-1 = w up to rotation is solved
-by lookup: x_k takes the conjugators from u to w, one per row on
-average; the others are tested, dropping the rows that fail.
+search: Hom(G, A) = Hom(G^ab, A), and G^ab is the sum of the Z/d on
+the diagonal that the exponent-sum matrix reduces to (Cohen 1993,
+2.4.4); likewise into any group once the relators keep one generator.
+A count into a direct product H x K is the product of the counts into
+H and K (the battery's D6 is built as S3 x C2).  Else each generator
+left in no relator contributes a factor |G|, and one backtracking
+search counts the presentation into all the other groups at once, over
+their disjoint union: a row, a partial assignment into one group,
+takes images of the next generator from that group only.  x1 and x2
+range together over one pair of each orbit of G x G under simultaneous
+conjugation, each row weighted by the orbit's size: conjugating a
+homomorphism by g maps those with (x1, x2) -> (a, b) one-to-one onto
+those with (x1, x2) -> (g a g^-1, g b g^-1), so the weighted sum is
+exact.  When no relator is due at x3 and every pair satisfies those
+due at x1 and x2, x1, x2 and x3 range over the orbits of G^3 instead,
+made once per union from the pair orbits: x3 over the orbits of each
+pair's stabiliser.  A relator is due once its highest generator x_k is
+bound.  One that reads x_k u x_k^-1 = w up to rotation is solved by
+lookup: x_k takes the conjugators from u to w, one per row on average;
+the others are tested, dropping the rows that fail.
 
 A count depends only on the rank and the set of relators.
 Inside a count_memo block it is made once per group, and the plan (the
@@ -93,6 +98,7 @@ class FiniteGroupTable:
     __hash__ = lambda self: self._hash
     _hash = cached_property(lambda self: hash((self.order, self.identity, self.table)))
     _abelian = cached_property(lambda self: self.table == tuple(zip(*self.table)))
+    _factors = ()  # H and K of a group built as H x K by _direct_product
 
     @cached_property
     def _orders(self) -> list[int]:
@@ -122,7 +128,7 @@ class _Union(NamedTuple):
     pairs: tuple[np.ndarray, np.ndarray]
     weights: np.ndarray
     block: np.ndarray
-    free: list  # the orbits with every x3 of their block, once a search has made them
+    triples: list  # what _triples returns, once a search has needed it
 
 
 @lru_cache(maxsize=16)
@@ -150,6 +156,31 @@ def _union(groups: tuple[FiniteGroupTable, ...]) -> _Union:
     return _Union(n, len(groups), mul.ravel() * n, mul[:, inv].ravel() * n, inv * n, unit.repeat(n),
                   np.cumsum(count), count, source, pairs, weights,
                   owner[pairs[0]].astype(dtype), [])
+
+
+def _triples(t: _Union) -> list:
+    """The orbits of G^3 under simultaneous conjugation, for every block G, as _search
+    takes its rows: x1, x2 and x3 columns, blocks and weights.  An orbit's least code has
+    its pair orbit's (a, b) and, as x3, the least of x3's orbit under the stabiliser of
+    (a, b); the orbit's size is the pair orbit's times that one's."""
+    if not t.triples:
+        n, key = t.size, t.block + t.size ** 2
+        # Each pair orbit takes every x3 of its block, whose codes run from first to
+        # first + |G| - 1: the |G| rows of a pair meet each residue mod |G| once.
+        count = t.count.take(key)
+        pair, order = np.repeat(np.arange(len(count)), count), count.repeat(count)
+        first = t.source.take(t.end.take(key) - count).repeat(count)
+        (a, b), c = (x.take(pair) for x in t.pairs), first + np.arange(len(pair)) % order
+        least = c
+        for i in range(count.max()):  # conjugate by every g of the block
+            g = first + i % order
+            g_a, g_b, g_c = (t.mul.take(t.mul.take(t.inv.take(g) + x) + g) for x in (a, b, c))
+            least = np.minimum(least, np.where((g_a == a * n) & (g_b == b * n), g_c // n, c))
+        code, size = np.unique(pair * n + least, return_counts=True)
+        pair, x3 = np.divmod(code, n)
+        t.triples[:] = ([x.take(pair) for x in t.pairs] + [x3.astype(t.source.dtype)],
+                        t.block.take(pair), t.weights.take(pair) * size)
+    return t.triples
 
 
 def _generated(*gens: tuple[int, ...]) -> FiniteGroupTable:
@@ -208,6 +239,17 @@ def quaternion_group() -> FiniteGroupTable:
     return _generated((2, 3, 1, 0, 7, 6, 4, 5), (4, 5, 6, 7, 1, 0, 3, 2))
 
 
+def _direct_product(h: FiniteGroupTable, k: FiniteGroupTable) -> FiniteGroupTable:
+    """H x K, its element (a, b) numbered a*|K| + b.  It keeps its factors: a count into
+    it is the product of theirs, since Hom(G, H x K) = Hom(G, H) x Hom(G, K)."""
+    n = k.order
+    table = tuple(tuple(h.table[a][c] * n + k.table[b][d] for c in range(h.order) for d in range(n))
+                  for a in range(h.order) for b in range(n))
+    g = FiniteGroupTable(h.order * n, h.identity * n + k.identity, table)
+    object.__setattr__(g, "_factors", (h, k))
+    return g
+
+
 def default_targets() -> list[tuple[str, FiniteGroupTable]]:
     """Standard battery of ten small groups used for comparisons.
 
@@ -227,7 +269,7 @@ def _built_targets() -> tuple[tuple[str, FiniteGroupTable], ...]:
         ("D4", dihedral_group(4)),
         ("Q8", quaternion_group()),
         ("A4", alternating_group(4)),
-        ("D6", dihedral_group(6)),
+        ("D6", _direct_product(symmetric_group(3), cyclic_group(2))),
         ("S4", symmetric_group(4)),
     )
 
@@ -287,14 +329,16 @@ def _counted(p: Presentation, groups: Sequence[FiniteGroupTable]) -> list[int]:
 def _counts(rank: int, relators: list[tuple[int, ...]], groups: list[FiniteGroupTable]) -> list[int]:
     plans, key = _memo.get().plans, (rank, frozenset(relators))
     free, levels, diag = plans[key] if key in plans else plans.setdefault(key, _plan(rank, relators))
+    # A direct product is counted as its factors are, with the other groups.
+    wanted = dict.fromkeys(f for g in groups for f in g._factors or (g,))
     counts = {g: math.prod(sum(d % k == 0 for k in g._orders) for d in diag)
-              for g in groups if g._abelian or len(levels) < 2}
+              for g in wanted if g._abelian or len(levels) < 2}
     # One search for the other groups, or one for each if their orders sum past _UNION_ORDER.
-    searched = tuple(g for g in groups if g not in counts)
+    searched = tuple(g for g in wanted if g not in counts)
     runs = [searched] if sum(g.order for g in searched) <= _UNION_ORDER else zip(searched)
     for run in filter(None, runs):
         counts.update((g, g.order ** free * c) for g, c in zip(run, _search(_union(run), levels)))
-    return [counts[g] for g in groups]
+    return [math.prod(counts[f] for f in g._factors) if g._factors else counts[g] for g in groups]
 
 
 def _plan(rank: int, relators: list[tuple[int, ...]]) -> _Plan:
@@ -344,7 +388,8 @@ _CHUNK = 1 << 14
 
 def _search(t: _Union, levels: list[_Level]) -> list[int]:
     """Weighted count, per block, of the assignments that satisfy every relator:
-    rows, partial assignments, start from the pair orbits and take as images of
+    rows, partial assignments, start from the pair orbits (the triple orbits if
+    nothing is due at x3 and no pair failed a relator) and take as images of
     x_k the conjugators its relator to solve leaves, or else every element of
     their block; the other relators due are tested on them."""
     last = len(levels) - 1
@@ -354,8 +399,6 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
     def extend(cols: list[np.ndarray], block: np.ndarray, weight: np.ndarray) -> np.ndarray:
         k = len(cols)
         solve, tests = levels[k]
-        if (free := k == 2 and not any(levels[2]) and len(weight) == len(t.weights)) and t.free:
-            return extend(*t.free)
         key = (block + t.size ** 2 if solve is None
                else _value(t, solve[0], cols, k) + _value(t, solve[1], cols, k) // t.size)
         end, count = t.end.take(key), t.count.take(key)
@@ -373,15 +416,14 @@ def _search(t: _Union, levels: list[_Level]) -> list[int]:
             return tally(block.take(rep), weight.take(rep))
         grown = [c.take(rep) for c in cols] + [x], block.take(rep), weight.take(rep)
         del rep, x
-        sums = extend(*grown)
-        if free:  # copied after the search: kept amid its temporaries, they raised peak memory
-            t.free[:] = [c.copy() for c in grown[0]], grown[1].copy(), grown[2].copy()
-        return sums
+        return extend(*grown)
 
     cols, weight, block = list(t.pairs), t.weights, t.block
     if tests := [(w, k) for k in (0, 1) for w in levels[k][1]]:
         ok = reduce(and_, (t.unit.take(_value(t, w, cols, k)) for w, k in tests))
         cols, weight, block = [c[ok] for c in cols], weight[ok], block[ok]
+    if last > 1 and not any(levels[2]) and len(weight) == len(t.weights):
+        return extend(*_triples(t)).tolist()  # any x3 may follow any pair: start from G^3
     return (extend(cols, block, weight) if last > 1 else tally(block, weight)).tolist()
 
 

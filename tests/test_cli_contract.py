@@ -19,7 +19,7 @@ three factors, and a polynomial at most three terms of degree at most 4
 in each variable unless an edge number or the long factor is drawn.  A braid has at most
 four tokens, of index at most 4 unless an edge number is drawn.
 `verify` names a catalogue fixture, n-tangency-n for n = 7, n <= 5 or
-an edge number, or a bad id: n-tangency-6 passes, but its 5 s would be
+an edge number, or a bad id: n-tangency-6 passes, but its 2 s would be
 most of the draw's time, which is about a second.  The ledger of
 outcomes is pinned, so a change of the grammar or of a refusal shows.
 """

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from braidmono import (
+    BraidWord,
     FiniteGroupTable,
     FreeWord,
     Presentation,
@@ -251,12 +254,31 @@ def test_pair_orbits_of_the_battery(name, orbits):
         assert (min(orbit), len(orbit)) == (code, size)
 
 
+@pytest.mark.parametrize("name, orbits", [
+    ("C2", 8), ("C3", 27), ("C4", 64), ("C6", 216), ("S3", 49),
+    ("D4", 176), ("Q8", 176), ("A4", 178), ("D6", 392), ("S4", 681),
+])
+def test_triple_orbits_of_the_battery(name, orbits):
+    g = dict(default_targets())[name]
+    n = g.order
+    cols, block, weights = homcount._triples(homcount._union((g,)))
+    assert len(weights) == orbits and not block.any()
+    assert sum(weights) == n ** 3
+    # Burnside, as for the pairs: g fixes (a, b, c) iff all three lie in C(g).
+    centraliser = [sum(g.table[a][b] == g.table[b][a] for b in range(n)) for a in range(n)]
+    assert orbits * n == sum(c ** 3 for c in centraliser)
+    for *triple, size in zip(*(c.tolist() for c in cols), weights.tolist()):
+        orbit = {tuple(g.table[g.table[g.inverse(x)][y]][x] for y in triple) for x in range(n)}
+        assert (min(orbit), len(orbit)) == (tuple(triple), size)
+
+
 @pytest.mark.parametrize("fixture_id, count", [
     ("triple-tangency-vertical-line", 16344),
     ("n-tangency-4", 141528),
 ])
 def test_pinned_s4_counts_of_model_braids(fixture_id, count):
-    braid = fixture_by_id(fixture_id).model_program.braid()
+    f = fixture_by_id(fixture_id)
+    braid = BraidWord(f.expected_relations.rank, f.model_letters)
     assert count_homomorphisms(induced_presentation(braid), symmetric_group(4)) == count
 
 
@@ -378,6 +400,26 @@ def test_battery_group_isomorphism_types(name, orders, commuting):
     n = g.order
     assert Counter(_element_order(g, a) for a in range(n)) == orders
     assert sum(g.table[a][b] == g.table[b][a] for a in range(n) for b in range(n)) == commuting
+
+
+_RECORDED_D6 = [
+    _p(rec["rank"], *map(tuple, rec["relators"]))
+    for rec in json.loads((Path(__file__).parent / "data" / "hom_counts.json").read_text("utf-8"))
+    if rec["group"] == "D6"
+]
+
+
+def test_the_battery_d6_is_counted_as_s3_times_c2():
+    d6, plain = dict(default_targets())["D6"], dihedral_group(6)
+    s3, c2 = symmetric_group(3), cyclic_group(2)
+    assert d6._factors == (s3, c2) and plain._factors == () and d6 != plain
+    assert Counter(_element_order(d6, a) for a in range(12)) == \
+        Counter(_element_order(plain, a) for a in range(12))
+    assert len(_RECORDED_D6) == 30
+    for p in [case.values[0] for case in _BRUTE_FORCE_CASES] + _RECORDED_D6:
+        count = count_homomorphisms(p, d6)
+        assert count == count_homomorphisms(p, plain), p
+        assert count == count_homomorphisms(p, s3) * count_homomorphisms(p, c2), p
 
 
 def test_abelian_targets_and_one_generator_plans_skip_the_search(monkeypatch):
