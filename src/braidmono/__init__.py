@@ -34,7 +34,6 @@ from .errors import (
 )
 from .homcount import (
     FiniteGroupTable,
-    HomCountReport,
     alternating_group,
     count_homomorphisms,
     cyclic_group,

@@ -344,6 +344,11 @@ class VerificationReport:
         return out
 
 
+def _hom_check(name: str, p: Presentation, q: Presentation) -> CheckResult:
+    ok = equivalence_evidence(p, q)
+    return CheckResult(name, ok, "hom counts %s" % ("Consistent" if ok else "Inconsistent"))
+
+
 @count_memo()
 def verify_fixture(f: Fixture, *, radius: Fraction = F(1)) -> VerificationReport:
     checks: list[CheckResult] = []
@@ -370,9 +375,7 @@ def verify_fixture(f: Fixture, *, radius: Fraction = F(1)) -> VerificationReport
 
     raws = raw_relators(model_braid)  # entry k - 1 is relation k, trivial or not
     model = Presentation(n, tuple(raws))
-    rep = equivalence_evidence(model, f.expected_relations)
-    checks.append(CheckResult(
-        "model-vs-expected", rep.consistent, "hom counts %s" % rep.verdict))
+    checks.append(_hom_check("model-vs-expected", model, f.expected_relations))
 
     for k in f.redundancy_claims:
         rest = raws[: k - 1] + raws[k:]
@@ -382,10 +385,8 @@ def verify_fixture(f: Fixture, *, radius: Fraction = F(1)) -> VerificationReport
             "relation %d %s from the others" % (k, verdict.value)))
 
     for gen, expected_small in f.deletion_checks:
-        rep = equivalence_evidence(
-            kill_generator(f.expected_relations, gen), expected_small)
-        checks.append(CheckResult(
-            "deletion-x%d" % gen, rep.consistent, "hom counts %s" % rep.verdict))
+        checks.append(_hom_check(
+            "deletion-x%d" % gen, kill_generator(f.expected_relations, gen), expected_small))
 
     if failure is not None:
         checks.append(CheckResult("lefschetz", False, failure))

@@ -2,9 +2,10 @@
 
 The number of homomorphisms from a finitely presented group into each
 member of a battery of small finite groups is a cheap, exactly
-computable invariant.  Two presentations with matching counts across
-the battery are reported Consistent; a single mismatch proves the
-groups differ and is reported Inconsistent.
+computable invariant.  equivalence_evidence says whether two
+presentations have the same counts across default_targets(); a single
+mismatch proves the groups differ.  Counts into other groups go through
+count_homomorphisms.
 
 Generators that occur exactly once in some relator are eliminated
 first (their image is forced).  Into an abelian group A there is no
@@ -333,11 +334,9 @@ def _counts(rank: int, relators: list[tuple[int, ...]], groups: list[FiniteGroup
     wanted = dict.fromkeys(f for g in groups for f in g._factors or (g,))
     counts = {g: math.prod(sum(d % k == 0 for k in g._orders) for d in diag)
               for g in wanted if g._abelian or len(levels) < 2}
-    # One search for the other groups, or one for each if their orders sum past _UNION_ORDER.
-    searched = tuple(g for g in wanted if g not in counts)
-    runs = [searched] if sum(g.order for g in searched) <= _UNION_ORDER else zip(searched)
-    for run in filter(None, runs):
-        counts.update((g, g.order ** free * c) for g, c in zip(run, _search(_union(run), levels)))
+    # One search for the rest, over their union.
+    if rest := tuple(g for g in wanted if g not in counts):
+        counts.update((g, g.order ** free * c) for g, c in zip(rest, _search(_union(rest), levels)))
     return [math.prod(counts[f] for f in g._factors) if g._factors else counts[g] for g in groups]
 
 
@@ -380,8 +379,6 @@ def _diagonal(m: list[list[int]], width: int) -> list[int]:
     return diag + [0] * (width - len(diag))
 
 
-# The summed order of the groups one search takes together; a larger group goes alone.
-_UNION_ORDER = 128
 # Images tested per batch: bounds the working set of a search level, whatever the rank.
 _CHUNK = 1 << 14
 
@@ -450,33 +447,9 @@ def _times(t: _Union, acc: np.ndarray | None, img: np.ndarray, positive: bool) -
     return (t.mul if positive else t.div).take(acc + img)
 
 
-@dataclass(frozen=True)
-class HomCountReport:
-    """Per-target counts for two presentations and the verdict."""
-
-    targets: tuple[str, ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return self.left == self.right
-
-    @property
-    def verdict(self) -> str:
-        return "Consistent" if self.consistent else "Inconsistent"
-
-
 @count_memo()
-def equivalence_evidence(
-    p: Presentation,
-    q: Presentation,
-    targets: Sequence[tuple[str, FiniteGroupTable]] | None = None,
-) -> HomCountReport:
-    """Compare hom counts of two presentations over the target battery,
+def equivalence_evidence(p: Presentation, q: Presentation) -> bool:
+    """Whether p and q have the same hom count into every group of default_targets(),
     counting each presentation once per group (count_memo)."""
-    tg = list(targets) if targets is not None else default_targets()
-    names = tuple(name for name, _ in tg)
-    groups = [g for _, g in tg]
-    return HomCountReport(names, tuple(_counted(p, groups)), tuple(_counted(q, groups)))
-
+    groups = [g for _, g in default_targets()]
+    return _counted(p, groups) == _counted(q, groups)

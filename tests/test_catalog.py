@@ -91,7 +91,7 @@ BENCH_RADII = [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4), Frac
 @pytest.mark.parametrize("fixture_id", FRAMED_IDS)
 def test_stated_conjugator_carries_the_tracked_braid_to_the_model(fixture_id):
     f = fixture_by_id(fixture_id)
-    model = f.model_program.braid()
+    model = BraidWord(f.expected_relations.rank, f.model_letters)
     c = BraidWord(model.strands, f.conjugator)
     for r in BENCH_RADII:
         tracked = motion_to_braid(track_loop(f.curve, LoopSpec(radius=r)))
@@ -157,7 +157,7 @@ def test_fixture_strand_counts():
 
 def test_secant_below_model_images():
     f = fixture_by_id("tangent-conics-secant-below")
-    imgs = braid_images(f.model_program.braid())
+    imgs = braid_images(BraidWord(f.expected_relations.rank, f.model_letters))
     assert [list(w.letters) for w in imgs] == [
         [3, 2, 1, -2, -3],
         [3, 2, 1, 3, 2, -3, -1, -2, -3],
@@ -167,7 +167,7 @@ def test_secant_below_model_images():
 
 def test_triple_tangency_model_images():
     f = fixture_by_id("triple-tangency")
-    imgs = braid_images(f.model_program.braid())
+    imgs = braid_images(BraidWord(f.expected_relations.rank, f.model_letters))
     assert [list(w.letters) for w in imgs] == [
         [3, 2, 1, 3, 2, 1, -2, -3, -1, -2, -3],
         [3, 2, 1, 3, 2, 1, 2, -1, -2, -3, -1, -2, -3],
@@ -191,7 +191,7 @@ def test_exponent_sums_tracked_equals_model(tracked_braid):
     todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     for f in todo:
         tracked = tracked_braid(f.fixture_id)
-        model = f.model_program.braid()
+        model = BraidWord(f.expected_relations.rank, f.model_letters)
         assert exponent_sum(tracked) == exponent_sum(model), f.fixture_id
 
 
@@ -213,7 +213,7 @@ def test_verify_takes_the_model_braids_action_once(monkeypatch):
     monkeypatch.setattr(vankampen, "braid_images", lambda b: acted.append(b) or real(b))
     todo = [fixture_by_id(i) for i in ("two-tangent-conics", "vertical-tangency-line-pair")]
     assert all(verify_fixture(f).passed for f in todo)
-    assert acted == [f.model_program.braid() for f in todo]
+    assert acted == [BraidWord(f.expected_relations.rank, f.model_letters) for f in todo]
 
 
 def test_verify_pins_level_one_and_deletion_checks():

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from braidmono import cli, fixtures, n_tangency_fixture
+from braidmono import BraidWord, cli, fixtures, n_tangency_fixture
 
 DATA = Path(__file__).parent / "data" / "cli_transcript.json"
 
@@ -82,7 +82,7 @@ def cases() -> list[list[str]]:
         for arc in ("full", "half"):
             out.append(["compute", *tracking, "--arc", arc, "--format", "structured"])
         out.append(["vankampen", *tracking])
-        braid = f.model_program.braid()
+        braid = BraidWord(f.expected_relations.rank, f.model_letters)
         out.append(["vankampen", "--braid", _braid_text(braid.letters),
                     "--strands", str(braid.strands)])
     return out + REFUSALS

@@ -197,7 +197,7 @@ def test_catalogue_tracked_braids_never_need_the_closure(monkeypatch):
     monkeypatch.setattr(conjugacy, "_closure_meets", refuse)
     todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     for f in todo:
-        model = f.model_program.braid()
+        model = BraidWord(f.expected_relations.rank, f.model_letters)
         for r in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4), Fraction(3, 2)):
             tracked = motion_to_braid(track_loop(f.curve, LoopSpec(radius=r)))
             assert braid_conjugate(tracked, model), (f.fixture_id, r)

@@ -11,9 +11,17 @@ Artin action on words, no relators, no elimination and no search plan.
 
 The action commutes with simultaneous conjugation, so g_1 ranges over
 one element of each conjugacy class, weighted by the class's size.
+
+The oracle checks the model braids of `verify all`, seeded random braids
+(one battery search per braid, as verify makes, beside the one-group
+counts) and the benchmark's recorded counts of the expected relations.
 """
 
 from __future__ import annotations
+
+import importlib
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +34,7 @@ from braidmono import (
     induced_presentation,
     n_tangency_fixture,
 )
+from braidmono import homcount
 
 # The largest |G|^n whose tuples are enumerated, before the classes cut them.
 _TUPLES = 200_000
@@ -60,3 +69,33 @@ def test_hurwitz_fixed_points_count_the_induced_presentation(fixture):
     assert len(groups) >= 5
     for name, g in groups:
         assert _hurwitz_fixed_points(braid.letters, n, g) == count_homomorphisms(p, g), name
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_hurwitz_fixed_points_count_random_braids(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    letters = tuple(rng.choice((-1, 1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 30)))
+    p = induced_presentation(BraidWord(n, letters))
+    groups = [g for _, g in default_targets() if g.order ** n <= _TUPLES]
+    assert len(groups) >= 7
+    fixed = [_hurwitz_fixed_points(letters, n, g) for g in groups]
+    assert [count_homomorphisms(p, g) for g in groups] == fixed, letters
+    assert homcount._counted(p, groups) == fixed, letters
+
+
+def test_hurwitz_fixed_points_give_the_benchmarks_recorded_counts(monkeypatch):
+    # The recorded counts are of the expected relations, which present
+    # the group of the model braid.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    catalogue = workloads.catalogue()
+    assert sorted(f.fixture_id for f in catalogue) == sorted(workloads.EXPECTED_HOM_COUNTS)
+    checked = 0
+    for f in catalogue:
+        n = f.expected_relations.rank
+        for (name, g), recorded in zip(default_targets(), workloads.EXPECTED_HOM_COUNTS[f.fixture_id]):
+            if g.order ** n <= _TUPLES:
+                assert _hurwitz_fixed_points(f.model_letters, n, g) == recorded, (f.fixture_id, name)
+                checked += 1
+    assert checked == 133

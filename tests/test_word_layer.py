@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from braidmono import braid_images, fixture_by_id, induced_presentation, simplify
+from braidmono import BraidWord, braid_images, fixture_by_id, induced_presentation, simplify
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "word_layer.json").read_text(encoding="utf-8")
@@ -36,7 +36,8 @@ def test_pins_cover_verify_all():
 @pytest.mark.parametrize("fixture_id", list(PINNED))
 def test_model_braid_images_and_relators(fixture_id):
     rec = PINNED[fixture_id]
-    braid = fixture_by_id(fixture_id).model_program.braid()
+    f = fixture_by_id(fixture_id)
+    braid = BraidWord(f.expected_relations.rank, f.model_letters)
     assert list(braid.letters) == rec["braid"]
     assert _letters(braid_images(braid)) == rec["images"]
     assert _letters(induced_presentation(braid).relators) == rec["relators"]
@@ -45,7 +46,8 @@ def test_model_braid_images_and_relators(fixture_id):
 @pytest.mark.parametrize("fixture_id", list(PINNED))
 def test_model_presentation_simplifies_as_pinned(fixture_id):
     rec = PINNED[fixture_id]
-    braid = fixture_by_id(fixture_id).model_program.braid()
+    f = fixture_by_id(fixture_id)
+    braid = BraidWord(f.expected_relations.rank, f.model_letters)
     result = simplify(induced_presentation(braid), max_len=24, budget=200)
     assert list(result.moves) == rec["simplify_moves"]
     assert _letters(result.presentation.relators) == rec["simplify_final"]
