@@ -139,7 +139,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 # The tracking flags are declared without argparse defaults, so that a flag
 # left out reads None and `vankampen --braid` can reject any that is given.
-_TRACKING_DEFAULTS = {"shear": "0", "center": "0", "radius": "1", "arc": "full", "steps": 256}
+_TRACKING_DEFAULTS = {"shear": "0", "center": "0", "radius": "1", "arc": "full"}
 
 
 def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
@@ -148,7 +148,6 @@ def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--center", help="loop center a+bi (rational parts)")
     p.add_argument("--radius", help="loop radius as a fraction p/q")
     p.add_argument("--arc", choices=["full", "half"], help="full loop or the lower half")
-    p.add_argument("--steps", type=_int, help="N: the first step is arc/N, at most arc/64")
 
 
 def _tracked_braid(args) -> tuple[CurveSpec, Motion, BraidWord]:
@@ -159,9 +158,7 @@ def _tracked_braid(args) -> tuple[CurveSpec, Motion, BraidWord]:
     curve = parse_curve(args.curve, _parse_rational(opt["shear"]))
     loop_arc = "negative-half" if opt["arc"] == "half" else "full"
     loop = LoopSpec(_parse_complex(opt["center"]), _parse_rational(opt["radius"]), loop_arc)
-    if not 0 < opt["steps"] <= sys.float_info.max:
-        raise ParseError("--steps must be a positive integer within floating-point range")
-    motion = track_loop(curve, loop, initial_divisions=opt["steps"])
+    motion = track_loop(curve, loop)
     letters = reduce_onto([], motion_to_braid(motion).letters)
     return curve, motion, BraidWord(motion.strands, tuple(letters))
 

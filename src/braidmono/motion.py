@@ -79,20 +79,18 @@ def _scale(points) -> float | np.ndarray:
 
 
 def nearest_match(
-    points: Sequence[complex], targets: Sequence[complex], tol: float | Sequence[float]
+    points: Sequence[complex], targets: Sequence[complex], tol: float
 ) -> list[int] | None:
     """For each point, the index of its nearest target (the first on ties).
 
     Returns None unless every point lies within tol of its nearest
     target (a distance equal to tol passes) and no two points share one.
-    tol is one float for all points or a sequence of one per point.
     """
-    per_point = not isinstance(tol, (int, float))
     match: list[int] = []
     for z in points:
         dist = [abs(w - z) for w in targets]
         d = min(dist, default=math.inf)
-        if d > (tol[len(match)] if per_point else tol):
+        if d > tol:
             return None
         k = dist.index(d)
         if k in match:

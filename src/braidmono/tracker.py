@@ -14,8 +14,8 @@ disjoint, so an accepted step continues each root unambiguously, and
 an isolated root does not hold the whole fiber to the pace of its
 closest pair.  The test sees only the sampled endpoints of a step, so
 it cannot detect two roots that wind round each other within one step.
-No step, the first included, exceeds arc/64, and eight accepted steps
-in a row double the step up to that cap.
+The first step is arc/256, no step exceeds arc/64, and eight accepted
+steps in a row double the step up to that cap.
 The walk goes in runs: a run is the angles it would take if every
 step were accepted, up to and including the first at a grown size
 (the probe), or to the end of the loop at the largest size.  Its
@@ -57,11 +57,12 @@ from .errors import (
     ImproperProjectionError,
     TrackingFailureError,
 )
-from .motion import Motion, _scale, motion_to_braid, strand_key
+from .motion import Motion, _rational, _scale, motion_to_braid, strand_key
 from .words import BraidWord
 
 _SEPARATION_TOL = 1e-9
 _MIN_STEP_FRACTION = 2.0**-40
+_START_DIVISIONS = 256
 _HALF_TOL = 1e-9
 
 
@@ -80,7 +81,7 @@ class LoopSpec:
     _radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        r = Fraction(self.radius)
+        r = _rational(self.radius, "loop radius")
         if r <= 0:
             raise GeometryError("loop radius must be positive")
         try:
@@ -91,7 +92,14 @@ class LoopSpec:
             raise GeometryError("loop radius is out of floating-point range")
         if self.arc not in ("full", "negative-half"):
             raise GeometryError("arc must be 'full' or 'negative-half'")
-        object.__setattr__(self, "center", complex(self.center))
+        try:
+            center = complex(self.center)
+        except (TypeError, ValueError, OverflowError):
+            center = complex(math.nan)
+        if not cmath.isfinite(center):
+            raise GeometryError("loop center must be a finite complex number, not %r"
+                                % (self.center,))
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "_radius", as_float)
 
@@ -203,28 +211,18 @@ def _grow(step: float, streak: int, max_step: float) -> tuple[float, int]:
     return (min(step * 2.0, max_step), 0) if streak == 7 else (step, streak + 1)
 
 
-def track_loop(
-    curve: CurveSpec, loop: LoopSpec, *, initial_divisions: int = 256
-) -> Motion:
+def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
     """Track the fiber around the loop; returns the strand Motion.
 
     The motion's time axis is the loop parameter normalised to [0, 1].
     Strand k starts at the k-th root of the sorted basepoint fiber.
-    initial_divisions sets the starting step to arc/initial_divisions,
-    capped at arc/64; the tracker still adapts from there.
     """
-    if initial_divisions < 1:
-        raise GeometryError("initial_divisions must be positive")
-    try:
-        divisions = float(initial_divisions)
-    except OverflowError:
-        raise GeometryError("initial_divisions is out of floating-point range") from None
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
 
     thetas, samples = [theta0], []
     min_step, max_step = arc * _MIN_STEP_FRACTION, arc / 64.0
-    step = min(arc / divisions, max_step)
+    step = min(arc / _START_DIVISIONS, max_step)
     theta, streak = theta0, 0
 
     while theta < theta1 - 1e-15:

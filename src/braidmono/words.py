@@ -71,8 +71,8 @@ class FreeWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise MalformedWordError("rank must be positive, got %r" % (self.rank,))
+        if not isinstance(self.rank, int) or self.rank < 1:
+            raise MalformedWordError("rank must be a positive int, got %r" % (self.rank,))
         letters = tuple(self.letters)
         for a in letters:
             if not isinstance(a, int) or a == 0 or abs(a) > self.rank:
@@ -115,9 +115,9 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
+        if not isinstance(self.strands, int) or self.strands < 1:
             raise MalformedWordError(
-                "strand count must be positive, got %r" % (self.strands,)
+                "strand count must be a positive int, got %r" % (self.strands,)
             )
         letters = tuple(self.letters)
         for a in letters:

@@ -11,6 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from braidmono import (
     BraidWord,
     FreeWord,
@@ -36,6 +38,7 @@ from braidmono import (
     n_tangency_fixture,
     simplify,
     track_loop,
+    tracker,
     verify_fixture,
 )
 from garside_conjugacy import braid_conjugate
@@ -266,7 +269,9 @@ def _suite_step_doubling(tracked) -> None:
     todo = fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]
     for f in todo:
         coarse = tracked(f.fixture_id)
-        fine = motion_to_braid(track_loop(f.curve, LoopSpec(), initial_divisions=512))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tracker, "_START_DIVISIONS", 512)
+            fine = motion_to_braid(track_loop(f.curve, LoopSpec()))
         assert braid_equal(coarse, fine), f.fixture_id
 
 

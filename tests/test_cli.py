@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from braidmono import BraidWord, Polynomial2, braid_equal, cli, vankampen
+from braidmono import BraidWord, Polynomial2, braid_equal, cli, tracker, vankampen
 from braidmono import curves, homcount
 from braidmono.cli import MAX_LETTERS, _parse_braid, main
 from braidmono.curves import MAX_DEGREE_X, MAX_STRANDS
@@ -145,12 +145,14 @@ def test_tracking_error_exits_three(capsys):
     pytest.param("(y+x^2)(y-x^2)", "s1 s1 s1 s1", id="tangency"),
 ])
 @pytest.mark.parametrize("radius", ["1", "1e100"])
-@pytest.mark.parametrize("steps", ["1", "2", "3", "4", "256"])
-def test_any_first_step_tracks_to_the_true_braid(capsys, curve, letters, radius, steps):
-    # No step exceeds arc/64, whatever --steps asks for first.  At radius
+@pytest.mark.parametrize("divisions", [1, 2, 3, 4, 256])
+def test_any_first_step_tracks_to_the_true_braid(capsys, monkeypatch, curve, letters, radius,
+                                                  divisions):
+    # No step exceeds arc/64, whatever the first step would be.  At radius
     # 1e100 the tangency's product y^2 - x^4 would be out of float range,
     # but its factors are not: the roots are +-1e200.
-    code, out, _ = _run(capsys, "compute", "--curve", curve, "--radius", radius, "--steps", steps)
+    monkeypatch.setattr(tracker, "_START_DIVISIONS", divisions)
+    code, out, _ = _run(capsys, "compute", "--curve", curve, "--radius", radius)
     assert code == 0
     assert "letters: %s\n" % letters in out
 
@@ -315,7 +317,6 @@ def test_vankampen_bad_letter_exits_two(capsys):
     pytest.param(("--braid", "s1 s1", "--radius", "5"), id="braid-radius"),
     pytest.param(("--braid", "s1 s1", "--radius", "1"), id="braid-default-radius"),
     pytest.param(("--braid", "s1 s1", "--arc", "half"), id="braid-arc"),
-    pytest.param(("--braid", "s1 s1", "--steps", "8"), id="braid-steps"),
     pytest.param(("--braid", "s1 s1", "--strands", "2", "--arc", "half",
                   "--radius", "5"), id="braid-strands-arc-radius"),
     pytest.param(("--curve", "(y^2-x)", "--strands", "3"), id="curve-strands"),
@@ -503,14 +504,6 @@ def test_every_written_letter_counts_toward_the_strands(capsys, argv, code, expe
         assert out.startswith(expected)
 
 
-@pytest.mark.parametrize("command", ["compute", "vankampen"])
-def test_steps_outside_float_range_exits_two(capsys, command):
-    code, out, err = _run(capsys, command, "--curve", "(y^2-x)", "--steps", "1" + "0" * 400)
-    assert code == 2
-    assert out == ""
-    assert err == "error: --steps must be a positive integer within floating-point range\n"
-
-
 def test_overflowing_fiber_arithmetic_warns_nothing(capsys):
     # Roots near 1e300 overflow the residual bound and the gap arithmetic;
     # the braid is right, and no warning may reach stderr.
@@ -519,13 +512,6 @@ def test_overflowing_fiber_arithmetic_warns_nothing(capsys):
         code, out, err = _run(capsys, "compute", "--curve", "(y-1%sx^2)(y+x)" % ("0" * 300))
     assert (code, err, caught) == (0, "", [])
     assert "samples: 76\nletters: s1 s1 s1 s1\n" in out
-
-
-def test_steps_of_more_digits_than_int_reads_exits_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["compute", "--curve", "(y^2-x)", "--steps", _DIGITS])
-    assert info.value.code == 2
-    assert "argument --steps: invalid int value" in capsys.readouterr().err
 
 
 def test_vankampen_reports_a_truncated_simplification(capsys, monkeypatch):

@@ -42,6 +42,7 @@ REFUSALS = [
     ["compute", "--curve", "(y+x^2)(y-x^2)", "--radius", "0"],
     ["compute", "--curve", "(y+x^2)(y-x^2)", "--radius", HUGE],
     ["compute", "--curve", "(y+x^2)(y-x^2)", "--center", "1+" + HUGE + "i"],
+    # No command has --steps: argparse refuses it with at most 40 characters.
     ["compute", "--curve", "(y+x^2)(y-x^2)", "--steps", "0"],
     ["compute", "--curve", "(y+x^2)(y-x^2)", "--steps", HUGE],
     ["compute", "--curve", "(y^33-x)"],

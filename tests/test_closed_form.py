@@ -20,6 +20,7 @@ from braidmono import (
     lefschetz_braid,
     motion_to_braid,
     track_loop,
+    tracker,
 )
 from closed_form import branch_curve, reference_braid, separation_bound
 
@@ -97,14 +98,14 @@ def test_family_fixture_braids_equal_the_closed_form_reference(fixture_id, radiu
 
 
 @pytest.mark.parametrize("seed", range(1000, 1120))
-def test_tracked_braid_from_a_drawn_start_equals_the_reference(seed):
-    # The full loop, with the radius and then initial_divisions drawn from
-    # the generator that drew the branches.
+def test_tracked_braid_from_a_drawn_start_equals_the_reference(monkeypatch, seed):
+    # The full loop, with the radius and then the tracker's start divisions
+    # drawn from the generator that drew the branches.
     rng = random.Random(seed)
     branches = _branches(rng)
     radius, divisions = rng.choice(RADII), rng.choice(DIVISIONS)
-    tracked = motion_to_braid(track_loop(branch_curve(branches), LoopSpec(radius=radius),
-                                         initial_divisions=divisions))
+    monkeypatch.setattr(tracker, "_START_DIVISIONS", divisions)
+    tracked = motion_to_braid(track_loop(branch_curve(branches), LoopSpec(radius=radius)))
     assert braid_equal(tracked, reference_braid(branches, radius)), (branches, radius, divisions)
 
 
@@ -112,6 +113,5 @@ def test_tracked_braid_from_a_drawn_start_equals_the_reference(seed):
                    "the fast winding of x^100 into a wrong braid with exit 0")
 def test_fast_winding_tracks_to_the_reference():
     branches = [(Fraction(1), 100), (Fraction(-1), 100)]
-    tracked = motion_to_braid(track_loop(branch_curve(branches), LoopSpec(),
-                                         initial_divisions=256))
+    tracked = motion_to_braid(track_loop(branch_curve(branches), LoopSpec()))
     assert braid_equal(tracked, reference_braid(branches, Fraction(1)))

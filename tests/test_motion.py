@@ -490,12 +490,6 @@ def test_program_constructs_one_motion(monkeypatch):
     assert m.times[0] == 0.0 and m.times[-1] == 1.0
 
 
-def test_nearest_match_takes_a_tolerance_per_point():
-    assert nearest_match([0, 10], [0.25, 13], [0.5, 3.0]) == [0, 1]
-    assert nearest_match([0, 10], [0.25, 13], [0.5, 2.5]) is None
-    assert nearest_match([0, 10], [0.25, 13], [0.2, 3.0]) is None
-
-
 def _two_faults(head_on: int, stuck: int, samples: int = 5) -> Motion:
     """Strands 0 and 1 meet head on across step `head_on`; strand 3 keeps
     the sheared key of strand 2 (10) across step `stuck`."""

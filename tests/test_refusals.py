@@ -4,6 +4,7 @@ and its exact message."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from braidmono import (
     BraidWord,
     CurveSpec,
     FiniteGroupTable,
+    FreeWord,
     LoopSpec,
     Motion,
     MotionProgram,
@@ -26,7 +28,7 @@ from braidmono import (
     parse_curve,
     parse_polynomial,
     symmetric_group,
-    track_loop,
+    verify_fixture,
 )
 from braidmono import cli, curves
 from braidmono.errors import (
@@ -158,21 +160,44 @@ _POWERS = "+".join("x^%d" % k for k in range(799, 0, -1))
     pytest.param(lambda: Presentation(-1, ()), MalformedWordError,
                  "rank must be nonnegative", id="presentation-rank-minus-1"),
     pytest.param(lambda: BraidWord(0), MalformedWordError,
-                 "strand count must be positive, got 0", id="braid-on-0-strands"),
+                 "strand count must be a positive int, got 0", id="braid-on-0-strands"),
+    pytest.param(lambda: BraidWord(2.5, (1,)), MalformedWordError,
+                 "strand count must be a positive int, got 2.5", id="braid-on-2.5-strands"),
+    pytest.param(lambda: BraidWord(None), MalformedWordError,
+                 "strand count must be a positive int, got None", id="braid-on-None-strands"),
+    pytest.param(lambda: FreeWord(2.0, (1,)), MalformedWordError,
+                 "rank must be a positive int, got 2.0", id="free-word-rank-2.0"),
+    pytest.param(lambda: FreeWord("2"), MalformedWordError,
+                 "rank must be a positive int, got '2'", id="free-word-rank-str"),
     pytest.param(lambda: BraidWord(2) * BraidWord(3), DimensionMismatchError,
                  "cannot concatenate braids on 2 and 3 strands", id="braid-product-sizes"),
     pytest.param(lambda: Permutation((1, 2)) * Permutation((1, 2, 3)), DimensionMismatchError,
                  "cannot compose permutations of sizes 2 and 3", id="permutation-product-sizes"),
-    pytest.param(lambda: track_loop(parse_curve("(y^2-x)"), LoopSpec(0, Fraction(1)),
-                                    initial_divisions=10**400),
-                 GeometryError, "initial_divisions is out of floating-point range",
-                 id="divisions-past-float-range"),
+    *[pytest.param(lambda radius=radius: LoopSpec(radius=radius), GeometryError,
+                   "loop radius must be a finite rational number, not %r" % (radius,),
+                   id="loop-radius-%s" % name)
+      for name, radius in [("nan", math.nan), ("inf", math.inf), ("text", "abc"),
+                           ("None", None)]],
+    *[pytest.param(lambda center=center: LoopSpec(center=center), GeometryError,
+                   "loop center must be a finite complex number, not %r" % (center,),
+                   id="loop-center-%s" % name)
+      for name, center in [("nan", math.nan), ("infinite-part", complex(1, math.inf)),
+                           ("text", "abc"), ("None", None), ("past-float-range", 10**400)]],
 ])
 def test_refusal_names_its_class_and_reason(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_verify_fixture_reports_a_nan_radius_as_failed_checks():
+    report = verify_fixture(fixture_by_id("two-tangent-conics"), radius=math.nan)
+    failure = "tracking failed: loop radius must be a finite rational number, not nan"
+    assert [line for line in report.lines() if line.startswith("FAIL")] == [
+        "FAIL two-tangent-conics tracked-vs-model: " + failure,
+        "FAIL two-tangent-conics lefschetz: " + failure]
+    assert not report.passed
 
 
 def _spy(monkeypatch, owner, name):

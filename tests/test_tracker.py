@@ -154,16 +154,11 @@ def test_branch_at_infinity_rejected():
         motion_to_braid(track_loop(curve, LoopSpec()))
 
 
-def test_steps_validation():
-    curve = parse_curve("(y^2-x)")
-    with pytest.raises(GeometryError):
-        motion_to_braid(track_loop(curve, LoopSpec(), initial_divisions=0))
-
-
-def test_coarse_steps_still_converge():
+def test_coarse_steps_still_converge(monkeypatch):
     curve = parse_curve("(y+x^2)(y-x^2)")
-    b = motion_to_braid(track_loop(curve, LoopSpec(), initial_divisions=16))
-    assert braid_equal(b, motion_to_braid(track_loop(curve, LoopSpec())))
+    fine = motion_to_braid(track_loop(curve, LoopSpec()))
+    monkeypatch.setattr(tracker, "_START_DIVISIONS", 16)
+    assert braid_equal(motion_to_braid(track_loop(curve, LoopSpec())), fine)
 
 
 def test_a_sheared_fixture_tracks_to_the_braid_of_the_unsheared_one():
@@ -352,17 +347,18 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_eigenvalue_work(
     assert sizes == {(2, 2)}
 
 
-def _reference_walk(curve, loop, initial_divisions=256):
+def _reference_walk(curve, loop):
     """The documented walk, one step at a time.
 
     Returns (times, paths, rejected probes of the largest step size).  One
-    _solve_fibers call and one _step_test per step: a rejected step
-    halves the step, and eight accepted steps in a row double it, up to
-    arc/64, which also caps the starting step; a step that would pass the
-    half turn by more than the tracker's _HALF_TOL ends on it.  The last
-    step of a full loop ends on the basepoint and takes the basepoint's
-    fiber as solved, unsorted, as its new fiber.  The tracker's runs must
-    take exactly these steps.
+    _solve_fibers call and one _step_test per step: the first step is arc
+    over the tracker's _START_DIVISIONS, a rejected step halves the step,
+    and eight accepted steps in a row double it, up to arc/64, which also
+    caps the first step; a step that would pass the half turn by more
+    than the tracker's _HALF_TOL ends on it.  The last step of a full
+    loop ends on the basepoint and takes the basepoint's fiber as solved,
+    unsorted, as its new fiber.  The tracker's runs must take exactly
+    these steps.
     """
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
@@ -376,7 +372,7 @@ def _reference_walk(curve, loop, initial_divisions=256):
     current = np.asarray(sorted((complex(z) for z in base), key=strand_key), dtype=complex)
     thetas, samples = [theta0], [current]
     min_step, max_step = arc * 2.0**-40, arc / 64.0
-    step = min(arc / float(initial_divisions), max_step)
+    step = min(arc / tracker._START_DIVISIONS, max_step)
     theta, streak, probe, rejected_probes = theta0, 0, False, 0
     while theta < theta1 - 1e-15:
         target = theta + min(step, theta1 - theta)
@@ -414,9 +410,9 @@ def _reference_walk(curve, loop, initial_divisions=256):
     return tuple(times), np.array(samples).T, rejected_probes
 
 
-def _assert_walks_alike(curve, loop, initial_divisions=256):
-    times, paths, rejected = _reference_walk(curve, loop, initial_divisions)
-    motion = track_loop(curve, loop, initial_divisions=initial_divisions)
+def _assert_walks_alike(curve, loop):
+    times, paths, rejected = _reference_walk(curve, loop)
+    motion = track_loop(curve, loop)
     assert motion.times == times
     assert motion.paths.tobytes() == paths.tobytes()
     return rejected
@@ -433,9 +429,10 @@ def test_tracking_takes_the_steps_of_a_one_step_walk(fixture):
 
 
 @pytest.mark.parametrize("equation", ["(y+x^2)(y-x^2)", "y(y^2+x)(y^2-x)"])
-def test_tracking_from_a_coarse_start_takes_the_steps_of_a_one_step_walk(equation):
+def test_tracking_from_a_coarse_start_takes_the_steps_of_a_one_step_walk(monkeypatch, equation):
+    monkeypatch.setattr(tracker, "_START_DIVISIONS", 3)
     for arc in ("full", "negative-half"):
-        _assert_walks_alike(parse_curve(equation), LoopSpec(arc=arc), initial_divisions=3)
+        _assert_walks_alike(parse_curve(equation), LoopSpec(arc=arc))
 
 
 # Steps from 96 or 100 divisions do not fall on the half turn: before a
@@ -443,13 +440,14 @@ def test_tracking_from_a_coarse_start_takes_the_steps_of_a_one_step_walk(equatio
 # a turn away from it.
 @pytest.mark.parametrize("divisions", (96, 100))
 @pytest.mark.parametrize("equation", ["(y+x^2)(y-x^2)", "y(y^2+x)(y^2-x)"])
-def test_a_full_loop_has_a_sample_at_its_half_turn(equation, divisions):
+def test_a_full_loop_has_a_sample_at_its_half_turn(monkeypatch, equation, divisions):
     curve = parse_curve(equation)
-    motion = track_loop(curve, LoopSpec(), initial_divisions=divisions)
-    assert 0.5 in motion.times
     half = motion_to_braid(track_loop(curve, LoopSpec(arc="negative-half")))
+    monkeypatch.setattr(tracker, "_START_DIVISIONS", divisions)
+    motion = track_loop(curve, LoopSpec())
+    assert 0.5 in motion.times
     assert braid_equal(lefschetz_braid(motion), half)
-    _assert_walks_alike(curve, LoopSpec(), initial_divisions=divisions)
+    _assert_walks_alike(curve, LoopSpec())
 
 
 def test_lefschetz_braid_needs_a_sample_at_the_half_turn():
@@ -458,9 +456,9 @@ def test_lefschetz_braid_needs_a_sample_at_the_half_turn():
         lefschetz_braid(motion)
 
 
-def _refusal(call, *args, **kwargs):
+def _refusal(call, *args):
     try:
-        call(*args, **kwargs)
+        call(*args)
     except BraidMonoError as e:
         return type(e), str(e)
     raise AssertionError("%s did not refuse" % call.__name__)
@@ -471,17 +469,16 @@ def test_tracking_refusals_match_a_one_step_walk(monkeypatch):
     # tracker fails there with the one-step walk's exception and message.
     cases = json.loads((Path(__file__).parent / "data" / "cli_transcript.json").read_text())
     calls = []
-    monkeypatch.setattr(cli, "track_loop", lambda *args, **kwargs: calls.append((*args, kwargs))
-                        or track_loop(*args, **kwargs))
+    monkeypatch.setattr(cli, "track_loop", lambda *args: calls.append(args) or track_loop(*args))
     refusals = 0
     for case in (c for c in cases if c["exit"] == 3):
         del calls[:]
         with contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(case["argv"]) == 3
         if calls:
-            (curve, loop, kwargs), = calls
-            refused = _refusal(_reference_walk, curve, loop, kwargs["initial_divisions"])
-            assert refused == _refusal(track_loop, curve, loop, **kwargs)
+            (curve, loop), = calls
+            refused = _refusal(_reference_walk, curve, loop)
+            assert refused == _refusal(track_loop, curve, loop)
             assert case["stderr"] == "tracking error: %s\n" % refused[1]
             refusals += 1
     assert refusals == 3
@@ -537,6 +534,16 @@ def test_step_test_decides_the_pinned_chains(rows, expected):
     assert [m if good else None for m, good in zip(near.tolist(), ok)] == expected
 
 
+def _matching(points, targets, tols):
+    """nearest_match's rule with a tolerance per point: every point within
+    its own tolerance of its nearest target, and no target shared."""
+    hits = [nearest_match([z], targets, tol) for z, tol in zip(points, tols)]
+    if None in hits:
+        return None
+    match = [k for k, in hits]
+    return match if len(set(match)) == len(match) else None
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_step_test_equals_nearest_match(seed):
     rng = random.Random(seed)
@@ -557,7 +564,7 @@ def test_step_test_equals_nearest_match(seed):
             gaps[np.arange(len(prev)), np.arange(len(prev))] = math.inf
             assert sep[k] == gaps.min()
             assert scale[k] == np.abs(prev).max()
-            match = nearest_match(rows[k], rows[k + 1], (0.5 * gaps.min(axis=1)).tolist())
+            match = _matching(rows[k], rows[k + 1], (0.5 * gaps.min(axis=1)).tolist())
             assert bool(ok[k]) == (match is not None)
             if match is not None:
                 assert near[k].tolist() == match
