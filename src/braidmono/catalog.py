@@ -8,14 +8,14 @@ which smaller catalogue entries.  The tests derive each stated word from
 a geometric motion program, letter for letter; `Fixture.model_program`
 encodes the model word back into a program of adjacent half-twists.
 
-verify_fixture replays everything end to end: it tracks the full loop
-once, compares the tracked braid, conjugated by the fixture's stated
-conjugator, with the model (one comparison of Garside normal forms: a
-local braid monodromy is defined up to conjugation, and where the fiber
-has complex points the model works in a rearranged frame), compares
-induced and expected presentations, checks redundancy derivability,
-deletion consequences, and the half-loop braid (the walk's from its
-half turn on) against its stated word or the doubling identity.
+verify_fixture replays everything end to end.  Per loop it tracks the
+loop once, compares the tracked braid, conjugated by the fixture's stated
+conjugator, with the model (one comparison of Garside normal forms: a local
+braid monodromy is defined up to conjugation, and where the fiber has
+complex points the model works in a rearranged frame), and the half-loop
+braid (the walk's from its half turn on) with its stated word or the
+doubling identity.  Per fixture object, once, it compares induced and
+expected presentations and checks redundancy and deletion claims.
 """
 
 from __future__ import annotations
@@ -88,6 +88,19 @@ class Fixture:
     def curve(self) -> CurveSpec:
         """The parsed equation; a parse error is raised again on each use."""
         return parse_curve(self.equation, self.shear)
+
+    @cached_property
+    def relation_checks(self) -> tuple[CheckResult, ...]:
+        """model-vs-expected, redundancy-k and deletion-xk; an error is raised again on each use."""
+        n, expected = self.expected_relations.rank, self.expected_relations
+        raws = raw_relators(BraidWord(n, self.model_letters))  # entry k - 1 is relation k
+        checks = [_hom_check("model-vs-expected", Presentation(n, tuple(raws)), expected)]
+        for k in self.redundancy_claims:
+            verdict = is_consequence(raws[: k - 1] + raws[k:], raws[k - 1])
+            checks.append(CheckResult("redundancy-%d" % k, verdict is Verdict.DERIVABLE,
+                                      "relation %d %s from the others" % (k, verdict.value)))
+        return (*checks, *[_hom_check("deletion-x%d" % gen, kill_generator(expected, gen), small)
+                           for gen, small in self.deletion_checks])
 
     @property
     def model_program(self) -> MotionProgram:
@@ -351,9 +364,10 @@ def _hom_check(name: str, p: Presentation, q: Presentation) -> CheckResult:
 
 @count_memo()
 def verify_fixture(f: Fixture, *, radius: Fraction = F(1)) -> VerificationReport:
+    """f's checks on the loop |x| = radius: the tracked braid, f.relation_checks,
+    then the half-loop braid.  A tracking error fails the loop's checks."""
     checks: list[CheckResult] = []
     n = f.expected_relations.rank  # the words' strand count
-    model_braid = BraidWord(n, f.model_letters)
 
     failure = None
     try:
@@ -364,30 +378,16 @@ def verify_fixture(f: Fixture, *, radius: Fraction = F(1)) -> VerificationReport
         checks.append(CheckResult("tracked-vs-model", False, failure))
     else:
         c = BraidWord(n, f.conjugator)
-        ok = braid_equal(c * tracked * c.inverse(), model_braid)
+        ok = braid_equal(c * tracked * c.inverse(), BraidWord(n, f.model_letters))
         if not ok:
             detail = "%s braid differs from the model" % ("conjugated" if f.conjugator else "tracked")
         elif f.conjugator:
             detail = "braids are conjugate"
         else:
-            detail = "braid words agree (%d letters)" % len(model_braid.letters)
+            detail = "braid words agree (%d letters)" % len(f.model_letters)
         checks.append(CheckResult("tracked-vs-model", ok, detail))
 
-    raws = raw_relators(model_braid)  # entry k - 1 is relation k, trivial or not
-    model = Presentation(n, tuple(raws))
-    checks.append(_hom_check("model-vs-expected", model, f.expected_relations))
-
-    for k in f.redundancy_claims:
-        rest = raws[: k - 1] + raws[k:]
-        verdict = is_consequence(rest, raws[k - 1])
-        checks.append(CheckResult(
-            "redundancy-%d" % k, verdict is Verdict.DERIVABLE,
-            "relation %d %s from the others" % (k, verdict.value)))
-
-    for gen, expected_small in f.deletion_checks:
-        checks.append(_hom_check(
-            "deletion-x%d" % gen, kill_generator(f.expected_relations, gen), expected_small))
-
+    checks += f.relation_checks
     if failure is not None:
         checks.append(CheckResult("lefschetz", False, failure))
     else:

@@ -322,7 +322,7 @@ def _rational(value, name: str) -> Fraction:
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise GeometryError("%s must be a finite rational number, not %r" % (name, value)) from None
+        raise GeometryError("%s must be a finite rational number, not %.40r" % (name, value)) from None
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -97,7 +97,7 @@ class LoopSpec:
         except (TypeError, ValueError, OverflowError):
             center = complex(math.nan)
         if not cmath.isfinite(center):
-            raise GeometryError("loop center must be a finite complex number, not %r"
+            raise GeometryError("loop center must be a finite complex number, not %.40r"
                                 % (self.center,))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", r)

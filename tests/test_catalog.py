@@ -216,6 +216,63 @@ def test_verify_takes_the_model_braids_action_once(monkeypatch):
     assert acted == [BraidWord(f.expected_relations.rank, f.model_letters) for f in todo]
 
 
+def _spy(monkeypatch, owner, name):
+    """The list of calls that owner.name gets from now on."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_one_fixture_checks_its_relations_once_over_many_loops(monkeypatch):
+    # The relation checks depend on no loop: one fixture object makes
+    # them on its first verify_fixture call only, whatever the radius,
+    # also where tracking is refused (radius 2).
+    from braidmono import catalog, homcount, vankampen
+
+    radii = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+    spies = [_spy(monkeypatch, homcount, "_counts"), _spy(monkeypatch, catalog, "is_consequence"),
+             _spy(monkeypatch, vankampen, "braid_images")]
+    f = fixture_by_id("tangent-conics-secant-below")
+    reports = [verify_fixture(f, radius=radii[0])]
+    first = [len(calls) for calls in spies]
+    assert all(first)
+    reports += [verify_fixture(f, radius=r) for r in radii[1:]]
+    assert [len(calls) for calls in spies] == first
+    for r, report in zip(radii, reports):
+        fresh = verify_fixture(fixture_by_id("tangent-conics-secant-below"), radius=r)
+        assert report.lines() == fresh.lines(), r
+    assert [report.passed for report in reports] == [True, True, True, False]
+
+
+def test_a_failed_relation_check_is_not_kept(monkeypatch):
+    from braidmono import homcount
+
+    f = fixture_by_id("two-tangent-conics")
+
+    def refuse(*args):
+        raise CapacityError("no count today")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homcount, "_counts", refuse)
+        with pytest.raises(CapacityError, match="no count today"):
+            verify_fixture(f)
+    counted = _spy(monkeypatch, homcount, "_counts")
+    assert verify_fixture(f).passed
+    assert counted
+
+
+def test_a_replaced_fixture_makes_its_own_relation_checks():
+    # dataclasses.replace builds a new object: it keeps no checks of the
+    # fixture it copies, so a wrong model still fails.
+    f = fixture_by_id("two-tangent-conics")
+    assert verify_fixture(f).passed
+    wrong = dataclasses.replace(f, fixture_id="wrong-model", model_letters=(1,))
+    assert verify_fixture(wrong).lines()[:2] == [
+        "FAIL wrong-model tracked-vs-model: tracked braid differs from the model",
+        "FAIL wrong-model model-vs-expected: hom counts Inconsistent",
+    ]
+
+
 def test_verify_pins_level_one_and_deletion_checks():
     report = verify_fixture(fixture_by_id("vertical-tangency-line-pair"))
     assert report.lines() == [

@@ -182,7 +182,14 @@ _POWERS = "+".join("x^%d" % k for k in range(799, 0, -1))
                    "loop center must be a finite complex number, not %r" % (center,),
                    id="loop-center-%s" % name)
       for name, center in [("nan", math.nan), ("infinite-part", complex(1, math.inf)),
-                           ("text", "abc"), ("None", None), ("past-float-range", 10**400)]],
+                           ("text", "abc"), ("None", None)]],
+    # A refused value is echoed by the first 40 characters of its repr.
+    pytest.param(lambda: LoopSpec(center=10**400), GeometryError,
+                 "loop center must be a finite complex number, not 1" + "0" * 39,
+                 id="loop-center-past-float-range"),
+    pytest.param(lambda: LoopSpec(radius="a" * 5000), GeometryError,
+                 "loop radius must be a finite rational number, not '" + "a" * 39,
+                 id="loop-radius-5000-characters"),
 ])
 def test_refusal_names_its_class_and_reason(call, error, message):
     with pytest.raises(error) as info:
