@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when `verify` ran and a check failed, 2 for
 unparseable input, unknown fixture ids or an input over a size limit, 3
-for numerical tracking failures.
+for a curve CurveSpec refuses (a repeated or non-squarefree factor, shared
+components, a factor without y or with a vertical component) or a
+numerical tracking failure.
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ def parse_polynomial(text: str) -> Polynomial2:
                 dx += p
             else:
                 dy += p
-        if m.group("coeff") is None and dx == 0 and dy == 0:
+        if m.group("coeff") is None and not m.group("vars"):
             raise ParseError("empty term in %r" % text[:40])
         key = (dx, dy)
         d[key] = d.get(key, Fraction(0)) + coeff

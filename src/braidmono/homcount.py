@@ -30,11 +30,11 @@ bound.  One that reads x_k u x_k^-1 = w up to rotation is solved by
 lookup: x_k takes the conjugators from u to w, one per row on average;
 the others are tested, dropping the rows that fail.
 
-A count depends only on the rank and the set of relators.
-Inside a count_memo block it is made once per group, and the plan (the
-elimination, the diagonal, the relator lists) once per presentation; a
-count outside any block is its own block.  Nothing in the memo outlives
-the outermost block; the union tables of recent batteries are kept.
+A count depends only on the rank and the set of relators.  Inside a
+count_memo block it is made once per group, a count outside any block
+being its own block; each count call plans anew (the elimination, the
+diagonal, the relator lists).  Nothing in the memo outlives the
+outermost block; the union tables of recent batteries are kept.
 """
 
 from __future__ import annotations
@@ -283,28 +283,22 @@ _Plan = tuple[int, list[_Level], list[int]]
 _Key = tuple[int, frozenset[tuple[int, ...]]]
 
 
-class _Memo(NamedTuple):
-    """What a count_memo block keeps, by (rank, relator set)."""
-
-    counts: dict[tuple[_Key, FiniteGroupTable], int]
-    plans: dict[_Key, _Plan]
-
-
-# Each thread and task sees its own.
-_memo: ContextVar[_Memo | None] = ContextVar("count_memo", default=None)
+# Counts by (rank, relator set) and group; each thread and task sees its own.
+_memo: ContextVar[dict[tuple[_Key, FiniteGroupTable], int] | None] = ContextVar("count_memo", default=None)
 
 
 @contextmanager
 def count_memo() -> Iterator[None]:
-    """Count each presentation once per group, and plan it once, inside the block.
+    """Count each presentation once per group inside the block.
 
     A nested block shares the outer memo, which is dropped when the
-    outermost block exits, whether or not it raised.
+    outermost block exits, whether or not it raised.  Plans are not
+    kept: a caller asks for all its groups in one _counted call.
     """
     if _memo.get() is not None:
         yield
         return
-    token = _memo.set(_Memo({}, {}))
+    token = _memo.set({})
     try:
         yield
     finally:
@@ -321,15 +315,14 @@ def _counted(p: Presentation, groups: Sequence[FiniteGroupTable]) -> list[int]:
     relators = [r.letters for r in p.relators]
     key = (p.rank, frozenset(relators))
     with count_memo():
-        counts = _memo.get().counts
+        counts = _memo.get()
         if todo := [g for g in dict.fromkeys(groups) if (key, g) not in counts]:
             counts.update(zip([(key, g) for g in todo], _counts(p.rank, relators, todo)))
         return [counts[key, g] for g in groups]
 
 
 def _counts(rank: int, relators: list[tuple[int, ...]], groups: list[FiniteGroupTable]) -> list[int]:
-    plans, key = _memo.get().plans, (rank, frozenset(relators))
-    free, levels, diag = plans[key] if key in plans else plans.setdefault(key, _plan(rank, relators))
+    free, levels, diag = _plan(rank, relators)
     # A direct product is counted as its factors are, with the other groups.
     wanted = dict.fromkeys(f for g in groups for f in g._factors or (g,))
     counts = {g: math.prod(sum(d % k == 0 for k in g._orders) for d in diag)

@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, MalformedWordError
-from .homcount import FiniteGroupTable, count_homomorphisms, count_memo, default_targets
+from .homcount import FiniteGroupTable, _counted, count_memo, default_targets
 from .words import FreeWord, delete_generator, donors, invert, substitute
 
 DEFAULT_MAX_LEN = 64
@@ -144,7 +144,8 @@ def _battery() -> tuple[list[tuple[str, FiniteGroupTable]], ...]:
     D4, A4, S3 and C4 in S4; a map into C6 = C2 x C3 or D6 = S3 x C2
     that tells has a factor that tells.  So these find a witness exactly
     when default_targets() does.  Q8 and S4 wait for the search, because
-    a consequence, which has no witness, pays for every count."""
+    a consequence, which has no witness, pays for every count.  Each
+    half counts a presentation in one call (witness)."""
     groups = dict(default_targets())
     return [(g, groups[g]) for g in ("S3", "C4")], [(g, groups[g]) for g in ("Q8", "S4")]
 
@@ -154,10 +155,12 @@ def witness(
 ) -> str | None:
     """The first group G of `groups` with fewer homomorphisms from
     ⟨X | rest, word⟩ than from ⟨X | rest⟩, or None.  Some map to G kills
-    every relator but not `word`, so `word` is no consequence."""
+    every relator but not `word`, so `word` is no consequence.  Each
+    presentation is counted into all of `groups` in one call."""
     full = Presentation(rest.rank, rest.relators + (word,))
-    return next((name for name, g in groups
-                 if count_homomorphisms(rest, g) != count_homomorphisms(full, g)), None)
+    tables = [g for _, g in groups]
+    return next((name for (name, _), a, b in zip(groups, _counted(rest, tables), _counted(full, tables))
+                 if a != b), None)
 
 
 def is_consequence(
@@ -172,9 +175,10 @@ def is_consequence(
     Independent when a group of default_targets() witnesses that it
     does not: S3 or C4 before the search, which then could never
     succeed and is skipped, or Q8 or S4 once it runs out; the other
-    groups cannot tell more (see _battery).  Search states are cyclic
-    words, each stored as its least rotation: the lexicographically
-    least rotation of the letters, never of the inverse word.
+    groups cannot tell more, and each half is counted in one call (see
+    _battery).  Search states are cyclic words, each stored as its least
+    rotation: the lexicographically least rotation of the letters, never
+    of the inverse word.
     Successors multiply by a cyclic rotation of a relator or its
     inverse; a successor longer than `max_len` once cyclically reduced
     is discarded, mostly before it is built (_cyclic_product).

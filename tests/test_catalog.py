@@ -261,6 +261,23 @@ def test_a_failed_relation_check_is_not_kept(monkeypatch):
     assert counted
 
 
+def test_stated_half_loops_that_double_to_the_model():
+    # L * L = c^-1 * M * c for the stated half-loop L, model M and
+    # conjugator c: the doubling identity that verify checks on the
+    # tracked braids of the flagged fixtures.  double-secant and
+    # vertical-tangency satisfy it too, but are not flagged, so verify
+    # does not check it there.
+    doubled = {}
+    for f in fixtures() + [n_tangency_fixture(n) for n in range(2, 7)]:
+        n = f.expected_relations.rank
+        half, model, c = (BraidWord(n, w) for w in (f.lefschetz_letters, f.model_letters, f.conjugator))
+        doubled[f.fixture_id] = (braid_equal(half * half, c.inverse() * model * c), f.lefschetz_doubling)
+    flagged = ["two-tangent-conics", "triple-tangency"] + ["n-tangency-%d" % n for n in range(2, 7)]
+    assert {fid for fid, (ok, _) in doubled.items() if ok} == \
+        set(flagged) | {"double-secant", "vertical-tangency"}
+    assert [fid for fid, (_, flag) in doubled.items() if flag] == flagged
+
+
 def test_a_replaced_fixture_makes_its_own_relation_checks():
     # dataclasses.replace builds a new object: it keeps no checks of the
     # fixture it copies, so a wrong model still fails.

@@ -527,7 +527,8 @@ def test_vankampen_reports_a_truncated_simplification(capsys, monkeypatch):
 def test_verify_all_counts_each_presentation_once_per_group(monkeypatch, capsys):
     # One count memo for the whole command: the fixtures that share
     # expected relations or deletion targets are counted once (56 calls
-    # with one memo per fixture).
+    # with one memo per fixture), and a witness counts each presentation
+    # into a battery half in one call.
     calls = []
     inner = homcount._counts
 
@@ -538,4 +539,4 @@ def test_verify_all_counts_each_presentation_once_per_group(monkeypatch, capsys)
     monkeypatch.setattr(homcount, "_counts", spy)
     code, out, _ = _run(capsys, "verify", "all")
     assert code == 0 and out.endswith("result: all checks passed\n")
-    assert len(calls) == 41
+    assert len(calls) == 34

@@ -38,6 +38,15 @@ def test_parse_rational_coefficients():
     assert dict(p.coeffs) == {(0, 1): Fraction(1, 2), (1, 0): 1}
 
 
+def test_a_zero_power_with_no_coefficient_is_a_term():
+    # x^0 writes a variable, so it is a term even though it is 1.
+    assert parse_polynomial("y-x^0") == parse_polynomial("y-1")
+    assert parse_polynomial("x^0y") == parse_polynomial("y")
+    assert parse_curve("(y-x^0)(y+x)") == parse_curve("(y-1)(y+x)")
+    with pytest.raises(ParseError, match="empty term"):
+        parse_polynomial("y+")
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         parse_polynomial("")

@@ -26,7 +26,7 @@ from braidmono import (
     symmetric_group,
     verify_fixture,
 )
-from braidmono import homcount
+from braidmono import cli, homcount
 from braidmono.errors import GroupTableError
 from braidmono.homcount import count_memo
 
@@ -351,22 +351,35 @@ def test_no_memo_survives_a_call_that_raises(monkeypatch, call):
     assert homcount._memo.get() is None
 
 
-def test_count_memo_plans_each_presentation_once(monkeypatch):
-    calls = []
-    real = homcount.eliminate_generators
+@pytest.fixture
+def planned(monkeypatch):
+    """The (rank, relator set) of every plan made."""
+    made = []
+    real = homcount._plan
 
     def spy(rank, relators):
-        calls.append(rank)
+        made.append((rank, frozenset(relators)))
         return real(rank, relators)
 
-    monkeypatch.setattr(homcount, "eliminate_generators", spy)
+    monkeypatch.setattr(homcount, "_plan", spy)
+    return made
+
+
+def test_one_count_call_into_the_battery_plans_once(planned):
     p = _p(3, (1, 2, -1, -2), (1, 3, 3), (2, 2, 2))
-    with count_memo():
-        inside = [count_homomorphisms(p, g) for _, g in default_targets()]
-    assert len(calls) == 1
-    outside = [count_homomorphisms(p, g) for _, g in default_targets()]
-    assert len(calls) == 11
-    assert inside == outside
+    groups = [g for _, g in default_targets()]
+    together = homcount._counted(p, groups)
+    assert len(planned) == 1
+    assert together == [count_homomorphisms(p, g) for g in groups]
+    assert len(planned) == 11
+
+
+def test_verify_all_plans_no_presentation_twice(planned, capsys):
+    # One count memo for the whole command, and no plan memo: each count
+    # call plans afresh, and no presentation is counted in two calls.
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out.endswith("result: all checks passed\n")
+    assert len(planned) == len(set(planned)) == 34
 
 
 def _element_order(g, a):

@@ -8,12 +8,15 @@ kernel, so when H kills the relators but not the word, G does too.  The
 first test finds the embeddings that make the cut lossless, and shows
 that C4 and Q8 must stay, because S3 has no C4 and S4 no Q8.  The
 others compare both batteries on recorded searches and on words that
-only a group of order 8 or 12 tells apart from the relators.
+only a group of order 8 or 12 tells apart from the relators.  The last
+tests compare witness, which counts each presentation into a battery
+half in one call, with a lazy loop of one count per group.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -21,8 +24,8 @@ from pathlib import Path
 import pytest
 
 import braidmono.presentations as presentations
-from braidmono import FreeWord, Presentation, default_targets, simplify
-from braidmono.presentations import _battery, witness
+from braidmono import FreeWord, Presentation, count_homomorphisms, default_targets, is_consequence, simplify
+from braidmono.presentations import Verdict, _battery, witness
 
 GROUPS = dict(default_targets())
 OLD_SMALL = [(name, GROUPS[name]) for name in ("C2", "C3", "C4", "S3")]
@@ -156,3 +159,78 @@ def test_large_witnesses_move_into_s4(rest, word, old_name, new_name):
     assert witness(p, word, OLD_SMALL) is None and witness(p, word, small) is None
     assert witness(p, word, OLD_LARGE) == old_name
     assert witness(p, word, large) == new_name
+
+
+def _lazy_witness(rest, word, groups):
+    """witness as one count per group, stopping at the first that tells."""
+    full = Presentation(rest.rank, rest.relators + (word,))
+    return next((name for name, g in groups
+                 if count_homomorphisms(rest, g) != count_homomorphisms(full, g)), None)
+
+
+# <x1, x2 | x1^2, x2^3, (x1 x2)^4> is S4 and <x1, x2 | x1^4, x1^2 x2^-2,
+# x2 x1 x2^-1 x1> is Q8, so Q8 or S4 alone tells some words from the relators.
+_S4_AND_Q8 = [[(1, 1), (2, 2, 2), (1, 2) * 4], [(1, 1, 1, 1), (1, 1, -2, -2), (2, 1, -2, 1)]]
+
+
+def _drawn_witness_case(seed):
+    """Rank 2 or 3: half the time S4's or Q8's relators, then up to two
+    random relators, and a random word."""
+    rng = random.Random(seed)
+    rank = rng.randint(2, 3)
+
+    def letters(lo, hi):
+        return tuple(rng.choice((-1, 1)) * rng.randint(1, rank) for _ in range(rng.randint(lo, hi)))
+
+    relators = list(rng.choice(_S4_AND_Q8)) if rng.random() < 0.5 else []
+    relators += [letters(2, 8) for _ in range(rng.randint(0, 2))]
+    return Presentation(rank, tuple(FreeWord(rank, r) for r in relators)), FreeWord(rank, letters(1, 6))
+
+
+def test_witness_names_the_lazy_loops_group():
+    told = Counter()
+    for seed in range(80):
+        rest, word = _drawn_witness_case(seed)
+        for groups in (*_battery(), default_targets()):
+            found = witness(rest, word, groups)
+            assert found == _lazy_witness(rest, word, groups), (seed, [n for n, _ in groups])
+            told[len(groups), found] += 1
+    # Q8 and S4 are each the first to tell in both orders, and some word
+    # has no witness at all.
+    assert {(2, "Q8"), (2, "S4"), (10, "Q8"), (10, "S4"), (10, None)} <= set(told)
+
+
+@pytest.mark.parametrize("rest, word, name", [
+    (_S4_AND_Q8[0], (1, 2, 1, 2), "S4"),
+    (_S4_AND_Q8[1], (1, 1), "Q8"),
+])
+def test_only_the_large_half_tells(rest, word, name):
+    p, w = Presentation(2, tuple(_w(*r) for r in rest)), _w(*word)
+    small, large = _battery()
+    assert witness(p, w, small) is None
+    assert witness(p, w, large) == name == witness(p, w, default_targets())
+    assert is_consequence(p.relators, w, budget=200) is Verdict.INDEPENDENT
+
+
+def test_each_battery_half_counts_a_presentation_in_one_call(monkeypatch):
+    calls = []
+    inner = presentations._counted
+
+    def spy(p, groups):
+        calls.append((p.rank, frozenset(r.letters for r in p.relators), tuple(groups)))
+        return inner(p, groups)
+
+    monkeypatch.setattr(presentations, "_counted", spy)
+    small, large = _battery()
+    halves = {tuple(g for _, g in half) for half in (small, large)}
+    made = Counter()
+    for seed in range(40):
+        rest, word = _drawn_witness_case(seed)
+        calls.clear()
+        is_consequence(rest.relators, word, budget=50)
+        # rest and rest + word, into the small half, then the large half
+        # if the search ran out.
+        assert len(calls) == len(set(calls)) <= 4, seed
+        assert {groups for *_, groups in calls} <= halves
+        made[len(calls)] += 1
+    assert set(made) == {0, 2, 4}
