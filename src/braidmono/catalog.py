@@ -13,15 +13,16 @@ loop once, compares the tracked braid, conjugated by the fixture's stated
 conjugator, with the model (one comparison of Garside normal forms: a local
 braid monodromy is defined up to conjugation, and where the fiber has
 complex points the model works in a rearranged frame), and the half-loop
-braid (the walk's from its half turn on) with its stated word or the
-doubling identity.  Per fixture object, once, it compares induced and
+braid (the walk's from its half turn on) with its stated word and, where
+the stated words double (Fixture.lefschetz_doubling), its square with the
+tracked braid.  Per fixture object, once, it compares induced and
 expected presentations and checks redundancy and deletion claims.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -39,8 +40,6 @@ from .presentations import (
 from .tracker import LoopSpec, lefschetz_braid, track_loop
 from .vankampen import raw_relators
 from .words import BraidWord, FreeWord, braid_equal
-
-F = Fraction
 
 
 def _eq(rank: int, lhs: Sequence[int], rhs: Sequence[int]) -> FreeWord:
@@ -61,7 +60,9 @@ class Fixture:
     on one more strand than the model's largest generator: the rank of
     `expected_relations`.  Where the model works in a rearranged frame,
     `conjugator` holds the letters of a braid c with c * tracked * c^-1 equal
-    to the model braid."""
+    to the model braid.  `lefschetz_doubling`, derived, is whether L * L =
+    c^-1 * M * c for the stated half-loop L and model M; where it holds,
+    verify_fixture checks that the tracked half-loop braid squares to the loop's."""
 
     fixture_id: str
     equation: str
@@ -69,10 +70,10 @@ class Fixture:
     lefschetz_letters: tuple[int, ...]
     expected_relations: Presentation
     shear: Fraction = Fraction(0)
-    lefschetz_doubling: bool = False
     redundancy_claims: tuple[int, ...] = ()
     deletion_checks: tuple[tuple[int, Presentation], ...] = ()
     conjugator: tuple[int, ...] = ()
+    lefschetz_doubling: bool = field(init=False)
 
     def __post_init__(self) -> None:
         n = max(map(abs, self.model_letters), default=0) + 1
@@ -81,8 +82,9 @@ class Fixture:
                 "fixture %s: %d strands but expected relations have rank %d"
                 % (self.fixture_id, n, self.expected_relations.rank)
             )
-        for word in (self.model_letters, self.lefschetz_letters, self.conjugator):
-            BraidWord(n, word)  # refuses a letter out of range
+        model, half, c = (BraidWord(n, w)  # refuses a letter out of range
+                          for w in (self.model_letters, self.lefschetz_letters, self.conjugator))
+        object.__setattr__(self, "lefschetz_doubling", braid_equal(half * half, c.inverse() * model * c))
 
     @cached_property
     def curve(self) -> CurveSpec:
@@ -108,7 +110,7 @@ class Fixture:
         half-twist of the points |a| and |a| + 1, counterclockwise for a > 0,
         in 16 steps, the fewest a half turn takes."""
         return MotionProgram(tuple(range(1, self.expected_relations.rank + 1)), tuple(
-            RotateBlock((abs(a), abs(a) + 1), abs(a) + F(1, 2), F(1 if a > 0 else -1), 16)
+            RotateBlock((abs(a), abs(a) + 1), abs(a) + Fraction(1, 2), Fraction(1 if a > 0 else -1), 16)
             for a in self.model_letters))
 
 
@@ -122,7 +124,6 @@ def fixtures() -> list[Fixture]:
         equation="(y+x^2)(y-x^2)",
         model_letters=(1, 1, 1, 1),
         lefschetz_letters=(1, 1),
-        lefschetz_doubling=True,
         expected_relations=Presentation(2, (_eq(2, (1, 2, 1, 2), (2, 1, 2, 1)),)),
     ))
 
@@ -182,7 +183,6 @@ def fixtures() -> list[Fixture]:
         equation="y(y+x^2)(y-x^2)",
         model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1),
         lefschetz_letters=(1, 2, 1, 1, 2, 1),
-        lefschetz_doubling=True,
         expected_relations=trio,
         redundancy_claims=(3,),
     ))
@@ -231,7 +231,7 @@ def fixtures() -> list[Fixture]:
     out.append(Fixture(
         fixture_id="triple-tangency-vertical-line",
         equation="(x)(y)(x+y^2)(x-y^2)",
-        shear=F(1, 100),
+        shear=Fraction(1, 100),
         model_letters=(
             -4, 5, -3, 4, -2, 5, 4, 3, 2, 1, 1, 2, 3, 4, 5,
             2, 3, 2, 4, 1, 2, 3, 2, 4, 1, 2, -4, 3, -5, 4,
@@ -328,7 +328,6 @@ def n_tangency_fixture(n: int) -> Fixture:
         equation="(y-x^2)" + "".join("(y-%dx^2)" % k for k in range(2, n + 1)),
         model_letters=delta * 4,
         lefschetz_letters=delta * 2,
-        lefschetz_doubling=True,
         expected_relations=expected,
     )
 
@@ -363,7 +362,7 @@ def _hom_check(name: str, p: Presentation, q: Presentation) -> CheckResult:
 
 
 @count_memo()
-def verify_fixture(f: Fixture, *, radius: Fraction = F(1)) -> VerificationReport:
+def verify_fixture(f: Fixture, *, radius: Fraction = Fraction(1)) -> VerificationReport:
     """f's checks on the loop |x| = radius: the tracked braid, f.relation_checks,
     then the half-loop braid.  A tracking error fails the loop's checks."""
     checks: list[CheckResult] = []

@@ -22,19 +22,22 @@ class TieError(BraidMonoError):
 
 
 class GeometryError(BraidMonoError):
-    """A motion builder was given geometrically inconsistent data."""
+    """A motion builder, a LoopSpec or lefschetz_braid was given inconsistent data."""
 
 
 class ParseError(BraidMonoError):
-    """A curve expression could not be parsed."""
+    """Unreadable input: curve, rational, braid or complex-number text, a fixture id or a
+    CLI flag combination; also a fixture whose words and expected relations differ in rank."""
 
 
 class ImproperProjectionError(BraidMonoError):
-    """The leading y-coefficient vanishes somewhere on the loop."""
+    """The projection to x is not proper: a factor without y or with a vertical-line
+    component, or a leading y-coefficient that vanishes somewhere on the loop."""
 
 
 class CriticalFiberError(BraidMonoError):
-    """A fiber on the loop has fewer distinct roots than the y-degree."""
+    """A fiber on the loop has fewer distinct roots than the y-degree, or a curve factor
+    is repeated, not squarefree, or shares a component with another factor."""
 
 
 class TrackingFailureError(BraidMonoError):
@@ -42,7 +45,8 @@ class TrackingFailureError(BraidMonoError):
 
 
 class CapacityError(BraidMonoError):
-    """An enumeration exceeds the supported size limits."""
+    """An input over a size limit (check_limit), a too-long braid image, or an n-tangency
+    n outside 2..6."""
 
 
 class GroupTableError(BraidMonoError):

@@ -269,7 +269,7 @@ def _drops(
 ) -> Iterator[_Move]:
     """Relators derivable from the others, longest first, skipping those
     in `independent` and adding those proved Independent to it.  The
-    searches get a small budget and a tight length cap: genuine
+    searches get simplify's small budget and a tight length cap: genuine
     dependencies resolve in a handful of expansions, and hopeless ones
     fail fast."""
     if len(rels) < 2:
@@ -280,7 +280,7 @@ def _drops(
         if rels[k] in independent:
             continue
         verdict = is_consequence(words[:k] + words[k + 1 :], words[k],
-                                 max_len=drop_len, budget=min(budget, 2000))
+                                 max_len=drop_len, budget=budget)
         if verdict is Verdict.INDEPENDENT:
             independent.add(rels[k])
         elif verdict is Verdict.DERIVABLE:
@@ -321,7 +321,7 @@ def simplify(
     p: Presentation,
     *,
     max_len: int = DEFAULT_MAX_LEN,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = 2000,
 ) -> SimplifyResult:
     """Shorten and prune relators without touching the generator set.
 
@@ -329,12 +329,11 @@ def simplify(
     first move of three phases, tried in order: drop a derivable
     relator, substitute a donor's generator (the donor search that
     eliminate_generators shares), multiply by a conjugate.  Running out
-    of rounds sets `truncated`.  Drop searches use min(budget, 2000), so
-    a larger budget changes nothing there.  Deterministic: each phase
-    scans relators in a fixed order.  Candidates are rejected by length
-    before they are canonicalised, products before they are built.  The
-    witness tests of one call count each presentation once per group
-    (homcount.count_memo).
+    of rounds sets `truncated`.  Each drop search expands at most `budget`
+    nodes, 2,000 by default.  Deterministic: each phase scans relators in
+    a fixed order.  Candidates are rejected by length before they are
+    canonicalised, products before they are built.  The witness tests of
+    one call count each presentation once per group (homcount.count_memo).
 
     A relator proved Independent stays so until a move rewrites it or
     uses it, and is not searched again: a drop only shrinks the normal

@@ -49,7 +49,7 @@ from typing import Literal
 
 import numpy as np
 
-from .curves import CurveSpec
+from .curves import CurveSpec, _to_float
 from .errors import (
     BraidMonoError,
     CriticalFiberError,
@@ -84,10 +84,7 @@ class LoopSpec:
         r = _rational(self.radius, "loop radius")
         if r <= 0:
             raise GeometryError("loop radius must be positive")
-        try:
-            as_float = float(r)
-        except OverflowError:
-            as_float = math.inf
+        as_float = _to_float(r)
         if not 0.0 < as_float < math.inf:
             raise GeometryError("loop radius is out of floating-point range")
         if self.arc not in ("full", "negative-half"):

@@ -42,7 +42,7 @@ def _old_drops(rank, rels, max_len, budget):
     for k in sorted(range(len(rels)), key=lambda k: (-len(rels[k]), -k)):
         rest = [FreeWord(rank, r) for i, r in enumerate(rels) if i != k]
         if rest and presentations.is_consequence(
-            rest, FreeWord(rank, rels[k]), max_len=drop_len, budget=min(budget, 2000)
+            rest, FreeWord(rank, rels[k]), max_len=drop_len, budget=budget
         ) is Verdict.DERIVABLE:
             yield "drop derivable relator %s" % _word_str(rels[k]), k, None
 

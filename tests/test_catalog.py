@@ -264,18 +264,28 @@ def test_a_failed_relation_check_is_not_kept(monkeypatch):
 def test_stated_half_loops_that_double_to_the_model():
     # L * L = c^-1 * M * c for the stated half-loop L, model M and
     # conjugator c: the doubling identity that verify checks on the
-    # tracked braids of the flagged fixtures.  double-secant and
-    # vertical-tangency satisfy it too, but are not flagged, so verify
-    # does not check it there.
+    # tracked braids.  Fixture derives its flag from the same words.
     doubled = {}
     for f in fixtures() + [n_tangency_fixture(n) for n in range(2, 7)]:
         n = f.expected_relations.rank
         half, model, c = (BraidWord(n, w) for w in (f.lefschetz_letters, f.model_letters, f.conjugator))
-        doubled[f.fixture_id] = (braid_equal(half * half, c.inverse() * model * c), f.lefschetz_doubling)
-    flagged = ["two-tangent-conics", "triple-tangency"] + ["n-tangency-%d" % n for n in range(2, 7)]
-    assert {fid for fid, (ok, _) in doubled.items() if ok} == \
-        set(flagged) | {"double-secant", "vertical-tangency"}
-    assert [fid for fid, (_, flag) in doubled.items() if flag] == flagged
+        doubled[f.fixture_id] = braid_equal(half * half, c.inverse() * model * c)
+        assert f.lefschetz_doubling == doubled[f.fixture_id], f.fixture_id
+    assert len(doubled) == 17
+    assert [fid for fid, ok in doubled.items() if ok] == [
+        "two-tangent-conics", "vertical-tangency", "triple-tangency", "double-secant",
+        *["n-tangency-%d" % n for n in range(2, 7)],
+    ]
+
+
+def test_the_doubling_flag_is_derived_not_passed():
+    f = fixture_by_id("two-tangent-conics")
+    with pytest.raises(TypeError, match="lefschetz_doubling"):
+        Fixture(fixture_id="claimed", equation=f.equation, model_letters=(1,),
+                lefschetz_letters=f.lefschetz_letters,
+                expected_relations=f.expected_relations, lefschetz_doubling=True)
+    assert f.lefschetz_doubling
+    assert not dataclasses.replace(f, model_letters=(1,)).lefschetz_doubling
 
 
 def test_a_replaced_fixture_makes_its_own_relation_checks():
@@ -328,7 +338,6 @@ def _fixture_with_model(fixture_id, like, model_letters, conjugator=()):
         shear=base.shear,
         model_letters=model_letters,
         lefschetz_letters=base.lefschetz_letters,
-        lefschetz_doubling=base.lefschetz_doubling,
         expected_relations=base.expected_relations,
         redundancy_claims=(),
         deletion_checks=(),
@@ -337,13 +346,13 @@ def _fixture_with_model(fixture_id, like, model_letters, conjugator=()):
 
 
 def test_verify_reports_a_wrong_model_program():
-    # A single half twist is not the monodromy of two tangent conics.
+    # A single half twist is not the monodromy of two tangent conics, and
+    # the stated half-loop does not square to it, so no doubling is checked.
     report = verify_fixture(_fixture_with_model("wrong-model", "two-tangent-conics", (1,)))
     assert report.lines() == [
         "FAIL wrong-model tracked-vs-model: tracked braid differs from the model",
         "FAIL wrong-model model-vs-expected: hom counts Inconsistent",
         "pass wrong-model lefschetz-program: half-loop braid matches the program",
-        "pass wrong-model lefschetz-doubling: half squared equals the full loop",
     ]
 
 

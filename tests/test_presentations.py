@@ -257,6 +257,19 @@ def test_simplify_records_moves():
     assert any("duplicate" in mv for mv in result.moves)
 
 
+@pytest.mark.parametrize("kwargs, budget", [
+    ({"budget": 200}, 200),
+    ({}, 2000),
+    ({"budget": 5000}, 5000),
+], ids=["200", "default", "5000"])
+def test_simplify_gives_each_drop_search_its_budget(monkeypatch, kwargs, budget):
+    seen, real = [], presentations.is_consequence
+    monkeypatch.setattr(presentations, "is_consequence",
+                        lambda *a, **k: seen.append(k["budget"]) or real(*a, **k))
+    simplify(Presentation(2, (_w(2, 1, 1), _w(2, 2, 2, 2))), **kwargs)
+    assert seen and set(seen) == {budget}
+
+
 def test_simplify_stops_after_its_round_limit(monkeypatch):
     # The commutator has no donor and, alone, no drop search, so every
     # round reaches the product phase, which here offers a no-op forever.
