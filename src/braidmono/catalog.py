@@ -7,6 +7,8 @@ which raw relation is redundant and which generator deletions reproduce
 which smaller catalogue entries.  The tests derive each stated word from
 a geometric motion program, letter for letter; `Fixture.model_program`
 encodes the model word back into a program of adjacent half-twists.
+The principal fixtures' arguments live in one table keyed by id, so
+fixture_by_id builds only the fixture it names; fixtures() builds all.
 
 verify_fixture replays everything end to end.  Per loop it tracks the
 loop once, compares the tracked braid, conjugated by the fixture's stated
@@ -114,122 +116,99 @@ class Fixture:
             for a in self.model_letters))
 
 
-def fixtures() -> list[Fixture]:
-    """The ten principal fixtures plus the two remark variants."""
-    out = []
+# The relation sets that other fixtures' deletion checks name.
+_EXP31 = Presentation(3, (
+    _eq(3, (1, 3, 2), (3, 2, 1)),
+    _eq(3, (3, 2, 1, 3, 2), (2, 3, 2, 1, 3)),
+))
+_EXP32 = Presentation(3, (
+    _eq(3, (3, 2, 1), (2, 1, 3)),
+    _eq(3, (3, 2, 1, 2, 1), (1, 3, 2, 1, 2)),
+))
+_EXP33 = Presentation(5, (
+    _eq(5, (4, 3, 2), (2, 4, 3)),
+    _eq(5, (3, 2, 4, 3, 4), (4, 3, 2, 4, 3)),
+    _eq(5, (1,), (4, 3, -4)),
+    _eq(5, (4,), (5,)),
+))
+_TRIO = Presentation(3, tuple(_chain(
+    3, (3, 2, 1, 3, 2, 1), (1, 3, 2, 1, 3, 2), (2, 1, 3, 2, 1, 3)
+)))
+_TRIO543 = Presentation(3, tuple(_chain(
+    3, (3, 2, 1, 3, 2, 1), (2, 1, 3, 2, 1, 3), (1, 3, 2, 1, 3, 2)
+)))
 
+# The ten principal fixtures plus the two remark variants: each id's Fixture arguments.
+_FIXTURES: dict[str, dict] = {
     # Two smooth conics meeting at a single tangency point.
-    out.append(Fixture(
-        fixture_id="two-tangent-conics",
+    "two-tangent-conics": dict(
         equation="(y+x^2)(y-x^2)",
         model_letters=(1, 1, 1, 1),
         lefschetz_letters=(1, 1),
         expected_relations=Presentation(2, (_eq(2, (1, 2, 1, 2), (2, 1, 2, 1)),)),
-    ))
-
+    ),
     # Tangent conics with a secant line passing below the tangency.
-    exp31 = Presentation(3, (
-        _eq(3, (1, 3, 2), (3, 2, 1)),
-        _eq(3, (3, 2, 1, 3, 2), (2, 3, 2, 1, 3)),
-    ))
-    out.append(Fixture(
-        fixture_id="tangent-conics-secant-below",
+    "tangent-conics-secant-below": dict(
         equation="(2x+y)(y+x^2)(y-x^2)",
         model_letters=(2, 2, 2, 2, 1, 2, 2, 1),
         lefschetz_letters=(1, 1, 2, 1),
-        expected_relations=exp31,
+        expected_relations=_EXP31,
         redundancy_claims=(3,),
-    ))
-
+    ),
     # Tangent conics with a secant line passing above the tangency.
-    exp32 = Presentation(3, (
-        _eq(3, (3, 2, 1), (2, 1, 3)),
-        _eq(3, (3, 2, 1, 2, 1), (1, 3, 2, 1, 2)),
-    ))
-    out.append(Fixture(
-        fixture_id="tangent-conics-secant-above",
+    "tangent-conics-secant-above": dict(
         equation="(2x-y)(y+x^2)(y-x^2)",
         model_letters=(1, 1, 1, 1, 2, 1, 1, 2),
         lefschetz_letters=(2, 2, 1, 2),
-        expected_relations=exp32,
-    ))
-
+        expected_relations=_EXP32,
+    ),
     # Line tangent to a conic pair at a vertical-tangency point; the
     # fiber has two complex points, so the model works with the pair
     # lifted off the axis and matches the tracked braid up to
     # conjugation.
-    exp33 = Presentation(5, (
-        _eq(5, (4, 3, 2), (2, 4, 3)),
-        _eq(5, (3, 2, 4, 3, 4), (4, 3, 2, 4, 3)),
-        _eq(5, (1,), (4, 3, -4)),
-        _eq(5, (4,), (5,)),
-    ))
-    out.append(Fixture(
-        fixture_id="vertical-tangency",
+    "vertical-tangency": dict(
         equation="y(y^2+x)(y^2-x)",
         model_letters=(-3, 4, -2, 2, 3, 2, 4, 1, 2, 3, 2, 4, 1, 2, -4, 3),
         lefschetz_letters=(2, 3, 2, 4, 1),
-        expected_relations=exp33,
+        expected_relations=_EXP33,
         redundancy_claims=(5,),
         conjugator=(-3, -2, -1),
-    ))
-
+    ),
     # Three branches (line plus two conics) with a common tangent.
-    trio = Presentation(3, tuple(_chain(
-        3, (3, 2, 1, 3, 2, 1), (1, 3, 2, 1, 3, 2), (2, 1, 3, 2, 1, 3)
-    )))
-    out.append(Fixture(
-        fixture_id="triple-tangency",
+    "triple-tangency": dict(
         equation="y(y+x^2)(y-x^2)",
         model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1),
         lefschetz_letters=(1, 2, 1, 1, 2, 1),
-        expected_relations=trio,
+        expected_relations=_TRIO,
         redundancy_claims=(3,),
-    ))
-
+    ),
     # Triple tangency plus a secant below.
-    exp411 = Presentation(4, (
-        _eq(4, (1, 4, 3, 2), (4, 3, 2, 1)),
-        *_chain(4, (4, 3, 2, 4, 3, 2, 1), (3, 2, 4, 3, 2, 1, 4), (2, 4, 3, 2, 1, 4, 3)),
-    ))
-    out.append(Fixture(
-        fixture_id="triple-tangency-secant-below",
+    "triple-tangency-secant-below": dict(
         equation="y(2x+y)(y+x^2)(y-x^2)",
         model_letters=(2, 3, 2, 2, 3, 2, 2, 3, 2, 2, 3, 2, 1, 2, 3, 3, 2, 1),
         lefschetz_letters=(1, 2, 1, 1, 2, 1, 3, 2, 1),
-        expected_relations=exp411,
+        expected_relations=Presentation(4, (
+            _eq(4, (1, 4, 3, 2), (4, 3, 2, 1)),
+            *_chain(4, (4, 3, 2, 4, 3, 2, 1), (3, 2, 4, 3, 2, 1, 4), (2, 4, 3, 2, 1, 4, 3)),
+        )),
         redundancy_claims=(4,),
-        deletion_checks=((1, trio), (3, exp31)),
-    ))
-
+        deletion_checks=((1, _TRIO), (3, _EXP31)),
+    ),
     # Triple tangency plus a secant above.
-    exp412 = Presentation(4, (
-        _eq(4, (4, 3, 2, 1), (3, 2, 1, 4)),
-        *_chain(4, (3, 2, 1, 3, 2, 1, 4), (2, 1, 3, 2, 1, 4, 3), (1, 3, 2, 1, 4, 3, 2)),
-    ))
-    out.append(Fixture(
-        fixture_id="triple-tangency-secant-above",
+    "triple-tangency-secant-above": dict(
         equation="y(2x-y)(y+x^2)(y-x^2)",
         model_letters=(1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 3, 2, 1, 1, 2, 3),
         lefschetz_letters=(2, 3, 2, 2, 3, 2, 1, 2, 3),
-        expected_relations=exp412,
-    ))
-
+        expected_relations=Presentation(4, (
+            _eq(4, (4, 3, 2, 1), (3, 2, 1, 4)),
+            *_chain(4, (3, 2, 1, 3, 2, 1, 4), (2, 1, 3, 2, 1, 4, 3), (1, 3, 2, 1, 4, 3, 2)),
+        )),
+    ),
     # Triple tangency crossed by the vertical line through the point.
     # Tracked in swapped coordinates with a small shear making the
     # line factor proper; the tangency pair is complex over the
     # basepoint, so the model matches up to conjugation.
-    exp413 = Presentation(6, (
-        _eq(6, (5, 4, 3, 2), (2, 5, 4, 3)),
-        *_chain(6, (3, 5, 4, 3, 2, 5, 4), (5, 4, 3, 2, 5, 4, 3), (4, 3, 5, 4, 3, 2, 5)),
-        _eq(6, (1,), (5, 4, 3, -4, -5)),
-        _eq(6, (5,), (6,)),
-    ))
-    trio543 = Presentation(3, tuple(_chain(
-        3, (3, 2, 1, 3, 2, 1), (2, 1, 3, 2, 1, 3), (1, 3, 2, 1, 3, 2)
-    )))
-    out.append(Fixture(
-        fixture_id="triple-tangency-vertical-line",
+    "triple-tangency-vertical-line": dict(
         equation="(x)(y)(x+y^2)(x-y^2)",
         shear=Fraction(1, 100),
         model_letters=(
@@ -237,73 +216,74 @@ def fixtures() -> list[Fixture]:
             2, 3, 2, 4, 1, 2, 3, 2, 4, 1, 2, -4, 3, -5, 4,
         ),
         lefschetz_letters=(3, 2, 4, 1, 3, 5, 4, 3, 2, 1),
-        expected_relations=exp413,
+        expected_relations=Presentation(6, (
+            _eq(6, (5, 4, 3, 2), (2, 5, 4, 3)),
+            *_chain(6, (3, 5, 4, 3, 2, 5, 4), (5, 4, 3, 2, 5, 4, 3), (4, 3, 5, 4, 3, 2, 5)),
+            _eq(6, (1,), (5, 4, 3, -4, -5)),
+            _eq(6, (5,), (6,)),
+        )),
         redundancy_claims=(6,),
-        deletion_checks=((2, trio543), (4, exp33)),
+        deletion_checks=((2, _TRIO543), (4, _EXP33)),
         conjugator=(2, -3, -2, -1, -4, -3, -2, -1, -1),
-    ))
-
+    ),
     # Tangent conics with two secants, one below and one above.
-    exp421 = Presentation(4, (
-        *_chain(4, (4, 3, 2, 1), (1, 4, 3, 2), (3, 2, 1, 4)),
-        _eq(4, (4, 3, 2, 1, 3, 2), (2, 4, 3, 2, 1, 3)),
-    ))
-    out.append(Fixture(
-        fixture_id="double-secant",
+    "double-secant": dict(
         equation="(2x+y)(2x-y)(y+x^2)(y-x^2)",
         model_letters=(2, 2, 2, 2, 1, 3, 2, 1, 3, 1, 3, 2, 1, 3),
         lefschetz_letters=(2, 2, 1, 3, 2, 1, 3),
-        expected_relations=exp421,
+        expected_relations=Presentation(4, (
+            *_chain(4, (4, 3, 2, 1), (1, 4, 3, 2), (3, 2, 1, 4)),
+            _eq(4, (4, 3, 2, 1, 3, 2), (2, 4, 3, 2, 1, 3)),
+        )),
         redundancy_claims=(3,),
-        deletion_checks=((1, exp32), (4, exp31)),
-    ))
-
+        deletion_checks=((1, _EXP32), (4, _EXP31)),
+    ),
     # Vertical tangency with an extra transversal line; the model
     # nests a full twist of the middle pair inside the outer half
     # rotation, and matches the tracked braid up to conjugation.
-    exp422 = Presentation(6, (
-        *_chain(6, (5, 4, 3, 2), (2, 5, 4, 3), (3, 2, 5, 4)),
-        _eq(6, (4, 5, 4, 3, 2, 5), (5, 4, 3, 2, 5, 4)),
-        _eq(6, (1,), (5, 4, -5)),
-        _eq(6, (5,), (6,)),
-    ))
-    out.append(Fixture(
-        fixture_id="vertical-tangency-line-pair",
+    "vertical-tangency-line-pair": dict(
         equation="y(x+2y)(y^2+x)(y^2-x)",
         model_letters=(
             -4, 5, -3, 4, 3, 4, 2, 5, 1, 2, 4, 3, 4, 2, 5, 1,
             4, 2, -4, -2, 3, 4, 2, -4, -2, 3, 4, 2, -4, 3, -5, 4,
         ),
         lefschetz_letters=(2, 3, 2, 4, 5, 1, 4, -4, 3, 2),
-        expected_relations=exp422,
+        expected_relations=Presentation(6, (
+            *_chain(6, (5, 4, 3, 2), (2, 5, 4, 3), (3, 2, 5, 4)),
+            _eq(6, (4, 5, 4, 3, 2, 5), (5, 4, 3, 2, 5, 4)),
+            _eq(6, (1,), (5, 4, -5)),
+            _eq(6, (5,), (6,)),
+        )),
         redundancy_claims=(6,),
-        deletion_checks=((2, exp33), (3, exp33)),
+        deletion_checks=((2, _EXP33), (3, _EXP33)),
         conjugator=(-4, -3, 5),
-    ))
-
+    ),
     # Remark variants: one conic of the tangent pair replaced by its
     # tangent line, same braid and relations as the parent fixtures.
-    out.append(Fixture(
-        fixture_id="conic-line-tangency-secant-below",
+    "conic-line-tangency-secant-below": dict(
         equation="y(2x+y)(y+x^2)",
         model_letters=(2, 2, 2, 2, 1, 2, 2, 1),
         lefschetz_letters=(1, 1, 2, 1),
-        expected_relations=exp31,
-    ))
-    out.append(Fixture(
-        fixture_id="conic-line-tangency-secant-above",
+        expected_relations=_EXP31,
+    ),
+    "conic-line-tangency-secant-above": dict(
         equation="y(2x-y)(y+x^2)",
         model_letters=(1, 1, 1, 1, 2, 1, 1, 2),
         lefschetz_letters=(2, 2, 1, 2),
-        expected_relations=exp32,
-    ))
-    return out
+        expected_relations=_EXP32,
+    ),
+}
+
+
+def fixtures() -> list[Fixture]:
+    """The ten principal fixtures plus the two remark variants."""
+    return [Fixture(fixture_id=k, **kw) for k, kw in _FIXTURES.items()]
 
 
 def fixture_by_id(fixture_id: str) -> Fixture:
-    for f in fixtures():
-        if f.fixture_id == fixture_id:
-            return f
+    """The named fixture, built alone: a principal id or n-tangency-n."""
+    if fixture_id in _FIXTURES:
+        return Fixture(fixture_id=fixture_id, **_FIXTURES[fixture_id])
     # Only the ids that n_tangency_fixture gives: no sign, space or leading zero.
     if m := re.fullmatch("n-tangency-([1-9][0-9]*)", fixture_id):
         try:

@@ -47,8 +47,8 @@ def _parse_complex(text: str) -> complex:
     s = text.strip().replace(" ", "")
     if not s:
         raise ParseError("empty complex number")
-    m = re.fullmatch(
-        r"(?P<re>[+-]?\d+(?:/\d+)?)?(?P<im>[+-]?(?:\d+(?:/\d+)?)?i)?", s
+    m = re.fullmatch(  # a real part ends at a sign or at the end, so 3i is 0+3i
+        r"(?P<re>[+-]?\d+(?:/\d+)?(?=[+-]|$))?(?P<im>[+-]?(?:\d+(?:/\d+)?)?i)?", s
     )
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ParseError("cannot parse complex number %r" % text[:40])

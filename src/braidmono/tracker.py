@@ -12,8 +12,13 @@ nearest new root within half that root's distance to its nearest
 neighbour; otherwise the step is halved.  These discs are pairwise
 disjoint, so an accepted step continues each root unambiguously, and
 an isolated root does not hold the whole fiber to the pace of its
-closest pair.  The test sees only the sampled endpoints of a step, so
-it cannot detect two roots that wind round each other within one step.
+closest pair.  Each strand keeps the factor of its basepoint root, and
+a step that matches a root to a root of another factor is rejected too:
+a root continued along a path that meets no critical value stays a root
+of its factor.  The test sees only the sampled endpoints of a step, so
+it cannot detect, within one step, two roots of one factor that wind
+round each other, or roots of two factors that wind whole turns round
+each other.
 The first step is arc/256, no step exceeds arc/64, and eight accepted
 steps in a row double the step up to that cap.
 The walk goes in runs: a run is the angles it would take if every
@@ -212,7 +217,8 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
     """Track the fiber around the loop; returns the strand Motion.
 
     The motion's time axis is the loop parameter normalised to [0, 1].
-    Strand k starts at the k-th root of the sorted basepoint fiber.
+    Strand k starts at the k-th root of the basepoint fiber sorted by
+    strand_key (a stable sort of the roots in factor order).
     """
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
@@ -221,6 +227,7 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
     min_step, max_step = arc * _MIN_STEP_FRACTION, arc / 64.0
     step = min(arc / _START_DIVISIONS, max_step)
     theta, streak = theta0, 0
+    owner = np.repeat(np.arange(len(curve.factors)), [f.degree_y for f in curve.factors])
 
     while theta < theta1 - 1e-15:
         # One run: the angles the walk takes if every step is accepted, up to
@@ -248,14 +255,16 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
             if sep <= 2.0 * _SEPARATION_TOL * _scale(start):
                 raise CriticalFiberError("fiber over x=%s has nearly coincident roots "
                                          "(separation %.3e)" % (loop.basepoint, sep))
-            start_sorted = sorted((complex(z) for z in start), key=strand_key)
-            current = np.asarray(start_sorted, dtype=complex)
+            order = np.argsort(strand_key(start), kind="stable")
+            current, own = start[order], owner[order]  # own[i]: strand i's factor
             samples.append(current)
         fibers += [start] * closing
         # The step test of the fibers before the first error, in one pass;
         # the walk below checks each in order, as a step at a time would.
         solved = next((k for k, f in enumerate(fibers) if isinstance(f, Exception)), len(fibers))
         near, ok, sep, scale = _step_test(np.array([current, *fibers[:solved]]))
+        # A root stays on its factor: row 0 is in strand order, later rows in column order.
+        ok &= (owner[near] == np.array([own, *[owner] * (len(near) - 1)])).all(axis=1)
         perm = np.arange(len(current))
         for k, target in enumerate(targets):
             if k == solved:

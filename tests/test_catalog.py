@@ -52,6 +52,20 @@ def test_fixture_lookup():
         fixture_by_id("bogus-id")
 
 
+@pytest.mark.parametrize("fixture_id", ALL_IDS)
+def test_a_lookup_builds_only_the_fixture_it_names(monkeypatch, fixture_id):
+    built = []
+    post_init = Fixture.__post_init__
+
+    def spy(self):
+        built.append(self.fixture_id)
+        post_init(self)
+
+    monkeypatch.setattr(Fixture, "__post_init__", spy)
+    assert fixture_by_id(fixture_id).fixture_id == fixture_id
+    assert built == [fixture_id]
+
+
 def test_fixture_lookup_parses_parametric_ids():
     f = fixture_by_id("n-tangency-4")
     assert len(f.model_program.points) == 4

@@ -66,6 +66,8 @@ def test_compute_structured_format(capsys):
                  "letters: s1", id="center-i"),
     pytest.param(("--curve", "(y^2-x^2-1)", "--center=-1/2-i"), "letters: s1",
                  id="center-minus-half-minus-i"),
+    pytest.param(("--curve", "(y^2-x)", "--center=-1/2i", "--radius", "1"), "letters: s1",
+                 id="center-minus-half-i"),
     pytest.param(("--curve", "(y^2-x)", "--shear=-1/100"), "curve: (y^2+1/100y-x)",
                  id="negative-shear"),
 ])
@@ -73,6 +75,22 @@ def test_compute_center_radius_and_shear(capsys, flags, line):
     code, out, _ = _run(capsys, "compute", *flags)
     assert code == 0
     assert line + "\n" in out
+
+
+@pytest.mark.parametrize("text, value", [
+    ("i", 1j), ("3i", 3j), ("+3i", 3j), ("-1/2i", -0.5j), ("2+3i", 2 + 3j), ("2-3i", 2 - 3j),
+    ("-1/2-i", -0.5 - 1j), ("5", 5), ("-5/3", -5 / 3),
+])
+def test_a_center_reads_a_real_part_only_before_a_sign_or_the_end(text, value):
+    assert cli._parse_complex(text) == value
+
+
+def test_a_center_on_the_imaginary_axis_is_not_moved_off_it(capsys):
+    # The loop |x + i/2| = 1/2 runs through x = 0, where the two lines meet.
+    code, out, err = _run(capsys, "compute", "--curve", "(y-1)(y-x-1)", "--center=-1/2i",
+                          "--radius", "1/2")
+    assert (code, out) == (3, "")
+    assert err.startswith("tracking error: ")
 
 
 @pytest.mark.parametrize("flag", ["--shear", "--center"])

@@ -109,8 +109,6 @@ def test_tracked_braid_from_a_drawn_start_equals_the_reference(monkeypatch, seed
     assert braid_equal(tracked, reference_braid(branches, radius)), (branches, radius, divisions)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the endpoint step test aliases "
-                   "the fast winding of x^100 into a wrong braid with exit 0")
 def test_fast_winding_tracks_to_the_reference():
     branches = [(Fraction(1), 100), (Fraction(-1), 100)]
     tracked = motion_to_braid(track_loop(branch_curve(branches), LoopSpec()))

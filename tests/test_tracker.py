@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from braidmono import (
+    BraidWord,
     LoopSpec,
     Polynomial2,
     braid_equal,
@@ -277,6 +278,39 @@ def test_a_full_loop_ends_on_a_permutation_of_its_starting_fiber(fixture):
     assert sorted(first) == sorted(last)
 
 
+def _factor_of(curve, x, y):
+    """The factor with a root over x nearest to y, each factor solved by np.roots."""
+    return int(np.argmin([np.abs(np.roots(f.y_coeffs_at(np.array([x]))[0]) - y).min()
+                          for f in curve.factors]))
+
+
+@pytest.mark.parametrize("fixture", fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)],
+                         ids=lambda f: f.fixture_id)
+def test_each_strand_ends_on_a_basepoint_root_of_its_own_factor(fixture):
+    # A root continued along a loop that meets no critical value stays a
+    # root of its factor.  Checked at the radii that verify is run at.
+    curve = fixture.curve
+    for radius in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4), Fraction(3, 2)):
+        loop = LoopSpec(radius=radius)
+        paths = track_loop(curve, loop).paths
+        start = [_factor_of(curve, loop.basepoint, z) for z in paths[:, 0]]
+        assert sorted(start) == [k for k, f in enumerate(curve.factors) for _ in range(f.degree_y)]
+        ends = [start[paths[:, 0].tolist().index(z)] for z in paths[:, -1].tolist()]
+        assert ends == start, radius
+
+
+@pytest.mark.parametrize("divisions", [1, 2, 3, 8, 65, 256])
+@pytest.mark.parametrize("equation, exponent", [("(y-x^30)(y+x^30)", 60),
+                                                ("(y-x^100)(y+x^100)", 200)])
+def test_a_fast_winding_pair_keeps_each_strand_on_its_factor(monkeypatch, equation, exponent,
+                                                            divisions):
+    # Each strand winds |x|^n times round the other.  A step that jumps a
+    # root onto the other factor's root is rejected, whatever the first step.
+    monkeypatch.setattr(tracker, "_START_DIVISIONS", divisions)
+    tracked = motion_to_braid(track_loop(parse_curve(equation), LoopSpec()))
+    assert braid_equal(tracked, BraidWord(2, (1,) * exponent))
+
+
 def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch):
     # Work counts of the 15 `verify all` fixtures at radius 1, both arcs:
     # batches and fibers passed to _solve_fibers, and samples kept.  The
@@ -357,7 +391,8 @@ def _reference_walk(curve, loop):
     caps the first step; a step that would pass the half turn by more
     than the tracker's _HALF_TOL ends on it.  The last step of a full
     loop ends on the basepoint and takes the basepoint's fiber as solved,
-    unsorted, as its new fiber.  The tracker's runs must take exactly
+    unsorted, as its new fiber.  A step that matches a root to a root of
+    another factor is rejected.  The tracker's runs must take exactly
     these steps.
     """
     theta0, theta1 = loop.angle_range
@@ -369,7 +404,9 @@ def _reference_walk(curve, loop):
     if sep <= 2.0 * tracker._SEPARATION_TOL * np.abs(base).max(initial=0.0):
         raise CriticalFiberError("fiber over x=%s has nearly coincident roots (separation %.3e)"
                                  % (loop.basepoint, sep))
-    current = np.asarray(sorted((complex(z) for z in base), key=strand_key), dtype=complex)
+    owner = [k for k, f in enumerate(curve.factors) for _ in range(f.degree_y)]
+    order = sorted(range(len(base)), key=lambda i: strand_key(complex(base[i])))
+    current, own = base[order], [owner[i] for i in order]
     thetas, samples = [theta0], [current]
     min_step, max_step = arc * 2.0**-40, arc / 64.0
     step = min(arc / tracker._START_DIVISIONS, max_step)
@@ -388,7 +425,7 @@ def _reference_walk(curve, loop):
         if sep[0] <= 2.0 * tracker._SEPARATION_TOL * scale[0]:
             raise CriticalFiberError("fiber separation collapsed at loop angle %.6f" % theta)
         probed, probe = probe, False
-        if not ok[0]:
+        if not ok[0] or [owner[j] for j in near[0]] != own:  # a root left its factor
             rejected_probes += probed and step == max_step
             step = min(step, theta1 - theta) / 2.0
             if step < min_step:
@@ -428,7 +465,7 @@ def test_tracking_takes_the_steps_of_a_one_step_walk(fixture):
         assert rejected["full"] == 15
 
 
-@pytest.mark.parametrize("equation", ["(y+x^2)(y-x^2)", "y(y^2+x)(y^2-x)"])
+@pytest.mark.parametrize("equation", ["(y+x^2)(y-x^2)", "y(y^2+x)(y^2-x)", "(y-x^30)(y+x^30)"])
 def test_tracking_from_a_coarse_start_takes_the_steps_of_a_one_step_walk(monkeypatch, equation):
     monkeypatch.setattr(tracker, "_START_DIVISIONS", 3)
     for arc in ("full", "negative-half"):
