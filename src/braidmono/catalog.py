@@ -15,7 +15,8 @@ loop once, compares the tracked braid, conjugated by the fixture's stated
 conjugator, with the model (one comparison of Garside normal forms: a local
 braid monodromy is defined up to conjugation, and where the fiber has
 complex points the model works in a rearranged frame), and the half-loop
-braid (the walk's from its half turn on) with its stated word and, where
+braid (the walk's from its half turn on) with its stated word, the stated
+words' forms being derived once per fixture object, and, where
 the stated words double (Fixture.lefschetz_doubling), its square with the
 tracked braid.  Per fixture object, once, it compares induced and
 expected presentations and checks redundancy and deletion claims.
@@ -41,7 +42,7 @@ from .presentations import (
 )
 from .tracker import LoopSpec, lefschetz_braid, track_loop
 from .vankampen import raw_relators
-from .words import BraidWord, FreeWord, braid_equal
+from .words import BraidWord, FreeWord, NormalForm, braid_equal, left_normal_form
 
 
 def _eq(rank: int, lhs: Sequence[int], rhs: Sequence[int]) -> FreeWord:
@@ -105,6 +106,14 @@ class Fixture:
                                       "relation %d %s from the others" % (k, verdict.value)))
         return (*checks, *[_hom_check("deletion-x%d" % gen, kill_generator(expected, gen), small)
                            for gen, small in self.deletion_checks])
+
+    @cached_property
+    def stated_forms(self) -> tuple[NormalForm, NormalForm]:
+        """Left normal forms of the stated model and half-loop braids, which
+        verify_fixture compares the tracked ones with on every loop."""
+        n = self.expected_relations.rank
+        return (left_normal_form(BraidWord(n, self.model_letters)),
+                left_normal_form(BraidWord(n, self.lefschetz_letters)))
 
     @property
     def model_program(self) -> MotionProgram:
@@ -347,6 +356,7 @@ def verify_fixture(f: Fixture, *, radius: Fraction = Fraction(1)) -> Verificatio
     then the half-loop braid.  A tracking error fails the loop's checks."""
     checks: list[CheckResult] = []
     n = f.expected_relations.rank  # the words' strand count
+    model, stated_half = f.stated_forms
 
     failure = None
     try:
@@ -357,7 +367,7 @@ def verify_fixture(f: Fixture, *, radius: Fraction = Fraction(1)) -> Verificatio
         checks.append(CheckResult("tracked-vs-model", False, failure))
     else:
         c = BraidWord(n, f.conjugator)
-        ok = braid_equal(c * tracked * c.inverse(), BraidWord(n, f.model_letters))
+        ok = left_normal_form(c * tracked * c.inverse()) == model
         if not ok:
             detail = "%s braid differs from the model" % ("conjugated" if f.conjugator else "tracked")
         elif f.conjugator:
@@ -370,7 +380,7 @@ def verify_fixture(f: Fixture, *, radius: Fraction = Fraction(1)) -> Verificatio
     if failure is not None:
         checks.append(CheckResult("lefschetz", False, failure))
     else:
-        ok = braid_equal(half, BraidWord(n, f.lefschetz_letters))
+        ok = left_normal_form(half) == stated_half
         checks.append(CheckResult(
             "lefschetz-program", ok,
             "half-loop braid %s the program" % ("matches" if ok else "differs from")))

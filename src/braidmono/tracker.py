@@ -22,14 +22,18 @@ each other.
 The first step is arc/256, no step exceeds arc/64, and eight accepted
 steps in a row double the step up to that cap.
 The walk goes in runs: a run is the angles it would take if every
-step were accepted, up to and including the first at a grown size
-(the probe), or to the end of the loop at the largest size.  Its
-fibers, with the basepoint's in the first run, are solved in one batch
-(one division per line, one eigenvalue call per higher y-degree), and
-the step test of every fiber against its predecessor is one array
-pass; the run is then walked in order, and a rejected step ends it and
-drops the rest of its fibers.  A rejected probe, the likeliest
-rejection, is the last fiber of its run, so it wastes no other.
+step were accepted, to the end of the loop.  Once a step has been
+rejected, a run ends instead at the first angle at a grown size (the
+probe), the likeliest rejection, which thus wastes no other fiber;
+planning to the end after a rejection would re-solve the rest of the
+loop each time.  A run's fibers, with the basepoint's in the first
+run, are solved in one batch (one division per line, one eigenvalue
+call per higher y-degree), and the step test of every fiber against
+its predecessor is one array pass.  The steps before the first that
+does not stand are accepted at once; that step is judged as a walk of
+one step at a time would judge it (a guard error, then a collapsed
+separation, then the match), and the rest of the run's fibers, errors
+included, are dropped.  A loop that rejects no step is one batch.
 The last step of a full loop ends on the basepoint itself, and its new
 fiber is the basepoint's fiber solved at the start, not solved again:
 its step test closes the loop, which thus ends on a permutation of its
@@ -226,23 +230,26 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
     thetas, samples = [theta0], []
     min_step, max_step = arc * _MIN_STEP_FRACTION, arc / 64.0
     step = min(arc / _START_DIVISIONS, max_step)
-    theta, streak = theta0, 0
+    theta, streak, rejected = theta0, 0, False
     owner = np.repeat(np.arange(len(curve.factors)), [f.degree_y for f in curve.factors])
 
     while theta < theta1 - 1e-15:
-        # One run: the angles the walk takes if every step is accepted, up to
-        # and including the probe (the first at a grown size), or to the end
-        # at the largest size.  The first batch also solves the basepoint.
-        targets, t, size, n = [], theta, step, streak
+        # One run: the angles the walk takes if every step is accepted, to the
+        # end of the loop; once a step has been rejected, only up to and
+        # including the probe (the first at a grown size).  grown[k] is the
+        # step and streak after targets[k].  The first batch also solves the
+        # basepoint.
+        targets, grown, t, size, n = [], [], theta, step, streak
         while t < theta1 - 1e-15:
             before_half = t < math.pi - _HALF_TOL
             t += min(size, theta1 - t)
             if before_half and t > math.pi + _HALF_TOL:
                 t = math.pi  # a step past the half turn ends on it
             targets.append(t)
-            if size > step:
+            grown.append(_grow(size, n, max_step))
+            if rejected and size > step:
                 break
-            size, n = _grow(size, n, max_step)
+            size, n = grown[-1]
         # A full loop's last step ends on the basepoint and reuses its fiber.
         closing = loop.arc == "full" and targets[-1] >= theta1 - 1e-15
         xs = [loop.point(t) for t in targets[:len(targets) - closing]]
@@ -257,39 +264,43 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
                                          "(separation %.3e)" % (loop.basepoint, sep))
             order = np.argsort(strand_key(start), kind="stable")
             current, own = start[order], owner[order]  # own[i]: strand i's factor
-            samples.append(current)
+            samples.append(current[None])
         fibers += [start] * closing
-        # The step test of the fibers before the first error, in one pass;
-        # the walk below checks each in order, as a step at a time would.
+        # The step test of the fibers before the first error, in one pass.
         solved = next((k for k, f in enumerate(fibers) if isinstance(f, Exception)), len(fibers))
         near, ok, sep, scale = _step_test(np.array([current, *fibers[:solved]]))
         # A root stays on its factor: row 0 is in strand order, later rows in column order.
         ok &= (owner[near] == np.array([own, *[owner] * (len(near) - 1)])).all(axis=1)
-        perm = np.arange(len(current))
-        for k, target in enumerate(targets):
-            if k == solved:
-                raise fibers[k]
-            if sep[k] <= 2.0 * _SEPARATION_TOL * scale[k]:
-                raise CriticalFiberError("fiber separation collapsed at loop angle %.6f" % theta)
-            if not ok[k]:
-                step = min(step, theta1 - theta) / 2.0
-                if step < min_step:
-                    raise TrackingFailureError(
-                        "step underflow at loop angle %.6f (fiber too unstable)" % theta
-                    )
-                streak = 0
-                break
-            # Strand i is root perm[i] of row k; continue it to row k + 1.
-            perm = near[k][perm]
-            current = fibers[k][perm]
-            theta = target
-            thetas.append(theta)
-            samples.append(current)
-            step, streak = _grow(step, streak, max_step)
+        collapsed = sep <= 2.0 * _SEPARATION_TOL * scale
+        # Steps 0..k-1 stand and are accepted at once; step k, if planned, is
+        # checked as a step at a time would: error, then separation, then match.
+        k = next((j for j, bad in enumerate((collapsed | ~ok).tolist()) if bad), solved)
+        if k:
+            # Strand i is root rows[j][i] of fiber j: near's rows composed in order.
+            rows, perm = [], range(len(current))
+            for row in near[:k].tolist():
+                perm = [row[i] for i in perm]
+                rows.append(perm)
+            samples.append(np.array(fibers[:k])[np.arange(k)[:, None], rows])
+            current = samples[-1][-1]
+            thetas += targets[:k]
+            theta, (step, streak) = targets[k - 1], grown[k - 1]
+        if k == len(targets):
+            continue
+        if k == solved:
+            raise fibers[k]
+        if collapsed[k]:
+            raise CriticalFiberError("fiber separation collapsed at loop angle %.6f" % theta)
+        step = min(step, theta1 - theta) / 2.0
+        if step < min_step:
+            raise TrackingFailureError(
+                "step underflow at loop angle %.6f (fiber too unstable)" % theta
+            )
+        streak, rejected = 0, True
 
     times = [(t - theta0) / arc for t in thetas]
     times[0], times[-1] = 0.0, 1.0
-    return Motion(tuple(times), np.array(samples).T)
+    return Motion(tuple(times), np.concatenate(samples).T)
 
 
 def lefschetz_braid(full: Motion) -> BraidWord:

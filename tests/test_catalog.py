@@ -258,6 +258,25 @@ def test_one_fixture_checks_its_relations_once_over_many_loops(monkeypatch):
     assert [report.passed for report in reports] == [True, True, True, False]
 
 
+def test_one_fixture_derives_its_stated_forms_once_over_many_loops(monkeypatch):
+    # verify_fixture compares the tracked and half-loop braids' normal
+    # forms with the stated words' forms, which one fixture object derives
+    # once: two forms on the first call, none after, and the two tracked
+    # forms on every loop that tracks.
+    from braidmono import catalog
+
+    forms = _spy(monkeypatch, catalog, "left_normal_form")
+    f = fixture_by_id("vertical-tangency")
+    radii = [Fraction(1), Fraction(1, 2), Fraction(3, 2)]
+    reports = [verify_fixture(f, radius=r) for r in radii]
+    assert len(forms) == 2 + 2 * len(radii)
+    assert f.stated_forms == (catalog.left_normal_form(BraidWord(5, f.model_letters)),
+                              catalog.left_normal_form(BraidWord(5, f.lefschetz_letters)))
+    for r, report in zip(radii, reports):
+        assert report.passed, r
+        assert report.lines() == verify_fixture(fixture_by_id(f.fixture_id), radius=r).lines()
+
+
 def test_a_failed_relation_check_is_not_kept(monkeypatch):
     from braidmono import homcount
 
