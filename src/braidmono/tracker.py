@@ -21,19 +21,21 @@ round each other, or roots of two factors that wind whole turns round
 each other.
 The first step is arc/256, no step exceeds arc/64, and eight accepted
 steps in a row double the step up to that cap.
-The walk goes in runs: a run is the angles it would take if every
-step were accepted, to the end of the loop.  Once a step has been
-rejected, a run ends instead at the first angle at a grown size (the
-probe), the likeliest rejection, which thus wastes no other fiber;
-planning to the end after a rejection would re-solve the rest of the
-loop each time.  A run's fibers, with the basepoint's in the first
-run, are solved in one batch (one division per line, one eigenvalue
-call per higher y-degree), and the step test of every fiber against
-its predecessor is one array pass.  The steps before the first that
-does not stand are accepted at once; that step is judged as a walk of
-one step at a time would judge it (a guard error, then a collapsed
-separation, then the match), and the rest of the run's fibers, errors
-included, are dropped.  A loop that rejects no step is one batch.
+The walk goes in runs: a run is the angles it would take if every step
+were accepted, to the end of the loop.  Once a step has been rejected,
+a run plans past as many probes (steps at a grown size, the likeliest
+to be rejected) as the run before it, as if each were rejected, and
+ends at the next probe; a rejected probe doubles that number (0 to 1),
+an accepted one sets it to 1 and another rejected step to 0.  A run's
+fibers, with the basepoint's in the first run, are solved in one batch
+(one division per line, one eigenvalue call per higher y-degree), and
+the step test of every fiber against its predecessor is one array
+pass.  The steps before the first that departs from the plan (it
+fails, or a probe planned past stands) are taken at once; that one is
+judged as a walk of one step at a time would judge it (a guard error,
+then a collapsed separation, then the match), and the rest of the
+run's fibers, errors included, are dropped.  A loop that rejects no
+step is one batch.
 The last step of a full loop ends on the basepoint itself, and its new
 fiber is the basepoint's fiber solved at the start, not solved again:
 its step test closes the loop, which thus ends on a permutation of its
@@ -222,7 +224,10 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
 
     The motion's time axis is the loop parameter normalised to [0, 1].
     Strand k starts at the k-th root of the basepoint fiber sorted by
-    strand_key (a stable sort of the roots in factor order).
+    strand_key (a stable sort of the roots in factor order).  After a
+    rejected step, a run plans past as many probes as the run before it
+    did, as if each were rejected, and ends at the next probe; the walk
+    takes exactly the steps of a walk of one step at a time.
     """
     theta0, theta1 = loop.angle_range
     arc = theta1 - theta0
@@ -230,26 +235,29 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
     thetas, samples = [theta0], []
     min_step, max_step = arc * _MIN_STEP_FRACTION, arc / 64.0
     step = min(arc / _START_DIVISIONS, max_step)
-    theta, streak, rejected = theta0, 0, False
+    theta, streak, past = theta0, 0, -1  # probes a run plans past; -1: none rejected yet
     owner = np.repeat(np.arange(len(curve.factors)), [f.degree_y for f in curve.factors])
 
     while theta < theta1 - 1e-15:
-        # One run: the angles the walk takes if every step is accepted, to the
-        # end of the loop; once a step has been rejected, only up to and
-        # including the probe (the first at a grown size).  grown[k] is the
-        # step and streak after targets[k].  The first batch also solves the
-        # basepoint.
-        targets, grown, t, size, n = [], [], theta, step, streak
+        # One run; after[k] is the walk's step and streak before targets[k]
+        # as planned.  The first batch also solves the basepoint.
+        targets, spec, after, t, size, n, base = [], [], [(step, streak)], theta, step, streak, step
         while t < theta1 - 1e-15:
             before_half = t < math.pi - _HALF_TOL
             t += min(size, theta1 - t)
             if before_half and t > math.pi + _HALF_TOL:
                 t = math.pi  # a step past the half turn ends on it
             targets.append(t)
-            grown.append(_grow(size, n, max_step))
-            if rejected and size > step:
+            after.append(_grow(size, n, max_step))
+            if past < 0 or size <= base:
+                size, n = after[-1]
+                continue
+            base = min(size, theta1 - targets[-2]) / 2.0  # from the probe's start
+            if len(spec) == past or t >= theta1 - 1e-15 or base < min_step:
                 break
-            size, n = grown[-1]
+            spec.append(len(targets) - 1)
+            t, size, n = targets[-2], base, 0
+            after[-1] = size, n
         # A full loop's last step ends on the basepoint and reuses its fiber.
         closing = loop.arc == "full" and targets[-1] >= theta1 - 1e-15
         xs = [loop.point(t) for t in targets[:len(targets) - closing]]
@@ -266,26 +274,41 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
             current, own = start[order], owner[order]  # own[i]: strand i's factor
             samples.append(current[None])
         fibers += [start] * closing
-        # The step test of the fibers before the first error, in one pass.
+        # The step test of the fibers before the first error, in one pass.  A planned-past
+        # probe (never a run's first step) is followed by a copy of its predecessor, the
+        # next fiber's predecessor; at[j] is the pair of targets[j] and its predecessor.
         solved = next((k for k, f in enumerate(fibers) if isinstance(f, Exception)), len(fibers))
-        near, ok, sep, scale = _step_test(np.array([current, *fibers[:solved]]))
+        live = [p for p in spec if p < solved]
+        chain, at = np.array([current, *fibers[:solved]]), np.arange(solved)
+        planned = np.zeros(solved, dtype=bool)  # planned past, as if rejected
+        if live:
+            chain = np.insert(chain, np.add(live, 2), chain[live], axis=0)
+            at += np.searchsorted(live, at)
+            planned[live] = True
+        near, ok, sep, scale = _step_test(chain)
+        if live:
+            near, ok, sep, scale = (a[at] for a in (near, ok, sep, scale))
         # A root stays on its factor: row 0 is in strand order, later rows in column order.
-        ok &= (owner[near] == np.array([own, *[owner] * (len(near) - 1)])).all(axis=1)
+        ok &= (owner[near] == np.where(np.arange(len(near))[:, None], owner, own)).all(axis=1)
         collapsed = sep <= 2.0 * _SEPARATION_TOL * scale
-        # Steps 0..k-1 stand and are accepted at once; step k, if planned, is
-        # checked as a step at a time would: error, then separation, then match.
-        k = next((j for j, bad in enumerate((collapsed | ~ok).tolist()) if bad), solved)
-        if k:
-            # Strand i is root rows[j][i] of fiber j: near's rows composed in order.
+        # Steps 0..k-1 go as planned and are taken at once; step k, if planned,
+        # departs from the plan (it fails, or a planned-past probe stands) and
+        # is checked as a step at a time would: error, then separation, then match.
+        k = next(iter(np.flatnonzero(collapsed | (ok == planned)).tolist()), solved)
+        stood = k < solved and planned[k] and not collapsed[k]
+        taken = np.flatnonzero(ok[:k + 1] & ~collapsed[:k + 1])  # a rejected probe is not taken
+        if len(taken):
+            # Strand i is root rows[j][i] of the j-th fiber taken: near's rows composed in order.
             rows, perm = [], range(len(current))
-            for row in near[:k].tolist():
+            for row in near[taken].tolist():
                 perm = [row[i] for i in perm]
                 rows.append(perm)
-            samples.append(np.array(fibers[:k])[np.arange(k)[:, None], rows])
+            samples.append(chain[at[taken][:, None] + 1, rows])
             current = samples[-1][-1]
-            thetas += targets[:k]
-            theta, (step, streak) = targets[k - 1], grown[k - 1]
-        if k == len(targets):
+            thetas += [targets[j] for j in taken.tolist()]
+        theta, (step, streak) = thetas[-1], _grow(*after[k], max_step) if stood else after[k]
+        if stood or k == len(targets):
+            past = 1  # a probe stood, or the loop is done
             continue
         if k == solved:
             raise fibers[k]
@@ -296,7 +319,8 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
             raise TrackingFailureError(
                 "step underflow at loop angle %.6f (fiber too unstable)" % theta
             )
-        streak, rejected = 0, True
+        # A rejected probe (a step at a grown size) doubles the probes planned past.
+        streak, past = 0, max(1, 2 * past) if k and after[k][0] > after[k - 1][0] else 0
 
     times = [(t - theta0) / arc for t in thetas]
     times[0], times[-1] = 0.0, 1.0

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -558,3 +562,14 @@ def test_verify_all_counts_each_presentation_once_per_group(monkeypatch, capsys)
     code, out, _ = _run(capsys, "verify", "all")
     assert code == 0 and out.endswith("result: all checks passed\n")
     assert len(calls) == 34
+
+
+def test_the_package_runs_as_a_module_from_a_checkout():
+    # python -m braidmono needs no installed script: only src on the path.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "braidmono", "verify", "two-tangent-conics"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == (
+        "pass two-tangent-conics tracked-vs-model: braid words agree (4 letters)")

@@ -333,12 +333,14 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
     # Work counts of the 15 `verify all` fixtures at radius 1, both arcs:
     # batches and fibers passed to _solve_fibers, and samples kept.  The
     # basepoint shares the first run's batch, and a run plans to the end of
-    # the loop until a step is rejected, then only up to its probe, the
-    # first step at a grown size; a full loop's last step reuses the
-    # basepoint's fiber.  Solving fibers one at a time, making the basepoint
-    # a batch of its own, ending every run at its probe, planning every run
-    # to the end of the loop or solving the basepoint again at the end
-    # changes the first two.  The samples are the walk's and stay as they are.
+    # the loop until a step is rejected; after that it plans past probes
+    # (steps at a grown size) as if they were rejected, as many as the run
+    # before it, twice as many after a rejected probe, and ends at the next
+    # probe.  A full loop's last step reuses the basepoint's fiber.  Solving
+    # fibers one at a time, making the basepoint a batch of its own, ending
+    # every run at its first probe (60 batches: n-tangency-3 and -4 then
+    # take 16 each) or solving the basepoint again at the end changes the
+    # first two.  The samples are the walk's and stay as they are.
     solve = tracker._solve_fibers
     work = {"batches": 0, "fibers": 0}
 
@@ -352,14 +354,16 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_work(monkeypatch
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         for arc in ("full", "negative-half"):
             samples += len(track_loop(f.curve, LoopSpec(arc=arc)).times)
-    assert (work["batches"], work["fibers"], samples) == (60, 2525, 2396)
+    assert (work["batches"], work["fibers"], samples) == (38, 2525, 2396)
 
 
 def test_verifying_the_verify_fixtures_walks_each_full_loop_once(monkeypatch):
     # verify_fixture reads the half-loop braid off its full loop's walk, so
     # it solves the full-loop share of the work pinned above, each clean
-    # loop in one batch: a second walk of the lower half changes all three
-    # counts, and ending a clean loop's runs at their probes the first two.
+    # loop in one batch and each n-tangency-3 and -4 loop in five: a second
+    # walk of the lower half changes all three counts, and ending a clean
+    # loop's runs at their probes, or each run at its first probe (45
+    # batches), the first two.
     solve, walk = tracker._solve_fibers, catalog.track_loop
     work = {"batches": 0, "fibers": 0, "walks": 0}
 
@@ -376,7 +380,7 @@ def test_verifying_the_verify_fixtures_walks_each_full_loop_once(monkeypatch):
     monkeypatch.setattr(catalog, "track_loop", counting_walks)
     for f in fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)]:
         assert verify_fixture(f).passed, f.fixture_id
-    assert (work["batches"], work["fibers"], work["walks"]) == (45, 1385, 15)
+    assert (work["batches"], work["fibers"], work["walks"]) == (23, 1385, 15)
 
 
 def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_eigenvalue_work(monkeypatch):
@@ -402,6 +406,25 @@ def test_tracking_the_verify_fixtures_solves_a_pinned_amount_of_eigenvalue_work(
             track_loop(f.curve, LoopSpec(arc=arc))
     assert (calls, matrices) == (6, 906)
     assert sizes == {(2, 2)}
+
+
+@pytest.mark.parametrize("radius", [Fraction(1, 2), Fraction(1), Fraction(3, 2)], ids=str)
+@pytest.mark.parametrize("n", [3, 4])
+def test_an_n_tangency_loop_plans_past_its_rejected_probes(monkeypatch, n, radius):
+    # The arc/64 probe of these loops is rejected each time the step regrows
+    # (15 times, the one-step walk counts them below).  Ending each run at
+    # its first probe took 16 batches, 75 then fourteen of 9 and one of 4;
+    # planning past 1, 2, 4 and 8 rejected probes takes five.
+    solve, sizes = tracker._solve_fibers, []
+
+    def counting(curve, xs):
+        sizes.append(len(xs))
+        return solve(curve, xs)
+
+    monkeypatch.setattr(tracker, "_solve_fibers", counting)
+    track_loop(n_tangency_fixture(n).curve, LoopSpec(radius=radius))
+    assert len(sizes) <= 5
+    assert sum(sizes) == 205
 
 
 def _reference_walk(curve, loop):
@@ -480,8 +503,9 @@ def _assert_walks_alike(curve, loop):
 
 # Until a step is rejected, a run plans to the end of the loop.  At radius
 # 1 no principal loop rejects one; at 3/2 seven principal full loops
-# reject one within their first run and fall back to runs that end at the
-# probe, as n-tangency-3 and -4 do at every radius.
+# reject one within their first run and go on in runs that end at a probe,
+# as n-tangency-3 and -4 do at every radius, planning past their rejected
+# probes.
 @pytest.mark.parametrize("radius", [Fraction(1, 2), Fraction(1), Fraction(3, 2)], ids=str)
 @pytest.mark.parametrize("fixture", fixtures() + [n_tangency_fixture(n) for n in (2, 3, 4)],
                          ids=lambda f: f.fixture_id)
@@ -523,9 +547,97 @@ def test_a_guard_error_is_raised_only_before_the_first_rejected_step(monkeypatch
     assert motion.paths.tobytes() == clean.paths.tobytes()
 
 
+def test_a_guard_error_past_a_probe_that_stands_is_dropped(monkeypatch):
+    # At radius 1 this lower half loop's fifth batch plans 8 steps, then past a
+    # probe as if it were rejected, and 9 more; the probe stands, so the
+    # walk goes on from it with new targets and never takes those 9.  An
+    # error in the last of them is dropped.
+    curve, loop = parse_curve("(y^2-x^1000)(y^3-2x^1000)"), LoopSpec(arc="negative-half")
+    clean = track_loop(curve, loop)
+    solve, batches = tracker._solve_fibers, []
+
+    def injecting(curve, xs):
+        fibers = solve(curve, xs)
+        if len(batches) == 4:
+            fibers[-1] = TrackingFailureError("injected guard error")
+        batches.append(len(xs))
+        return fibers
+
+    monkeypatch.setattr(tracker, "_solve_fibers", injecting)
+    motion = track_loop(curve, loop)
+    assert batches[4] == 18
+    assert motion.times == clean.times
+    assert motion.paths.tobytes() == clean.paths.tobytes()
+
+
+@pytest.mark.parametrize("at", [8, 9, 12], ids=["probe", "after", "later"])
+def test_a_guard_error_past_a_rejected_probe_is_raised_as_a_one_step_walk_does(monkeypatch, at):
+    # The second batch of this loop plans 8 steps, a probe (fiber 8) as if
+    # it were rejected, 8 steps from the probe's start and a last probe.
+    # The probe is rejected, so the walk reaches every fiber planned past
+    # it: an error there is raised with the one-step walk's type and message.
+    curve, loop = n_tangency_fixture(3).curve, LoopSpec()
+    solve, batches = tracker._solve_fibers, []
+
+    def spying(curve, xs):
+        batches.append(xs)
+        return solve(curve, xs)
+
+    monkeypatch.setattr(tracker, "_solve_fibers", spying)
+    track_loop(curve, loop)
+    assert len(batches[1]) == 18
+    bad = batches[1][at]
+
+    def injecting(curve, xs):
+        return [ImproperProjectionError("injected guard error at x=%s" % x) if x == bad else f
+                for x, f in zip(xs, solve(curve, xs))]
+
+    monkeypatch.setattr(tracker, "_solve_fibers", injecting)
+    monkeypatch.setitem(globals(), "_solve_fibers", injecting)
+    refused = _refusal(track_loop, curve, loop)
+    assert refused == (ImproperProjectionError, "injected guard error at x=%s" % bad)
+    assert refused == _refusal(_reference_walk, curve, loop)
+
+
+# Ending each run at its first probe, these loops solved 381 and 363 fibers.
+@pytest.mark.parametrize("equation, center, message, fibers_at_first_probe", [
+    ("(y^2-x)", 1, "step underflow at loop angle 3.141593 (fiber too unstable)", 381),
+    ("(y^2-x+999999999999/1000000000000)", 0,
+     "step underflow at loop angle 0.000000 (fiber too unstable)", 363),
+], ids=["branch-point", "underflow"])
+def test_a_loop_that_halves_its_step_to_underflow_solves_a_bounded_number_of_fibers(
+        monkeypatch, equation, center, message, fibers_at_first_probe):
+    # Here the step halves 34 times, toward arc * 2**-40, where the rest of
+    # the loop is some 10**12 steps: a run planned to the end of the loop,
+    # or past unbounded probes, cannot be solved.  Planning past probes may
+    # solve at most twice the fibers of runs that end at their first probe.
+    solve, fibers = tracker._solve_fibers, []
+
+    def counting(curve, xs):
+        fibers.append(len(xs))
+        return solve(curve, xs)
+
+    monkeypatch.setattr(tracker, "_solve_fibers", counting)
+    refused = _refusal(track_loop, parse_curve(equation), LoopSpec(center, Fraction(1)))
+    assert refused == (TrackingFailureError, message)
+    assert sum(fibers) <= 2 * fibers_at_first_probe
+
+
 @pytest.mark.parametrize("equation", ["(y+x^2)(y-x^2)", "y(y^2+x)(y^2-x)", "(y-x^30)(y+x^30)"])
 def test_tracking_from_a_coarse_start_takes_the_steps_of_a_one_step_walk(monkeypatch, equation):
     monkeypatch.setattr(tracker, "_START_DIVISIONS", 3)
+    for arc in ("full", "negative-half"):
+        _assert_walks_alike(parse_curve(equation), LoopSpec(arc=arc))
+
+
+# From every start, the x^100 pair plans past 57 to 120 probes that are
+# rejected, the x^1000 pair sees 11 to 23 probes planned past stand, and
+# (y^2-x^3)(2y-1) rejects no step.
+@pytest.mark.parametrize("divisions", [1, 3, 8, 256])
+@pytest.mark.parametrize("equation", ["(y-x^100)(y+x^100)", "(y^2-x^3)(2y-1)",
+                                      "(y^2-x^1000)(y^3-2x^1000)"])
+def test_tracking_past_probes_takes_the_steps_of_a_one_step_walk(monkeypatch, equation, divisions):
+    monkeypatch.setattr(tracker, "_START_DIVISIONS", divisions)
     for arc in ("full", "negative-half"):
         _assert_walks_alike(parse_curve(equation), LoopSpec(arc=arc))
 
