@@ -29,8 +29,9 @@ ends at the next probe; a rejected probe doubles that number (0 to 1),
 an accepted one sets it to 1 and another rejected step to 0.  A run's
 fibers, with the basepoint's in the first run, are solved in one batch
 (one division per line, one eigenvalue call per higher y-degree), and
-the step test of every fiber against its predecessor is one array
-pass.  The steps before the first that departs from the plan (it
+the step test of every fiber against its predecessor (the fiber before
+it or, after a probe planned past, that probe's predecessor) is one
+array pass.  The steps before the first that departs from the plan (it
 fails, or a probe planned past stands) are taken at once; that one is
 judged as a walk of one step at a time would judge it (a guard error,
 then a collapsed separation, then the match), and the rest of the
@@ -189,20 +190,19 @@ def _separations(fibers: np.ndarray) -> np.ndarray:
     return diffs.min(axis=2, initial=math.inf)
 
 
-def _step_test(chain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """nearest_match's rule for each row of chain against the row before.
+def _step_test(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, ...]:
+    """nearest_match's rule for each row of new against the same row of prev.
 
-    chain is (K + 1, n): a fiber and the K fibers that follow it, each
-    matched to its predecessor with a tolerance per root: half that
+    prev and new are (K, n): K pairs of a fiber and its predecessor, each
+    fiber matched to its predecessor with a tolerance per root: half that
     root's distance to its nearest neighbour in the predecessor.  These
     discs are pairwise disjoint, so a matching that stands is the one
     bijection they allow.  Returns near, where near[k, i] is the root of
-    row k + 1 nearest to root i of row k (the first on ties); ok[k],
+    new[k] nearest to root i of prev[k] (the first on ties); ok[k],
     whether that matching stands; and the least separation and scale of
     each predecessor.  Distances are np.hypot of the parts, which is
     bit-identical to abs() of a Python complex where np.abs need not be.
     """
-    prev, new = chain[:-1], chain[1:]
     diff = new[:, None, :] - prev[:, :, None]
     dist = np.hypot(diff.real, diff.imag)
     near = dist.argmin(axis=2)
@@ -240,22 +240,24 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
 
     while theta < theta1 - 1e-15:
         # One run; after[k] is the walk's step and streak before targets[k]
-        # as planned.  The first batch also solves the basepoint.
-        targets, spec, after, t, size, n, base = [], [], [(step, streak)], theta, step, streak, step
+        # as planned, planned[k] whether targets[k] is a probe planned past.
+        # The first batch also solves the basepoint.
+        targets, planned, after, t, size, n, base = [], [], [(step, streak)], theta, step, streak, step
         while t < theta1 - 1e-15:
             before_half = t < math.pi - _HALF_TOL
             t += min(size, theta1 - t)
             if before_half and t > math.pi + _HALF_TOL:
                 t = math.pi  # a step past the half turn ends on it
             targets.append(t)
+            planned.append(False)
             after.append(_grow(size, n, max_step))
             if past < 0 or size <= base:
                 size, n = after[-1]
                 continue
             base = min(size, theta1 - targets[-2]) / 2.0  # from the probe's start
-            if len(spec) == past or t >= theta1 - 1e-15 or base < min_step:
+            if sum(planned) == past or t >= theta1 - 1e-15 or base < min_step:
                 break
-            spec.append(len(targets) - 1)
+            planned[-1] = True
             t, size, n = targets[-2], base, 0
             after[-1] = size, n
         # A full loop's last step ends on the basepoint and reuses its fiber.
@@ -270,26 +272,18 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
             if sep <= 2.0 * _SEPARATION_TOL * _scale(start):
                 raise CriticalFiberError("fiber over x=%s has nearly coincident roots "
                                          "(separation %.3e)" % (loop.basepoint, sep))
-            order = np.argsort(strand_key(start), kind="stable")
-            current, own = start[order], owner[order]  # own[i]: strand i's factor
-            samples.append(current[None])
+            last, perm = start, np.argsort(strand_key(start), kind="stable").tolist()
+            samples.append(start[perm][None])  # perm[i]: the column strand i occupies
         fibers += [start] * closing
-        # The step test of the fibers before the first error, in one pass.  A planned-past
-        # probe (never a run's first step) is followed by a copy of its predecessor, the
-        # next fiber's predecessor; at[j] is the pair of targets[j] and its predecessor.
+        # The step test of the fibers before the first error, in one pass.  Each is
+        # tested against its predecessor: the fiber before it or, after a probe
+        # planned past, that probe's predecessor (the step after one is no probe).
         solved = next((k for k, f in enumerate(fibers) if isinstance(f, Exception)), len(fibers))
-        live = [p for p in spec if p < solved]
-        chain, at = np.array([current, *fibers[:solved]]), np.arange(solved)
-        planned = np.zeros(solved, dtype=bool)  # planned past, as if rejected
-        if live:
-            chain = np.insert(chain, np.add(live, 2), chain[live], axis=0)
-            at += np.searchsorted(live, at)
-            planned[live] = True
-        near, ok, sep, scale = _step_test(chain)
-        if live:
-            near, ok, sep, scale = (a[at] for a in (near, ok, sep, scale))
-        # A root stays on its factor: row 0 is in strand order, later rows in column order.
-        ok &= (owner[near] == np.where(np.arange(len(near))[:, None], owner, own)).all(axis=1)
+        rows = np.array([last, *fibers[:solved]])
+        planned, pred = np.array(planned[:solved], dtype=bool), np.arange(solved)
+        pred[1:] -= planned[:-1]
+        near, ok, sep, scale = _step_test(rows[pred], rows[1:])
+        ok &= (owner[near] == owner).all(axis=1)  # a root stays on its factor
         collapsed = sep <= 2.0 * _SEPARATION_TOL * scale
         # Steps 0..k-1 go as planned and are taken at once; step k, if planned,
         # departs from the plan (it fails, or a planned-past probe stands) and
@@ -298,13 +292,13 @@ def track_loop(curve: CurveSpec, loop: LoopSpec) -> Motion:
         stood = k < solved and planned[k] and not collapsed[k]
         taken = np.flatnonzero(ok[:k + 1] & ~collapsed[:k + 1])  # a rejected probe is not taken
         if len(taken):
-            # Strand i is root rows[j][i] of the j-th fiber taken: near's rows composed in order.
-            rows, perm = [], range(len(current))
+            # Strand i is root cols[j][i] of the j-th fiber taken: near's rows composed in order.
+            cols = []
             for row in near[taken].tolist():
                 perm = [row[i] for i in perm]
-                rows.append(perm)
-            samples.append(chain[at[taken][:, None] + 1, rows])
-            current = samples[-1][-1]
+                cols.append(perm)
+            samples.append(rows[taken[:, None] + 1, cols])
+            last = rows[taken[-1] + 1]
             thetas += [targets[j] for j in taken.tolist()]
         theta, (step, streak) = thetas[-1], _grow(*after[k], max_step) if stood else after[k]
         if stood or k == len(targets):

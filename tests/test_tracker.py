@@ -414,17 +414,27 @@ def test_an_n_tangency_loop_plans_past_its_rejected_probes(monkeypatch, n, radiu
     # The arc/64 probe of these loops is rejected each time the step regrows
     # (15 times, the one-step walk counts them below).  Ending each run at
     # its first probe took 16 batches, 75 then fourteen of 9 and one of 4;
-    # planning past 1, 2, 4 and 8 rejected probes takes five.
+    # planning past 1, 2, 4 and 8 rejected probes takes five.  Each fiber
+    # is tested once, against its predecessor: the fiber after a probe
+    # planned past against that probe's predecessor, not a copy of it (217
+    # pairs: one more for each of the 11 probes planned past).
     solve, sizes = tracker._solve_fibers, []
+    test, pairs = tracker._step_test, []
 
     def counting(curve, xs):
         sizes.append(len(xs))
         return solve(curve, xs)
 
+    def spying(prev, new):
+        pairs.append(len(prev))
+        return test(prev, new)
+
     monkeypatch.setattr(tracker, "_solve_fibers", counting)
+    monkeypatch.setattr(tracker, "_step_test", spying)
     track_loop(n_tangency_fixture(n).curve, LoopSpec(radius=radius))
     assert len(sizes) <= 5
     assert sum(sizes) == 205
+    assert sum(pairs) == 206
 
 
 def _reference_walk(curve, loop):
@@ -467,7 +477,7 @@ def _reference_walk(curve, loop):
             fiber = _solve_fibers(curve, [loop.point(target)])[0]
         if isinstance(fiber, BraidMonoError):
             raise fiber
-        near, ok, sep, scale = _step_test(np.array([current, fiber]))
+        near, ok, sep, scale = _step_test(current[None], fiber[None])
         if sep[0] <= 2.0 * tracker._SEPARATION_TOL * scale[0]:
             raise CriticalFiberError("fiber separation collapsed at loop angle %.6f" % theta)
         probed, probe = probe, False
@@ -737,7 +747,8 @@ _EXACT_CHAINS = [
 @pytest.mark.parametrize("rows, expected", [c[1:] for c in _EXACT_CHAINS],
                          ids=[c[0] for c in _EXACT_CHAINS])
 def test_step_test_decides_the_pinned_chains(rows, expected):
-    near, ok, _, _ = _step_test(np.array(rows, dtype=complex))
+    chain = np.array(rows, dtype=complex)
+    near, ok, _, _ = _step_test(chain[:-1], chain[1:])
     assert [m if good else None for m, good in zip(near.tolist(), ok)] == expected
 
 
@@ -758,25 +769,32 @@ def test_step_test_equals_nearest_match(seed):
     for _ in range(100):
         n, k = rng.randint(1, 6), rng.randint(1, 4)
         chains += [_grid_chain(rng, n, k), _moved_chain(rng, n, k), _boundary_chain(rng)]
-    decisions = set()
+    decisions, repeats = set(), 0
     for rows in chains:
         chain = np.array(rows, dtype=complex)
-        near, ok, sep, scale = _step_test(chain)
-        for k in range(len(rows) - 1):
-            # Each root's distance to its nearest neighbour, the least
-            # separation and the scale, as the step test of a single fiber
-            # had them.
-            prev = chain[k]
-            gaps = np.abs(prev[:, None] - prev[None, :])
-            gaps[np.arange(len(prev)), np.arange(len(prev))] = math.inf
-            assert sep[k] == gaps.min()
-            assert scale[k] == np.abs(prev).max()
-            match = _matching(rows[k], rows[k + 1], (0.5 * gaps.min(axis=1)).tolist())
-            assert bool(ok[k]) == (match is not None)
-            if match is not None:
-                assert near[k].tolist() == match
-            decisions.add(match is not None)
+        # Each fiber against the one before it, then against a seeded
+        # predecessor, the one before it or the one before that, so that a
+        # predecessor row repeats as it does after a probe planned past.
+        seeded = [rng.randint(max(k - 1, 0), k) for k in range(len(rows) - 1)]
+        repeats += len(set(seeded)) < len(seeded)
+        for pred in (list(range(len(rows) - 1)), seeded):
+            near, ok, sep, scale = _step_test(chain[pred], chain[1:])
+            for k, j in enumerate(pred):
+                # Each root's distance to its nearest neighbour, the least
+                # separation and the scale, as the step test of a single
+                # fiber had them.
+                prev = chain[j]
+                gaps = np.abs(prev[:, None] - prev[None, :])
+                gaps[np.arange(len(prev)), np.arange(len(prev))] = math.inf
+                assert sep[k] == gaps.min()
+                assert scale[k] == np.abs(prev).max()
+                match = _matching(rows[j], rows[k + 1], (0.5 * gaps.min(axis=1)).tolist())
+                assert bool(ok[k]) == (match is not None)
+                if match is not None:
+                    assert near[k].tolist() == match
+                decisions.add(match is not None)
     assert decisions == {True, False}
+    assert repeats
 
 
 def test_out_of_range_leading_coefficient_fails_tracking():
